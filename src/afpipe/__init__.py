@@ -43,6 +43,7 @@ from .costs import (
     m2n_comm_bytes,
     roofline_attainable,
     stage_times,
+    staged_layer_time,
     turning_points,
 )
 from .placement import (
@@ -59,8 +60,6 @@ from .sim import (
     NegativeDuration,
     ScheduleTrace,
     SimResult,
-    chunked_overlap_exposed,
-    chunked_overlap_layer_time,
     exposed_comm,
     simulate,
     warmup_bubble_analytic,

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 
 from .config import Experiment, ScheduleKind
 from .costs import arithmetic_intensities, layer_costs, roofline_attainable, stage_times
-from .placement import ATTN, FFN, assign_layers
+# Unused here, but bench/tracing.py patches allocator.assign_layers.
+from .placement import assign_layers  # noqa: F401
 from .sim import simulate
 from .taskgraph import build_task_graph
 
@@ -67,7 +68,7 @@ class AllocatorParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.radius < 0 or self.trials < 0 or self.epsilon < 0:
+        if self.radius < 0 or self.trials < 0 or not self.epsilon >= 0:  # rejects NaN too
             raise ValueError("radius, trials, and epsilon must be >= 0")
 
 
@@ -237,24 +238,19 @@ def phase3_refine(
     return best, best_time, improvements, trace
 
 
-def af_iteration_profile(exp: Experiment, backward_multiplier: float = 2.0):
+def af_iteration_profile(exp: Experiment):
     """Deterministic profile function: simulated disaggregated iteration time.
 
     Memoized on the (M, N, M_a, M_f) split, which fully determines the
     simulated durations.
     """
     af_exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
-    plan_a = assign_layers(exp.model.layers, exp.pipeline_depth, ATTN)
-    plan_f = assign_layers(exp.model.layers, exp.pipeline_depth, FFN)
     cache: dict[tuple[int, int, int, int], float] = {}
 
     def profile(alloc: Allocation) -> float:
         key = (alloc.attn_gpus, alloc.ffn_gpus, alloc.attn_nics, alloc.ffn_nics)
         if key not in cache:
-            graph = build_task_graph(
-                af_exp, alloc, plan_a, plan_f, backward_multiplier=backward_multiplier
-            )
-            _, result = simulate(graph)
+            _, result = simulate(build_task_graph(af_exp, alloc))
             cache[key] = result.iteration_time
         return cache[key]
 
@@ -265,7 +261,6 @@ def allocate(
     exp: Experiment,
     params: AllocatorParams | None = None,
     equal_nics: bool = False,
-    backward_multiplier: float = 2.0,
 ) -> AllocationReport:
     """Run all three phases; the profile oracle is the pipeline simulator."""
     params = params or AllocatorParams()
@@ -274,7 +269,7 @@ def allocate(
     )
     _, band = phase1_min_bottleneck(cands, exp, params.epsilon)
     seed = phase2_tiebreak(band, exp)
-    profile = af_iteration_profile(exp, backward_multiplier)
+    profile = af_iteration_profile(exp)
     best, t_star, improvements, trace = phase3_refine(
         seed,
         params,
@@ -298,7 +293,6 @@ def brute_force_oracle(
     exp: Experiment,
     cap: int = 100_000,
     equal_nics: bool = False,
-    backward_multiplier: float = 2.0,
 ) -> tuple[Allocation, float]:
     """Profile every feasible allocation; exact argmin, canonical tie-break."""
     cands = enumerate_feasible(
@@ -306,7 +300,7 @@ def brute_force_oracle(
     )
     if len(cands) > cap:
         raise SearchSpaceTooLarge(f"{len(cands)} candidates exceed the cap of {cap}")
-    profile = af_iteration_profile(exp, backward_multiplier)
+    profile = af_iteration_profile(exp)
     best = None
     best_time = None
     for cand in cands:

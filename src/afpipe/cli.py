@@ -1,7 +1,8 @@
 """Command-line front end: simulate, allocate, sweep, compare.
 
-Exit codes: 0 ok, 2 configuration error, 3 simulation error, 4 no feasible
-allocation. The AFPIPE_LOG environment variable sets the log level.
+Exit codes: 0 ok, 2 configuration error (a bad config file or option
+value), 3 simulation error, 4 no feasible allocation, 5 an output file could
+not be written. The AFPIPE_LOG environment variable sets the log level.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .config import ConfigError, Experiment, ScheduleKind, load_experiment
 from .costs import attention_flops, ffn_flops, m2n_comm_bytes
 from .report import (
     DEFAULT_GPU_MEMORY_BYTES,
+    allocation_to_dict,
     build_run_report,
     estimate_oom,
     format_ms,
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SIMULATION = 3
 EXIT_INFEASIBLE = 4
+EXIT_IO = 5
 
 _SCHEDULE_CHOICES = [k.value for k in ScheduleKind]
 _SWEEP_AXES = ("seq_len", "topk", "ep_size", "virtual_stages", "attn_gpu_share")
@@ -59,7 +62,7 @@ def _load(path: str) -> Experiment:
         raise _CliError(EXIT_CONFIG, f"config file not found: {path}")
     try:
         return load_experiment(path)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         raise _CliError(EXIT_CONFIG, f"config error in {path}: {exc}") from exc
 
 
@@ -83,6 +86,14 @@ def _resolve_allocation(exp: Experiment, args) -> alloc_mod.Allocation:
         return alloc_mod.default_allocation(exp, equal_nics=args.equal_nics)
     except NoFeasible as exc:
         raise _CliError(EXIT_INFEASIBLE, f"no feasible allocation: {exc}") from exc
+
+
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(EXIT_IO, f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _simulate_kind(exp, kind, alloc):
@@ -124,19 +135,24 @@ def cmd_simulate(args) -> int:
     for warning in report.warnings:
         print(f"warning: {warning}")
     if args.trace:
-        write_trace(trace, args.trace)
+        try:
+            write_trace(trace, args.trace)
+        except OSError as exc:
+            raise _CliError(EXIT_IO, f"cannot write {args.trace}: {exc.strerror}") from exc
         log.info("trace written to %s", args.trace)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
+        _write_output(args.out, report_to_json(report))
     return EXIT_OK
 
 
 def cmd_allocate(args) -> int:
     exp = _load(args.config)
-    params = AllocatorParams(
-        radius=args.radius, trials=args.trials, epsilon=args.epsilon, rng_seed=args.seed
-    )
+    try:
+        params = AllocatorParams(
+            radius=args.radius, trials=args.trials, epsilon=args.epsilon, rng_seed=args.seed
+        )
+    except ValueError as exc:
+        raise _CliError(EXIT_CONFIG, f"invalid option: {exc}") from exc
     try:
         report = alloc_mod.allocate(exp, params, equal_nics=args.equal_nics)
     except NoFeasible as exc:
@@ -151,28 +167,22 @@ def cmd_allocate(args) -> int:
           f"seed M={report.seed_alloc.attn_gpus} Ma={report.seed_alloc.attn_nics}; "
           f"{report.refine_improvements} refinement improvement(s) over {args.trials} trial(s)")
     payload = {
-        "best": _alloc_dict(best),
+        "best": allocation_to_dict(best),
         "t_star": report.t_star,
         "phase1_set_size": report.phase1_set_size,
-        "seed": _alloc_dict(report.seed_alloc),
+        "seed": allocation_to_dict(report.seed_alloc),
         "refine_improvements": report.refine_improvements,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True))
     if args.trace_csv:
-        with open(args.trace_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["attn_gpus", "ffn_gpus", "attn_nics", "ffn_nics", "profiled_time_s"])
-            for cand, t in report.objective_trace:
-                writer.writerow([cand.attn_gpus, cand.ffn_gpus, cand.attn_nics, cand.ffn_nics, repr(t)])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["attn_gpus", "ffn_gpus", "attn_nics", "ffn_nics", "profiled_time_s"])
+        for cand, t in report.objective_trace:
+            writer.writerow([cand.attn_gpus, cand.ffn_gpus, cand.attn_nics, cand.ffn_nics, repr(t)])
+        _write_output(args.trace_csv, buf.getvalue())
     return EXIT_OK
-
-
-def _alloc_dict(alloc) -> dict:
-    from .report import allocation_to_dict
-
-    return allocation_to_dict(alloc)
 
 
 def _apply_axis(exp: Experiment, axis: str, raw: str) -> tuple[Experiment, float, int | None]:
@@ -203,8 +213,8 @@ def _apply_axis(exp: Experiment, axis: str, raw: str) -> tuple[Experiment, float
         return replace(exp, virtual_stages=value, pipeline_depth=layers // value), value, None
     if axis == "attn_gpu_share":
         total = exp.cluster.total_gpus
-        gpus = round(total * value)
-        if not 0 < value < 1 or not 1 <= gpus <= total - 1:
+        gpus = round(total * value) if 0 < value < 1 else 0  # rejects NaN too
+        if not 1 <= gpus <= total - 1:
             raise _CliError(EXIT_CONFIG, f"attn_gpu_share must leave both sides a GPU, got {value}")
         return exp, value, gpus
     raise _CliError(EXIT_CONFIG, f"unknown axis {axis}")
@@ -265,8 +275,7 @@ def cmd_sweep(args) -> int:
 
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -294,8 +303,7 @@ def cmd_compare(args) -> int:
         print(f"afpipe vs {kind.value}: speedup {sp:.4f}, {reduction}")
     if args.out:
         report = build_run_report(exp, alloc, results, args.mem_cap)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
+        _write_output(args.out, report_to_json(report))
     return EXIT_OK
 
 
@@ -361,6 +369,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.mem_cap > 0:
+            raise _CliError(EXIT_CONFIG, f"--mem-cap must be > 0, got {args.mem_cap}")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

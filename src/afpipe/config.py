@@ -9,7 +9,7 @@ hand-edited files fail loudly instead of being silently ignored.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import yaml
 
@@ -196,9 +196,10 @@ def parse_experiment(text: str) -> Experiment:
     sched = _read_section(doc, "schedule")
 
     depth = sched.get("pipeline_depth", 1)
-    if "virtual_stages" not in sched and depth >= 1:
-        # Default to the largest interleave the depth allows.
-        sched["virtual_stages"] = max(1, model.layers // depth)
+    if "virtual_stages" not in sched:
+        # Default to the largest interleave the depth allows; an invalid depth
+        # gets 1 here and is reported by validate().
+        sched["virtual_stages"] = max(1, model.layers // depth) if depth >= 1 else 1
     exp = Experiment(
         model=model,
         workload=workload,
@@ -308,7 +309,3 @@ def serialize_experiment(exp: Experiment) -> str:
 def load_experiment(path: str) -> Experiment:
     with open(path, encoding="utf-8") as fh:
         return parse_experiment(fh.read())
-
-
-def with_schedule_kind(exp: Experiment, kind: ScheduleKind) -> Experiment:
-    return replace(exp, schedule_kind=kind)

@@ -28,6 +28,9 @@ from .config import ClusterConfig, ModelConfig, Workload
 
 Number = Union[int, Fraction]
 
+# Backward compute costs this multiple of the forward pass.
+BACKWARD_MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -63,15 +66,6 @@ class LayerCosts:
     m2n_bytes: Number
     a2a_bytes_per_gpu: Number
     hidden_bytes: Number
-
-    def scaled(self, factor: Number) -> "LayerCosts":
-        return LayerCosts(
-            attn_flops=_exact(self.attn_flops * factor),
-            ffn_flops=_exact(self.ffn_flops * factor),
-            m2n_bytes=_exact(self.m2n_bytes * factor),
-            a2a_bytes_per_gpu=_exact(self.a2a_bytes_per_gpu * factor),
-            hidden_bytes=_exact(self.hidden_bytes * factor),
-        )
 
 
 def _exact(x: Number) -> Number:
@@ -143,8 +137,8 @@ def roofline_attainable(intensity: Number, peak_flops: float, bandwidth: float) 
     return min(float(peak_flops), float(intensity) * float(bandwidth))
 
 
-def backward_scale(flops_fwd: Number, multiplier: float = 2.0) -> float:
-    """Backward-pass FLOPs as a configurable multiple of forward FLOPs."""
+def backward_scale(flops_fwd: Number, multiplier: float = BACKWARD_MULTIPLIER) -> float:
+    """Backward-pass FLOPs as a multiple of forward FLOPs."""
     if flops_fwd < 0:
         raise ValueError("forward FLOPs must be >= 0")
     return float(flops_fwd) * multiplier
@@ -182,6 +176,18 @@ def stage_times(costs: LayerCosts, alloc, cluster: ClusterConfig, pipeline_depth
     t_m2n = float(costs.m2n_bytes) / (min(alloc.attn_nics, alloc.ffn_nics) * ib)
     t_p2p = float(costs.hidden_bytes) / ((cluster.total_nics / pipeline_depth) * ib)
     return StageTimes(t_attn=t_attn, t_ffn=t_ffn, t_a2a=t_a2a, t_m2n=t_m2n, t_p2p=t_p2p)
+
+
+def staged_layer_time(attn: float, ffn: float, a2a: float, overlap: bool) -> tuple[float, float]:
+    """(latency, exposed all-to-all) of one layer in a staged baseline.
+
+    Both exchanges (dispatch and combine) take `a2a` each. Without overlap
+    they sit on the critical path; with operator-level overlap only the part
+    not hidden behind expert compute, max(0, 2*a2a - ffn), does.
+    """
+    if overlap:
+        return attn + max(ffn, 2.0 * a2a), max(0.0, 2.0 * a2a - ffn)
+    return attn + ffn + 2.0 * a2a, 2.0 * a2a
 
 
 def cost_breakdown(

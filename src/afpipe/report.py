@@ -31,15 +31,9 @@ def run_schedule(
     kind: ScheduleKind,
     alloc: Allocation | None,
     times: StageTimes | None = None,
-    backward_multiplier: float = 2.0,
 ) -> tuple[ScheduleTrace, SimResult]:
-    """Build placement, costs, and the task graph for one kind, then simulate."""
-    exp = replace(exp, schedule_kind=kind)
-    plan_a = plan_f = None
-    if kind is ScheduleKind.AFPIPE:
-        plan_a = assign_layers(exp.model.layers, exp.pipeline_depth, ATTN)
-        plan_f = assign_layers(exp.model.layers, exp.pipeline_depth, FFN)
-    graph = build_task_graph(exp, alloc, plan_a, plan_f, times, backward_multiplier)
+    """Build the task graph for one kind, then simulate it."""
+    graph = build_task_graph(replace(exp, schedule_kind=kind), alloc, times=times)
     return simulate(graph)
 
 

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .config import ScheduleKind
-from .costs import StageTimes
+from .costs import StageTimes, staged_layer_time
 from .taskgraph import (
     COMPUTE_LANE,
     RECV_LANE,
-    Stream,
     Task,
     TaskGraph,
+    TaskKind,
 )
 
 
@@ -151,7 +151,7 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
         if task.lane == COMPUTE_LANE:
             inflight = fwd_started.get(task.owner, 0) - bwd_started.get(task.owner, 0)
             prefer_bwd = inflight >= graph.credits.get(task.owner, 1)
-            preferred = (task.stream is Stream.BACKWARD) == prefer_bwd
+            preferred = (task.kind is TaskKind.BWD_COMPUTE) == prefer_bwd
             rank = 0 if preferred else 1
         else:
             rank = 0
@@ -171,7 +171,7 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
         end[tid] = at + task.duration_ns
         lane_free[(task.owner, task.lane)] = end[tid]
         if task.lane == COMPUTE_LANE:
-            counter = bwd_started if task.stream is Stream.BACKWARD else fwd_started
+            counter = bwd_started if task.kind is TaskKind.BWD_COMPUTE else fwd_started
             counter[task.owner] = counter.get(task.owner, 0) + 1
         for uid in dependents[tid]:
             remaining[uid] -= 1
@@ -308,10 +308,10 @@ def warmup_bubble_analytic(
 ) -> float:
     """Closed-form warmup bubble for a pp-stage pipeline.
 
-    Staged baselines pay every per-layer term plus the inter-stage transfer
-    once per upstream stage; the disaggregated schedule pays only the slower
-    of the two compute halves plus one fused exchange, amortized over twice
-    the virtual interleave.
+    Staged baselines pay their per-layer latency (staged_layer_time) plus the
+    inter-stage transfer once per upstream stage; the disaggregated schedule
+    pays only the slower of the two compute halves plus one fused exchange,
+    amortized over twice the virtual interleave.
     """
     if pp < 1 or virtual_stages < 1:
         raise ValueError("pp and virtual_stages must be >= 1")
@@ -319,21 +319,10 @@ def warmup_bubble_analytic(
         return 0.0
     if kind is ScheduleKind.AFPIPE:
         return (pp - 1) * (max(times.t_attn, times.t_ffn) + times.t_m2n) / (2.0 * virtual_stages)
-    return (
-        (pp - 1)
-        * (layers_per_stage * (times.t_attn + times.t_ffn + 2.0 * times.t_a2a) + times.t_p2p)
-        / virtual_stages
+    layer, _ = staged_layer_time(
+        times.t_attn, times.t_ffn, times.t_a2a, overlap=kind is ScheduleKind.CHUNKED_OVERLAP
     )
-
-
-def chunked_overlap_layer_time(times: StageTimes) -> float:
-    """Per-layer latency when the exchange only overlaps with expert compute."""
-    return times.t_attn + max(times.t_ffn, 2.0 * times.t_a2a)
-
-
-def chunked_overlap_exposed(times: StageTimes) -> float:
-    """Residual non-overlapped exchange time of the operator-level overlap."""
-    return max(0.0, 2.0 * times.t_a2a - times.t_ffn)
+    return (pp - 1) * (layers_per_stage * layer + times.t_p2p) / virtual_stages
 
 
 def critical_path_ns(graph: TaskGraph) -> int:

@@ -16,9 +16,12 @@ Baselines:
     (operator-level overlap of the exchange with expert compute).
   * naive         - one worker set running everything serially.
 
-Durations are derived from the cost model, or injected directly via a
-StageTimes override (used by tests and the bubble cross-checks). All event
-math downstream is in integer nanoseconds.
+One path turns costs into durations: visit_times() derives the forward
+per-visit durations as a StageTimes from the cost model and the resources
+serving one group or stage, or a caller passes a StageTimes directly (used by
+tests and the bubble cross-checks). Backward compute takes BACKWARD_MULTIPLIER
+times its forward duration; the staged baselines price a chunk with
+staged_layer_time. All event math downstream is in integer nanoseconds.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .config import Experiment, ScheduleKind
-from .costs import StageTimes, layer_costs
-from .placement import ATTN, FFN, PlacementPlan
+from .costs import BACKWARD_MULTIPLIER, StageTimes, layer_costs, staged_layer_time
+from .placement import ATTN, FFN
 
 
 class GraphConstructionError(Exception):
@@ -55,14 +58,13 @@ COMPUTE_LANE = "compute"
 SEND_LANE = "comm.send"
 RECV_LANE = "comm.recv"
 
-_COMPUTE_KINDS = (TaskKind.FWD_COMPUTE, TaskKind.BWD_COMPUTE)
+_COMPUTE_STREAMS = {TaskKind.FWD_COMPUTE: Stream.FORWARD, TaskKind.BWD_COMPUTE: Stream.BACKWARD}
 
 
 @dataclass(frozen=True)
 class Task:
     id: int
     kind: TaskKind
-    stream: Stream
     owner: str
     lane: str
     duration_ns: int
@@ -76,8 +78,8 @@ class Task:
     exposed_ns: int = 0  # communication embedded in this task's duration
 
     @property
-    def is_compute(self) -> bool:
-        return self.kind in _COMPUTE_KINDS
+    def stream(self) -> Stream:
+        return _COMPUTE_STREAMS.get(self.kind, Stream.COMM)
 
 
 @dataclass
@@ -95,19 +97,6 @@ class TaskGraph:
         return len(self.tasks)
 
 
-@dataclass(frozen=True)
-class VisitTimes:
-    """Per-layer-visit durations in seconds."""
-
-    attn_fwd: float
-    ffn_fwd: float
-    attn_bwd: float
-    ffn_bwd: float
-    m2n: float
-    a2a: float
-    p2p: float
-
-
 def _ns(seconds: float) -> int:
     value = int(round(seconds * 1e9))
     if value < 0:
@@ -115,29 +104,13 @@ def _ns(seconds: float) -> int:
     return value
 
 
-def visit_times(
-    exp: Experiment,
-    alloc=None,
-    times: StageTimes | None = None,
-    backward_multiplier: float = 2.0,
-) -> VisitTimes:
-    """Per-visit durations for exp's schedule kind.
+def visit_times(exp: Experiment, alloc=None) -> StageTimes:
+    """Forward per-visit durations for exp's schedule kind.
 
-    With a StageTimes override the entries are taken verbatim (compute tasks
-    get t_attn / t_ffn, exchanges t_m2n, and so on); otherwise they are
-    derived from the cost model and the resources serving one group or stage.
+    Compute tasks take t_attn / t_ffn, exchanges t_m2n, collectives t_a2a
+    and inter-stage transfers t_p2p, each derived from the cost model and the
+    resources serving one group (disaggregated) or one stage (baselines).
     """
-    if times is not None:
-        return VisitTimes(
-            attn_fwd=times.t_attn,
-            ffn_fwd=times.t_ffn,
-            attn_bwd=times.t_attn * backward_multiplier,
-            ffn_bwd=times.t_ffn * backward_multiplier,
-            m2n=times.t_m2n,
-            a2a=times.t_a2a,
-            p2p=times.t_p2p,
-        )
-
     cluster = exp.cluster
     lc = layer_costs(exp.model, exp.workload, exp.ep_size)
     peak, ib = cluster.gpu_peak, cluster.ib_bw
@@ -160,15 +133,7 @@ def visit_times(
         m2n = 0.0
         p2p = float(lc.hidden_bytes) / ((cluster.total_nics / stages) * ib)
 
-    return VisitTimes(
-        attn_fwd=attn,
-        ffn_fwd=ffn,
-        attn_bwd=attn * backward_multiplier,
-        ffn_bwd=ffn * backward_multiplier,
-        m2n=m2n,
-        a2a=a2a,
-        p2p=p2p,
-    )
+    return StageTimes(t_attn=attn, t_ffn=ffn, t_a2a=a2a, t_m2n=m2n, t_p2p=p2p)
 
 
 class _Builder:
@@ -179,7 +144,6 @@ class _Builder:
     def add(
         self,
         kind: TaskKind,
-        stream: Stream,
         owner: str,
         lane: str,
         duration_ns: int,
@@ -191,7 +155,6 @@ class _Builder:
         self.graph.tasks[tid] = Task(
             id=tid,
             kind=kind,
-            stream=stream,
             owner=owner,
             lane=lane,
             duration_ns=duration_ns,
@@ -218,7 +181,6 @@ class _Builder:
         self.graph.tasks[send_id] = Task(
             id=send_id,
             kind=send_kind,
-            stream=Stream.COMM,
             owner=src,
             lane=SEND_LANE,
             duration_ns=duration_ns,
@@ -230,7 +192,6 @@ class _Builder:
         self.graph.tasks[recv_id] = Task(
             id=recv_id,
             kind=recv_kind,
-            stream=Stream.COMM,
             owner=dst,
             lane=RECV_LANE,
             duration_ns=duration_ns,
@@ -242,35 +203,18 @@ class _Builder:
         return send_id, recv_id
 
 
-def _check_plan(plan: PlacementPlan, component: str, exp: Experiment) -> None:
-    if plan.component != component:
-        raise GraphConstructionError(f"expected a {component}-side plan, got {plan.component}")
-    if plan.pipeline_depth != exp.pipeline_depth:
-        raise GraphConstructionError(
-            f"plan depth {plan.pipeline_depth} does not match experiment depth {exp.pipeline_depth}"
-        )
-    covered = sum(len(layers) for _, layers in plan.groups)
-    if covered != exp.model.layers:
-        raise GraphConstructionError(f"plan covers {covered} layers, model has {exp.model.layers}")
-
-
 def _balanced_blocks(total: int, parts: int) -> list[int]:
     base, extra = divmod(total, parts)
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def build_task_graph(
-    exp: Experiment,
-    alloc=None,
-    plan_a: PlacementPlan | None = None,
-    plan_f: PlacementPlan | None = None,
-    times: StageTimes | None = None,
-    backward_multiplier: float = 2.0,
-) -> TaskGraph:
+def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = None) -> TaskGraph:
     """Build the task DAG for exp's schedule kind.
 
-    Placement plans are required for the disaggregated schedule and ignored by
-    the baselines. num_microbatches == 0 yields an empty graph.
+    The disaggregated schedule needs an allocation unless `times` gives the
+    forward durations directly; the baselines ignore it. Group g of each side
+    serves layers {g, g+p, ...} (placement.assign_layers). num_microbatches
+    == 0 yields an empty graph.
     """
     graph = TaskGraph(
         schedule_kind=exp.schedule_kind,
@@ -284,18 +228,14 @@ def build_task_graph(
             (float(lc.attn_flops) + float(lc.ffn_flops))
             * exp.model.layers
             * exp.workload.num_microbatches
-            * (1.0 + backward_multiplier)
+            * (1.0 + BACKWARD_MULTIPLIER)
         )
 
     if exp.workload.num_microbatches == 0:
         return graph
-    vt = visit_times(exp, alloc, times, backward_multiplier)
+    vt = times if times is not None else visit_times(exp, alloc)
 
     if exp.schedule_kind is ScheduleKind.AFPIPE:
-        if plan_a is None or plan_f is None:
-            raise GraphConstructionError("the disaggregated schedule needs both placement plans")
-        _check_plan(plan_a, ATTN, exp)
-        _check_plan(plan_f, FFN, exp)
         _build_afpipe(graph, exp, vt)
     elif exp.schedule_kind is ScheduleKind.NAIVE_SEQUENTIAL:
         _build_naive(graph, exp, vt)
@@ -304,13 +244,14 @@ def build_task_graph(
     return graph
 
 
-def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: VisitTimes) -> None:
+def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
     p = exp.pipeline_depth
     layers = exp.model.layers
     b = _Builder(graph)
-    attn_fwd, ffn_fwd = _ns(vt.attn_fwd), _ns(vt.ffn_fwd)
-    attn_bwd, ffn_bwd = _ns(vt.attn_bwd), _ns(vt.ffn_bwd)
-    m2n = _ns(vt.m2n)
+    attn_fwd, ffn_fwd = _ns(vt.t_attn), _ns(vt.t_ffn)
+    attn_bwd = _ns(vt.t_attn * BACKWARD_MULTIPLIER)
+    ffn_bwd = _ns(vt.t_ffn * BACKWARD_MULTIPLIER)
+    m2n = _ns(vt.t_m2n)
 
     graph.owners = tuple(f"A{g}" for g in range(p)) + tuple(f"F{g}" for g in range(p))
     # 1F1B credit: visits at or after the group's first appearance in the
@@ -326,11 +267,11 @@ def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: VisitTimes) -> None:
         for layer in range(layers):
             g, k = layer % p, layer // p
             deps = (prev,) if prev is not None else ()
-            a = b.add(TaskKind.FWD_COMPUTE, Stream.FORWARD, f"A{g}", COMPUTE_LANE, attn_fwd,
+            a = b.add(TaskKind.FWD_COMPUTE, f"A{g}", COMPUTE_LANE, attn_fwd,
                       deps, mb, layer=layer, virtual_index=k, component=ATTN)
             _, recv = b.add_transfer(TaskKind.M2N_SEND, TaskKind.M2N_RECV, f"A{g}", f"F{g}",
                                      m2n, (a,), mb, layer=layer, virtual_index=k)
-            f = b.add(TaskKind.FWD_COMPUTE, Stream.FORWARD, f"F{g}", COMPUTE_LANE, ffn_fwd,
+            f = b.add(TaskKind.FWD_COMPUTE, f"F{g}", COMPUTE_LANE, ffn_fwd,
                       (recv,), mb, layer=layer, virtual_index=k, component=FFN)
             if layer < layers - 1:
                 nxt = (layer + 1) % p
@@ -343,11 +284,11 @@ def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: VisitTimes) -> None:
         prev = last_fwd
         for layer in range(layers - 1, -1, -1):
             g, k = layer % p, layer // p
-            fb = b.add(TaskKind.BWD_COMPUTE, Stream.BACKWARD, f"F{g}", COMPUTE_LANE, ffn_bwd,
+            fb = b.add(TaskKind.BWD_COMPUTE, f"F{g}", COMPUTE_LANE, ffn_bwd,
                        (prev,), mb, layer=layer, virtual_index=k, component=FFN, direction="bwd")
             _, recv = b.add_transfer(TaskKind.M2N_SEND, TaskKind.M2N_RECV, f"F{g}", f"A{g}",
                                      m2n, (fb,), mb, layer=layer, virtual_index=k, direction="bwd")
-            ab = b.add(TaskKind.BWD_COMPUTE, Stream.BACKWARD, f"A{g}", COMPUTE_LANE, attn_bwd,
+            ab = b.add(TaskKind.BWD_COMPUTE, f"A{g}", COMPUTE_LANE, attn_bwd,
                        (recv,), mb, layer=layer, virtual_index=k, component=ATTN, direction="bwd")
             if layer > 0:
                 nxt = (layer - 1) % p
@@ -356,7 +297,7 @@ def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: VisitTimes) -> None:
                 prev = recv
 
 
-def _build_staged(graph: TaskGraph, exp: Experiment, vt: VisitTimes, overlap: bool) -> None:
+def _build_staged(graph: TaskGraph, exp: Experiment, vt: StageTimes, overlap: bool) -> None:
     """Megatron-style 1F1B over contiguous chunks, interleaved across stages."""
     pp, v = exp.pipeline_depth, exp.virtual_stages
     chunks = pp * v
@@ -366,21 +307,19 @@ def _build_staged(graph: TaskGraph, exp: Experiment, vt: VisitTimes, overlap: bo
             f"{chunks} chunks cannot be filled from {exp.model.layers} layers"
         )
     b = _Builder(graph)
-    p2p = _ns(vt.p2p)
+    p2p = _ns(vt.t_p2p)
 
     graph.owners = tuple(f"S{i}" for i in range(pp))
     for i in range(pp):
         graph.credits[f"S{i}"] = max(1, chunks - i)
 
+    fwd_layer = staged_layer_time(vt.t_attn, vt.t_ffn, vt.t_a2a, overlap)
+    bwd_layer = staged_layer_time(
+        vt.t_attn * BACKWARD_MULTIPLIER, vt.t_ffn * BACKWARD_MULTIPLIER, vt.t_a2a, overlap
+    )
+
     def chunk_ns(n_layers: int, fwd: bool) -> tuple[int, int]:
-        attn = vt.attn_fwd if fwd else vt.attn_bwd
-        ffn = vt.ffn_fwd if fwd else vt.ffn_bwd
-        if overlap:
-            per_layer = attn + max(ffn, 2.0 * vt.a2a)
-            exposed = max(0.0, 2.0 * vt.a2a - ffn)
-        else:
-            per_layer = attn + ffn + 2.0 * vt.a2a
-            exposed = 2.0 * vt.a2a
+        per_layer, exposed = fwd_layer if fwd else bwd_layer
         return _ns(n_layers * per_layer), _ns(n_layers * exposed)
 
     for mb in range(exp.workload.num_microbatches):
@@ -388,7 +327,7 @@ def _build_staged(graph: TaskGraph, exp: Experiment, vt: VisitTimes, overlap: bo
         for j in range(chunks):
             dur, exposed = chunk_ns(sizes[j], fwd=True)
             deps = (prev,) if prev is not None else ()
-            t = b.add(TaskKind.FWD_COMPUTE, Stream.FORWARD, f"S{j % pp}", COMPUTE_LANE, dur,
+            t = b.add(TaskKind.FWD_COMPUTE, f"S{j % pp}", COMPUTE_LANE, dur,
                       deps, mb, virtual_index=j // pp, exposed_ns=exposed)
             if j < chunks - 1 and (j + 1) % pp != j % pp:
                 _, recv = b.add_transfer(TaskKind.P2P, TaskKind.P2P, f"S{j % pp}", f"S{(j + 1) % pp}",
@@ -398,7 +337,7 @@ def _build_staged(graph: TaskGraph, exp: Experiment, vt: VisitTimes, overlap: bo
                 prev = t
         for j in range(chunks - 1, -1, -1):
             dur, exposed = chunk_ns(sizes[j], fwd=False)
-            t = b.add(TaskKind.BWD_COMPUTE, Stream.BACKWARD, f"S{j % pp}", COMPUTE_LANE, dur,
+            t = b.add(TaskKind.BWD_COMPUTE, f"S{j % pp}", COMPUTE_LANE, dur,
                       (prev,), mb, virtual_index=j // pp, direction="bwd", exposed_ns=exposed)
             if j > 0 and (j - 1) % pp != j % pp:
                 _, recv = b.add_transfer(TaskKind.P2P, TaskKind.P2P, f"S{j % pp}", f"S{(j - 1) % pp}",
@@ -408,32 +347,33 @@ def _build_staged(graph: TaskGraph, exp: Experiment, vt: VisitTimes, overlap: bo
                 prev = t
 
 
-def _build_naive(graph: TaskGraph, exp: Experiment, vt: VisitTimes) -> None:
+def _build_naive(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
     """Fully serial reference: compute and collectives strictly alternate."""
     b = _Builder(graph)
     owner = "SEQ"
     graph.owners = (owner,)
     graph.credits[owner] = 1
-    attn_fwd, ffn_fwd = _ns(vt.attn_fwd), _ns(vt.ffn_fwd)
-    attn_bwd, ffn_bwd = _ns(vt.attn_bwd), _ns(vt.ffn_bwd)
-    a2a = _ns(vt.a2a)
+    attn_fwd, ffn_fwd = _ns(vt.t_attn), _ns(vt.t_ffn)
+    attn_bwd = _ns(vt.t_attn * BACKWARD_MULTIPLIER)
+    ffn_bwd = _ns(vt.t_ffn * BACKWARD_MULTIPLIER)
+    a2a = _ns(vt.t_a2a)
 
     prev: int | None = None
     for mb in range(exp.workload.num_microbatches):
         for layer in range(exp.model.layers):
             deps = (prev,) if prev is not None else ()
-            a = b.add(TaskKind.FWD_COMPUTE, Stream.FORWARD, owner, COMPUTE_LANE, attn_fwd,
+            a = b.add(TaskKind.FWD_COMPUTE, owner, COMPUTE_LANE, attn_fwd,
                       deps, mb, layer=layer, component=ATTN)
-            d = b.add(TaskKind.A2A, Stream.COMM, owner, SEND_LANE, a2a, (a,), mb, layer=layer)
-            f = b.add(TaskKind.FWD_COMPUTE, Stream.FORWARD, owner, COMPUTE_LANE, ffn_fwd,
+            d = b.add(TaskKind.A2A, owner, SEND_LANE, a2a, (a,), mb, layer=layer)
+            f = b.add(TaskKind.FWD_COMPUTE, owner, COMPUTE_LANE, ffn_fwd,
                       (d,), mb, layer=layer, component=FFN)
-            prev = b.add(TaskKind.A2A, Stream.COMM, owner, SEND_LANE, a2a, (f,), mb, layer=layer)
+            prev = b.add(TaskKind.A2A, owner, SEND_LANE, a2a, (f,), mb, layer=layer)
         for layer in range(exp.model.layers - 1, -1, -1):
-            g1 = b.add(TaskKind.A2A, Stream.COMM, owner, SEND_LANE, a2a, (prev,), mb,
+            g1 = b.add(TaskKind.A2A, owner, SEND_LANE, a2a, (prev,), mb,
                        layer=layer, direction="bwd")
-            fb = b.add(TaskKind.BWD_COMPUTE, Stream.BACKWARD, owner, COMPUTE_LANE, ffn_bwd,
+            fb = b.add(TaskKind.BWD_COMPUTE, owner, COMPUTE_LANE, ffn_bwd,
                        (g1,), mb, layer=layer, component=FFN, direction="bwd")
-            g2 = b.add(TaskKind.A2A, Stream.COMM, owner, SEND_LANE, a2a, (fb,), mb,
+            g2 = b.add(TaskKind.A2A, owner, SEND_LANE, a2a, (fb,), mb,
                        layer=layer, direction="bwd")
-            prev = b.add(TaskKind.BWD_COMPUTE, Stream.BACKWARD, owner, COMPUTE_LANE, attn_bwd,
+            prev = b.add(TaskKind.BWD_COMPUTE, owner, COMPUTE_LANE, attn_bwd,
                          (g2,), mb, layer=layer, component=ATTN, direction="bwd")

@@ -56,13 +56,11 @@ def _small_experiment(kind, layers, depth, stages, microbatches=6):
 
 
 def _build(exp, times=None):
-    alloc = plan_a = plan_f = None
+    alloc = None
     if exp.schedule_kind is ScheduleKind.AFPIPE:
         alloc = canonical_allocation(1, 1, exp.cluster.total_gpus,
                                      exp.cluster.total_nics, exp.cluster.gpus_per_node)
-        plan_a = assign_layers(exp.model.layers, exp.pipeline_depth, ATTN)
-        plan_f = assign_layers(exp.model.layers, exp.pipeline_depth, FFN)
-    return build_task_graph(exp, alloc, plan_a, plan_f, times=times)
+    return build_task_graph(exp, alloc, times=times)
 
 
 def test_criterion_1_warmup_bubble_quarter():

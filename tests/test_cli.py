@@ -35,6 +35,45 @@ def test_simulate_invalid_config_names_field(tmp_path, capsys):
     assert "topk" in capsys.readouterr().err
 
 
+def test_depth_zero_without_virtual_stages_exits_2(tmp_path, capsys):
+    bad = tmp_path / "depth0.yaml"
+    bad.write_text(TOY_TEXT.replace("pipeline_depth: 2", "pipeline_depth: 0")
+                   .replace("  virtual_stages: 2\n", ""))
+    assert main(["simulate", "--config", str(bad), "--schedule", "afpipe"]) == 2
+    assert "pipeline_depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate", "--trials", "-1"],
+    ["allocate", "--radius", "-1"],
+    ["allocate", "--epsilon", "-0.5"],
+    ["allocate", "--epsilon", "nan"],
+    ["allocate", "--mem-cap", "0"],
+    ["simulate", "--mem-cap", "0"],
+    ["sweep", "--axis", "seq_len", "--values", "1024", "--mem-cap", "0"],
+    ["compare", "--mem-cap", "-1"],
+    ["sweep", "--axis", "attn_gpu_share", "--values", "nan"],
+])
+def test_invalid_option_values_exit_2(argv, capsys):
+    assert main([*argv, "--config", TOY]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trace"],
+    ["simulate", "--out"],
+    ["allocate", "--trials", "1", "--out"],
+    ["allocate", "--trials", "1", "--trace-csv"],
+    ["sweep", "--axis", "seq_len", "--values", "1024", "--out"],
+    ["compare", "--out"],
+])
+def test_unwritable_output_exits_5(argv, tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "out"
+    assert main([*argv, str(path), "--config", TOY]) == 5
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_simulate_writes_schema_valid_trace(tmp_path, capsys):
     trace_path = tmp_path / "out.json"
     code = main(["simulate", "--config", TOY, "--schedule", "afpipe",

@@ -4,13 +4,10 @@ import pytest
 
 from afpipe.allocator import canonical_allocation
 from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
-from afpipe.costs import StageTimes
-from afpipe.placement import ATTN, FFN, assign_layers
+from afpipe.costs import StageTimes, staged_layer_time
 from afpipe.sim import (
     CycleDetected,
     NegativeDuration,
-    chunked_overlap_exposed,
-    chunked_overlap_layer_time,
     critical_path_ns,
     exposed_comm,
     resource_bound_ns,
@@ -21,7 +18,6 @@ from afpipe.taskgraph import (
     COMPUTE_LANE,
     RECV_LANE,
     SEND_LANE,
-    Stream,
     Task,
     TaskGraph,
     TaskKind,
@@ -40,9 +36,8 @@ def _graph(tasks):
     return g
 
 
-def _compute(tid, owner, dur_ns, deps=(), stream=Stream.FORWARD, mb=0):
-    return Task(id=tid, kind=TaskKind.FWD_COMPUTE if stream is Stream.FORWARD else TaskKind.BWD_COMPUTE,
-                stream=stream, owner=owner, lane=COMPUTE_LANE, duration_ns=dur_ns,
+def _compute(tid, owner, dur_ns, deps=(), kind=TaskKind.FWD_COMPUTE, mb=0):
+    return Task(id=tid, kind=kind, owner=owner, lane=COMPUTE_LANE, duration_ns=dur_ns,
                 deps=deps, microbatch=mb)
 
 
@@ -59,14 +54,12 @@ def _experiment(kind, layers, depth, stages, microbatches=4, gpus=2, nics=2, ep=
     )
 
 
-def _build(kind, layers, depth, stages, microbatches=4, times=UNIFORM, **kw):
+def _build(kind, layers, depth, stages, microbatches=4, times=UNIFORM):
     exp = _experiment(kind, layers, depth, stages, microbatches)
-    alloc = plan_a = plan_f = None
+    alloc = None
     if kind is ScheduleKind.AFPIPE:
         alloc = canonical_allocation(1, 1, exp.cluster.total_gpus, exp.cluster.total_nics, 2)
-        plan_a = assign_layers(layers, depth, ATTN)
-        plan_f = assign_layers(layers, depth, FFN)
-    return build_task_graph(exp, alloc, plan_a, plan_f, times=times, **kw)
+    return build_task_graph(exp, alloc, times=times)
 
 
 def test_single_task():
@@ -86,8 +79,8 @@ def test_two_independent_tasks_serialize_on_one_engine():
 
 def test_forward_and_backward_share_the_engine():
     g = _graph([
-        _compute(0, "A0", 2_000, stream=Stream.FORWARD),
-        _compute(1, "A0", 2_000, stream=Stream.BACKWARD),
+        _compute(0, "A0", 2_000),
+        _compute(1, "A0", 2_000, kind=TaskKind.BWD_COMPUTE),
     ])
     _, result = simulate(g)
     assert result.iteration_time == 4e-6
@@ -100,25 +93,25 @@ def test_empty_graph():
 
 
 def test_negative_duration_rejected():
-    bad = Task(id=0, kind=TaskKind.FWD_COMPUTE, stream=Stream.FORWARD, owner="A0",
+    bad = Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0",
                lane=COMPUTE_LANE, duration_ns=-1, deps=(), microbatch=0)
     with pytest.raises(NegativeDuration):
         simulate(_graph([bad]))
 
 
 def test_cycle_rejected():
-    a = Task(id=0, kind=TaskKind.FWD_COMPUTE, stream=Stream.FORWARD, owner="A0",
+    a = Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0",
              lane=COMPUTE_LANE, duration_ns=1, deps=(1,), microbatch=0)
-    b = Task(id=1, kind=TaskKind.FWD_COMPUTE, stream=Stream.FORWARD, owner="A0",
+    b = Task(id=1, kind=TaskKind.FWD_COMPUTE, owner="A0",
              lane=COMPUTE_LANE, duration_ns=1, deps=(0,), microbatch=0)
     with pytest.raises(CycleDetected):
         simulate(_graph([a, b]))
 
 
 def _transfer_pair(base_id, src, dst, dur_ns, deps=()):
-    send = Task(id=base_id, kind=TaskKind.M2N_SEND, stream=Stream.COMM, owner=src,
+    send = Task(id=base_id, kind=TaskKind.M2N_SEND, owner=src,
                 lane=SEND_LANE, duration_ns=dur_ns, deps=deps, microbatch=0, twin=base_id + 1)
-    recv = Task(id=base_id + 1, kind=TaskKind.M2N_RECV, stream=Stream.COMM, owner=dst,
+    recv = Task(id=base_id + 1, kind=TaskKind.M2N_RECV, owner=dst,
                 lane=RECV_LANE, duration_ns=dur_ns, deps=deps, microbatch=0, twin=base_id)
     return send, recv
 
@@ -219,11 +212,12 @@ def test_warmup_bubble_halves_when_interleave_doubles():
 def test_simulated_warmup_matches_staged_closed_form():
     # Uniform durations, no inter-stage transfer cost: measured warmup is the
     # last stage's wait, which the closed form predicts exactly.
-    for pp in (2, 3, 4):
-        g = _build(ScheduleKind.MEGATRON_1F1B, layers=pp, depth=pp, stages=1, microbatches=6)
-        _, result = simulate(g)
-        analytic = warmup_bubble_analytic(ScheduleKind.MEGATRON_1F1B, UNIFORM, pp, 1, 1)
-        assert abs(result.bubble_warmup - analytic) / analytic < 0.01
+    for kind in (ScheduleKind.MEGATRON_1F1B, ScheduleKind.CHUNKED_OVERLAP):
+        for pp in (2, 3, 4):
+            g = _build(kind, layers=pp, depth=pp, stages=1, microbatches=6)
+            _, result = simulate(g)
+            analytic = warmup_bubble_analytic(kind, UNIFORM, pp, 1, 1)
+            assert abs(result.bubble_warmup - analytic) / analytic < 0.01, (kind, pp)
 
 
 def test_simulated_warmup_matches_disaggregated_closed_form():
@@ -234,14 +228,12 @@ def test_simulated_warmup_matches_disaggregated_closed_form():
 
 
 def test_chunked_overlap_formulas():
-    t = StageTimes(t_attn=1.0, t_ffn=2.0, t_a2a=3.0, t_m2n=0.0, t_p2p=0.0)
-    assert chunked_overlap_layer_time(t) == 7.0
-    assert chunked_overlap_exposed(t) == 4.0
-    no_comm = StageTimes(t_attn=1.0, t_ffn=2.0, t_a2a=0.0, t_m2n=0.0, t_p2p=0.0)
-    assert chunked_overlap_layer_time(no_comm) == 3.0
-    assert chunked_overlap_exposed(no_comm) == 0.0
-    hidden = StageTimes(t_attn=1.0, t_ffn=6.0, t_a2a=3.0, t_m2n=0.0, t_p2p=0.0)
-    assert chunked_overlap_exposed(hidden) == 0.0
+    # (attn, ffn, a2a) -> (latency, exposed) with and without overlap.
+    assert staged_layer_time(1.0, 2.0, 3.0, overlap=True) == (7.0, 4.0)
+    assert staged_layer_time(1.0, 2.0, 0.0, overlap=True) == (3.0, 0.0)
+    assert staged_layer_time(1.0, 6.0, 3.0, overlap=True) == (7.0, 0.0)
+    assert staged_layer_time(1.0, 2.0, 3.0, overlap=False) == (9.0, 6.0)
+    assert staged_layer_time(1.0, 2.0, 0.0, overlap=False) == (3.0, 0.0)
 
 
 def test_all_kinds_converge_to_compute_bound_without_communication():
@@ -258,10 +250,7 @@ def test_all_kinds_converge_to_compute_bound_without_communication():
     for kind in ScheduleKind:
         exp = Experiment(model, workload, cluster, kind,
                          pipeline_depth=2, virtual_stages=1, ep_size=1)
-        plan_a = assign_layers(2, 2, ATTN) if kind is ScheduleKind.AFPIPE else None
-        plan_f = assign_layers(2, 2, FFN) if kind is ScheduleKind.AFPIPE else None
-        g = build_task_graph(exp, alloc if kind is ScheduleKind.AFPIPE else None,
-                             plan_a, plan_f)
+        g = build_task_graph(exp, alloc if kind is ScheduleKind.AFPIPE else None)
         _, result = simulate(g)
         assert abs(result.iteration_time - bound) / bound < 0.01, kind
 
@@ -287,11 +276,8 @@ def test_uneven_layer_count_simulates_cleanly():
     # Seven layers over depth two: group sizes {4, 3}; chunks {2, 2, 2, 1}.
     for kind in (ScheduleKind.AFPIPE, ScheduleKind.MEGATRON_1F1B):
         exp = _experiment(kind, layers=7, depth=2, stages=2, microbatches=3)
-        alloc = plan_a = plan_f = None
-        if kind is ScheduleKind.AFPIPE:
-            alloc = canonical_allocation(1, 1, 2, 2, 2)
-            plan_a, plan_f = assign_layers(7, 2, ATTN), assign_layers(7, 2, FFN)
-        g = build_task_graph(exp, alloc, plan_a, plan_f)
+        alloc = canonical_allocation(1, 1, 2, 2, 2) if kind is ScheduleKind.AFPIPE else None
+        g = build_task_graph(exp, alloc)
         trace, result = simulate(g)
         assert sorted(e.task_id for e in trace.events) == sorted(g.tasks)
         assert trace.iteration_ns >= critical_path_ns(g)
@@ -303,7 +289,7 @@ def test_gpu_count_not_divisible_by_depth():
     # a modeling convenience; durations stay finite and positive.
     exp = _experiment(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, gpus=5, nics=3)
     alloc = canonical_allocation(3, 2, 5, 3, 2)
-    g = build_task_graph(exp, alloc, assign_layers(4, 2, ATTN), assign_layers(4, 2, FFN))
+    g = build_task_graph(exp, alloc)
     assert all(t.duration_ns > 0 for t in g.tasks.values())
     _, result = simulate(g)
     assert result.iteration_time > 0

@@ -3,9 +3,9 @@ import pytest
 from afpipe.allocator import canonical_allocation
 from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
 from afpipe.costs import StageTimes
-from afpipe.placement import ATTN, FFN, assign_layers
 from afpipe.taskgraph import (
     GraphConstructionError,
+    Stream,
     TaskKind,
     build_task_graph,
 )
@@ -28,9 +28,7 @@ def _experiment(kind, layers, depth, stages, microbatches=1, gpus=2, nics=2, ep=
 
 def _af_graph(exp, **kw):
     alloc = canonical_allocation(1, 1, exp.cluster.total_gpus, exp.cluster.total_nics, 2)
-    plan_a = assign_layers(exp.model.layers, exp.pipeline_depth, ATTN)
-    plan_f = assign_layers(exp.model.layers, exp.pipeline_depth, FFN)
-    return build_task_graph(exp, alloc, plan_a, plan_f, **kw)
+    return build_task_graph(exp, alloc, **kw)
 
 
 def _count(graph, kind):
@@ -45,6 +43,12 @@ def test_single_layer_disaggregated_graph_shape():
     assert _count(graph, TaskKind.M2N_SEND) == 2
     assert _count(graph, TaskKind.M2N_RECV) == 2
     assert len(graph) == 8
+    assert {(t.kind, t.stream) for t in graph.tasks.values()} == {
+        (TaskKind.FWD_COMPUTE, Stream.FORWARD),
+        (TaskKind.BWD_COMPUTE, Stream.BACKWARD),
+        (TaskKind.M2N_SEND, Stream.COMM),
+        (TaskKind.M2N_RECV, Stream.COMM),
+    }
 
 
 def test_zero_microbatches_build_empty_graph():
@@ -102,22 +106,21 @@ def test_transfer_pairs_are_twinned_with_equal_duration():
             assert {task.kind, twin.kind} <= {TaskKind.M2N_SEND, TaskKind.M2N_RECV, TaskKind.P2P}
 
 
-def test_plan_mismatch_rejected():
+def test_afpipe_without_allocation_rejected():
     exp = _experiment(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2)
-    alloc = canonical_allocation(1, 1, 2, 2, 2)
-    good_a = assign_layers(4, 2, ATTN)
-    good_f = assign_layers(4, 2, FFN)
     with pytest.raises(GraphConstructionError):
-        build_task_graph(exp, alloc, good_f, good_f)  # wrong component
-    with pytest.raises(GraphConstructionError):
-        build_task_graph(exp, alloc, assign_layers(4, 1, ATTN), good_f)  # wrong depth
-    with pytest.raises(GraphConstructionError):
-        build_task_graph(exp, alloc, None, good_f)
+        build_task_graph(exp)
 
 
 def test_backward_multiplier_scales_backward_tasks():
-    exp = _experiment(ScheduleKind.AFPIPE, layers=1, depth=1, stages=1)
-    graph = _af_graph(exp, times=UNIFORM, backward_multiplier=3.0)
-    fwd = [t for t in graph.tasks.values() if t.kind is TaskKind.FWD_COMPUTE]
-    bwd = [t for t in graph.tasks.values() if t.kind is TaskKind.BWD_COMPUTE]
-    assert all(t.duration_ns == 3 * fwd[0].duration_ns for t in bwd)
+    # Backward compute takes exactly twice its forward visit, per component.
+    exp = _experiment(ScheduleKind.AFPIPE, layers=2, depth=1, stages=2)
+    times = StageTimes(t_attn=1e-3, t_ffn=3e-3, t_a2a=0.0, t_m2n=1e-3, t_p2p=0.0)
+    graph = _af_graph(exp, times=times)
+    fwd = {(t.component, t.layer): t.duration_ns for t in graph.tasks.values()
+           if t.kind is TaskKind.FWD_COMPUTE}
+    bwd = {(t.component, t.layer): t.duration_ns for t in graph.tasks.values()
+           if t.kind is TaskKind.BWD_COMPUTE}
+    assert fwd == {("A", 0): 1_000_000, ("F", 0): 3_000_000,
+                   ("A", 1): 1_000_000, ("F", 1): 3_000_000}
+    assert bwd == {key: 2 * value for key, value in fwd.items()}

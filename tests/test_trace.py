@@ -4,9 +4,8 @@ import jsonschema
 
 from afpipe.allocator import canonical_allocation
 from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
-from afpipe.placement import ATTN, FFN, assign_layers
 from afpipe.sim import ScheduleTrace, simulate
-from afpipe.taskgraph import COMPUTE_LANE, Stream, Task, TaskGraph, TaskKind, build_task_graph
+from afpipe.taskgraph import COMPUTE_LANE, Task, TaskGraph, TaskKind, build_task_graph
 from afpipe.trace_io import (
     export_trace,
     export_trace_json,
@@ -28,7 +27,7 @@ def _af_trace(microbatches=3):
         ep_size=1,
     )
     alloc = canonical_allocation(1, 1, 2, 2, 1)
-    graph = build_task_graph(exp, alloc, assign_layers(2, 1, ATTN), assign_layers(2, 1, FFN))
+    graph = build_task_graph(exp, alloc)
     trace, _ = simulate(graph)
     return trace
 
@@ -41,7 +40,7 @@ def test_empty_trace_exports_empty_array():
 def test_single_task_microsecond_conversion():
     g = TaskGraph(schedule_kind=ScheduleKind.AFPIPE)
     duration_s = 1.5e-3
-    g.tasks = {0: Task(id=0, kind=TaskKind.FWD_COMPUTE, stream=Stream.FORWARD, owner="A0",
+    g.tasks = {0: Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0",
                        lane=COMPUTE_LANE, duration_ns=int(duration_s * 1e9), deps=(),
                        microbatch=0)}
     g.owners = ("A0",)
