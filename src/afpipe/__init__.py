@@ -35,7 +35,6 @@ from .costs import (
     StageTimes,
     arithmetic_intensities,
     attention_flops,
-    backward_scale,
     cost_breakdown,
     ep_a2a_bytes_per_gpu,
     ffn_flops,

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .config import Experiment, ScheduleKind
-from .costs import arithmetic_intensities, layer_costs, roofline_attainable, stage_times
+from .costs import LayerCosts, arithmetic_intensities, layer_costs, roofline_attainable, stage_times
 # Unused here, but bench/tracing.py patches allocator.assign_layers.
 from .placement import assign_layers  # noqa: F401
 from .sim import simulate
@@ -163,9 +163,8 @@ def enumerate_feasible(
     return out
 
 
-def analytic_bottleneck(alloc: Allocation, exp: Experiment) -> float:
-    """max(T_a, T_f) from forward per-layer costs; scale factors cancel."""
-    costs = layer_costs(exp.model, exp.workload, exp.ep_size)
+def analytic_bottleneck(alloc: Allocation, exp: Experiment, costs: LayerCosts) -> float:
+    """max(T_a, T_f) from exp's forward per-layer costs; scale factors cancel."""
     t = stage_times(costs, alloc, exp.cluster, exp.pipeline_depth)
     return max(t.t_attn, t.t_ffn)
 
@@ -176,7 +175,8 @@ def phase1_min_bottleneck(
     """Minimize the bottleneck stage; keep everything within (1+eps)*T_star."""
     if not cands:
         raise NoFeasible("no candidates to evaluate")
-    scored = [(analytic_bottleneck(c, exp), c) for c in cands]
+    costs = layer_costs(exp.model, exp.workload, exp.ep_size)
+    scored = [(analytic_bottleneck(c, exp, costs), c) for c in cands]
     t_star = min(t for t, _ in scored)
     band = [c for t, c in scored if t <= t_star * (1.0 + epsilon)]
     return t_star, band

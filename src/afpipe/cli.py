@@ -307,12 +307,13 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, mem_cap: bool = True) -> None:
     parser.add_argument("--config", required=True, help="experiment document path")
     parser.add_argument("--equal-nics", action="store_true",
                         help="force both groups to take half of the NICs")
-    parser.add_argument("--mem-cap", type=float, default=DEFAULT_GPU_MEMORY_BYTES,
-                        help="per-GPU memory capacity in bytes for OOM checks")
+    if mem_cap:
+        parser.add_argument("--mem-cap", type=float, default=DEFAULT_GPU_MEMORY_BYTES,
+                            help="per-GPU memory capacity in bytes for OOM checks")
 
 
 def _add_alloc_overrides(parser: argparse.ArgumentParser) -> None:
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_alloc = sub.add_parser("allocate", help="search for the best GPU/NIC split")
-    _add_common(p_alloc)
+    _add_common(p_alloc, mem_cap=False)
     p_alloc.add_argument("--radius", type=int, default=2)
     p_alloc.add_argument("--trials", type=int, default=64)
     p_alloc.add_argument("--epsilon", type=float, default=1e-3)
@@ -369,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not args.mem_cap > 0:
+        if "mem_cap" in args and not args.mem_cap > 0:
             raise _CliError(EXIT_CONFIG, f"--mem-cap must be > 0, got {args.mem_cap}")
         return args.func(args)
     except _CliError as exc:

@@ -137,13 +137,6 @@ def roofline_attainable(intensity: Number, peak_flops: float, bandwidth: float) 
     return min(float(peak_flops), float(intensity) * float(bandwidth))
 
 
-def backward_scale(flops_fwd: Number, multiplier: float = BACKWARD_MULTIPLIER) -> float:
-    """Backward-pass FLOPs as a multiple of forward FLOPs."""
-    if flops_fwd < 0:
-        raise ValueError("forward FLOPs must be >= 0")
-    return float(flops_fwd) * multiplier
-
-
 def layer_costs(model: ModelConfig, workload: Workload, ep_size: int = 1) -> LayerCosts:
     return LayerCosts(
         attn_flops=attention_flops(model, workload),

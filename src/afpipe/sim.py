@@ -13,6 +13,9 @@ backward credit, backward work is preferred over forward, otherwise forward;
 (2) lower micro-batch index; (3) lower (virtual index, component) with
 attention before FFN; (4) lower task id. All event arithmetic is in integer
 nanoseconds, so identical graphs always produce identical traces.
+
+A negative duration raises NegativeDuration. A dependency on an unknown task,
+or tasks the ready set never reaches (a cycle), raise CycleDetected.
 """
 
 from __future__ import annotations
@@ -39,17 +42,9 @@ class NegativeDuration(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
-    task_id: int
-    owner: str
-    lane: str
-    stream: str
-    kind: str
-    microbatch: int
-    layer: int | None
-    virtual_index: int
-    direction: str
+    task: Task
     start_ns: int
     end_ns: int
 
@@ -73,34 +68,21 @@ class SimResult:
 _COMPONENT_RANK = {"A": 0, "F": 1, None: 2}
 
 
-def _check_graph(graph: TaskGraph) -> None:
+def _check_tasks(graph: TaskGraph) -> None:
     for task in graph.tasks.values():
         if task.duration_ns < 0:
             raise NegativeDuration(f"task {task.id} has duration {task.duration_ns} ns")
-    # Kahn's algorithm over the dependency edges.
-    indeg = {tid: len(set(t.deps)) for tid, t in graph.tasks.items()}
-    queue = [tid for tid, d in indeg.items() if d == 0]
-    dependents: dict[int, list[int]] = {tid: [] for tid in graph.tasks}
-    for tid, task in graph.tasks.items():
-        for dep in set(task.deps):
+        for dep in task.deps:
             if dep not in graph.tasks:
-                raise CycleDetected(f"task {tid} depends on unknown task {dep}")
-            dependents[dep].append(tid)
-    seen = 0
-    while queue:
-        tid = queue.pop()
-        seen += 1
-        for nxt in dependents[tid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if seen != len(graph.tasks):
-        raise CycleDetected("dependency graph contains a cycle")
+                raise CycleDetected(f"task {task.id} depends on unknown task {dep}")
 
 
 def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
-    """Schedule the graph and aggregate the run metrics."""
-    _check_graph(graph)
+    """Schedule the graph and aggregate the run metrics.
+
+    Raises CycleDetected when the ready set empties with tasks unplaced.
+    """
+    _check_tasks(graph)
     tasks = graph.tasks
     if not tasks:
         trace = ScheduleTrace(events=(), iteration_ns=0)
@@ -192,27 +174,14 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
         if twin is not None:
             commit_one(twin, at)
 
-    if len(start) != len(tasks):  # unreachable after the acyclicity check
-        raise CycleDetected("scheduler could not place every task")
+    if len(start) != len(tasks):
+        raise CycleDetected("dependency graph contains a cycle")
 
-    events = tuple(
-        TraceEvent(
-            task_id=t.id,
-            owner=t.owner,
-            lane=t.lane,
-            stream=t.stream.value,
-            kind=t.kind.value,
-            microbatch=t.microbatch,
-            layer=t.layer,
-            virtual_index=t.virtual_index,
-            direction=t.direction,
-            start_ns=start[t.id],
-            end_ns=end[t.id],
-        )
-        for t in tasks.values()
+    events = sorted(
+        (TraceEvent(t, start[t.id], end[t.id]) for t in tasks.values()),
+        key=lambda e: (e.start_ns, e.task.owner, e.task.lane, e.task.id),
     )
-    events = tuple(sorted(events, key=lambda e: (e.start_ns, e.owner, e.lane, e.task_id)))
-    trace = ScheduleTrace(events=events, iteration_ns=max(end.values()))
+    trace = ScheduleTrace(events=tuple(events), iteration_ns=max(end.values()))
     return trace, _aggregate(graph, trace)
 
 
@@ -224,11 +193,12 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
     first_activity: dict[str, int] = {}
     busy: dict[str, int] = {}
     for ev in trace.events:
-        cur = first_activity.get(ev.owner)
+        owner = ev.task.owner
+        cur = first_activity.get(owner)
         if cur is None or ev.start_ns < cur:
-            first_activity[ev.owner] = ev.start_ns
-        if ev.lane == COMPUTE_LANE:
-            busy[ev.owner] = busy.get(ev.owner, 0) + (ev.end_ns - ev.start_ns)
+            first_activity[owner] = ev.start_ns
+        if ev.task.lane == COMPUTE_LANE:
+            busy[owner] = busy.get(owner, 0) + (ev.end_ns - ev.start_ns)
 
     # Warmup bubble: the longest any group waits before its first activity.
     bubble_warmup = max(first_activity.values()) / 1e9
@@ -275,12 +245,12 @@ def exposed_comm(trace: ScheduleTrace) -> float:
     comm = _merge(
         (ev.start_ns, ev.end_ns)
         for ev in trace.events
-        if ev.lane != COMPUTE_LANE and ev.end_ns > ev.start_ns
+        if ev.task.lane != COMPUTE_LANE and ev.end_ns > ev.start_ns
     )
     compute = _merge(
         (ev.start_ns, ev.end_ns)
         for ev in trace.events
-        if ev.lane == COMPUTE_LANE and ev.end_ns > ev.start_ns
+        if ev.task.lane == COMPUTE_LANE and ev.end_ns > ev.start_ns
     )
     exposed = 0
     ci = 0
@@ -327,7 +297,7 @@ def warmup_bubble_analytic(
 
 def critical_path_ns(graph: TaskGraph) -> int:
     """Longest dependency chain ignoring resource contention (a lower bound)."""
-    _check_graph(graph)
+    _check_tasks(graph)
     dist: dict[int, int] = {}
     order: list[int] = []
     indeg = {tid: len(set(t.deps)) for tid, t in graph.tasks.items()}
@@ -343,6 +313,8 @@ def critical_path_ns(graph: TaskGraph) -> int:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
                 stack.append(nxt)
+    if len(order) != len(graph.tasks):
+        raise CycleDetected("dependency graph contains a cycle")
     for tid in order:
         task = graph.tasks[tid]
         base = max((dist[d] for d in set(task.deps)), default=0)

@@ -1,20 +1,23 @@
 """Task graphs for the four schedule families.
 
-The disaggregated pipeline alternates attention and FFN groups: a micro-batch
-visits A(l mod p) -> exchange -> F(l mod p) -> exchange -> A((l+1) mod p) ...
-across all layers, then retraces the chain backward with gradient exchanges in
-the reverse direction. Exchanges are send/recv task pairs that occupy the
-sender's and receiver's communication sub-lanes simultaneously.
+Every family is one walk. A micro-batch visits a fixed list of compute visits
+forward, then the same list reversed as backward visits (compute becomes
+backward compute). Consecutive visits on different owners are joined by a
+send/recv pair that occupies the sender's and receiver's communication
+sub-lanes over the same interval; consecutive visits on one owner simply
+depend on each other. The families differ only in their visit lists:
 
-Baselines:
-  * megatron1f1b  - p stages of contiguous layer chunks; the per-layer
-    all-to-all (dispatch + combine) is embedded in the chunk's compute
-    duration, i.e. never overlapped; chunks are linked by point-to-point
-    hidden-state transfers.
+  * afpipe        - A(l mod p), F(l mod p) for every layer l, joined by M2N
+    exchanges (the disaggregated pipeline).
+  * megatron1f1b  - one contiguous layer chunk per visit on stage j mod p,
+    joined by point-to-point hidden-state transfers; the per-layer all-to-all
+    (dispatch + combine) is embedded in the chunk's compute duration, i.e.
+    never overlapped.
   * chunked       - like megatron1f1b, but per layer only the non-hidden part
     max(0, 2*t_a2a - t_ffn) of the all-to-all stays on the critical path
     (operator-level overlap of the exchange with expert compute).
-  * naive         - one worker set running everything serially.
+  * naive         - attention, all-to-all, FFN, all-to-all per layer on one
+    worker set, with each micro-batch chained behind the previous one.
 
 One path turns costs into durations: visit_times() derives the forward
 per-visit durations as a StageTimes from the cost model and the resources
@@ -61,7 +64,7 @@ RECV_LANE = "comm.recv"
 _COMPUTE_STREAMS = {TaskKind.FWD_COMPUTE: Stream.FORWARD, TaskKind.BWD_COMPUTE: Stream.BACKWARD}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     id: int
     kind: TaskKind
@@ -104,6 +107,11 @@ def _ns(seconds: float) -> int:
     return value
 
 
+def _compute_ns(seconds: float) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Forward and backward (duration_ns, exposed_ns) of a compute visit."""
+    return (_ns(seconds), 0), (_ns(seconds * BACKWARD_MULTIPLIER), 0)
+
+
 def visit_times(exp: Experiment, alloc=None) -> StageTimes:
     """Forward per-visit durations for exp's schedule kind.
 
@@ -136,71 +144,74 @@ def visit_times(exp: Experiment, alloc=None) -> StageTimes:
     return StageTimes(t_attn=attn, t_ffn=ffn, t_a2a=a2a, t_m2n=m2n, t_p2p=p2p)
 
 
-class _Builder:
-    def __init__(self, graph: TaskGraph):
-        self.graph = graph
-        self._ids = itertools.count()
+@dataclass(frozen=True)
+class _Visit:
+    """One stop of a micro-batch's forward walk; the backward walk retraces it."""
 
-    def add(
-        self,
-        kind: TaskKind,
-        owner: str,
-        lane: str,
-        duration_ns: int,
-        deps: tuple[int, ...],
-        microbatch: int,
-        **meta,
-    ) -> int:
-        tid = next(self._ids)
-        self.graph.tasks[tid] = Task(
-            id=tid,
-            kind=kind,
-            owner=owner,
-            lane=lane,
-            duration_ns=duration_ns,
-            deps=deps,
-            microbatch=microbatch,
-            **meta,
-        )
-        return tid
+    owner: str
+    kind: TaskKind  # FWD_COMPUTE or A2A
+    fwd: tuple[int, int]  # (duration_ns, exposed_ns)
+    bwd: tuple[int, int]
+    layer: int | None = None
+    virtual_index: int = 0
+    component: str | None = None
 
-    def add_transfer(
-        self,
-        send_kind: TaskKind,
-        recv_kind: TaskKind,
-        src: str,
-        dst: str,
-        duration_ns: int,
-        deps: tuple[int, ...],
-        microbatch: int,
-        **meta,
-    ) -> tuple[int, int]:
-        """Send/recv pair sharing deps and (enforced by the simulator) a start."""
-        send_id = next(self._ids)
-        recv_id = next(self._ids)
-        self.graph.tasks[send_id] = Task(
-            id=send_id,
-            kind=send_kind,
-            owner=src,
-            lane=SEND_LANE,
-            duration_ns=duration_ns,
-            deps=deps,
-            microbatch=microbatch,
-            twin=recv_id,
-            **meta,
-        )
-        self.graph.tasks[recv_id] = Task(
-            id=recv_id,
-            kind=recv_kind,
-            owner=dst,
-            lane=RECV_LANE,
-            duration_ns=duration_ns,
-            deps=deps,
-            microbatch=microbatch,
-            twin=send_id,
-            **meta,
-        )
-        return send_id, recv_id
+
+def _walk(
+    graph: TaskGraph,
+    exp: Experiment,
+    visits: list[_Visit],
+    transfer: tuple[TaskKind, TaskKind, int] | None,
+    serial: bool = False,
+) -> None:
+    """Add every micro-batch's forward walk over visits, then the reversed walk.
+
+    Each task depends on the one before it. Consecutive visits on different
+    owners are joined by a send/recv pair of transfer = (send kind, recv kind,
+    duration_ns) that carries the source visit's layer and virtual index and
+    shares its deps (the simulator enforces a common start). serial=True
+    chains each micro-batch behind the previous one.
+    """
+    tasks = graph.tasks
+    ids = itertools.count()
+    prev: int | None = None
+    for mb in range(exp.workload.num_microbatches):
+        if not serial:
+            prev = None
+        src: _Visit | None = None
+        for direction, walk in (("fwd", visits), ("bwd", visits[::-1])):
+            for v in walk:
+                if src is not None and src.owner != v.owner:
+                    send_kind, recv_kind, duration = transfer
+                    send, recv = next(ids), next(ids)
+                    for tid, kind, owner, lane, twin in (
+                        (send, send_kind, src.owner, SEND_LANE, recv),
+                        (recv, recv_kind, v.owner, RECV_LANE, send),
+                    ):
+                        tasks[tid] = Task(
+                            id=tid, kind=kind, owner=owner, lane=lane, duration_ns=duration,
+                            deps=(prev,), microbatch=mb, layer=src.layer,
+                            virtual_index=src.virtual_index, direction=direction, twin=twin,
+                        )
+                    prev = recv
+                compute = v.kind is TaskKind.FWD_COMPUTE
+                duration, exposed = v.fwd if direction == "fwd" else v.bwd
+                tid = next(ids)
+                tasks[tid] = Task(
+                    id=tid,
+                    kind=TaskKind.BWD_COMPUTE if compute and direction == "bwd" else v.kind,
+                    owner=v.owner,
+                    lane=COMPUTE_LANE if compute else SEND_LANE,
+                    duration_ns=duration,
+                    deps=() if prev is None else (prev,),
+                    microbatch=mb,
+                    layer=v.layer,
+                    virtual_index=v.virtual_index,
+                    component=v.component,
+                    direction=direction,
+                    exposed_ns=exposed,
+                )
+                prev, src = tid, v
 
 
 def _balanced_blocks(total: int, parts: int) -> list[int]:
@@ -245,13 +256,10 @@ def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = 
 
 
 def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
+    """Layer l visits A(l mod p) then F(l mod p); every hop is an M2N exchange."""
     p = exp.pipeline_depth
     layers = exp.model.layers
-    b = _Builder(graph)
-    attn_fwd, ffn_fwd = _ns(vt.t_attn), _ns(vt.t_ffn)
-    attn_bwd = _ns(vt.t_attn * BACKWARD_MULTIPLIER)
-    ffn_bwd = _ns(vt.t_ffn * BACKWARD_MULTIPLIER)
-    m2n = _ns(vt.t_m2n)
+    attn, ffn = _compute_ns(vt.t_attn), _compute_ns(vt.t_ffn)
 
     graph.owners = tuple(f"A{g}" for g in range(p)) + tuple(f"F{g}" for g in range(p))
     # 1F1B credit: visits at or after the group's first appearance in the
@@ -261,40 +269,13 @@ def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
         graph.credits[f"A{g}"] = max(1, total_visits - 2 * g)
         graph.credits[f"F{g}"] = max(1, total_visits - (2 * g + 1))
 
-    for mb in range(exp.workload.num_microbatches):
-        prev: int | None = None
-        last_fwd = 0
-        for layer in range(layers):
-            g, k = layer % p, layer // p
-            deps = (prev,) if prev is not None else ()
-            a = b.add(TaskKind.FWD_COMPUTE, f"A{g}", COMPUTE_LANE, attn_fwd,
-                      deps, mb, layer=layer, virtual_index=k, component=ATTN)
-            _, recv = b.add_transfer(TaskKind.M2N_SEND, TaskKind.M2N_RECV, f"A{g}", f"F{g}",
-                                     m2n, (a,), mb, layer=layer, virtual_index=k)
-            f = b.add(TaskKind.FWD_COMPUTE, f"F{g}", COMPUTE_LANE, ffn_fwd,
-                      (recv,), mb, layer=layer, virtual_index=k, component=FFN)
-            if layer < layers - 1:
-                nxt = (layer + 1) % p
-                _, recv = b.add_transfer(TaskKind.M2N_SEND, TaskKind.M2N_RECV, f"F{g}", f"A{nxt}",
-                                         m2n, (f,), mb, layer=layer, virtual_index=k)
-                prev = recv
-            else:
-                last_fwd = f
-
-        prev = last_fwd
-        for layer in range(layers - 1, -1, -1):
-            g, k = layer % p, layer // p
-            fb = b.add(TaskKind.BWD_COMPUTE, f"F{g}", COMPUTE_LANE, ffn_bwd,
-                       (prev,), mb, layer=layer, virtual_index=k, component=FFN, direction="bwd")
-            _, recv = b.add_transfer(TaskKind.M2N_SEND, TaskKind.M2N_RECV, f"F{g}", f"A{g}",
-                                     m2n, (fb,), mb, layer=layer, virtual_index=k, direction="bwd")
-            ab = b.add(TaskKind.BWD_COMPUTE, f"A{g}", COMPUTE_LANE, attn_bwd,
-                       (recv,), mb, layer=layer, virtual_index=k, component=ATTN, direction="bwd")
-            if layer > 0:
-                nxt = (layer - 1) % p
-                _, recv = b.add_transfer(TaskKind.M2N_SEND, TaskKind.M2N_RECV, f"A{g}", f"F{nxt}",
-                                         m2n, (ab,), mb, layer=layer, virtual_index=k, direction="bwd")
-                prev = recv
+    visits = [
+        _Visit(f"{component}{layer % p}", TaskKind.FWD_COMPUTE, fwd, bwd,
+               layer=layer, virtual_index=layer // p, component=component)
+        for layer in range(layers)
+        for component, (fwd, bwd) in ((ATTN, attn), (FFN, ffn))
+    ]
+    _walk(graph, exp, visits, (TaskKind.M2N_SEND, TaskKind.M2N_RECV, _ns(vt.t_m2n)))
 
 
 def _build_staged(graph: TaskGraph, exp: Experiment, vt: StageTimes, overlap: bool) -> None:
@@ -306,8 +287,6 @@ def _build_staged(graph: TaskGraph, exp: Experiment, vt: StageTimes, overlap: bo
         raise GraphConstructionError(
             f"{chunks} chunks cannot be filled from {exp.model.layers} layers"
         )
-    b = _Builder(graph)
-    p2p = _ns(vt.t_p2p)
 
     graph.owners = tuple(f"S{i}" for i in range(pp))
     for i in range(pp):
@@ -317,63 +296,30 @@ def _build_staged(graph: TaskGraph, exp: Experiment, vt: StageTimes, overlap: bo
     bwd_layer = staged_layer_time(
         vt.t_attn * BACKWARD_MULTIPLIER, vt.t_ffn * BACKWARD_MULTIPLIER, vt.t_a2a, overlap
     )
-
-    def chunk_ns(n_layers: int, fwd: bool) -> tuple[int, int]:
-        per_layer, exposed = fwd_layer if fwd else bwd_layer
-        return _ns(n_layers * per_layer), _ns(n_layers * exposed)
-
-    for mb in range(exp.workload.num_microbatches):
-        prev: int | None = None
-        for j in range(chunks):
-            dur, exposed = chunk_ns(sizes[j], fwd=True)
-            deps = (prev,) if prev is not None else ()
-            t = b.add(TaskKind.FWD_COMPUTE, f"S{j % pp}", COMPUTE_LANE, dur,
-                      deps, mb, virtual_index=j // pp, exposed_ns=exposed)
-            if j < chunks - 1 and (j + 1) % pp != j % pp:
-                _, recv = b.add_transfer(TaskKind.P2P, TaskKind.P2P, f"S{j % pp}", f"S{(j + 1) % pp}",
-                                         p2p, (t,), mb, virtual_index=j // pp)
-                prev = recv
-            else:
-                prev = t
-        for j in range(chunks - 1, -1, -1):
-            dur, exposed = chunk_ns(sizes[j], fwd=False)
-            t = b.add(TaskKind.BWD_COMPUTE, f"S{j % pp}", COMPUTE_LANE, dur,
-                      (prev,), mb, virtual_index=j // pp, direction="bwd", exposed_ns=exposed)
-            if j > 0 and (j - 1) % pp != j % pp:
-                _, recv = b.add_transfer(TaskKind.P2P, TaskKind.P2P, f"S{j % pp}", f"S{(j - 1) % pp}",
-                                         p2p, (t,), mb, virtual_index=j // pp, direction="bwd")
-                prev = recv
-            else:
-                prev = t
+    visits = [
+        _Visit(f"S{j % pp}", TaskKind.FWD_COMPUTE,
+               (_ns(n * fwd_layer[0]), _ns(n * fwd_layer[1])),
+               (_ns(n * bwd_layer[0]), _ns(n * bwd_layer[1])),
+               virtual_index=j // pp)
+        for j, n in enumerate(sizes)
+    ]
+    _walk(graph, exp, visits, (TaskKind.P2P, TaskKind.P2P, _ns(vt.t_p2p)))
 
 
 def _build_naive(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
     """Fully serial reference: compute and collectives strictly alternate."""
-    b = _Builder(graph)
     owner = "SEQ"
     graph.owners = (owner,)
     graph.credits[owner] = 1
-    attn_fwd, ffn_fwd = _ns(vt.t_attn), _ns(vt.t_ffn)
-    attn_bwd = _ns(vt.t_attn * BACKWARD_MULTIPLIER)
-    ffn_bwd = _ns(vt.t_ffn * BACKWARD_MULTIPLIER)
-    a2a = _ns(vt.t_a2a)
+    attn, ffn = _compute_ns(vt.t_attn), _compute_ns(vt.t_ffn)
+    a2a = (_ns(vt.t_a2a), 0)
 
-    prev: int | None = None
-    for mb in range(exp.workload.num_microbatches):
-        for layer in range(exp.model.layers):
-            deps = (prev,) if prev is not None else ()
-            a = b.add(TaskKind.FWD_COMPUTE, owner, COMPUTE_LANE, attn_fwd,
-                      deps, mb, layer=layer, component=ATTN)
-            d = b.add(TaskKind.A2A, owner, SEND_LANE, a2a, (a,), mb, layer=layer)
-            f = b.add(TaskKind.FWD_COMPUTE, owner, COMPUTE_LANE, ffn_fwd,
-                      (d,), mb, layer=layer, component=FFN)
-            prev = b.add(TaskKind.A2A, owner, SEND_LANE, a2a, (f,), mb, layer=layer)
-        for layer in range(exp.model.layers - 1, -1, -1):
-            g1 = b.add(TaskKind.A2A, owner, SEND_LANE, a2a, (prev,), mb,
-                       layer=layer, direction="bwd")
-            fb = b.add(TaskKind.BWD_COMPUTE, owner, COMPUTE_LANE, ffn_bwd,
-                       (g1,), mb, layer=layer, component=FFN, direction="bwd")
-            g2 = b.add(TaskKind.A2A, owner, SEND_LANE, a2a, (fb,), mb,
-                       layer=layer, direction="bwd")
-            prev = b.add(TaskKind.BWD_COMPUTE, owner, COMPUTE_LANE, attn_bwd,
-                         (g2,), mb, layer=layer, component=ATTN, direction="bwd")
+    visits = []
+    for layer in range(exp.model.layers):
+        visits += [
+            _Visit(owner, TaskKind.FWD_COMPUTE, *attn, layer=layer, component=ATTN),
+            _Visit(owner, TaskKind.A2A, a2a, a2a, layer=layer),
+            _Visit(owner, TaskKind.FWD_COMPUTE, *ffn, layer=layer, component=FFN),
+            _Visit(owner, TaskKind.A2A, a2a, a2a, layer=layer),
+        ]
+    _walk(graph, exp, visits, None, serial=True)

@@ -32,35 +32,37 @@ def trace_schema() -> dict:
 
 def export_trace(trace: ScheduleTrace) -> list[dict]:
     """One complete event per scheduled task, in canonical event order."""
-    owners = sorted({ev.owner for ev in trace.events})
+    owners = sorted({ev.task.owner for ev in trace.events})
     pid_of = {owner: i for i, owner in enumerate(owners)}
     events = []
     for ev in trace.events:
+        task = ev.task
         ts = ev.start_ns / 1e3
         dur = (ev.end_ns - ev.start_ns) / 1e3
         if not (math.isfinite(ts) and math.isfinite(dur)):
-            raise SerializationError(f"non-finite timestamp on task {ev.task_id}")
-        name = f"{ev.kind} mb{ev.microbatch}"
-        if ev.layer is not None:
-            name += f" L{ev.layer}"
+            raise SerializationError(f"non-finite timestamp on task {task.id}")
+        kind = task.kind.value
+        name = f"{kind} mb{task.microbatch}"
+        if task.layer is not None:
+            name += f" L{task.layer}"
         events.append(
             {
                 "name": name,
                 "ph": "X",
                 "ts": ts,
                 "dur": dur,
-                "pid": pid_of[ev.owner],
-                "tid": _LANE_TID[ev.lane],
+                "pid": pid_of[task.owner],
+                "tid": _LANE_TID[task.lane],
                 "args": {
-                    "owner": ev.owner,
-                    "stream": ev.stream,
-                    "lane": ev.lane,
-                    "kind": ev.kind,
-                    "microbatch": ev.microbatch,
-                    "layer": ev.layer,
-                    "virtual_index": ev.virtual_index,
-                    "direction": ev.direction,
-                    "task": ev.task_id,
+                    "owner": task.owner,
+                    "stream": task.stream.value,
+                    "lane": task.lane,
+                    "kind": kind,
+                    "microbatch": task.microbatch,
+                    "layer": task.layer,
+                    "virtual_index": task.virtual_index,
+                    "direction": task.direction,
+                    "task": task.id,
                 },
             }
         )

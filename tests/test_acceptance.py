@@ -186,15 +186,15 @@ def test_criterion_5_schedule_validity_and_determinism():
         graph = _build(exp)
         trace, result = simulate(graph)
 
-        scheduled = sorted(e.task_id for e in trace.events)
+        scheduled = sorted(e.task.id for e in trace.events)
         assert scheduled == sorted(graph.tasks), "every task exactly once"
-        spans = {e.task_id: (e.start_ns, e.end_ns) for e in trace.events}
+        spans = {e.task.id: (e.start_ns, e.end_ns) for e in trace.events}
         for task in graph.tasks.values():
             for dep in task.deps:
                 assert spans[task.id][0] >= spans[dep][1], "dependency order"
         by_lane = {}
         for ev in trace.events:
-            by_lane.setdefault((ev.owner, ev.lane), []).append((ev.start_ns, ev.end_ns))
+            by_lane.setdefault((ev.task.owner, ev.task.lane), []).append((ev.start_ns, ev.end_ns))
         for lane_spans in by_lane.values():
             lane_spans.sort()
             for (_, end0), (start1, _) in zip(lane_spans, lane_spans[1:]):

@@ -17,6 +17,7 @@ from afpipe.allocator import (
     phase3_refine,
 )
 from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
+from afpipe.costs import layer_costs
 
 
 def _experiment(W=4, nics=4, layers=2, depth=2, stages=1, seq=1024, hidden=512,
@@ -107,16 +108,18 @@ def test_phase1_single_candidate():
     cands = enumerate_feasible(2, 2, node_size_max=1)
     t_star, band = phase1_min_bottleneck(cands, exp, epsilon=0.0)
     assert band == cands
-    assert t_star == analytic_bottleneck(cands[0], exp)
+    costs = layer_costs(exp.model, exp.workload, exp.ep_size)
+    assert t_star == analytic_bottleneck(cands[0], exp, costs)
 
 
 def test_phase1_matches_exhaustive_minimum():
     exp = _experiment(W=4, nics=4)
     cands = enumerate_feasible(4, 4, node_size_max=2)
     t_star, band = phase1_min_bottleneck(cands, exp, epsilon=0.0)
-    exhaustive = min(analytic_bottleneck(c, exp) for c in cands)
+    costs = layer_costs(exp.model, exp.workload, exp.ep_size)
+    exhaustive = min(analytic_bottleneck(c, exp, costs) for c in cands)
     assert t_star == exhaustive
-    assert all(analytic_bottleneck(c, exp) == t_star for c in band)
+    assert all(analytic_bottleneck(c, exp, costs) == t_star for c in band)
 
 
 def test_phase1_symmetric_costs_keep_balanced_split():

@@ -48,7 +48,6 @@ def test_depth_zero_without_virtual_stages_exits_2(tmp_path, capsys):
     ["allocate", "--radius", "-1"],
     ["allocate", "--epsilon", "-0.5"],
     ["allocate", "--epsilon", "nan"],
-    ["allocate", "--mem-cap", "0"],
     ["simulate", "--mem-cap", "0"],
     ["sweep", "--axis", "seq_len", "--values", "1024", "--mem-cap", "0"],
     ["compare", "--mem-cap", "-1"],
@@ -57,6 +56,13 @@ def test_depth_zero_without_virtual_stages_exits_2(tmp_path, capsys):
 def test_invalid_option_values_exit_2(argv, capsys):
     assert main([*argv, "--config", TOY]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_allocate_has_no_mem_cap_option():
+    # allocate reports no memory estimate, so it takes no capacity.
+    with pytest.raises(SystemExit) as exc:
+        main(["allocate", "--mem-cap", "1e9", "--config", TOY])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,6 @@ from afpipe.config import ClusterConfig, ModelConfig, Workload
 from afpipe.costs import (
     arithmetic_intensities,
     attention_flops,
-    backward_scale,
     cost_breakdown,
     ep_a2a_bytes_per_gpu,
     ffn_flops,
@@ -178,12 +177,6 @@ def test_roofline_below_turning_point():
 
 def test_roofline_clamped_above():
     assert roofline_attainable(1e9, 1e12, 1e11) == 1e12
-
-
-def test_backward_scale_default_and_override():
-    assert backward_scale(100) == 200
-    assert backward_scale(0) == 0
-    assert backward_scale(100, multiplier=3.0) == 300
 
 
 def test_stage_times_worked_example():

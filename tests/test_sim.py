@@ -108,6 +108,22 @@ def test_cycle_rejected():
         simulate(_graph([a, b]))
 
 
+def test_unknown_dependency_rejected_by_simulate():
+    with pytest.raises(CycleDetected, match="unknown task 7"):
+        simulate(_graph([_compute(0, "A0", 1, deps=(7,))]))
+
+
+def test_unknown_dependency_rejected_by_critical_path():
+    with pytest.raises(CycleDetected, match="unknown task 7"):
+        critical_path_ns(_graph([_compute(0, "A0", 1), _compute(1, "A0", 1, deps=(0, 7))]))
+
+
+def test_two_task_cycle_rejected_by_critical_path():
+    g = _graph([_compute(0, "A0", 1, deps=(1,)), _compute(1, "A0", 1, deps=(0,))])
+    with pytest.raises(CycleDetected, match="cycle"):
+        critical_path_ns(g)
+
+
 def _transfer_pair(base_id, src, dst, dur_ns, deps=()):
     send = Task(id=base_id, kind=TaskKind.M2N_SEND, owner=src,
                 lane=SEND_LANE, duration_ns=dur_ns, deps=deps, microbatch=0, twin=base_id + 1)
@@ -119,7 +135,7 @@ def _transfer_pair(base_id, src, dst, dur_ns, deps=()):
 def test_transfer_pair_occupies_both_lanes_simultaneously():
     send, recv = _transfer_pair(0, "A0", "F0", 2_000)
     trace, _ = simulate(_graph([send, recv]))
-    spans = {(e.owner, e.lane): (e.start_ns, e.end_ns) for e in trace.events}
+    spans = {(e.task.owner, e.task.lane): (e.start_ns, e.end_ns) for e in trace.events}
     assert spans[("A0", SEND_LANE)] == spans[("F0", RECV_LANE)] == (0, 2_000)
 
 
@@ -153,9 +169,9 @@ def test_exposed_comm_counts_partial_overlap():
 def test_dependency_order_and_exactly_once():
     g = _build(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, microbatches=3)
     trace, _ = simulate(g)
-    seen = [e.task_id for e in trace.events]
+    seen = [e.task.id for e in trace.events]
     assert sorted(seen) == sorted(g.tasks)
-    span = {e.task_id: (e.start_ns, e.end_ns) for e in trace.events}
+    span = {e.task.id: (e.start_ns, e.end_ns) for e in trace.events}
     for task in g.tasks.values():
         for dep in task.deps:
             assert span[task.id][0] >= span[dep][1]
@@ -166,7 +182,7 @@ def test_no_overlap_per_owner_lane():
     trace, _ = simulate(g)
     by_lane = {}
     for ev in trace.events:
-        by_lane.setdefault((ev.owner, ev.lane), []).append((ev.start_ns, ev.end_ns))
+        by_lane.setdefault((ev.task.owner, ev.task.lane), []).append((ev.start_ns, ev.end_ns))
     for spans in by_lane.values():
         spans.sort()
         for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
@@ -279,7 +295,7 @@ def test_uneven_layer_count_simulates_cleanly():
         alloc = canonical_allocation(1, 1, 2, 2, 2) if kind is ScheduleKind.AFPIPE else None
         g = build_task_graph(exp, alloc)
         trace, result = simulate(g)
-        assert sorted(e.task_id for e in trace.events) == sorted(g.tasks)
+        assert sorted(e.task.id for e in trace.events) == sorted(g.tasks)
         assert trace.iteration_ns >= critical_path_ns(g)
         assert 0.0 <= result.bubble_fraction <= 1.0
 
@@ -305,12 +321,12 @@ def test_randomized_schedules_satisfy_invariants():
         g = _build(kind, layers=layers, depth=depth, stages=stages,
                    microbatches=rng.randint(1, 5))
         trace, result = simulate(g)
-        assert sorted(e.task_id for e in trace.events) == sorted(g.tasks)
+        assert sorted(e.task.id for e in trace.events) == sorted(g.tasks)
         assert trace.iteration_ns >= critical_path_ns(g)
         assert 0.0 <= result.bubble_fraction <= 1.0
         by_lane = {}
         for ev in trace.events:
-            by_lane.setdefault((ev.owner, ev.lane), []).append((ev.start_ns, ev.end_ns))
+            by_lane.setdefault((ev.task.owner, ev.task.lane), []).append((ev.start_ns, ev.end_ns))
         for spans in by_lane.values():
             spans.sort()
             assert all(s1 >= e0 for (_, e0), (s1, _) in zip(spans, spans[1:]))

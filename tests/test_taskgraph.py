@@ -1,11 +1,25 @@
+import dataclasses
+import enum
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from afpipe.allocator import canonical_allocation
-from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
+from afpipe.allocator import canonical_allocation, default_allocation
+from afpipe.config import (
+    ClusterConfig,
+    Experiment,
+    ModelConfig,
+    ScheduleKind,
+    Workload,
+    load_experiment,
+)
 from afpipe.costs import StageTimes
 from afpipe.taskgraph import (
     GraphConstructionError,
     Stream,
+    Task,
     TaskKind,
     build_task_graph,
 )
@@ -124,3 +138,59 @@ def test_backward_multiplier_scales_backward_tasks():
     assert fwd == {("A", 0): 1_000_000, ("F", 0): 3_000_000,
                    ("A", 1): 1_000_000, ("F", 1): 3_000_000}
     assert bwd == {key: 2 * value for key, value in fwd.items()}
+
+
+TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.yaml"
+
+# sha256 over every Task field in id order, the owners and the credits of the
+# graph built from configs/toy.yaml at each depth (virtual stages fill the 4
+# layers). Task ids feed the scheduler's tie-break and the trace, so a change
+# in creation order, metadata or durations shows here.
+GRAPH_PINS = {
+    (ScheduleKind.AFPIPE, 1):
+        "b4a77ad535939ad98246649b1924f807331d16009c90b17dc3a3eaac4232f2fa",
+    (ScheduleKind.AFPIPE, 2):
+        "66f2e706281f240e2ccec41f2847491bed8e9f0aa804fa596b15676f4178b6ee",
+    (ScheduleKind.AFPIPE, 4):
+        "20036e3d160252d75e7a6e989cde965e027149b88247c416f69a8d611f96794a",
+    (ScheduleKind.MEGATRON_1F1B, 1):
+        "cd6e50c5641f6785c362c455fceede0f0a5342345e2c4d9e8494e15bb6ecfb5b",
+    (ScheduleKind.MEGATRON_1F1B, 2):
+        "436cc183cddb116a385f69b310544e8d8ed290989763981381d81e376a529fd7",
+    (ScheduleKind.MEGATRON_1F1B, 4):
+        "242bfea546d0487c8f1a828d6c151e4bbfaae0c484ba08afefb7d2489f185aca",
+    (ScheduleKind.CHUNKED_OVERLAP, 1):
+        "b5cc37197ec240a8ba07249e81e54d600dfea165fd301b6b3de90eb006782f9c",
+    (ScheduleKind.CHUNKED_OVERLAP, 2):
+        "31c4ea67365eddd788dc2e7fb64f86787af430c0efa141d186bc73535541806d",
+    (ScheduleKind.CHUNKED_OVERLAP, 4):
+        "8a7d8717c10b1383f2285007d6499143c2cf280ef343a15d1d65a45954a92aa4",
+    (ScheduleKind.NAIVE_SEQUENTIAL, 1):
+        "64d79ca1bde344e504a471b9b611d21c710cd0e949dfa5fa6cede0f949aa77bc",
+    (ScheduleKind.NAIVE_SEQUENTIAL, 2):
+        "64d79ca1bde344e504a471b9b611d21c710cd0e949dfa5fa6cede0f949aa77bc",
+    (ScheduleKind.NAIVE_SEQUENTIAL, 4):
+        "64d79ca1bde344e504a471b9b611d21c710cd0e949dfa5fa6cede0f949aa77bc",
+}
+
+
+def _graph_digest(graph):
+    def plain(value):
+        return value.value if isinstance(value, enum.Enum) else value
+
+    names = [f.name for f in dataclasses.fields(Task)]
+    doc = {
+        "tasks": [[plain(getattr(graph.tasks[tid], n)) for n in names] for tid in sorted(graph.tasks)],
+        "owners": list(graph.owners),
+        "credits": sorted(graph.credits.items()),
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind,depth", list(GRAPH_PINS), ids=lambda v: getattr(v, "value", v))
+def test_toy_graphs_are_pinned(kind, depth):
+    base = load_experiment(str(TOY))
+    exp = dataclasses.replace(base, schedule_kind=kind, pipeline_depth=depth,
+                              virtual_stages=base.model.layers // depth)
+    graph = build_task_graph(exp, default_allocation(exp))
+    assert _graph_digest(graph) == GRAPH_PINS[(kind, depth)]

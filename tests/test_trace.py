@@ -62,7 +62,7 @@ def test_round_trip_recovers_start_end_owner():
     trace = _af_trace()
     doc = export_trace_json(trace)
     triples = sorted(parse_trace_events(doc))
-    expected = sorted((e.start_ns, e.end_ns, e.owner) for e in trace.events)
+    expected = sorted((e.start_ns, e.end_ns, e.task.owner) for e in trace.events)
     assert triples == expected
 
 
