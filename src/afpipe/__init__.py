@@ -59,6 +59,7 @@ from .sim import (
     NegativeDuration,
     ScheduleTrace,
     SimResult,
+    check_schedule,
     exposed_comm,
     simulate,
     warmup_bubble_analytic,

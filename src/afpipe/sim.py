@@ -6,27 +6,58 @@ two communication sub-lanes (send, receive) so opposite transfer directions
 overlap full duplex. A send/recv pair occupies both endpoints' lanes over the
 same interval.
 
-List scheduling: among all runnable tasks, the one with the globally earliest
-feasible start time is committed first; ties fall to a fixed priority:
-(1) once a group's in-flight forward count reaches its one-forward-one-
-backward credit, backward work is preferred over forward, otherwise forward;
-(2) lower micro-batch index; (3) lower (virtual index, component) with
-attention before FFN; (4) lower task id. All event arithmetic is in integer
-nanoseconds, so identical graphs always produce identical traces.
+List scheduling: a schedulable unit is a lone task or a send/recv pair,
+committed together at one start. Among the ready units the scheduler commits
+the least under the total order
+
+    (earliest start, 1F1B rank, micro-batch, virtual index,
+     component rank, owner, lane, task id)
+
+where the earliest start is the latest of the unit's dependency ends and of
+the free times of the lanes it occupies. The 1F1B rank of a compute unit is 0
+for the work its group prefers and 1 otherwise: once the group's in-flight
+forward count reaches its one-forward-one-backward credit it prefers
+backward, otherwise forward; other units rank 0. The component rank puts
+attention before FFN. All event arithmetic is in integer nanoseconds, so
+identical graphs always produce identical traces.
+
+Heap order: ready units wait in queues, one per shape (the owner, lane and
+kind of each of a unit's tasks, which fix the lanes it occupies and its 1F1B
+rank class). One heap holds the head of every non-empty queue under the
+order above. Its keys are exact although no unit is re-keyed as time passes:
+  * a unit starts no earlier than each of its lanes is free, so lane free
+    times only grow. A unit that was ready by the time its lanes were free
+    stays so: it starts exactly when they are next free, and within its queue
+    its tie-break alone orders it. A unit ready later is ordered by (ready
+    time, tie-break) until its lanes' free time reaches it;
+  * a ready unit's dependencies have all ended, so its ready time is fixed;
+  * the 1F1B rank changes only when the group commits compute.
+So a commit moves only the heads of the queues on the lanes it occupies, of
+the group whose preference it flips and of the queues it adds ready units to.
+Those heads are pushed again; superseded heap entries are skipped when popped.
+A commit costs a few heap operations, one per queue it touches, instead of a
+scan of every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each
+run's units, commits, heap pushes, stale pops and peak heap size.
+
+check_schedule lists what a trace breaks of the scheduler's invariants.
 
 A negative duration raises NegativeDuration. A dependency on an unknown task,
-or tasks the ready set never reaches (a cycle), raise CycleDetected.
+or tasks the ready set never reaches (a cycle), raise CycleDetected. Twins
+that are not one send side and one receive side naming each other raise
+GraphConstructionError.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .config import ScheduleKind
 from .costs import StageTimes, staged_layer_time
 from .taskgraph import (
     COMPUTE_LANE,
+    GraphConstructionError,
     RECV_LANE,
     Task,
     TaskGraph,
@@ -42,8 +73,7 @@ class NegativeDuration(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     task: Task
     start_ns: int
     end_ns: int
@@ -69,12 +99,44 @@ _COMPONENT_RANK = {"A": 0, "F": 1, None: 2}
 
 
 def _check_tasks(graph: TaskGraph) -> None:
-    for task in graph.tasks.values():
+    tasks = graph.tasks
+    for task in tasks.values():
         if task.duration_ns < 0:
             raise NegativeDuration(f"task {task.id} has duration {task.duration_ns} ns")
         for dep in task.deps:
-            if dep not in graph.tasks:
+            if dep not in tasks:
                 raise CycleDetected(f"task {task.id} depends on unknown task {dep}")
+        if task.twin is not None:
+            twin = tasks.get(task.twin)
+            paired = twin is not None and twin.twin == task.id
+            if not paired or (twin.lane == RECV_LANE) == (task.lane == RECV_LANE):
+                raise GraphConstructionError(
+                    f"task {task.id} and its twin {task.twin} are not a send/recv pair"
+                )
+
+
+class _Queue:
+    """Ready units of one shape: their tasks have the same (owner, lane, kind).
+
+    So they occupy the same lanes and share a 1F1B rank class. Parked units
+    were ready by the time all those lanes are free, so each can start exactly
+    then and they are ordered by ordinal alone; pending units are ready later
+    and are ordered by (ready_ns, ordinal).
+    """
+
+    __slots__ = ("lanes", "counters", "parked", "pending", "key", "stamp")
+
+    def __init__(self, lanes: tuple[int, ...], counters: tuple[int, ...]):
+        # Per task of a unit: the lane it occupies and the compute counter it
+        # bumps, 2 * owner + 1 for backward compute, 2 * owner for forward,
+        # -1 for none. The first task's counter is the units' rank class: the
+        # owner's credit ranks compute units; others rank 0.
+        self.lanes = lanes
+        self.counters = counters
+        self.parked: list[int] = []
+        self.pending: list[tuple[int, int]] = []
+        self.key: tuple[int, int, int] | None = None  # key of the live heap entry
+        self.stamp = 0  # push number of the live heap entry
 
 
 def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
@@ -89,99 +151,146 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
         return trace, _aggregate(graph, trace)
 
     # A schedulable unit is a lone task or a send/recv pair keyed by its send
-    # side; the receive side is committed together with its twin.
-    unit_deps: dict[int, set[int]] = {}
-    for tid, task in tasks.items():
-        if task.twin is not None and task.lane == RECV_LANE:
-            continue
-        deps = set(task.deps)
-        if task.twin is not None:
-            deps |= set(tasks[task.twin].deps)
-        unit_deps[tid] = deps
-
+    # side; the receive side is committed together with its twin. Units are
+    # numbered in tie-break order, so the heap compares ints only.
+    order = sorted(
+        (t.microbatch, t.virtual_index, _COMPONENT_RANK.get(t.component, 2), t.owner, t.lane,
+         t.id, t)
+        for t in tasks.values()
+        if t.twin is None or t.lane != RECV_LANE
+    )
+    lane_index: dict[tuple[str, str], int] = {}
+    owner_index: dict[str, int] = {}
+    queues: dict[tuple, _Queue] = {}  # by the (owner, lane, kind) of a unit's tasks
+    unit_tasks: list[tuple[Task, ...]] = []
+    unit_queue: list[_Queue] = []
+    remaining: list[int] = []
     dependents: dict[int, list[int]] = {tid: [] for tid in tasks}
-    remaining: dict[int, int] = {}
-    for uid, deps in unit_deps.items():
-        remaining[uid] = len(deps)
-        for dep in deps:
-            dependents[dep].append(uid)
-
-    lane_free: dict[tuple[str, str], int] = {}
-    start: dict[int, int] = {}
-    end: dict[int, int] = {}
-    fwd_started: dict[str, int] = {}
-    bwd_started: dict[str, int] = {}
-    ready: list[int] = sorted(uid for uid, n in remaining.items() if n == 0)
-
-    def lanes_of(uid: int) -> list[tuple[str, str]]:
-        task = tasks[uid]
-        out = [(task.owner, task.lane)]
-        if task.twin is not None:
-            twin = tasks[task.twin]
-            out.append((twin.owner, twin.lane))
-        return out
-
-    def earliest(uid: int) -> int:
-        t = 0
-        for dep in unit_deps[uid]:
-            t = max(t, end[dep])
-        for lane in lanes_of(uid):
-            t = max(t, lane_free.get(lane, 0))
-        return t
-
-    def priority(task: Task) -> tuple:
-        if task.lane == COMPUTE_LANE:
-            inflight = fwd_started.get(task.owner, 0) - bwd_started.get(task.owner, 0)
-            prefer_bwd = inflight >= graph.credits.get(task.owner, 1)
-            preferred = (task.kind is TaskKind.BWD_COMPUTE) == prefer_bwd
-            rank = 0 if preferred else 1
+    for i, entry in enumerate(order):
+        task = entry[-1]
+        if task.twin is None:
+            members = (task,)
+            shape = (task.owner, task.lane, task.kind)
+            deps = set(task.deps)
         else:
-            rank = 0
-        return (
-            rank,
-            task.microbatch,
-            task.virtual_index,
-            _COMPONENT_RANK.get(task.component, 2),
-            task.owner,
-            task.lane,
-            task.id,
-        )
+            twin = tasks[task.twin]
+            members = (task, twin)
+            shape = (task.owner, task.lane, task.kind, twin.owner, twin.lane, twin.kind)
+            deps = set(task.deps).union(twin.deps)
+        if shape not in queues:
+            lanes, counters = [], []
+            for member in members:
+                lanes.append(lane_index.setdefault((member.owner, member.lane), len(lane_index)))
+                counter = -1
+                if member.lane == COMPUTE_LANE:
+                    owner = owner_index.setdefault(member.owner, len(owner_index))
+                    counter = 2 * owner + (member.kind is TaskKind.BWD_COMPUTE)
+                counters.append(counter)
+            queues[shape] = _Queue(tuple(lanes), tuple(counters))
+        unit_tasks.append(members)
+        unit_queue.append(queues[shape])
+        remaining.append(len(deps))
+        for dep in deps:
+            dependents[dep].append(i)
 
-    def commit_one(tid: int, at: int) -> None:
-        task = tasks[tid]
-        start[tid] = at
-        end[tid] = at + task.duration_ns
-        lane_free[(task.owner, task.lane)] = end[tid]
-        if task.lane == COMPUTE_LANE:
-            counter = bwd_started if task.kind is TaskKind.BWD_COMPUTE else fwd_started
-            counter[task.owner] = counter.get(task.owner, 0) + 1
-        for uid in dependents[tid]:
-            remaining[uid] -= 1
-            if remaining[uid] == 0:
-                ready.append(uid)
+    credit = [graph.credits.get(owner, 1) for owner in owner_index]
+    started = [0] * (2 * len(owner_index))  # forward, backward compute starts per owner
+    lane_free = [0] * len(lane_index)
+    lane_queues: list[list[_Queue]] = [[] for _ in lane_index]
+    owner_queues: list[list[_Queue]] = [[] for _ in owner_index]
+    for q in queues.values():
+        for lane in q.lanes:
+            lane_queues[lane].append(q)
+        if q.counters[0] >= 0:
+            owner_queues[q.counters[0] >> 1].append(q)
+    ready_ns = [0] * len(order)  # latest end among a unit's committed dependencies
+    unit_start: list[int | None] = [None] * len(order)
+    heap: list[tuple[int, int, int, int, _Queue]] = []
+    pushes = stale = peak = 0
 
-    while ready:
-        best = None
-        best_key = None
-        for uid in ready:
-            key = (earliest(uid),) + priority(tasks[uid])
-            if best_key is None or key < best_key:
-                best, best_key = uid, key
-        ready.remove(best)
-        at = best_key[0]
-        commit_one(best, at)
-        twin = tasks[best].twin
-        if twin is not None:
-            commit_one(twin, at)
+    def place(i: int) -> _Queue:
+        q = unit_queue[i]
+        if ready_ns[i] <= max(map(lane_free.__getitem__, q.lanes)):
+            heapq.heappush(q.parked, i)
+        else:
+            heapq.heappush(q.pending, (ready_ns[i], i))
+        return q
 
-    if len(start) != len(tasks):
+    def refresh(q: _Queue) -> None:
+        """Give the heap the head of the non-empty queue q under its current key."""
+        nonlocal pushes
+        parked, pending = q.parked, q.pending
+        free = max(map(lane_free.__getitem__, q.lanes))
+        while pending and pending[0][0] <= free:
+            heapq.heappush(parked, heapq.heappop(pending)[1])
+        at, i = (free, parked[0]) if parked else pending[0]
+        rank = 0
+        rank_class = q.counters[0]
+        if rank_class >= 0:
+            owner = rank_class >> 1
+            prefer_bwd = started[2 * owner] - started[2 * owner + 1] >= credit[owner]
+            rank = 0 if (rank_class & 1) == prefer_bwd else 1
+        key = (at, rank, i)
+        if key != q.key:
+            pushes += 1
+            q.key, q.stamp = key, pushes
+            heapq.heappush(heap, (at, rank, i, pushes, q))
+
+    for q in dict.fromkeys([place(i) for i, n in enumerate(remaining) if n == 0]):
+        refresh(q)
+
+    while heap:
+        if len(heap) > peak:
+            peak = len(heap)
+        at, _, i, stamp, q = heapq.heappop(heap)
+        if stamp != q.stamp:
+            stale += 1
+            continue
+        heapq.heappop(q.parked if q.parked else q.pending)
+        q.key = None
+        unit_start[i] = at
+        touched = [q]
+        for task, lane, counter in zip(unit_tasks[i], q.lanes, q.counters):
+            lane_free[lane] = finish = at + task.duration_ns
+            touched += lane_queues[lane]
+            if counter >= 0:
+                started[counter] += 1
+                owner = counter >> 1
+                # The owner's queues change rank only when this start carries
+                # its in-flight forward count across its credit.
+                if started[2 * owner] - started[2 * owner + 1] == credit[owner] - (counter & 1):
+                    touched += owner_queues[owner]
+            for j in dependents[task.id]:
+                if finish > ready_ns[j]:
+                    ready_ns[j] = finish
+                remaining[j] -= 1
+                if remaining[j] == 0:
+                    touched.append(place(j))
+        for q in dict.fromkeys(touched):
+            if q.parked or q.pending:
+                refresh(q)
+
+    # Imported here, not at the top: a cold start that never logs, such as a
+    # library import, would otherwise pay for importing logging.
+    import logging
+
+    logging.getLogger("afpipe.sim").debug(
+        "simulate: %d units, %d commits, %d heap pushes, %d stale pops, peak heap %d",
+        len(order), pushes - stale, pushes, stale, peak,
+    )
+    if None in unit_start:
         raise CycleDetected("dependency graph contains a cycle")
 
-    events = sorted(
-        (TraceEvent(t, start[t.id], end[t.id]) for t in tasks.values()),
-        key=lambda e: (e.start_ns, e.task.owner, e.task.lane, e.task.id),
+    timeline = sorted(
+        (begin, t.owner, t.lane, t.id, t)
+        for begin, members in zip(unit_start, unit_tasks)
+        for t in members
     )
-    trace = ScheduleTrace(events=tuple(events), iteration_ns=max(end.values()))
+    # A lane is free from the end of its last task, so the latest is the makespan.
+    trace = ScheduleTrace(
+        events=tuple(TraceEvent(t, at, at + t.duration_ns) for at, _, _, _, t in timeline),
+        iteration_ns=max(lane_free),
+    )
     return trace, _aggregate(graph, trace)
 
 
@@ -330,3 +439,54 @@ def resource_bound_ns(graph: TaskGraph) -> int:
         totals[key] = totals.get(key, 0) + task.duration_ns
     return max(totals.values(), default=0)
 
+
+def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
+    """The scheduler invariants that trace breaks on graph; empty when it keeps them all.
+
+    Every task runs exactly once, for its duration, starting no earlier than
+    each dependency ends; no two tasks overlap on one (owner, lane); send/recv
+    twins start and end together; iteration_ns is the last end and is at
+    least both lower bounds, critical_path_ns and resource_bound_ns.
+    """
+    problems = []
+    span: dict[int, tuple[int, int]] = {}
+    by_lane: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
+    for ev in trace.events:
+        tid = ev.task.id
+        if tid in span:
+            problems.append(f"task {tid} is scheduled twice")
+        elif tid not in graph.tasks:
+            problems.append(f"task {tid} is not in the graph")
+        span[tid] = (ev.start_ns, ev.end_ns)
+        by_lane.setdefault((ev.task.owner, ev.task.lane), []).append((ev.start_ns, ev.end_ns, tid))
+
+    for tid, task in sorted(graph.tasks.items()):
+        if tid not in span:
+            problems.append(f"task {tid} is missing from the trace")
+            continue
+        start, end = span[tid]
+        if end - start != task.duration_ns:
+            problems.append(f"task {tid} runs {end - start} ns, not its {task.duration_ns} ns")
+        for dep in task.deps:
+            if dep in span and start < span[dep][1]:
+                problems.append(
+                    f"task {tid} starts at {start} ns, before dependency {dep} ends at "
+                    f"{span[dep][1]} ns"
+                )
+        twin = task.twin
+        if twin is not None and tid < twin and twin in span and span[twin] != span[tid]:
+            problems.append(f"twins {tid} and {task.twin} do not start and end together")
+
+    for (owner, lane), spans in sorted(by_lane.items()):
+        spans.sort()
+        for (_, end0, first), (start1, _, second) in zip(spans, spans[1:]):
+            if start1 < end0:
+                problems.append(f"tasks {first} and {second} overlap on {owner} {lane}")
+
+    last_end = max((ev.end_ns for ev in trace.events), default=0)
+    if trace.iteration_ns != last_end:
+        problems.append(f"iteration_ns {trace.iteration_ns} is not the last end, {last_end}")
+    bound = max(critical_path_ns(graph), resource_bound_ns(graph))
+    if trace.iteration_ns < bound:
+        problems.append(f"iteration_ns {trace.iteration_ns} is below the lower bound {bound}")
+    return problems

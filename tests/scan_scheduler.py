@@ -1,0 +1,123 @@
+"""Reference list scheduler: the ready-set scan that sim.simulate replaced.
+
+On every commit it re-evaluates the earliest start and the priority of every
+ready unit and takes the minimum of (earliest start, 1F1B rank, micro-batch,
+virtual index, component rank, owner, lane, task id). Its time grows with the
+square of the task count, so it lives here only as the gate that the heap
+scheduler in afpipe.sim must match trace for trace.
+"""
+
+from __future__ import annotations
+
+from afpipe.sim import (
+    _COMPONENT_RANK,
+    CycleDetected,
+    ScheduleTrace,
+    SimResult,
+    TraceEvent,
+    _aggregate,
+    _check_tasks,
+)
+from afpipe.taskgraph import COMPUTE_LANE, RECV_LANE, Task, TaskGraph, TaskKind
+
+
+def simulate_scan(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
+    _check_tasks(graph)
+    tasks = graph.tasks
+    if not tasks:
+        trace = ScheduleTrace(events=(), iteration_ns=0)
+        return trace, _aggregate(graph, trace)
+
+    unit_deps: dict[int, set[int]] = {}
+    for tid, task in tasks.items():
+        if task.twin is not None and task.lane == RECV_LANE:
+            continue
+        deps = set(task.deps)
+        if task.twin is not None:
+            deps |= set(tasks[task.twin].deps)
+        unit_deps[tid] = deps
+
+    dependents: dict[int, list[int]] = {tid: [] for tid in tasks}
+    remaining: dict[int, int] = {}
+    for uid, deps in unit_deps.items():
+        remaining[uid] = len(deps)
+        for dep in deps:
+            dependents[dep].append(uid)
+
+    lane_free: dict[tuple[str, str], int] = {}
+    start: dict[int, int] = {}
+    end: dict[int, int] = {}
+    fwd_started: dict[str, int] = {}
+    bwd_started: dict[str, int] = {}
+    ready: list[int] = sorted(uid for uid, n in remaining.items() if n == 0)
+
+    def lanes_of(uid: int) -> list[tuple[str, str]]:
+        task = tasks[uid]
+        out = [(task.owner, task.lane)]
+        if task.twin is not None:
+            twin = tasks[task.twin]
+            out.append((twin.owner, twin.lane))
+        return out
+
+    def earliest(uid: int) -> int:
+        t = 0
+        for dep in unit_deps[uid]:
+            t = max(t, end[dep])
+        for lane in lanes_of(uid):
+            t = max(t, lane_free.get(lane, 0))
+        return t
+
+    def priority(task: Task) -> tuple:
+        if task.lane == COMPUTE_LANE:
+            inflight = fwd_started.get(task.owner, 0) - bwd_started.get(task.owner, 0)
+            prefer_bwd = inflight >= graph.credits.get(task.owner, 1)
+            preferred = (task.kind is TaskKind.BWD_COMPUTE) == prefer_bwd
+            rank = 0 if preferred else 1
+        else:
+            rank = 0
+        return (
+            rank,
+            task.microbatch,
+            task.virtual_index,
+            _COMPONENT_RANK.get(task.component, 2),
+            task.owner,
+            task.lane,
+            task.id,
+        )
+
+    def commit_one(tid: int, at: int) -> None:
+        task = tasks[tid]
+        start[tid] = at
+        end[tid] = at + task.duration_ns
+        lane_free[(task.owner, task.lane)] = end[tid]
+        if task.lane == COMPUTE_LANE:
+            counter = bwd_started if task.kind is TaskKind.BWD_COMPUTE else fwd_started
+            counter[task.owner] = counter.get(task.owner, 0) + 1
+        for uid in dependents[tid]:
+            remaining[uid] -= 1
+            if remaining[uid] == 0:
+                ready.append(uid)
+
+    while ready:
+        best = None
+        best_key = None
+        for uid in ready:
+            key = (earliest(uid),) + priority(tasks[uid])
+            if best_key is None or key < best_key:
+                best, best_key = uid, key
+        ready.remove(best)
+        at = best_key[0]
+        commit_one(best, at)
+        twin = tasks[best].twin
+        if twin is not None:
+            commit_one(twin, at)
+
+    if len(start) != len(tasks):
+        raise CycleDetected("dependency graph contains a cycle")
+
+    events = sorted(
+        (TraceEvent(t, start[t.id], end[t.id]) for t in tasks.values()),
+        key=lambda e: (e.start_ns, e.task.owner, e.task.lane, e.task.id),
+    )
+    trace = ScheduleTrace(events=tuple(events), iteration_ns=max(end.values()))
+    return trace, _aggregate(graph, trace)

@@ -27,7 +27,7 @@ from afpipe.costs import (
 )
 from afpipe.placement import ATTN, FFN, assign_layers, validate_partition
 from afpipe.report import memory_report, run_schedule
-from afpipe.sim import critical_path_ns, simulate, warmup_bubble_analytic
+from afpipe.sim import check_schedule, simulate, warmup_bubble_analytic
 from afpipe.taskgraph import build_task_graph
 from afpipe.trace_io import export_trace_json
 
@@ -175,31 +175,25 @@ def test_criterion_4_placement():
             f"{checked} (layers, depth) pairs up to 256 layers")
 
 
-def test_criterion_5_schedule_validity_and_determinism():
+def criterion_5_experiments():
+    """The 100 randomized experiments of criterion 5."""
     rng = random.Random(5)
-    for index in range(100):
+    for _ in range(100):
         depth = rng.choice([1, 2, 3])
         stages = rng.choice([1, 2])
         kind = rng.choice(list(ScheduleKind))
-        exp = _small_experiment(kind, layers=depth * stages, depth=depth, stages=stages,
+        yield _small_experiment(kind, layers=depth * stages, depth=depth, stages=stages,
                                 microbatches=rng.randint(1, 5))
+
+
+def test_criterion_5_schedule_validity_and_determinism():
+    for exp in criterion_5_experiments():
         graph = _build(exp)
         trace, result = simulate(graph)
 
-        scheduled = sorted(e.task.id for e in trace.events)
-        assert scheduled == sorted(graph.tasks), "every task exactly once"
-        spans = {e.task.id: (e.start_ns, e.end_ns) for e in trace.events}
-        for task in graph.tasks.values():
-            for dep in task.deps:
-                assert spans[task.id][0] >= spans[dep][1], "dependency order"
-        by_lane = {}
-        for ev in trace.events:
-            by_lane.setdefault((ev.task.owner, ev.task.lane), []).append((ev.start_ns, ev.end_ns))
-        for lane_spans in by_lane.values():
-            lane_spans.sort()
-            for (_, end0), (start1, _) in zip(lane_spans, lane_spans[1:]):
-                assert start1 >= end0, "resource exclusivity"
-        assert trace.iteration_ns >= critical_path_ns(graph), "critical-path bound"
+        # Exactly once, dependency order, resource exclusivity, twins and
+        # both lower bounds.
+        assert check_schedule(graph, trace) == []
 
         repeat, _ = simulate(_build(exp))
         assert export_trace_json(repeat) == export_trace_json(trace), "byte-identical"

@@ -1,4 +1,6 @@
+import logging
 import random
+import re
 
 import pytest
 
@@ -8,6 +10,8 @@ from afpipe.costs import StageTimes, staged_layer_time
 from afpipe.sim import (
     CycleDetected,
     NegativeDuration,
+    ScheduleTrace,
+    check_schedule,
     critical_path_ns,
     exposed_comm,
     resource_bound_ns,
@@ -16,6 +20,7 @@ from afpipe.sim import (
 )
 from afpipe.taskgraph import (
     COMPUTE_LANE,
+    GraphConstructionError,
     RECV_LANE,
     SEND_LANE,
     Task,
@@ -180,13 +185,7 @@ def test_dependency_order_and_exactly_once():
 def test_no_overlap_per_owner_lane():
     g = _build(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, microbatches=4)
     trace, _ = simulate(g)
-    by_lane = {}
-    for ev in trace.events:
-        by_lane.setdefault((ev.task.owner, ev.task.lane), []).append((ev.start_ns, ev.end_ns))
-    for spans in by_lane.values():
-        spans.sort()
-        for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
-            assert s1 >= e0
+    assert check_schedule(g, trace) == []
 
 
 def test_iteration_bounded_below_by_critical_path_and_busy_time():
@@ -321,12 +320,90 @@ def test_randomized_schedules_satisfy_invariants():
         g = _build(kind, layers=layers, depth=depth, stages=stages,
                    microbatches=rng.randint(1, 5))
         trace, result = simulate(g)
-        assert sorted(e.task.id for e in trace.events) == sorted(g.tasks)
-        assert trace.iteration_ns >= critical_path_ns(g)
+        assert check_schedule(g, trace) == []
         assert 0.0 <= result.bubble_fraction <= 1.0
-        by_lane = {}
-        for ev in trace.events:
-            by_lane.setdefault((ev.task.owner, ev.task.lane), []).append((ev.start_ns, ev.end_ns))
-        for spans in by_lane.values():
-            spans.sort()
-            assert all(s1 >= e0 for (_, e0), (s1, _) in zip(spans, spans[1:]))
+
+
+def _pair_schedule():
+    # Task 0 on A0, then the pair 1/2 from A0 to F0, then task 3 on F0; task
+    # 4 shares A0's engine with task 0.
+    send, recv = _transfer_pair(1, "A0", "F0", 2_000, deps=(0,))
+    g = _graph([_compute(0, "A0", 1_000), send, recv, _compute(3, "F0", 1_000, deps=(2,)),
+                _compute(4, "A0", 3_000)])
+    trace, _ = simulate(g)
+    assert check_schedule(g, trace) == []
+    return g, trace
+
+
+def _moved(trace, tid, shift, stretch=0):
+    events = tuple(
+        ev._replace(start_ns=ev.start_ns + shift, end_ns=ev.end_ns + shift + stretch)
+        if ev.task.id == tid else ev
+        for ev in trace.events
+    )
+    return ScheduleTrace(events=events, iteration_ns=max(ev.end_ns for ev in events))
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda t: ScheduleTrace(t.events[1:], t.iteration_ns), "missing from the trace"),
+    (lambda t: ScheduleTrace(t.events + t.events[-1:], t.iteration_ns), "scheduled twice"),
+    (lambda t: _moved(t, 3, -500), "before dependency 2 ends"),
+    (lambda t: _moved(t, 4, -1_000), "overlap on A0 compute"),
+    (lambda t: _moved(t, 2, 100), "twins 1 and 2 do not start and end together"),
+    (lambda t: _moved(t, 3, 0, stretch=1), "runs 1001 ns, not its 1000 ns"),
+    (lambda t: ScheduleTrace(t.events, t.iteration_ns - 1), "is below the lower bound"),
+    (lambda t: ScheduleTrace(t.events, t.iteration_ns + 1), "is not the last end"),
+], ids=["missing", "twice", "dependency", "overlap", "twins", "duration", "bound", "last-end"])
+def test_check_schedule_reports_each_violation(tamper, message):
+    g, trace = _pair_schedule()
+    problems = check_schedule(g, tamper(trace))
+    assert any(message in p for p in problems), problems
+
+
+def _scheduler_counts(caplog, graph):
+    with caplog.at_level(logging.DEBUG, logger="afpipe.sim"):
+        simulate(graph)
+    lines = [r.getMessage() for r in caplog.records if r.name == "afpipe.sim"]
+    assert len(lines) == 1
+    match = re.fullmatch(
+        r"simulate: (\d+) units, (\d+) commits, (\d+) heap pushes, (\d+) stale pops, "
+        r"peak heap (\d+)", lines[0])
+    assert match, lines[0]
+    fields = ("units", "commits", "heap pushes", "stale pops", "peak heap")
+    return dict(zip(fields, map(int, match.groups())))
+
+
+def test_simulate_logs_scheduler_counts_at_debug(caplog):
+    g = _build(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, microbatches=4)
+    counts = _scheduler_counts(caplog, g)
+    pairs = sum(1 for t in g.tasks.values() if t.twin is not None) // 2
+    assert counts["units"] == counts["commits"] == len(g.tasks) - pairs
+    assert counts["heap pushes"] == counts["commits"] + counts["stale pops"]
+    assert 1 <= counts["peak heap"] <= counts["heap pushes"]
+
+
+def test_heap_work_per_unit_does_not_grow_with_microbatches(caplog):
+    # A scan over the ready set costs more per commit as more micro-batches
+    # are in flight; the heap pushes a bounded number of queue heads.
+    ratios = []
+    for microbatches in (4, 64):
+        caplog.clear()
+        g = _build(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, microbatches=microbatches)
+        counts = _scheduler_counts(caplog, g)
+        ratios.append(counts["heap pushes"] / counts["units"])
+    assert max(ratios) <= 2.0, ratios
+
+
+@pytest.mark.parametrize("recv_lane,recv_twin", [
+    (SEND_LANE, 0),  # two send sides
+    (RECV_LANE, 5),  # a receive side that names another task
+    (None, None),  # no receive side
+], ids=["two-send-sides", "one-sided", "unknown-twin"])
+def test_malformed_twins_rejected(recv_lane, recv_twin):
+    tasks = [Task(id=0, kind=TaskKind.M2N_SEND, owner="A0", lane=SEND_LANE, duration_ns=1,
+                  deps=(), microbatch=0, twin=1)]
+    if recv_lane is not None:
+        tasks.append(Task(id=1, kind=TaskKind.M2N_RECV, owner="F0", lane=recv_lane,
+                          duration_ns=1, deps=(), microbatch=0, twin=recv_twin))
+    with pytest.raises(GraphConstructionError, match="not a send/recv pair"):
+        simulate(_graph(tasks))

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 
 import jsonschema
+import pytest
 
 from afpipe.allocator import canonical_allocation
 from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
@@ -15,8 +17,8 @@ from afpipe.trace_io import (
 )
 
 
-def _af_trace(microbatches=3):
-    exp = Experiment(
+def _experiment(microbatches):
+    return Experiment(
         model=ModelConfig(layers=2, hidden=64, experts=8, topk=2, moe_hidden=64),
         workload=Workload(seq_len=64, micro_batch=1, num_microbatches=microbatches),
         cluster=ClusterConfig(total_gpus=2, gpus_per_node=1, total_nics=2,
@@ -26,8 +28,11 @@ def _af_trace(microbatches=3):
         virtual_stages=2,
         ep_size=1,
     )
+
+
+def _af_trace(microbatches=3):
     alloc = canonical_allocation(1, 1, 2, 2, 1)
-    graph = build_task_graph(exp, alloc)
+    graph = build_task_graph(_experiment(microbatches), alloc)
     trace, _ = simulate(graph)
     return trace
 
@@ -80,3 +85,26 @@ def test_write_trace_round_trips_through_file(tmp_path):
     reparsed = json.loads(path.read_text())
     jsonschema.validate(reparsed, trace_schema())
     assert parse_trace_events(reparsed) == parse_trace_events(export_trace_json(trace))
+
+
+def _staged_trace():
+    # megatron1f1b: P2P transfers and chunk compute carry no layer, so the
+    # export writes null for it.
+    exp = dataclasses.replace(
+        _experiment(microbatches=3), schedule_kind=ScheduleKind.MEGATRON_1F1B,
+        pipeline_depth=2, virtual_stages=1,
+    )
+    trace, _ = simulate(build_task_graph(exp))
+    assert any(ev["args"]["layer"] is None for ev in export_trace(trace))
+    return trace
+
+
+@pytest.mark.parametrize("make_trace", [
+    lambda: ScheduleTrace(events=(), iteration_ns=0),
+    _staged_trace,
+    _af_trace,
+], ids=["empty", "staged", "afpipe"])
+def test_trace_json_matches_json_dumps(make_trace):
+    trace = make_trace()
+    expected = json.dumps(export_trace(trace), indent=1, sort_keys=True)
+    assert export_trace_json(trace) == expected
