@@ -13,19 +13,32 @@ Three phases:
 
 The search space stays small at cluster scale (GPU splits x NIC splits x
 node shapes), so exact enumeration replaces an integer-programming solver.
+
+Profiling plans once and re-times per split: the disaggregated task graph's
+tasks, dependencies, owners, lanes and credits do not depend on the split,
+only five task durations do. So af_iteration_profile builds one graph and
+its sim.SchedulePlan per experiment, and each new split only derives its
+durations (taskgraph.visit_times and afpipe_durations, as build_task_graph
+does) and runs the plan: the same scheduler loop simulate runs, giving the
+same makespan. With AFPIPE_LOG=DEBUG, logger afpipe.allocator logs each
+allocate and brute_force_oracle run's profile calls, splits re-timed and
+plan builds.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .config import Experiment, ScheduleKind
 from .costs import LayerCosts, arithmetic_intensities, layer_costs, roofline_attainable, stage_times
-# Unused here, but bench/tracing.py patches allocator.assign_layers.
+from .sim import SchedulePlan
+from .taskgraph import afpipe_durations, build_task_graph, visit_times
+# Unused here, but bench/tracing.py patches allocator.assign_layers and
+# allocator.simulate.
 from .placement import assign_layers  # noqa: F401
-from .sim import simulate
-from .taskgraph import build_task_graph
+from .sim import simulate  # noqa: F401
 
 
 class NoFeasible(Exception):
@@ -238,23 +251,65 @@ def phase3_refine(
     return best, best_time, improvements, trace
 
 
-def af_iteration_profile(exp: Experiment):
+def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
     """Deterministic profile function: simulated disaggregated iteration time.
 
     Memoized on the (M, N, M_a, M_f) split, which fully determines the
-    simulated durations.
+    simulated durations. The first split profiled builds the afpipe graph
+    and its SchedulePlan; every split, that one included, is re-timed: its
+    five task durations come from the experiment's one LayerCosts through
+    visit_times and afpipe_durations, which build_task_graph also uses, and
+    the plan runs under them. The plan reads only what the split does not
+    change (ids, deps, twins, owners, lanes, kinds, micro-batch, virtual
+    index, component and credits), so a profile equals
+    simulate(build_task_graph(exp, alloc))[1].iteration_time exactly.
+
+    counts, when given, gathers "calls", "retimed" (cache misses) and
+    "plans" (plans built).
     """
     af_exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
+    costs = layer_costs(af_exp.model, af_exp.workload, af_exp.ep_size)
+    counts = Counter() if counts is None else counts
     cache: dict[tuple[int, int, int, int], float] = {}
+    plan: SchedulePlan | None = None
+    keys: list[tuple] = []  # each task's afpipe_durations key, in plan order
 
     def profile(alloc: Allocation) -> float:
+        nonlocal plan, keys
+        counts["calls"] += 1
         key = (alloc.attn_gpus, alloc.ffn_gpus, alloc.attn_nics, alloc.ffn_nics)
         if key not in cache:
-            _, result = simulate(build_task_graph(af_exp, alloc))
-            cache[key] = result.iteration_time
+            times = visit_times(af_exp, costs, alloc)
+            if plan is None:
+                plan = SchedulePlan(build_task_graph(af_exp, times=times))
+                keys = [(t.kind, t.component) for t in plan.tasks]
+                counts["plans"] += 1
+            durations = afpipe_durations(times)
+            _, makespan = plan.run([durations[k] for k in keys])
+            cache[key] = makespan / 1e9
+            counts["retimed"] += 1
         return cache[key]
 
     return profile
+
+
+def _log_profile(verb: str, counts: Counter) -> None:
+    # Imported here, as in sim.SchedulePlan.run: a cold start that never
+    # logs would otherwise pay for importing logging.
+    import logging
+
+    logging.getLogger("afpipe.allocator").debug(
+        "%s: %d profile calls, %d splits re-timed, %d plan builds",
+        verb, counts["calls"], counts["retimed"], counts["plans"],
+    )
+
+
+def _candidates(exp: Experiment, equal_nics: bool) -> list[Allocation]:
+    """enumerate_feasible over exp's cluster."""
+    cluster = exp.cluster
+    return enumerate_feasible(
+        cluster.total_gpus, cluster.total_nics, cluster.gpus_per_node, equal_nics
+    )
 
 
 def allocate(
@@ -264,12 +319,10 @@ def allocate(
 ) -> AllocationReport:
     """Run all three phases; the profile oracle is the pipeline simulator."""
     params = params or AllocatorParams()
-    cands = enumerate_feasible(
-        exp.cluster.total_gpus, exp.cluster.total_nics, exp.cluster.gpus_per_node, equal_nics
-    )
-    _, band = phase1_min_bottleneck(cands, exp, params.epsilon)
+    _, band = phase1_min_bottleneck(_candidates(exp, equal_nics), exp, params.epsilon)
     seed = phase2_tiebreak(band, exp)
-    profile = af_iteration_profile(exp)
+    counts = Counter()
+    profile = af_iteration_profile(exp, counts)
     best, t_star, improvements, trace = phase3_refine(
         seed,
         params,
@@ -279,6 +332,7 @@ def allocate(
         exp.cluster.gpus_per_node,
         equal_nics,
     )
+    _log_profile("allocate", counts)
     return AllocationReport(
         best=best,
         t_star=t_star,
@@ -295,25 +349,22 @@ def brute_force_oracle(
     equal_nics: bool = False,
 ) -> tuple[Allocation, float]:
     """Profile every feasible allocation; exact argmin, canonical tie-break."""
-    cands = enumerate_feasible(
-        exp.cluster.total_gpus, exp.cluster.total_nics, exp.cluster.gpus_per_node, equal_nics
-    )
+    cands = _candidates(exp, equal_nics)
     if len(cands) > cap:
         raise SearchSpaceTooLarge(f"{len(cands)} candidates exceed the cap of {cap}")
-    profile = af_iteration_profile(exp)
+    counts = Counter()
+    profile = af_iteration_profile(exp, counts)
     best = None
     best_time = None
     for cand in cands:
         t = profile(cand)
         if best_time is None or t < best_time:
             best, best_time = cand, t
+    _log_profile("brute_force_oracle", counts)
     return best, best_time
 
 
 def default_allocation(exp: Experiment, equal_nics: bool = False) -> Allocation:
     """Analytic seed (phases 1 and 2 only); the CLI default when none is given."""
-    cands = enumerate_feasible(
-        exp.cluster.total_gpus, exp.cluster.total_nics, exp.cluster.gpus_per_node, equal_nics
-    )
-    _, band = phase1_min_bottleneck(cands, exp, AllocatorParams().epsilon)
+    _, band = phase1_min_bottleneck(_candidates(exp, equal_nics), exp, AllocatorParams().epsilon)
     return phase2_tiebreak(band, exp)

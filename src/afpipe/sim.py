@@ -39,6 +39,15 @@ A commit costs a few heap operations, one per queue it touches, instead of a
 scan of every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each
 run's units, commits, heap pushes, stale pops and peak heap size.
 
+Plan and run: nothing above but the start times reads a duration. So a
+SchedulePlan, built once per graph, holds the checked tasks, the units in
+tie-break order, their queues, lanes and 1F1B counters, the dependents,
+the initial dependency counts and the credits; SchedulePlan.run takes one
+duration per task and returns each unit's start and the makespan. simulate
+is a plan, one run under the graph's own durations, then the timeline and
+its aggregation. The allocator re-times one plan per experiment under each
+split's durations, through the same loop.
+
 check_schedule lists what a trace breaks of the scheduler's invariants.
 
 A negative duration raises NegativeDuration. A dependency on an unknown task,
@@ -133,10 +142,184 @@ class _Queue:
         # owner's credit ranks compute units; others rank 0.
         self.lanes = lanes
         self.counters = counters
+        self.clear()
+
+    def clear(self) -> None:
+        """Empty the queue before a run."""
         self.parked: list[int] = []
         self.pending: list[tuple[int, int]] = []
         self.key: tuple[int, int, int] | None = None  # key of the live heap entry
         self.stamp = 0  # push number of the live heap entry
+
+
+class SchedulePlan:
+    """What scheduling a graph reads, except its durations; built once per graph.
+
+    It holds the graph's checked tasks, its units in tie-break order, the
+    queue of each unit (lanes and 1F1B counters), the units that depend on
+    each task, each unit's dependency count and each owner's credit. None of
+    these reads a duration, so one plan schedules the graph under any
+    durations of its tasks: run() is the scheduler loop. run() resets and
+    reuses the plan's queues, so one plan runs one schedule at a time.
+    """
+
+    def __init__(self, graph: TaskGraph):
+        _check_tasks(graph)
+        tasks = graph.tasks
+        # A duration table gives one value per task, in this order.
+        self.tasks = ordered = tuple(tasks.values())
+        index = dict(zip(tasks, range(len(ordered))))
+        # A schedulable unit is a lone task or a send/recv pair keyed by its
+        # send side; the receive side is committed together with its twin.
+        # Units are numbered in tie-break order, so the heap compares ints only.
+        order = sorted(
+            (t.microbatch, t.virtual_index, _COMPONENT_RANK.get(t.component, 2), t.owner, t.lane,
+             t.id, k)
+            for k, t in enumerate(ordered)
+            if t.twin is None or t.lane != RECV_LANE
+        )
+        lane_index: dict[tuple[str, str], int] = {}
+        owner_index: dict[str, int] = {}
+        queues: dict[tuple, _Queue] = {}  # by the (owner, lane, kind) of a unit's tasks
+        self.unit_tasks = unit_tasks = []  # task indices of each unit
+        self.unit_queue = unit_queue = []
+        self.remaining = remaining = []  # dependency count of each unit
+        dependents: dict[int, list[int]] = {tid: [] for tid in tasks}
+        for i, entry in enumerate(order):
+            k = entry[-1]
+            task = ordered[k]
+            if task.twin is None:
+                members = (k,)
+                shape = (task.owner, task.lane, task.kind)
+                deps = set(task.deps)
+            else:
+                twin = tasks[task.twin]
+                members = (k, index[task.twin])
+                shape = (task.owner, task.lane, task.kind, twin.owner, twin.lane, twin.kind)
+                deps = set(task.deps).union(twin.deps)
+            q = queues.get(shape)
+            if q is None:
+                lanes, counters = [], []
+                for member in map(ordered.__getitem__, members):
+                    lanes.append(
+                        lane_index.setdefault((member.owner, member.lane), len(lane_index))
+                    )
+                    counter = -1
+                    if member.lane == COMPUTE_LANE:
+                        owner = owner_index.setdefault(member.owner, len(owner_index))
+                        counter = 2 * owner + (member.kind is TaskKind.BWD_COMPUTE)
+                    counters.append(counter)
+                q = queues[shape] = _Queue(tuple(lanes), tuple(counters))
+            unit_tasks.append(members)
+            unit_queue.append(q)
+            remaining.append(len(deps))
+            for dep in deps:
+                dependents[dep].append(i)
+
+        # Units, by task index: the dict keeps the order of graph.tasks.
+        self.dependents = list(dependents.values())
+        self.credit = [graph.credits.get(owner, 1) for owner in owner_index]
+        self.queues = tuple(queues.values())
+        self.lane_queues: list[list[_Queue]] = [[] for _ in lane_index]
+        self.owner_queues: list[list[_Queue]] = [[] for _ in owner_index]
+        for q in self.queues:
+            for lane in q.lanes:
+                self.lane_queues[lane].append(q)
+            if q.counters[0] >= 0:
+                self.owner_queues[q.counters[0] >> 1].append(q)
+
+    def run(self, durations: list[int]) -> tuple[list[int | None], int]:
+        """Schedule every unit when its tasks take durations (ns, in tasks order).
+
+        Returns each unit's start and the makespan. Raises CycleDetected when
+        the ready set empties with tasks unplaced.
+        """
+        unit_tasks, unit_queue, dependents = self.unit_tasks, self.unit_queue, self.dependents
+        credit, lane_queues, owner_queues = self.credit, self.lane_queues, self.owner_queues
+        for q in self.queues:
+            q.clear()
+        remaining = self.remaining[:]
+        started = [0] * (2 * len(credit))  # forward, backward compute starts per owner
+        lane_free = [0] * len(lane_queues)
+        ready_ns = [0] * len(unit_tasks)  # latest end among a unit's committed dependencies
+        unit_start: list[int | None] = [None] * len(unit_tasks)
+        heap: list[tuple[int, int, int, int, _Queue]] = []
+        pushes = stale = peak = 0
+
+        def place(i: int) -> _Queue:
+            q = unit_queue[i]
+            if ready_ns[i] <= max(map(lane_free.__getitem__, q.lanes)):
+                heapq.heappush(q.parked, i)
+            else:
+                heapq.heappush(q.pending, (ready_ns[i], i))
+            return q
+
+        def refresh(q: _Queue) -> None:
+            """Give the heap the head of the non-empty queue q under its current key."""
+            nonlocal pushes
+            parked, pending = q.parked, q.pending
+            free = max(map(lane_free.__getitem__, q.lanes))
+            while pending and pending[0][0] <= free:
+                heapq.heappush(parked, heapq.heappop(pending)[1])
+            at, i = (free, parked[0]) if parked else pending[0]
+            rank = 0
+            rank_class = q.counters[0]
+            if rank_class >= 0:
+                owner = rank_class >> 1
+                prefer_bwd = started[2 * owner] - started[2 * owner + 1] >= credit[owner]
+                rank = 0 if (rank_class & 1) == prefer_bwd else 1
+            key = (at, rank, i)
+            if key != q.key:
+                pushes += 1
+                q.key, q.stamp = key, pushes
+                heapq.heappush(heap, (at, rank, i, pushes, q))
+
+        for q in dict.fromkeys([place(i) for i, n in enumerate(remaining) if n == 0]):
+            refresh(q)
+
+        while heap:
+            if len(heap) > peak:
+                peak = len(heap)
+            at, _, i, stamp, q = heapq.heappop(heap)
+            if stamp != q.stamp:
+                stale += 1
+                continue
+            heapq.heappop(q.parked if q.parked else q.pending)
+            q.key = None
+            unit_start[i] = at
+            touched = [q]
+            for k, lane, counter in zip(unit_tasks[i], q.lanes, q.counters):
+                lane_free[lane] = finish = at + durations[k]
+                touched += lane_queues[lane]
+                if counter >= 0:
+                    started[counter] += 1
+                    owner = counter >> 1
+                    # The owner's queues change rank only when this start carries
+                    # its in-flight forward count across its credit.
+                    if started[2 * owner] - started[2 * owner + 1] == credit[owner] - (counter & 1):
+                        touched += owner_queues[owner]
+                for j in dependents[k]:
+                    if finish > ready_ns[j]:
+                        ready_ns[j] = finish
+                    remaining[j] -= 1
+                    if remaining[j] == 0:
+                        touched.append(place(j))
+            for q in dict.fromkeys(touched):
+                if q.parked or q.pending:
+                    refresh(q)
+
+        # Imported here, not at the top: a cold start that never logs, such as a
+        # library import, would otherwise pay for importing logging.
+        import logging
+
+        logging.getLogger("afpipe.sim").debug(
+            "simulate: %d units, %d commits, %d heap pushes, %d stale pops, peak heap %d",
+            len(unit_tasks), pushes - stale, pushes, stale, peak,
+        )
+        if None in unit_start:
+            raise CycleDetected("dependency graph contains a cycle")
+        # A lane is free from the end of its last task, so the latest is the makespan.
+        return unit_start, max(lane_free, default=0)
 
 
 def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
@@ -144,152 +327,17 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
 
     Raises CycleDetected when the ready set empties with tasks unplaced.
     """
-    _check_tasks(graph)
-    tasks = graph.tasks
-    if not tasks:
-        trace = ScheduleTrace(events=(), iteration_ns=0)
-        return trace, _aggregate(graph, trace)
-
-    # A schedulable unit is a lone task or a send/recv pair keyed by its send
-    # side; the receive side is committed together with its twin. Units are
-    # numbered in tie-break order, so the heap compares ints only.
-    order = sorted(
-        (t.microbatch, t.virtual_index, _COMPONENT_RANK.get(t.component, 2), t.owner, t.lane,
-         t.id, t)
-        for t in tasks.values()
-        if t.twin is None or t.lane != RECV_LANE
-    )
-    lane_index: dict[tuple[str, str], int] = {}
-    owner_index: dict[str, int] = {}
-    queues: dict[tuple, _Queue] = {}  # by the (owner, lane, kind) of a unit's tasks
-    unit_tasks: list[tuple[Task, ...]] = []
-    unit_queue: list[_Queue] = []
-    remaining: list[int] = []
-    dependents: dict[int, list[int]] = {tid: [] for tid in tasks}
-    for i, entry in enumerate(order):
-        task = entry[-1]
-        if task.twin is None:
-            members = (task,)
-            shape = (task.owner, task.lane, task.kind)
-            deps = set(task.deps)
-        else:
-            twin = tasks[task.twin]
-            members = (task, twin)
-            shape = (task.owner, task.lane, task.kind, twin.owner, twin.lane, twin.kind)
-            deps = set(task.deps).union(twin.deps)
-        if shape not in queues:
-            lanes, counters = [], []
-            for member in members:
-                lanes.append(lane_index.setdefault((member.owner, member.lane), len(lane_index)))
-                counter = -1
-                if member.lane == COMPUTE_LANE:
-                    owner = owner_index.setdefault(member.owner, len(owner_index))
-                    counter = 2 * owner + (member.kind is TaskKind.BWD_COMPUTE)
-                counters.append(counter)
-            queues[shape] = _Queue(tuple(lanes), tuple(counters))
-        unit_tasks.append(members)
-        unit_queue.append(queues[shape])
-        remaining.append(len(deps))
-        for dep in deps:
-            dependents[dep].append(i)
-
-    credit = [graph.credits.get(owner, 1) for owner in owner_index]
-    started = [0] * (2 * len(owner_index))  # forward, backward compute starts per owner
-    lane_free = [0] * len(lane_index)
-    lane_queues: list[list[_Queue]] = [[] for _ in lane_index]
-    owner_queues: list[list[_Queue]] = [[] for _ in owner_index]
-    for q in queues.values():
-        for lane in q.lanes:
-            lane_queues[lane].append(q)
-        if q.counters[0] >= 0:
-            owner_queues[q.counters[0] >> 1].append(q)
-    ready_ns = [0] * len(order)  # latest end among a unit's committed dependencies
-    unit_start: list[int | None] = [None] * len(order)
-    heap: list[tuple[int, int, int, int, _Queue]] = []
-    pushes = stale = peak = 0
-
-    def place(i: int) -> _Queue:
-        q = unit_queue[i]
-        if ready_ns[i] <= max(map(lane_free.__getitem__, q.lanes)):
-            heapq.heappush(q.parked, i)
-        else:
-            heapq.heappush(q.pending, (ready_ns[i], i))
-        return q
-
-    def refresh(q: _Queue) -> None:
-        """Give the heap the head of the non-empty queue q under its current key."""
-        nonlocal pushes
-        parked, pending = q.parked, q.pending
-        free = max(map(lane_free.__getitem__, q.lanes))
-        while pending and pending[0][0] <= free:
-            heapq.heappush(parked, heapq.heappop(pending)[1])
-        at, i = (free, parked[0]) if parked else pending[0]
-        rank = 0
-        rank_class = q.counters[0]
-        if rank_class >= 0:
-            owner = rank_class >> 1
-            prefer_bwd = started[2 * owner] - started[2 * owner + 1] >= credit[owner]
-            rank = 0 if (rank_class & 1) == prefer_bwd else 1
-        key = (at, rank, i)
-        if key != q.key:
-            pushes += 1
-            q.key, q.stamp = key, pushes
-            heapq.heappush(heap, (at, rank, i, pushes, q))
-
-    for q in dict.fromkeys([place(i) for i, n in enumerate(remaining) if n == 0]):
-        refresh(q)
-
-    while heap:
-        if len(heap) > peak:
-            peak = len(heap)
-        at, _, i, stamp, q = heapq.heappop(heap)
-        if stamp != q.stamp:
-            stale += 1
-            continue
-        heapq.heappop(q.parked if q.parked else q.pending)
-        q.key = None
-        unit_start[i] = at
-        touched = [q]
-        for task, lane, counter in zip(unit_tasks[i], q.lanes, q.counters):
-            lane_free[lane] = finish = at + task.duration_ns
-            touched += lane_queues[lane]
-            if counter >= 0:
-                started[counter] += 1
-                owner = counter >> 1
-                # The owner's queues change rank only when this start carries
-                # its in-flight forward count across its credit.
-                if started[2 * owner] - started[2 * owner + 1] == credit[owner] - (counter & 1):
-                    touched += owner_queues[owner]
-            for j in dependents[task.id]:
-                if finish > ready_ns[j]:
-                    ready_ns[j] = finish
-                remaining[j] -= 1
-                if remaining[j] == 0:
-                    touched.append(place(j))
-        for q in dict.fromkeys(touched):
-            if q.parked or q.pending:
-                refresh(q)
-
-    # Imported here, not at the top: a cold start that never logs, such as a
-    # library import, would otherwise pay for importing logging.
-    import logging
-
-    logging.getLogger("afpipe.sim").debug(
-        "simulate: %d units, %d commits, %d heap pushes, %d stale pops, peak heap %d",
-        len(order), pushes - stale, pushes, stale, peak,
-    )
-    if None in unit_start:
-        raise CycleDetected("dependency graph contains a cycle")
-
+    plan = SchedulePlan(graph)
+    tasks = plan.tasks
+    starts, makespan = plan.run([t.duration_ns for t in tasks])
     timeline = sorted(
-        (begin, t.owner, t.lane, t.id, t)
-        for begin, members in zip(unit_start, unit_tasks)
-        for t in members
+        (begin, (t := tasks[k]).owner, t.lane, t.id, t)
+        for begin, members in zip(starts, plan.unit_tasks)
+        for k in members
     )
-    # A lane is free from the end of its last task, so the latest is the makespan.
     trace = ScheduleTrace(
         events=tuple(TraceEvent(t, at, at + t.duration_ns) for at, _, _, _, t in timeline),
-        iteration_ns=max(lane_free),
+        iteration_ns=makespan,
     )
     return trace, _aggregate(graph, trace)
 

@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .config import Experiment, ScheduleKind
-from .costs import BACKWARD_MULTIPLIER, StageTimes, layer_costs, staged_layer_time
+from .costs import BACKWARD_MULTIPLIER, LayerCosts, StageTimes, layer_costs, staged_layer_time
 from .placement import ATTN, FFN
 
 
@@ -112,15 +112,14 @@ def _compute_ns(seconds: float) -> tuple[tuple[int, int], tuple[int, int]]:
     return (_ns(seconds), 0), (_ns(seconds * BACKWARD_MULTIPLIER), 0)
 
 
-def visit_times(exp: Experiment, alloc=None) -> StageTimes:
-    """Forward per-visit durations for exp's schedule kind.
+def visit_times(exp: Experiment, lc: LayerCosts, alloc=None) -> StageTimes:
+    """Forward per-visit durations for exp's schedule kind, from its layer costs lc.
 
     Compute tasks take t_attn / t_ffn, exchanges t_m2n, collectives t_a2a
     and inter-stage transfers t_p2p, each derived from the cost model and the
     resources serving one group (disaggregated) or one stage (baselines).
     """
     cluster = exp.cluster
-    lc = layer_costs(exp.model, exp.workload, exp.ep_size)
     peak, ib = cluster.gpu_peak, cluster.ib_bw
     per_gpu_bw = cluster.total_nics * ib / cluster.total_gpus
     a2a = float(lc.a2a_bytes_per_gpu) / per_gpu_bw
@@ -244,7 +243,7 @@ def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = 
 
     if exp.workload.num_microbatches == 0:
         return graph
-    vt = times if times is not None else visit_times(exp, alloc)
+    vt = times if times is not None else visit_times(exp, lc, alloc)
 
     if exp.schedule_kind is ScheduleKind.AFPIPE:
         _build_afpipe(graph, exp, vt)
@@ -255,11 +254,31 @@ def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = 
     return graph
 
 
+def afpipe_durations(vt: StageTimes) -> dict[tuple[TaskKind, str | None], int]:
+    """duration_ns of every disaggregated-schedule task, by (kind, component).
+
+    Five values: attention and FFN forward and backward compute, and the M2N
+    exchange on both sides. They are all an afpipe graph takes from its
+    split; its tasks, dependencies, owners, lanes and credits do not change.
+    """
+    (attn_fwd, _), (attn_bwd, _) = _compute_ns(vt.t_attn)
+    (ffn_fwd, _), (ffn_bwd, _) = _compute_ns(vt.t_ffn)
+    m2n = _ns(vt.t_m2n)
+    return {
+        (TaskKind.FWD_COMPUTE, ATTN): attn_fwd,
+        (TaskKind.BWD_COMPUTE, ATTN): attn_bwd,
+        (TaskKind.FWD_COMPUTE, FFN): ffn_fwd,
+        (TaskKind.BWD_COMPUTE, FFN): ffn_bwd,
+        (TaskKind.M2N_SEND, None): m2n,
+        (TaskKind.M2N_RECV, None): m2n,
+    }
+
+
 def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
     """Layer l visits A(l mod p) then F(l mod p); every hop is an M2N exchange."""
     p = exp.pipeline_depth
     layers = exp.model.layers
-    attn, ffn = _compute_ns(vt.t_attn), _compute_ns(vt.t_ffn)
+    ns = afpipe_durations(vt)
 
     graph.owners = tuple(f"A{g}" for g in range(p)) + tuple(f"F{g}" for g in range(p))
     # 1F1B credit: visits at or after the group's first appearance in the
@@ -270,12 +289,14 @@ def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
         graph.credits[f"F{g}"] = max(1, total_visits - (2 * g + 1))
 
     visits = [
-        _Visit(f"{component}{layer % p}", TaskKind.FWD_COMPUTE, fwd, bwd,
+        _Visit(f"{component}{layer % p}", TaskKind.FWD_COMPUTE,
+               (ns[TaskKind.FWD_COMPUTE, component], 0), (ns[TaskKind.BWD_COMPUTE, component], 0),
                layer=layer, virtual_index=layer // p, component=component)
         for layer in range(layers)
-        for component, (fwd, bwd) in ((ATTN, attn), (FFN, ffn))
+        for component in (ATTN, FFN)
     ]
-    _walk(graph, exp, visits, (TaskKind.M2N_SEND, TaskKind.M2N_RECV, _ns(vt.t_m2n)))
+    _walk(graph, exp, visits,
+          (TaskKind.M2N_SEND, TaskKind.M2N_RECV, ns[TaskKind.M2N_SEND, None]))
 
 
 def _build_staged(graph: TaskGraph, exp: Experiment, vt: StageTimes, overlap: bool) -> None:

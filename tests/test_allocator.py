@@ -1,3 +1,9 @@
+import logging
+import os
+import re
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from afpipe.allocator import (
@@ -16,8 +22,19 @@ from afpipe.allocator import (
     phase2_tiebreak,
     phase3_refine,
 )
-from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
+from afpipe.config import (
+    ClusterConfig,
+    Experiment,
+    ModelConfig,
+    ScheduleKind,
+    Workload,
+    load_experiment,
+)
 from afpipe.costs import layer_costs
+from afpipe.sim import simulate
+from afpipe.taskgraph import build_task_graph
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def _experiment(W=4, nics=4, layers=2, depth=2, stages=1, seq=1024, hidden=512,
@@ -269,3 +286,87 @@ def test_canonical_allocation_prefers_dense_nodes():
     assert (alloc.attn_nodes, alloc.attn_gpus_per_node) == (1, 7)
     alloc = canonical_allocation(13, 2, 16, 4, node_size_max=8)
     assert (alloc.attn_nodes, alloc.attn_gpus_per_node) == (13, 1)
+
+
+def _reference_profile(exp):
+    """Builds and simulates every split it profiles, memoized on the split."""
+    af_exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
+    cache = {}
+
+    def profile(alloc):
+        key = (alloc.attn_gpus, alloc.ffn_gpus, alloc.attn_nics, alloc.ffn_nics)
+        if key not in cache:
+            cache[key] = simulate(build_task_graph(af_exp, alloc))[1].iteration_time
+        return cache[key]
+
+    return profile
+
+
+# The deepseek config runs 2 of its 8 micro-batches: the split-independent
+# topology re-timing relies on is the same at any count, and 2 keep 1F1B
+# interleaving while the 1,644 reference simulations stay within seconds.
+# allocate and brute_force_oracle are functions of the profile values; they
+# are compared on the 8/8 cluster, where their re-timing costs least.
+@pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("config,microbatches", [("toy.yaml", None), ("deepseek_moe.yaml", 2)])
+def test_retimed_profile_equals_simulation(config, microbatches, depth):
+    base = load_experiment(os.path.join(CONFIGS, config))
+    if microbatches is not None:
+        base = replace(base, workload=replace(base.workload, num_microbatches=microbatches))
+    for total in (8, 16):
+        exp = replace(base, pipeline_depth=depth,
+                      cluster=replace(base.cluster, total_gpus=total, total_nics=total))
+        gpn = exp.cluster.gpus_per_node
+        reference = _reference_profile(exp)
+        counts = Counter()
+        profile = af_iteration_profile(exp, counts)
+        cands = enumerate_feasible(total, total, gpn)
+        splits = {(c.attn_gpus, c.attn_nics): c for c in cands}
+        for alloc in splits.values():
+            assert profile(alloc) == reference(alloc), alloc
+        assert counts == {"calls": len(splits), "retimed": len(splits), "plans": 1}
+        if total != 8:
+            continue
+
+        best = min(cands, key=reference)  # the first of the minima, in canonical order
+        assert brute_force_oracle(exp) == (best, reference(best))
+        for seed in range(6):
+            params = AllocatorParams(radius=4, trials=50, rng_seed=seed)
+            report = allocate(exp, params)
+            expected = phase3_refine(report.seed_alloc, params, reference, total, total, gpn)
+            assert report.objective_trace == expected[3]
+
+
+def test_profile_of_no_microbatches_is_zero():
+    # Config validation rejects 0 micro-batches, so it is set past it.
+    exp = _experiment()
+    exp = replace(exp, workload=replace(exp.workload, num_microbatches=0))
+    alloc = canonical_allocation(2, 2, 4, 4, 2)
+    assert simulate(build_task_graph(exp, alloc))[1].iteration_time == 0.0
+    assert af_iteration_profile(exp)(alloc) == 0.0
+
+
+def _profile_log(caplog, run):
+    """run()'s result, and the verb and counts of the one afpipe.allocator line it logs."""
+    with caplog.at_level(logging.DEBUG, logger="afpipe.allocator"):
+        result = run()
+    lines = [r.getMessage() for r in caplog.records if r.name == "afpipe.allocator"]
+    assert len(lines) == 1
+    match = re.fullmatch(r"(\w+): (\d+) profile calls, (\d+) splits re-timed, (\d+) plan builds",
+                         lines[0])
+    assert match, lines[0]
+    return result, match.group(1), tuple(map(int, match.groups()[1:]))
+
+
+def test_allocate_and_oracle_log_profile_counts_at_debug(caplog):
+    exp = _experiment(W=6, nics=4)
+    params = AllocatorParams(trials=40, radius=2, rng_seed=3)
+    report, verb, counts = _profile_log(caplog, lambda: allocate(exp, params))
+    splits = {(a.attn_gpus, a.attn_nics) for a, _ in report.objective_trace}
+    assert (verb, counts) == ("allocate", (params.trials + 1, len(splits), 1))
+
+    caplog.clear()
+    _, verb, counts = _profile_log(caplog, lambda: brute_force_oracle(exp))
+    cands = enumerate_feasible(6, 4, 2)
+    splits = {(c.attn_gpus, c.attn_nics) for c in cands}
+    assert (verb, counts) == ("brute_force_oracle", (len(cands), len(splits), 1))
