@@ -1,9 +1,9 @@
 """GPU/NIC allocation search for the disaggregated pipeline.
 
 Three phases:
-  1. enumerate every feasible split of W GPUs and M_tot NICs and keep the
-     set minimizing the analytic bottleneck max(T_a, T_f) (plus an epsilon
-     band);
+  1. enumerate every feasible split (M, M_a) of W GPUs and M_tot NICs and
+     keep the set minimizing the analytic bottleneck max(T_a, T_f) (plus an
+     epsilon band);
   2. break ties by the roofline objective: the summed attainable throughput
      of both sides under their NIC-lifted bandwidths (the MFU numerator at a
      fixed bottleneck);
@@ -11,17 +11,31 @@ Three phases:
      canonically, profiles the candidate with the pipeline simulator, and
      accepts strict improvements.
 
-The search space stays small at cluster scale (GPU splits x NIC splits x
-node shapes), so exact enumeration replaces an integer-programming solver.
+No objective reads a node shape, so a split is one candidate, carrying the
+densest shape on each side (canonical_allocation). The search space is then
+GPU splits x NIC splits, small enough at cluster scale for exact enumeration
+to replace an integer-programming solver. The phase-1 set size and the
+oracle's cap still count every (split, attention shape, FFN shape) triple,
+summed from shape counts without building the copies.
 
 Profiling plans once and re-times per split: the disaggregated task graph's
 tasks, dependencies, owners, lanes and credits do not depend on the split,
-only five task durations do. So af_iteration_profile builds one graph and
-its sim.SchedulePlan per experiment, and each new split only derives its
-durations (taskgraph.visit_times and afpipe_durations, as build_task_graph
-does) and runs the plan: the same scheduler loop simulate runs, giving the
-same makespan. With AFPIPE_LOG=DEBUG, logger afpipe.allocator logs each
-allocate and brute_force_oracle run's profile calls, splits re-timed and
+only five task durations do. So one graph and its sim.SchedulePlan are
+built per experiment, and each new split only derives its durations
+(taskgraph.visit_times and afpipe_durations, as build_task_graph does) and
+runs the plan: the same scheduler loop simulate runs, giving the same
+makespan.
+
+brute_force_oracle is exact without running every split. The plan fixes how
+many tasks of each duration key sit on each (owner, lane), and no two tasks
+on one lane overlap, so each lane's summed duration is a lower bound on a
+split's makespan (sim.resource_bound_ns, with no graph). The oracle visits
+splits in bound order and runs the plan only while the bound is at most the
+best time found: every split it skips takes longer than that time, so the
+argmin and its canonical tie-break are those of the exhaustive search.
+
+With AFPIPE_LOG=DEBUG, logger afpipe.allocator logs each allocate and
+brute_force_oracle run's profile calls, splits re-timed, splits pruned and
 plan builds.
 """
 
@@ -95,13 +109,17 @@ class AllocationReport:
     objective_trace: list[tuple[Allocation, float]] = field(default_factory=list)
 
 
-def _factorizations(count: int, node_size_max: int) -> list[tuple[int, int]]:
-    """(nodes, gpus_per_node) pairs with nodes*gpn == count, ascending nodes."""
-    return [
-        (count // gpn, gpn)
-        for gpn in range(min(count, node_size_max), 0, -1)
-        if count % gpn == 0
-    ]
+def _shape_count(count: int, node_size_max: int) -> int:
+    """How many (nodes, gpus_per_node) pairs with gpus_per_node <= node_size_max hold count GPUs."""
+    return sum(1 for gpn in range(1, min(count, node_size_max) + 1) if count % gpn == 0)
+
+
+def _shaped_size(cands: list[Allocation], node_size_max: int) -> int:
+    """How many (split, attention shape, FFN shape) triples the splits in cands stand for."""
+    return sum(
+        _shape_count(c.attn_gpus, node_size_max) * _shape_count(c.ffn_gpus, node_size_max)
+        for c in cands
+    )
 
 
 def largest_node_shape(count: int, node_size_max: int) -> tuple[int, int]:
@@ -139,10 +157,12 @@ def enumerate_feasible(
     node_size_max: int = 8,
     equal_nics: bool = False,
 ) -> list[Allocation]:
-    """Every allocation satisfying the split constraints, canonically ordered.
+    """One allocation per feasible split (M, M_a), canonically ordered.
 
-    Order: ascending attention GPUs, then attention NICs, then node count,
-    then GPUs per node (mirrored on the FFN side).
+    Each carries canonical_allocation's densest node shapes, the shape that
+    sorts first among a split's shapes. No objective reads the shape, so the
+    other shapes are not built; _shaped_size counts them. Order: ascending
+    attention GPUs, then attention NICs.
     """
     if total_gpus < 2 or total_nics < 2:
         raise NoFeasible(
@@ -150,30 +170,14 @@ def enumerate_feasible(
         )
     if equal_nics and total_nics % 2 != 0:
         raise NoFeasible(f"equal NIC split requires an even NIC count, got {total_nics}")
+    if node_size_max < 1:
+        raise NoFeasible(f"no node shape has at most {node_size_max} GPUs per node")
     nic_splits = [total_nics // 2] if equal_nics else range(1, total_nics)
-    out: list[Allocation] = []
-    for attn_gpus in range(1, total_gpus):
-        attn_shapes = _factorizations(attn_gpus, node_size_max)
-        ffn_shapes = _factorizations(total_gpus - attn_gpus, node_size_max)
-        for attn_nics in nic_splits:
-            for m, mu in attn_shapes:
-                for n, nu in ffn_shapes:
-                    out.append(
-                        Allocation(
-                            attn_gpus=attn_gpus,
-                            ffn_gpus=total_gpus - attn_gpus,
-                            attn_nodes=m,
-                            ffn_nodes=n,
-                            attn_gpus_per_node=mu,
-                            ffn_gpus_per_node=nu,
-                            attn_nics=attn_nics,
-                            ffn_nics=total_nics - attn_nics,
-                        )
-                    )
-    if not out:
-        raise NoFeasible("empty feasible set")
-    out.sort(key=Allocation.sort_key)
-    return out
+    return [
+        canonical_allocation(attn_gpus, attn_nics, total_gpus, total_nics, node_size_max)
+        for attn_gpus in range(1, total_gpus)
+        for attn_nics in nic_splits
+    ]
 
 
 def analytic_bottleneck(alloc: Allocation, exp: Experiment, costs: LayerCosts) -> float:
@@ -251,6 +255,47 @@ def phase3_refine(
     return best, best_time, improvements, trace
 
 
+class _Retimer:
+    """One experiment's afpipe SchedulePlan, re-timed per split.
+
+    The first split whose durations are asked for builds the graph and its
+    plan; every split then runs that plan under its own durations. keys
+    holds each task's afpipe_durations key in plan order, and lanes the
+    (key, task count) pairs of each (owner, lane). Plans built are counted
+    in counts["plans"].
+    """
+
+    def __init__(self, exp: Experiment, counts: Counter):
+        self.exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
+        self.costs = layer_costs(self.exp.model, self.exp.workload, self.exp.ep_size)
+        self.counts = counts
+        self.plan: SchedulePlan | None = None
+        self.keys: list[tuple] = []
+        self.lanes: list[tuple[tuple[tuple, int], ...]] = []
+
+    def durations(self, alloc: Allocation) -> dict[tuple, int]:
+        """alloc's task durations (ns) by afpipe_durations key."""
+        times = visit_times(self.exp, self.costs, alloc)
+        if self.plan is None:
+            self.plan = SchedulePlan(build_task_graph(self.exp, times=times))
+            self.keys = [(t.kind, t.component) for t in self.plan.tasks]
+            lanes: dict[tuple[str, str], Counter] = {}
+            for task, key in zip(self.plan.tasks, self.keys):
+                lanes.setdefault((task.owner, task.lane), Counter())[key] += 1
+            self.lanes = [tuple(lane.items()) for lane in lanes.values()]
+            self.counts["plans"] += 1
+        return afpipe_durations(times)
+
+    def lane_bound_ns(self, durations: dict[tuple, int]) -> int:
+        """The largest summed duration of one (owner, lane): sim.resource_bound_ns."""
+        return max(
+            (sum(durations[key] * n for key, n in lane) for lane in self.lanes), default=0
+        )
+
+    def makespan_ns(self, durations: dict[tuple, int]) -> int:
+        return self.plan.run([durations[key] for key in self.keys])[1]
+
+
 def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
     """Deterministic profile function: simulated disaggregated iteration time.
 
@@ -267,26 +312,15 @@ def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
     counts, when given, gathers "calls", "retimed" (cache misses) and
     "plans" (plans built).
     """
-    af_exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
-    costs = layer_costs(af_exp.model, af_exp.workload, af_exp.ep_size)
     counts = Counter() if counts is None else counts
+    retimer = _Retimer(exp, counts)
     cache: dict[tuple[int, int, int, int], float] = {}
-    plan: SchedulePlan | None = None
-    keys: list[tuple] = []  # each task's afpipe_durations key, in plan order
 
     def profile(alloc: Allocation) -> float:
-        nonlocal plan, keys
         counts["calls"] += 1
         key = (alloc.attn_gpus, alloc.ffn_gpus, alloc.attn_nics, alloc.ffn_nics)
         if key not in cache:
-            times = visit_times(af_exp, costs, alloc)
-            if plan is None:
-                plan = SchedulePlan(build_task_graph(af_exp, times=times))
-                keys = [(t.kind, t.component) for t in plan.tasks]
-                counts["plans"] += 1
-            durations = afpipe_durations(times)
-            _, makespan = plan.run([durations[k] for k in keys])
-            cache[key] = makespan / 1e9
+            cache[key] = retimer.makespan_ns(retimer.durations(alloc)) / 1e9
             counts["retimed"] += 1
         return cache[key]
 
@@ -299,8 +333,8 @@ def _log_profile(verb: str, counts: Counter) -> None:
     import logging
 
     logging.getLogger("afpipe.allocator").debug(
-        "%s: %d profile calls, %d splits re-timed, %d plan builds",
-        verb, counts["calls"], counts["retimed"], counts["plans"],
+        "%s: %d profile calls, %d splits re-timed, %d splits pruned, %d plan builds",
+        verb, counts["calls"], counts["retimed"], counts["pruned"], counts["plans"],
     )
 
 
@@ -336,7 +370,7 @@ def allocate(
     return AllocationReport(
         best=best,
         t_star=t_star,
-        phase1_set_size=len(band),
+        phase1_set_size=_shaped_size(band, exp.cluster.gpus_per_node),
         seed_alloc=seed,
         refine_improvements=improvements,
         objective_trace=trace,
@@ -348,18 +382,40 @@ def brute_force_oracle(
     cap: int = 100_000,
     equal_nics: bool = False,
 ) -> tuple[Allocation, float]:
-    """Profile every feasible allocation; exact argmin, canonical tie-break."""
+    """Exact argmin of the profiled time over every feasible split, canonical tie-break.
+
+    cap bounds the (split, attention shape, FFN shape) count. Splits are
+    visited by ascending lane bound, canonical order among equal bounds, and
+    the plan runs only while the bound is at most the best time so far; the
+    splits left take longer than the best, so the result is that of
+    profiling every split. Times are compared as the profile returns them,
+    makespan / 1e9.
+    """
     cands = _candidates(exp, equal_nics)
-    if len(cands) > cap:
-        raise SearchSpaceTooLarge(f"{len(cands)} candidates exceed the cap of {cap}")
+    size = _shaped_size(cands, exp.cluster.gpus_per_node)
+    if size > cap:
+        raise SearchSpaceTooLarge(f"{size} candidates exceed the cap of {cap}")
     counts = Counter()
-    profile = af_iteration_profile(exp, counts)
+    retimer = _Retimer(exp, counts)
+    bounded = []
+    for cand in cands:
+        durations = retimer.durations(cand)
+        bounded.append((retimer.lane_bound_ns(durations) / 1e9, cand, durations))
+    # Stable: equal bounds keep the canonical order of cands.
+    bounded.sort(key=lambda entry: entry[0])
     best = None
     best_time = None
-    for cand in cands:
-        t = profile(cand)
-        if best_time is None or t < best_time:
+    retimed = 0
+    for bound, cand, durations in bounded:
+        if best_time is not None and bound > best_time:
+            break
+        t = retimer.makespan_ns(durations) / 1e9
+        if best_time is None or t < best_time or (
+            t == best_time and cand.sort_key() < best.sort_key()
+        ):
             best, best_time = cand, t
+        retimed += 1
+    counts.update(calls=retimed, retimed=retimed, pruned=len(cands) - retimed)
     _log_profile("brute_force_oracle", counts)
     return best, best_time
 

@@ -157,6 +157,8 @@ def cmd_allocate(args) -> int:
         report = alloc_mod.allocate(exp, params, equal_nics=args.equal_nics)
     except NoFeasible as exc:
         raise _CliError(EXIT_INFEASIBLE, f"no feasible allocation: {exc}") from exc
+    except (GraphConstructionError, CycleDetected, NegativeDuration) as exc:
+        raise _CliError(EXIT_SIMULATION, f"simulation failed: {exc}") from exc
     best = report.best
     print(f"best allocation: M={best.attn_gpus} N={best.ffn_gpus} "
           f"Ma={best.attn_nics} Mf={best.ffn_nics} "

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .config import Experiment, ScheduleKind
@@ -101,7 +102,10 @@ class TaskGraph:
 
 
 def _ns(seconds: float) -> int:
-    value = int(round(seconds * 1e9))
+    scaled = seconds * 1e9
+    if not math.isfinite(scaled):
+        raise GraphConstructionError(f"duration {seconds!r} s has no finite nanosecond value")
+    value = int(round(scaled))
     if value < 0:
         raise GraphConstructionError(f"negative duration: {seconds}")
     return value

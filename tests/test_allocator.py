@@ -11,6 +11,8 @@ from afpipe.allocator import (
     AllocatorParams,
     NoFeasible,
     SearchSpaceTooLarge,
+    _Retimer,
+    _shaped_size,
     af_iteration_profile,
     allocate,
     analytic_bottleneck,
@@ -31,7 +33,7 @@ from afpipe.config import (
     load_experiment,
 )
 from afpipe.costs import layer_costs
-from afpipe.sim import simulate
+from afpipe.sim import resource_bound_ns, simulate
 from afpipe.taskgraph import build_task_graph
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -82,14 +84,23 @@ def test_enumerate_unsplittable_nics():
         enumerate_feasible(2, 1)
 
 
+def test_enumerate_without_node_shapes():
+    with pytest.raises(NoFeasible):
+        enumerate_feasible(4, 4, node_size_max=0)
+
+
 def test_enumerate_matches_independent_count():
-    cands = enumerate_feasible(4, 4, node_size_max=8)
-    expected = _brute_force_allocations(4, 4, 8)
-    got = {(c.attn_gpus, c.ffn_gpus, c.attn_nodes, c.ffn_nodes,
-            c.attn_gpus_per_node, c.ffn_gpus_per_node, c.attn_nics, c.ffn_nics)
-           for c in cands}
-    assert got == expected
-    assert len(cands) == len(expected)
+    # One candidate per distinct (M, M_a) of the shape-expanded brute force,
+    # with the densest shape, standing for all of that split's shapes.
+    for total_gpus, total_nics, node_size_max in ((4, 4, 8), (9, 5, 2), (12, 3, 4)):
+        cands = enumerate_feasible(total_gpus, total_nics, node_size_max)
+        expected = _brute_force_allocations(total_gpus, total_nics, node_size_max)
+        splits = sorted({(t[0], t[6]) for t in expected})
+        assert [(c.attn_gpus, c.attn_nics) for c in cands] == splits
+        for c in cands:
+            assert c == canonical_allocation(c.attn_gpus, c.attn_nics, total_gpus, total_nics,
+                                             node_size_max)
+        assert _shaped_size(cands, node_size_max) == len(expected)
 
 
 def test_enumerate_canonical_order():
@@ -352,8 +363,8 @@ def _profile_log(caplog, run):
         result = run()
     lines = [r.getMessage() for r in caplog.records if r.name == "afpipe.allocator"]
     assert len(lines) == 1
-    match = re.fullmatch(r"(\w+): (\d+) profile calls, (\d+) splits re-timed, (\d+) plan builds",
-                         lines[0])
+    match = re.fullmatch(r"(\w+): (\d+) profile calls, (\d+) splits re-timed, "
+                         r"(\d+) splits pruned, (\d+) plan builds", lines[0])
     assert match, lines[0]
     return result, match.group(1), tuple(map(int, match.groups()[1:]))
 
@@ -363,10 +374,94 @@ def test_allocate_and_oracle_log_profile_counts_at_debug(caplog):
     params = AllocatorParams(trials=40, radius=2, rng_seed=3)
     report, verb, counts = _profile_log(caplog, lambda: allocate(exp, params))
     splits = {(a.attn_gpus, a.attn_nics) for a, _ in report.objective_trace}
-    assert (verb, counts) == ("allocate", (params.trials + 1, len(splits), 1))
+    assert (verb, counts) == ("allocate", (params.trials + 1, len(splits), 0, 1))
 
     caplog.clear()
-    _, verb, counts = _profile_log(caplog, lambda: brute_force_oracle(exp))
+    (_, best_time), verb, counts = _profile_log(caplog, lambda: brute_force_oracle(exp))
     cands = enumerate_feasible(6, 4, 2)
-    splits = {(c.attn_gpus, c.attn_nics) for c in cands}
-    assert (verb, counts) == ("brute_force_oracle", (len(cands), len(splits), 1))
+    bounds = [resource_bound_ns(build_task_graph(exp, c)) / 1e9 for c in cands]
+    retimed = sum(bound <= best_time for bound in bounds)
+    assert 0 < retimed < len(cands)
+    assert (verb, counts) == ("brute_force_oracle", (retimed, retimed, len(cands) - retimed, 1))
+
+
+def _sized(config, total, depth=None, **workload):
+    """configs/<config> on a total/total GPU/NIC cluster, workload fields replaced."""
+    exp = load_experiment(os.path.join(CONFIGS, config))
+    return replace(
+        exp,
+        pipeline_depth=exp.pipeline_depth if depth is None else depth,
+        workload=replace(exp.workload, **workload),
+        cluster=replace(exp.cluster, total_gpus=total, total_nics=total),
+    )
+
+
+def _expanded(exp, equal_nics=False):
+    """The shape-expanded candidates, canonically ordered, from the independent enumeration."""
+    cluster = exp.cluster
+    cands = sorted(
+        (Allocation(*t) for t in _brute_force_allocations(
+            cluster.total_gpus, cluster.total_nics, cluster.gpus_per_node)),
+        key=Allocation.sort_key,
+    )
+    if equal_nics:
+        cands = [c for c in cands if c.attn_nics == cluster.total_nics // 2]
+    return cands
+
+
+# The sequence lengths of the benchmark's oracle pool (deepseek, 8/8, 4 micro-batches).
+SEQ_LENS = (2048, 4096, 8192, 16384, 32768)
+
+
+@pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
+def test_pruned_oracle_equals_exhaustive_reference(config):
+    # ib_bw = 1e20 rounds every exchange to 0 ns, so the NIC splits of a GPU split tie.
+    for seq, ib in [*((seq, None) for seq in SEQ_LENS), (8192, 1e20)]:
+        exp = _sized(config, 8, seq_len=seq, num_microbatches=4)
+        if ib is not None:
+            exp = replace(exp, cluster=replace(exp.cluster, ib_bw=ib))
+        reference = _reference_profile(exp)
+        for equal_nics in (False, True):
+            best = min(_expanded(exp, equal_nics), key=reference)  # the first of the minima
+            assert brute_force_oracle(exp, equal_nics=equal_nics) == (best, reference(best)), seq
+
+
+def test_pruned_oracle_keeps_least_sort_key_on_equal_times():
+    # One micro-batch on 5 GPUs: the splits M=3 and M=4 (5 NICs each) take
+    # the same time, and the later one has the smaller lane bound, so it is
+    # re-timed first; the canonically first must still win.
+    exp = replace(_experiment(W=5, nics=10, seq=1024, hidden=512, topk=1, moe_hidden=256,
+                              ib=1e12, microbatches=1, gpus_per_node=4),
+                  model=ModelConfig(layers=2, hidden=512, experts=4, topk=1, moe_hidden=256))
+    reference = _reference_profile(exp)
+    first, later = canonical_allocation(3, 5, 5, 10, 4), canonical_allocation(4, 5, 5, 10, 4)
+    assert reference(first) == reference(later) == min(map(reference, _expanded(exp)))
+    bound = {c: resource_bound_ns(build_task_graph(exp, c)) for c in (first, later)}
+    assert bound[later] < bound[first]
+    assert brute_force_oracle(exp) == (first, reference(first))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_lane_bound_equals_resource_bound(depth):
+    for config, microbatches in (("toy.yaml", 4), ("deepseek_moe.yaml", 2)):
+        exp = _sized(config, 8, depth=depth, num_microbatches=microbatches)
+        retimer = _Retimer(exp, Counter())
+        for alloc in enumerate_feasible(8, 8, exp.cluster.gpus_per_node):
+            graph = build_task_graph(exp, alloc)
+            assert retimer.lane_bound_ns(retimer.durations(alloc)) == resource_bound_ns(graph)
+
+
+def test_shaped_sizes_match_expanded_enumeration():
+    # phase1_set_size and the oracle's cap count every node shape of a split.
+    for W, nics, gpn in ((4, 4, 2), (6, 4, 2), (9, 5, 4), (12, 6, 8), (16, 3, 1)):
+        exp = _experiment(W=W, nics=nics, gpus_per_node=gpn, microbatches=1)
+        expanded = _expanded(exp)
+        costs = layer_costs(exp.model, exp.workload, exp.ep_size)
+        scores = [analytic_bottleneck(c, exp, costs) for c in expanded]
+        params = AllocatorParams(trials=0)
+        band = [t for t in scores if t <= min(scores) * (1.0 + params.epsilon)]
+        assert allocate(exp, params).phase1_set_size == len(band)
+
+        brute_force_oracle(exp, cap=len(expanded))
+        with pytest.raises(SearchSpaceTooLarge, match=f"^{len(expanded)} candidates"):
+            brute_force_oracle(exp, cap=len(expanded) - 1)

@@ -80,6 +80,24 @@ def test_unwritable_output_exits_5(argv, tmp_path, capsys):
     assert str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["gpu_peak", "ib_bw"])
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["compare"],
+    ["sweep", "--axis", "seq_len", "--values", "1024"],
+    ["allocate", "--trials", "1"],
+], ids=["simulate", "compare", "sweep", "allocate"])
+def test_overflowing_duration_exits_3(argv, field, tmp_path, capsys):
+    # A rate this small makes a task duration overflow the nanosecond clock.
+    bad = tmp_path / "tiny_rate.yaml"
+    text = TOY_TEXT.replace(f"{field}: 1.0e", f"{field}: 1.0e-300 # 1.0e")
+    assert text != TOY_TEXT
+    bad.write_text(text)
+    assert main([*argv, "--config", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_simulate_writes_schema_valid_trace(tmp_path, capsys):
     trace_path = tmp_path / "out.json"
     code = main(["simulate", "--config", TOY, "--schedule", "afpipe",
