@@ -56,6 +56,7 @@ from .placement import (
 )
 from .sim import (
     CycleDetected,
+    MakespanOverflow,
     NegativeDuration,
     ScheduleTrace,
     SimResult,

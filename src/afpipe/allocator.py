@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 from .config import Experiment, ScheduleKind
 from .costs import LayerCosts, arithmetic_intensities, layer_costs, roofline_attainable, stage_times
-from .sim import SchedulePlan
+from .sim import SchedulePlan, seconds
 from .taskgraph import afpipe_durations, build_task_graph, visit_times
 # Unused here, but bench/tracing.py patches allocator.assign_layers and
 # allocator.simulate.
@@ -320,7 +320,7 @@ def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
         counts["calls"] += 1
         key = (alloc.attn_gpus, alloc.ffn_gpus, alloc.attn_nics, alloc.ffn_nics)
         if key not in cache:
-            cache[key] = retimer.makespan_ns(retimer.durations(alloc)) / 1e9
+            cache[key] = seconds(retimer.makespan_ns(retimer.durations(alloc)))
             counts["retimed"] += 1
         return cache[key]
 
@@ -400,7 +400,7 @@ def brute_force_oracle(
     bounded = []
     for cand in cands:
         durations = retimer.durations(cand)
-        bounded.append((retimer.lane_bound_ns(durations) / 1e9, cand, durations))
+        bounded.append((seconds(retimer.lane_bound_ns(durations)), cand, durations))
     # Stable: equal bounds keep the canonical order of cands.
     bounded.sort(key=lambda entry: entry[0])
     best = None
@@ -409,7 +409,7 @@ def brute_force_oracle(
     for bound, cand, durations in bounded:
         if best_time is not None and bound > best_time:
             break
-        t = retimer.makespan_ns(durations) / 1e9
+        t = seconds(retimer.makespan_ns(durations))
         if best_time is None or t < best_time or (
             t == best_time and cand.sort_key() < best.sort_key()
         ):

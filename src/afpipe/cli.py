@@ -30,7 +30,7 @@ from .report import (
     run_schedule,
     speedup,
 )
-from .sim import CycleDetected, NegativeDuration
+from .sim import CycleDetected, MakespanOverflow, NegativeDuration
 from .taskgraph import GraphConstructionError
 from .trace_io import write_trace
 
@@ -44,6 +44,7 @@ EXIT_IO = 5
 
 _SCHEDULE_CHOICES = [k.value for k in ScheduleKind]
 _SWEEP_AXES = ("seq_len", "topk", "ep_size", "virtual_stages", "attn_gpu_share")
+_SIMULATION_ERRORS = (GraphConstructionError, CycleDetected, NegativeDuration, MakespanOverflow)
 
 
 class _CliError(Exception):
@@ -99,7 +100,7 @@ def _write_output(path: str, text: str) -> None:
 def _simulate_kind(exp, kind, alloc):
     try:
         return run_schedule(exp, kind, alloc)
-    except (GraphConstructionError, CycleDetected, NegativeDuration) as exc:
+    except _SIMULATION_ERRORS as exc:
         raise _CliError(EXIT_SIMULATION, f"simulation failed: {exc}") from exc
 
 
@@ -157,7 +158,7 @@ def cmd_allocate(args) -> int:
         report = alloc_mod.allocate(exp, params, equal_nics=args.equal_nics)
     except NoFeasible as exc:
         raise _CliError(EXIT_INFEASIBLE, f"no feasible allocation: {exc}") from exc
-    except (GraphConstructionError, CycleDetected, NegativeDuration) as exc:
+    except _SIMULATION_ERRORS as exc:
         raise _CliError(EXIT_SIMULATION, f"simulation failed: {exc}") from exc
     best = report.best
     print(f"best allocation: M={best.attn_gpus} N={best.ffn_gpus} "

@@ -1,15 +1,16 @@
 """Experiment configuration: parsing, validation, and canonical serialization.
 
 An experiment document is a UTF-8 YAML file with exactly four top-level
-sections (``model``, ``workload``, ``cluster``, ``schedule``) whose keys match
-the dataclass field names below. Unknown sections or keys are rejected so that
-hand-edited files fail loudly instead of being silently ignored.
+sections (``model``, ``workload``, ``cluster``, ``schedule``). The dataclasses
+below are the schema: a section's keys are its dataclass's fields, a field
+without a default is a required key, and each value is coerced to its field's
+type. Unknown sections or keys are rejected so that hand-edited files fail
+loudly instead of being silently ignored.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import yaml
 
@@ -83,58 +84,27 @@ class Experiment:
     model: ModelConfig
     workload: Workload
     cluster: ClusterConfig
-    schedule_kind: ScheduleKind
+    schedule_kind: ScheduleKind = ScheduleKind.AFPIPE
     pipeline_depth: int = 1
     virtual_stages: int = 1
     ep_size: int = 1
 
 
-_SECTIONS = ("model", "workload", "cluster", "schedule")
-
-# (key, required, kind) per section; kind is "int", "float", or "kind".
-_MODEL_KEYS = {
-    "layers": (True, "int"),
-    "hidden": (True, "int"),
-    "experts": (True, "int"),
-    "topk": (True, "int"),
-    "moe_hidden": (True, "int"),
-    "gqa_group": (False, "int"),
-    "bytes_per_element": (False, "int"),
-}
-_WORKLOAD_KEYS = {
-    "seq_len": (True, "int"),
-    "micro_batch": (True, "int"),
-    "num_microbatches": (True, "int"),
-}
-_CLUSTER_KEYS = {
-    "total_gpus": (True, "int"),
-    "gpus_per_node": (True, "int"),
-    "total_nics": (True, "int"),
-    "gpu_peak": (True, "float"),
-    "ib_bw": (True, "float"),
-    "nvlink_bw": (False, "float"),
-}
-_SCHEDULE_KEYS = {
-    "schedule_kind": (False, "kind"),
-    "pipeline_depth": (False, "int"),
-    "virtual_stages": (False, "int"),
-    "ep_size": (False, "int"),
-}
-_SECTION_KEYS = {
-    "model": _MODEL_KEYS,
-    "workload": _WORKLOAD_KEYS,
-    "cluster": _CLUSTER_KEYS,
-    "schedule": _SCHEDULE_KEYS,
+# The schedule section holds the Experiment fields after the three sections.
+_SECTION_FIELDS = {
+    "model": fields(ModelConfig),
+    "workload": fields(Workload),
+    "cluster": fields(ClusterConfig),
+    "schedule": fields(Experiment)[3:],
 }
 
 
-def _coerce(section: str, key: str, value, kind: str):
-    name = f"{section}.{key}"
-    if kind == "int":
+def _coerce(name: str, value, kind: type):
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidValue(name, f"expected an integer, got {value!r}")
         return value
-    if kind == "float":
+    if kind is float:
         if isinstance(value, str):
             # YAML 1.1 leaves exponents like "9.89e14" as strings; accept them.
             try:
@@ -144,31 +114,29 @@ def _coerce(section: str, key: str, value, kind: str):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidValue(name, f"expected a number, got {value!r}")
         return float(value)
-    if kind == "kind":
-        try:
-            return ScheduleKind(value)
-        except ValueError:
-            options = ", ".join(k.value for k in ScheduleKind)
-            raise InvalidValue(name, f"expected one of {{{options}}}, got {value!r}") from None
-    raise AssertionError(kind)
+    try:
+        return kind(value)
+    except ValueError:
+        options = ", ".join(k.value for k in kind)
+        raise InvalidValue(name, f"expected one of {{{options}}}, got {value!r}") from None
 
 
 def _read_section(doc: dict, section: str) -> dict:
-    schema = _SECTION_KEYS[section]
     if section not in doc:
         raise MissingField(section)
     raw = doc[section] if doc[section] is not None else {}
     if not isinstance(raw, dict):
         raise SchemaViolation(f"section '{section}' must be a mapping")
-    unknown = sorted(set(raw) - set(schema))
+    schema = _SECTION_FIELDS[section]
+    unknown = sorted(set(raw) - {f.name for f in schema})
     if unknown:
         raise SchemaViolation(f"unknown key(s) in '{section}': {', '.join(unknown)}")
     out = {}
-    for key, (required, kind) in schema.items():
-        if key in raw:
-            out[key] = _coerce(section, key, raw[key], kind)
-        elif required:
-            raise MissingField(f"{section}.{key}")
+    for f in schema:
+        if f.name in raw:
+            out[f.name] = _coerce(f"{section}.{f.name}", raw[f.name], f.type)
+        elif f.default is MISSING:
+            raise MissingField(f"{section}.{f.name}")
     return out
 
 
@@ -186,29 +154,17 @@ def parse_experiment(text: str) -> Experiment:
         raise SchemaViolation("empty document")
     if not isinstance(doc, dict):
         raise SchemaViolation("top level must be a mapping of sections")
-    unknown = sorted(set(doc) - set(_SECTIONS))
+    unknown = sorted(set(doc) - set(_SECTION_FIELDS))
     if unknown:
         raise SchemaViolation(f"unknown top-level section(s): {', '.join(unknown)}")
 
-    model = ModelConfig(**_read_section(doc, "model"))
-    workload = Workload(**_read_section(doc, "workload"))
-    cluster = ClusterConfig(**_read_section(doc, "cluster"))
-    sched = _read_section(doc, "schedule")
-
-    depth = sched.get("pipeline_depth", 1)
+    model, workload, cluster, sched = (_read_section(doc, name) for name in _SECTION_FIELDS)
+    exp = Experiment(ModelConfig(**model), Workload(**workload), ClusterConfig(**cluster), **sched)
     if "virtual_stages" not in sched:
         # Default to the largest interleave the depth allows; an invalid depth
         # gets 1 here and is reported by validate().
-        sched["virtual_stages"] = max(1, model.layers // depth) if depth >= 1 else 1
-    exp = Experiment(
-        model=model,
-        workload=workload,
-        cluster=cluster,
-        schedule_kind=sched.get("schedule_kind", ScheduleKind.AFPIPE),
-        pipeline_depth=depth,
-        virtual_stages=sched["virtual_stages"],
-        ep_size=sched.get("ep_size", 1),
-    )
+        depth = exp.pipeline_depth
+        exp = replace(exp, virtual_stages=max(1, exp.model.layers // depth) if depth >= 1 else 1)
     violations = validate(exp)
     if violations:
         first = violations[0]
@@ -247,10 +203,12 @@ def validate(exp: Experiment) -> list[str]:
         v.append(f"total_gpus: must be >= 2 (got {c.total_gpus})")
     if c.total_nics < 2:
         v.append(f"total_nics: must be >= 2 (got {c.total_nics})")
-    if not c.gpu_peak > 0:
-        v.append(f"gpu_peak: must be > 0 (got {c.gpu_peak})")
-    if not c.ib_bw > 0:
-        v.append(f"ib_bw: must be > 0 (got {c.ib_bw})")
+    if not 0 < c.gpu_peak < math.inf:
+        v.append(f"gpu_peak: must be finite and > 0 (got {c.gpu_peak})")
+    if not 0 < c.ib_bw < math.inf:
+        v.append(f"ib_bw: must be finite and > 0 (got {c.ib_bw})")
+    if not 0 <= c.nvlink_bw < math.inf:
+        v.append(f"nvlink_bw: must be finite and >= 0 (got {c.nvlink_bw})")
     if not 1 <= c.gpus_per_node <= 8:
         v.append(f"gpus_per_node: must be in [1, 8] (got {c.gpus_per_node})")
     if exp.pipeline_depth < 1:
@@ -273,36 +231,9 @@ def validate(exp: Experiment) -> list[str]:
 
 def serialize_experiment(exp: Experiment) -> str:
     """Render the canonical document form; parse(serialize(e)) == e."""
-    doc = {
-        "model": {
-            "layers": exp.model.layers,
-            "hidden": exp.model.hidden,
-            "experts": exp.model.experts,
-            "topk": exp.model.topk,
-            "moe_hidden": exp.model.moe_hidden,
-            "gqa_group": exp.model.gqa_group,
-            "bytes_per_element": exp.model.bytes_per_element,
-        },
-        "workload": {
-            "seq_len": exp.workload.seq_len,
-            "micro_batch": exp.workload.micro_batch,
-            "num_microbatches": exp.workload.num_microbatches,
-        },
-        "cluster": {
-            "total_gpus": exp.cluster.total_gpus,
-            "gpus_per_node": exp.cluster.gpus_per_node,
-            "total_nics": exp.cluster.total_nics,
-            "gpu_peak": exp.cluster.gpu_peak,
-            "ib_bw": exp.cluster.ib_bw,
-            "nvlink_bw": exp.cluster.nvlink_bw,
-        },
-        "schedule": {
-            "schedule_kind": exp.schedule_kind.value,
-            "pipeline_depth": exp.pipeline_depth,
-            "virtual_stages": exp.virtual_stages,
-            "ep_size": exp.ep_size,
-        },
-    }
+    doc = {name: asdict(getattr(exp, name)) for name in ("model", "workload", "cluster")}
+    doc["schedule"] = {f.name: getattr(exp, f.name) for f in _SECTION_FIELDS["schedule"]}
+    doc["schedule"]["schedule_kind"] = exp.schedule_kind.value
     return yaml.safe_dump(doc, sort_keys=False)
 
 

@@ -14,6 +14,8 @@ from .config import ModelConfig, Workload
 
 ATTN = "A"
 FFN = "F"
+OPTIMIZER_BYTES_PER_PARAM = 8.0  # an fp32 moment pair
+PARAM_BYTES_PER_ELEMENT = 2
 
 
 class InvalidDepth(ValueError):
@@ -76,21 +78,16 @@ def validate_partition(plan: PlacementPlan, num_layers: int) -> list[str]:
 
 
 def memory_estimate(
-    plan: PlacementPlan,
-    model: ModelConfig,
-    workload: Workload,
-    alloc,
-    optimizer_bytes_per_param: float = 8.0,
-    param_bytes_per_element: int = 2,
+    plan: PlacementPlan, model: ModelConfig, workload: Workload, alloc
 ) -> MemoryEstimate:
     """Per-GPU memory for the plan's largest group.
 
     Attention parameters (QKV and output projections, H^2*(2+2/g) + H^2
     elements per layer) are replicated on every GPU of the group; FFN expert
     parameters (E*2*H*D_e elements per layer) are sharded evenly across the
-    group's GPUs. Optimizer state defaults to 8 bytes per parameter (an fp32
-    moment pair). Activations count one hidden-state tensor per assigned
-    layer per in-flight micro-batch.
+    group's GPUs. Each parameter takes PARAM_BYTES_PER_ELEMENT bytes, plus
+    OPTIMIZER_BYTES_PER_PARAM of optimizer state. Activations count one
+    hidden-state tensor per assigned layer per in-flight micro-batch.
     """
     layers = plan.virtual_stages
     h, g = model.hidden, model.gqa_group
@@ -104,8 +101,8 @@ def memory_estimate(
         param_elems = layers * per_layer_elems / gpus_per_group
         first_visit = 1
 
-    param_bytes = param_elems * param_bytes_per_element
-    optimizer_bytes = param_elems * optimizer_bytes_per_param
+    param_bytes = param_elems * PARAM_BYTES_PER_ELEMENT
+    optimizer_bytes = param_elems * OPTIMIZER_BYTES_PER_PARAM
 
     hidden_bytes = model.bytes_per_element * workload.micro_batch * workload.seq_len * h
     total_visits = 2 * plan.pipeline_depth * plan.virtual_stages

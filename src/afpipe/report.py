@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .allocator import Allocation
 from .config import Experiment, ScheduleKind, serialize_experiment
-from .costs import StageTimes
 from .placement import ATTN, FFN, assign_layers, memory_estimate, oom_check
 from .sim import ScheduleTrace, SimResult, simulate
 from .taskgraph import build_task_graph
@@ -27,14 +26,10 @@ class RunReport:
 
 
 def run_schedule(
-    exp: Experiment,
-    kind: ScheduleKind,
-    alloc: Allocation | None,
-    times: StageTimes | None = None,
+    exp: Experiment, kind: ScheduleKind, alloc: Allocation | None
 ) -> tuple[ScheduleTrace, SimResult]:
     """Build the task graph for one kind, then simulate it."""
-    graph = build_task_graph(replace(exp, schedule_kind=kind), alloc, times=times)
-    return simulate(graph)
+    return simulate(build_task_graph(replace(exp, schedule_kind=kind), alloc))
 
 
 def memory_report(exp: Experiment, alloc: Allocation, capacity_bytes: float) -> dict[str, dict]:

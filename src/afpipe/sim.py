@@ -53,7 +53,8 @@ check_schedule lists what a trace breaks of the scheduler's invariants.
 A negative duration raises NegativeDuration. A dependency on an unknown task,
 or tasks the ready set never reaches (a cycle), raise CycleDetected. Twins
 that are not one send side and one receive side naming each other raise
-GraphConstructionError.
+GraphConstructionError. A makespan, or a sum of task times, too large for a
+float in seconds raises MakespanOverflow.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ class CycleDetected(Exception):
 
 class NegativeDuration(Exception):
     pass
+
+
+class MakespanOverflow(Exception):
+    pass
+
+
+def seconds(ns: int) -> float:
+    """ns in seconds; MakespanOverflow when no float holds it."""
+    try:
+        return ns / 1e9
+    except OverflowError:
+        raise MakespanOverflow("a schedule time is too large for a float in seconds") from None
 
 
 class TraceEvent(NamedTuple):
@@ -343,7 +356,7 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
 
 
 def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
-    iteration = trace.iteration_ns / 1e9
+    iteration = seconds(trace.iteration_ns)
     if not trace.events:
         return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, {})
 
@@ -370,7 +383,7 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
         fraction = 0.0
 
     embedded_ns = sum(t.exposed_ns for t in graph.tasks.values())
-    exposed = exposed_comm(trace) + embedded_ns / 1e9
+    exposed = exposed_comm(trace) + seconds(embedded_ns)
 
     mfu = 0.0
     if graph.total_flops > 0 and iteration > 0 and graph.world_gpus > 0 and graph.gpu_peak > 0:

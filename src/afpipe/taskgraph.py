@@ -92,7 +92,6 @@ class TaskGraph:
     tasks: dict[int, Task] = field(default_factory=dict)
     owners: tuple[str, ...] = ()
     credits: dict[str, int] = field(default_factory=dict)
-    num_microbatches: int = 0
     total_flops: float = 0.0
     world_gpus: int = 0
     gpu_peak: float = 0.0
@@ -232,7 +231,6 @@ def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = 
     """
     graph = TaskGraph(
         schedule_kind=exp.schedule_kind,
-        num_microbatches=exp.workload.num_microbatches,
         world_gpus=exp.cluster.total_gpus,
         gpu_peak=exp.cluster.gpu_peak,
     )

@@ -30,45 +30,6 @@ def trace_schema() -> dict:
     return json.loads(schema_text)
 
 
-def export_trace(trace: ScheduleTrace) -> list[dict]:
-    """One complete event per scheduled task, in canonical event order."""
-    owners = sorted({ev.task.owner for ev in trace.events})
-    pid_of = {owner: i for i, owner in enumerate(owners)}
-    events = []
-    for ev in trace.events:
-        task = ev.task
-        ts = ev.start_ns / 1e3
-        dur = (ev.end_ns - ev.start_ns) / 1e3
-        if not (math.isfinite(ts) and math.isfinite(dur)):
-            raise SerializationError(f"non-finite timestamp on task {task.id}")
-        kind = task.kind.value
-        name = f"{kind} mb{task.microbatch}"
-        if task.layer is not None:
-            name += f" L{task.layer}"
-        events.append(
-            {
-                "name": name,
-                "ph": "X",
-                "ts": ts,
-                "dur": dur,
-                "pid": pid_of[task.owner],
-                "tid": _LANE_TID[task.lane],
-                "args": {
-                    "owner": task.owner,
-                    "stream": task.stream.value,
-                    "lane": task.lane,
-                    "kind": kind,
-                    "microbatch": task.microbatch,
-                    "layer": task.layer,
-                    "virtual_index": task.virtual_index,
-                    "direction": task.direction,
-                    "task": task.id,
-                },
-            }
-        )
-    return events
-
-
 # One event as json.dumps(..., indent=1, sort_keys=True) lays it out inside
 # the top-level array, with strings escaped by json's ASCII encoder and
 # floats written by repr, as json.dumps does. With indent set, json.dumps
@@ -89,41 +50,56 @@ _EVENT_JSON = """\
   },
   "dur": %r,
   "name": %s,
-  "ph": %s,
+  "ph": "X",
   "pid": %d,
   "tid": %d,
   "ts": %r
  }"""
 
 
-def _event_json(event: dict) -> str:
-    args = event["args"]
-    quote = json.encoder.encode_basestring_ascii
-    return _EVENT_JSON % (
-        quote(args["direction"]),
-        quote(args["kind"]),
-        quote(args["lane"]),
-        "null" if args["layer"] is None else "%d" % args["layer"],
-        args["microbatch"],
-        quote(args["owner"]),
-        quote(args["stream"]),
-        args["task"],
-        args["virtual_index"],
-        event["dur"],
-        quote(event["name"]),
-        quote(event["ph"]),
-        event["pid"],
-        event["tid"],
-        event["ts"],
-    )
-
-
 def export_trace_json(trace: ScheduleTrace) -> str:
-    """export_trace as json.dumps(..., indent=1, sort_keys=True) writes it."""
-    events = export_trace(trace)
-    if not events:
+    """One complete event per scheduled task, in canonical event order, as
+    json.dumps(..., indent=1, sort_keys=True) writes the list."""
+    if not trace.events:
         return "[]"
-    return "[\n" + ",\n".join(map(_event_json, events)) + "\n]"
+    quote = json.encoder.encode_basestring_ascii
+    owners = sorted({ev.task.owner for ev in trace.events})
+    pid_of = {owner: i for i, owner in enumerate(owners)}
+    events = []
+    for task, start_ns, end_ns in trace.events:
+        ts = start_ns / 1e3
+        dur = (end_ns - start_ns) / 1e3
+        if not (math.isfinite(ts) and math.isfinite(dur)):
+            raise SerializationError(f"non-finite timestamp on task {task.id}")
+        kind = task.kind.value
+        name = f"{kind} mb{task.microbatch}"
+        if task.layer is None:
+            layer = "null"
+        else:
+            layer = "%d" % task.layer
+            name += f" L{task.layer}"
+        events.append(_EVENT_JSON % (
+            quote(task.direction),
+            quote(kind),
+            quote(task.lane),
+            layer,
+            task.microbatch,
+            quote(task.owner),
+            quote(task.stream.value),
+            task.id,
+            task.virtual_index,
+            dur,
+            quote(name),
+            pid_of[task.owner],
+            _LANE_TID[task.lane],
+            ts,
+        ))
+    return "[\n" + ",\n".join(events) + "\n]"
+
+
+def export_trace(trace: ScheduleTrace) -> list[dict]:
+    """export_trace_json's events as dicts."""
+    return json.loads(export_trace_json(trace))
 
 
 def write_trace(trace: ScheduleTrace, path: str) -> None:

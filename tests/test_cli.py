@@ -80,22 +80,46 @@ def test_unwritable_output_exits_5(argv, tmp_path, capsys):
     assert str(path) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("field", ["gpu_peak", "ib_bw"])
-@pytest.mark.parametrize("argv", [
+VERBS = pytest.mark.parametrize("argv", [
     ["simulate"],
     ["compare"],
     ["sweep", "--axis", "seq_len", "--values", "1024"],
     ["allocate", "--trials", "1"],
 ], ids=["simulate", "compare", "sweep", "allocate"])
-def test_overflowing_duration_exits_3(argv, field, tmp_path, capsys):
-    # A rate this small makes a task duration overflow the nanosecond clock.
+
+
+@pytest.mark.parametrize("field, rate", [
+    # Rates this small make a task duration overflow the nanosecond clock.
+    ("gpu_peak", "1.0e-300"),
+    ("ib_bw", "1.0e-300"),
+    # Finite task durations, but a makespan too large for a float in seconds.
+    ("gpu_peak", "1.0e-289"),
+], ids=["gpu_peak", "ib_bw", "gpu_peak_makespan"])
+@VERBS
+def test_overflowing_duration_exits_3(argv, field, rate, tmp_path, capsys):
     bad = tmp_path / "tiny_rate.yaml"
-    text = TOY_TEXT.replace(f"{field}: 1.0e", f"{field}: 1.0e-300 # 1.0e")
+    text = TOY_TEXT.replace(f"{field}: 1.0e", f"{field}: {rate} # 1.0e")
     assert text != TOY_TEXT
     bad.write_text(text)
     assert main([*argv, "--config", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, old, new", [
+    ("ib_bw", "ib_bw: 1.0e10", "ib_bw: .inf"),
+    ("gpu_peak", "gpu_peak: 1.0e12", "gpu_peak: .inf"),
+    ("nvlink_bw", "ib_bw: 1.0e10", "ib_bw: 1.0e10\n  nvlink_bw: -5"),
+], ids=["ib_bw_inf", "gpu_peak_inf", "nvlink_bw_negative"])
+@VERBS
+def test_out_of_range_rate_exits_2(argv, field, old, new, tmp_path, capsys):
+    bad = tmp_path / "bad_rate.yaml"
+    text = TOY_TEXT.replace(old, new)
+    assert text != TOY_TEXT
+    bad.write_text(text)
+    assert main([*argv, "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
 
 
 def test_simulate_writes_schema_valid_trace(tmp_path, capsys):

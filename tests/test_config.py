@@ -1,14 +1,24 @@
+import os
+from dataclasses import fields
+
 import pytest
+import yaml
 
 from afpipe.config import (
+    ClusterConfig,
+    Experiment,
     InvalidValue,
     MissingField,
+    ModelConfig,
     ScheduleKind,
     SchemaViolation,
+    Workload,
     parse_experiment,
     serialize_experiment,
     validate,
 )
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 DEEPSEEK_DOC = """
 model:
@@ -126,3 +136,50 @@ def test_validate_returns_all_violations():
     violations = validate(bad)
     assert any(v.startswith("layers:") for v in violations)
     assert any(v.startswith("pipeline_depth:") for v in violations)
+
+
+def _with_cluster(field, value):
+    doc = yaml.safe_load(DEEPSEEK_DOC)
+    doc["cluster"][field] = value
+    return yaml.safe_dump(doc)
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gpu_peak", INF),
+    ("gpu_peak", float("nan")),
+    ("gpu_peak", 0.0),
+    ("ib_bw", INF),
+    ("ib_bw", -INF),
+    ("ib_bw", -1.0e11),
+    ("nvlink_bw", -5),
+    ("nvlink_bw", INF),
+    ("nvlink_bw", float("nan")),
+])
+def test_out_of_range_rate_is_invalid(field, value):
+    with pytest.raises(InvalidValue) as exc:
+        parse_experiment(_with_cluster(field, value))
+    assert exc.value.name == field
+
+
+@pytest.mark.parametrize("value", [0, 4.0e11])
+def test_nvlink_bw_accepts_finite_non_negative(value):
+    assert parse_experiment(_with_cluster("nvlink_bw", value)).cluster.nvlink_bw == value
+
+
+def test_readme_document_names_every_field():
+    # The dataclasses are the schema, so a new field is accepted at once;
+    # this keeps README's example document naming all of them, in order.
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Experiment documents", 1)[1].split("```yaml\n", 1)[1]
+    block = block.split("```", 1)[0]
+    parse_experiment(block)
+    doc = yaml.safe_load(block)
+    sections = {"model": ModelConfig, "workload": Workload, "cluster": ClusterConfig}
+    for name, cls in sections.items():
+        assert list(doc[name]) == [f.name for f in fields(cls)]
+    assert list(doc["schedule"]) == [f.name for f in fields(Experiment) if f.name not in sections]
+    assert list(doc) == [*sections, "schedule"]

@@ -6,8 +6,15 @@ import pytest
 
 from afpipe.allocator import canonical_allocation
 from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
-from afpipe.sim import ScheduleTrace, simulate
-from afpipe.taskgraph import COMPUTE_LANE, Task, TaskGraph, TaskKind, build_task_graph
+from afpipe.sim import ScheduleTrace, TraceEvent, simulate
+from afpipe.taskgraph import (
+    COMPUTE_LANE,
+    RECV_LANE,
+    Task,
+    TaskGraph,
+    TaskKind,
+    build_task_graph,
+)
 from afpipe.trace_io import (
     export_trace,
     export_trace_json,
@@ -51,11 +58,57 @@ def test_single_task_microsecond_conversion():
     g.owners = ("A0",)
     g.credits = {"A0": 1}
     trace, _ = simulate(g)
-    events = export_trace(trace)
-    assert len(events) == 1
-    assert events[0]["ph"] == "X"
-    assert events[0]["dur"] == duration_s * 1e6
-    assert events[0]["ts"] == 0
+    assert export_trace(trace) == [{
+        "name": "FwdCompute mb0",
+        "ph": "X",
+        "ts": 0.0,
+        "dur": duration_s * 1e6,
+        "pid": 0,
+        "tid": 0,
+        "args": {
+            "owner": "A0",
+            "stream": "forward",
+            "lane": "compute",
+            "kind": "FwdCompute",
+            "microbatch": 0,
+            "layer": None,
+            "virtual_index": 0,
+            "direction": "fwd",
+            "task": 0,
+        },
+    }]
+
+
+def test_layered_event_is_pinned_in_full():
+    # Every field of the second event differs from every other field of the
+    # same type, so a template that swaps two of them fails here.
+    first = Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0", lane=COMPUTE_LANE,
+                 duration_ns=1500, deps=(), microbatch=0)
+    recv = Task(id=7, kind=TaskKind.M2N_RECV, owner="F1", lane=RECV_LANE,
+                duration_ns=2500, deps=(0,), microbatch=3, layer=5, virtual_index=4,
+                component="F", direction="bwd")
+    trace = ScheduleTrace(
+        events=(TraceEvent(first, 0, 1500), TraceEvent(recv, 1500, 4000)), iteration_ns=4000
+    )
+    assert export_trace(trace)[1] == {
+        "name": "M2NRecv mb3 L5",
+        "ph": "X",
+        "ts": 1.5,
+        "dur": 2.5,
+        "pid": 1,
+        "tid": 2,
+        "args": {
+            "owner": "F1",
+            "stream": "comm",
+            "lane": "comm.recv",
+            "kind": "M2NRecv",
+            "microbatch": 3,
+            "layer": 5,
+            "virtual_index": 4,
+            "direction": "bwd",
+            "task": 7,
+        },
+    }
 
 
 def test_export_validates_against_shipped_schema():
