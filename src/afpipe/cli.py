@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 2 configuration error (a bad config file or option
 value), 3 simulation error, 4 no feasible allocation, 5 an output file could
-not be written. The AFPIPE_LOG environment variable sets the log level.
+not be written. main maps library exceptions to these codes; the verbs let
+them propagate. The AFPIPE_LOG environment variable sets the log level.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import allocator as alloc_mod
 from .allocator import AllocatorParams, NoFeasible, canonical_allocation
-from .config import ConfigError, Experiment, ScheduleKind, load_experiment
+from .config import ConfigError, Experiment, ScheduleKind, load_experiment, validate
 from .costs import attention_flops, ffn_flops, m2n_comm_bytes
 from .report import (
     DEFAULT_GPU_MEMORY_BYTES,
-    allocation_to_dict,
     build_run_report,
     estimate_oom,
     format_ms,
@@ -45,6 +45,8 @@ EXIT_IO = 5
 _SCHEDULE_CHOICES = [k.value for k in ScheduleKind]
 _SWEEP_AXES = ("seq_len", "topk", "ep_size", "virtual_stages", "attn_gpu_share")
 _SIMULATION_ERRORS = (GraphConstructionError, CycleDetected, NegativeDuration, MakespanOverflow)
+_SPLIT = ("M={0.attn_gpus} N={0.ffn_gpus} Ma={0.attn_nics} Mf={0.ffn_nics} "
+          "(m={0.attn_nodes}x{0.attn_gpus_per_node}, n={0.ffn_nodes}x{0.ffn_gpus_per_node})")
 
 
 class _CliError(Exception):
@@ -69,24 +71,21 @@ def _load(path: str) -> Experiment:
 
 def _resolve_allocation(exp: Experiment, args) -> alloc_mod.Allocation:
     cluster = exp.cluster
-    try:
-        if args.attn_gpus is not None or args.attn_nics is not None:
-            gpus = args.attn_gpus if args.attn_gpus is not None else cluster.total_gpus // 2
-            nics = args.attn_nics if args.attn_nics is not None else cluster.total_nics // 2
-            if not 1 <= gpus <= cluster.total_gpus - 1:
-                raise NoFeasible(f"attention GPU count {gpus} leaves no split")
-            if not 1 <= nics <= cluster.total_nics - 1:
-                raise NoFeasible(f"attention NIC count {nics} leaves no split")
-            if args.equal_nics:
-                if cluster.total_nics % 2 != 0:
-                    raise NoFeasible("equal NIC split requires an even NIC count")
-                nics = cluster.total_nics // 2
-            return canonical_allocation(
-                gpus, nics, cluster.total_gpus, cluster.total_nics, cluster.gpus_per_node
-            )
+    if args.attn_gpus is None and args.attn_nics is None:
         return alloc_mod.default_allocation(exp, equal_nics=args.equal_nics)
-    except NoFeasible as exc:
-        raise _CliError(EXIT_INFEASIBLE, f"no feasible allocation: {exc}") from exc
+    gpus = args.attn_gpus if args.attn_gpus is not None else cluster.total_gpus // 2
+    nics = args.attn_nics if args.attn_nics is not None else cluster.total_nics // 2
+    if not 1 <= gpus <= cluster.total_gpus - 1:
+        raise NoFeasible(f"attention GPU count {gpus} leaves no split")
+    if not 1 <= nics <= cluster.total_nics - 1:
+        raise NoFeasible(f"attention NIC count {nics} leaves no split")
+    if args.equal_nics:
+        if cluster.total_nics % 2 != 0:
+            raise NoFeasible("equal NIC split requires an even NIC count")
+        nics = cluster.total_nics // 2
+    return canonical_allocation(
+        gpus, nics, cluster.total_gpus, cluster.total_nics, cluster.gpus_per_node
+    )
 
 
 def _write_output(path: str, text: str) -> None:
@@ -95,13 +94,6 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot write {path}: {exc.strerror}") from exc
-
-
-def _simulate_kind(exp, kind, alloc):
-    try:
-        return run_schedule(exp, kind, alloc)
-    except _SIMULATION_ERRORS as exc:
-        raise _CliError(EXIT_SIMULATION, f"simulation failed: {exc}") from exc
 
 
 def _print_result_table(rows: list[tuple]) -> None:
@@ -126,12 +118,9 @@ def cmd_simulate(args) -> int:
     exp = _load(args.config)
     kind = ScheduleKind(args.schedule)
     alloc = _resolve_allocation(exp, args)
-    trace, result = _simulate_kind(exp, kind, alloc)
+    trace, result = run_schedule(exp, kind, alloc)
     report = build_run_report(exp, alloc, {kind: result}, args.mem_cap)
-    print(f"allocation: M={alloc.attn_gpus} N={alloc.ffn_gpus} "
-          f"Ma={alloc.attn_nics} Mf={alloc.ffn_nics} "
-          f"(m={alloc.attn_nodes}x{alloc.attn_gpus_per_node}, "
-          f"n={alloc.ffn_nodes}x{alloc.ffn_gpus_per_node})")
+    print("allocation: " + _SPLIT.format(alloc))
     _print_result_table([_result_row(kind, result)])
     for warning in report.warnings:
         print(f"warning: {warning}")
@@ -154,26 +143,17 @@ def cmd_allocate(args) -> int:
         )
     except ValueError as exc:
         raise _CliError(EXIT_CONFIG, f"invalid option: {exc}") from exc
-    try:
-        report = alloc_mod.allocate(exp, params, equal_nics=args.equal_nics)
-    except NoFeasible as exc:
-        raise _CliError(EXIT_INFEASIBLE, f"no feasible allocation: {exc}") from exc
-    except _SIMULATION_ERRORS as exc:
-        raise _CliError(EXIT_SIMULATION, f"simulation failed: {exc}") from exc
-    best = report.best
-    print(f"best allocation: M={best.attn_gpus} N={best.ffn_gpus} "
-          f"Ma={best.attn_nics} Mf={best.ffn_nics} "
-          f"(m={best.attn_nodes}x{best.attn_gpus_per_node}, "
-          f"n={best.ffn_nodes}x{best.ffn_gpus_per_node})")
+    report = alloc_mod.allocate(exp, params, equal_nics=args.equal_nics)
+    print("best allocation: " + _SPLIT.format(report.best))
     print(f"T* = {format_ms(report.t_star)} ms")
     print(f"phase 1 retained {report.phase1_set_size} candidate(s); "
           f"seed M={report.seed_alloc.attn_gpus} Ma={report.seed_alloc.attn_nics}; "
           f"{report.refine_improvements} refinement improvement(s) over {args.trials} trial(s)")
     payload = {
-        "best": allocation_to_dict(best),
+        "best": asdict(report.best),
         "t_star": report.t_star,
         "phase1_set_size": report.phase1_set_size,
-        "seed": allocation_to_dict(report.seed_alloc),
+        "seed": asdict(report.seed_alloc),
         "refine_improvements": report.refine_improvements,
     }
     if args.out:
@@ -189,38 +169,39 @@ def cmd_allocate(args) -> int:
 
 
 def _apply_axis(exp: Experiment, axis: str, raw: str) -> tuple[Experiment, float, int | None]:
-    """Return (experiment at this sweep point, numeric value, forced attn gpus)."""
+    """Return (experiment at this sweep point, numeric value, forced attn gpus).
+
+    The point must pass config.validate like a document; only the two rules
+    that belong to an axis are checked here.
+    """
     try:
         value = float(raw) if axis == "attn_gpu_share" else int(raw)
     except ValueError:
         raise _CliError(EXIT_CONFIG, f"invalid value {raw!r} for axis {axis}") from None
+    forced_gpus = None
     if axis == "seq_len":
-        if value < 1:
-            raise _CliError(EXIT_CONFIG, f"seq_len must be >= 1, got {value}")
-        return replace(exp, workload=replace(exp.workload, seq_len=value)), value, None
-    if axis == "topk":
-        if not 1 <= value <= exp.model.experts:
-            raise _CliError(EXIT_CONFIG, f"topk must be in [1, experts], got {value}")
-        return replace(exp, model=replace(exp.model, topk=value)), value, None
-    if axis == "ep_size":
-        if value < 1:
-            raise _CliError(EXIT_CONFIG, f"ep_size must be >= 1, got {value}")
-        return replace(exp, ep_size=value), value, None
-    if axis == "virtual_stages":
+        exp = replace(exp, workload=replace(exp.workload, seq_len=value))
+    elif axis == "topk":
+        exp = replace(exp, model=replace(exp.model, topk=value))
+    elif axis == "ep_size":
+        exp = replace(exp, ep_size=value)
+    elif axis == "virtual_stages":
         layers = exp.model.layers
         if value < 1 or layers % value != 0:
             raise _CliError(
                 EXIT_CONFIG,
                 f"virtual_stages must divide layers={layers} evenly, got {value}",
             )
-        return replace(exp, virtual_stages=value, pipeline_depth=layers // value), value, None
-    if axis == "attn_gpu_share":
+        exp = replace(exp, virtual_stages=value, pipeline_depth=layers // value)
+    else:  # attn_gpu_share
         total = exp.cluster.total_gpus
-        gpus = round(total * value) if 0 < value < 1 else 0  # rejects NaN too
-        if not 1 <= gpus <= total - 1:
+        forced_gpus = round(total * value) if 0 < value < 1 else 0  # rejects NaN too
+        if not 1 <= forced_gpus <= total - 1:
             raise _CliError(EXIT_CONFIG, f"attn_gpu_share must leave both sides a GPU, got {value}")
-        return exp, value, gpus
-    raise _CliError(EXIT_CONFIG, f"unknown axis {axis}")
+    violations = validate(exp)
+    if violations:
+        raise _CliError(EXIT_CONFIG, violations[0])
+    return exp, value, forced_gpus
 
 
 def cmd_sweep(args) -> int:
@@ -241,24 +222,20 @@ def cmd_sweep(args) -> int:
     for raw in values:
         point, value, forced_gpus = _apply_axis(exp, args.axis, raw)
         cluster = point.cluster
-        try:
-            if forced_gpus is not None:
-                nics = cluster.total_nics // 2
-                alloc = canonical_allocation(
-                    forced_gpus, nics, cluster.total_gpus, cluster.total_nics,
-                    cluster.gpus_per_node,
-                )
-            else:
-                alloc = alloc_mod.default_allocation(point, equal_nics=args.equal_nics)
-        except NoFeasible as exc:
-            raise _CliError(EXIT_INFEASIBLE, f"no feasible allocation: {exc}") from exc
+        if forced_gpus is not None:
+            alloc = canonical_allocation(
+                forced_gpus, cluster.total_nics // 2, cluster.total_gpus, cluster.total_nics,
+                cluster.gpus_per_node,
+            )
+        else:
+            alloc = alloc_mod.default_allocation(point, equal_nics=args.equal_nics)
 
         c_a = float(attention_flops(point.model, point.workload))
         c_f = float(ffn_flops(point.model, point.workload))
         oom = estimate_oom(point, alloc, args.mem_cap)
         results = {}
         for kind in ScheduleKind:
-            _, results[kind] = _simulate_kind(point, kind, alloc)
+            _, results[kind] = run_schedule(point, kind, alloc)
         base = results[ScheduleKind.MEGATRON_1F1B]
         for kind in ScheduleKind:
             result = results[kind]
@@ -289,7 +266,7 @@ def cmd_compare(args) -> int:
     alloc = _resolve_allocation(exp, args)
     results = {}
     for kind in ScheduleKind:
-        _, results[kind] = _simulate_kind(exp, kind, alloc)
+        _, results[kind] = run_schedule(exp, kind, alloc)
     _print_result_table([_result_row(kind, results[kind]) for kind in ScheduleKind])
     af = results[ScheduleKind.AFPIPE]
     print()
@@ -377,11 +354,15 @@ def main(argv: list[str] | None = None) -> int:
             raise _CliError(EXIT_CONFIG, f"--mem-cap must be > 0, got {args.mem_cap}")
         return args.func(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, str(exc)
+    except _SIMULATION_ERRORS as exc:
+        code, message = EXIT_SIMULATION, f"simulation failed: {exc}"
+    except NoFeasible as exc:
+        code, message = EXIT_INFEASIBLE, f"no feasible allocation: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

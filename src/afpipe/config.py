@@ -6,6 +6,11 @@ below are the schema: a section's keys are its dataclass's fields, a field
 without a default is a required key, and each value is coerced to its field's
 type. Unknown sections or keys are rejected so that hand-edited files fail
 loudly instead of being silently ignored.
+
+validate() also bounds what a document can make the program build: every
+integer field is at most MAX_INT, layers * num_microbatches (the task count
+is linear in it) at most MAX_LAYER_MICROBATCHES, and total_gpus * total_nics
+(about the number of splits the allocator enumerates) at most MAX_GPUS_X_NICS.
 """
 
 import enum
@@ -13,6 +18,18 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import yaml
+
+# A float holds every integer up to 2**53 exactly, and the cost and memory
+# models convert products of at most six integer fields to float (the
+# activation bytes layers*e*b*s*H*micro-batches are the largest), so every
+# such product stays below 2**(6*53) and far from the float limit 2**1024.
+MAX_INT = 2**53
+# afpipe builds 12*L - 4 tasks per micro-batch: 2**15 admits 28 layers at
+# 1,024 micro-batches, about 340,000 tasks.
+MAX_LAYER_MICROBATCHES = 2**15
+# Phase 1 enumerates (total_gpus - 1) * (total_nics - 1) splits; 2**17
+# admits 256 GPUs with 256 NICs.
+MAX_GPUS_X_NICS = 2**17
 
 
 class ConfigError(Exception):
@@ -113,7 +130,10 @@ def _coerce(name: str, value, kind: type):
                 raise InvalidValue(name, f"expected a number, got {value!r}") from None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidValue(name, f"expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidValue(name, "integer too large for a float") from None
     try:
         return kind(value)
     except ValueError:
@@ -148,7 +168,7 @@ def parse_experiment(text: str) -> Experiment:
     """
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer over 4300 digits
         raise SchemaViolation(f"not a well-formed document: {exc}") from exc
     if doc is None:
         raise SchemaViolation("empty document")
@@ -177,6 +197,11 @@ def validate(exp: Experiment) -> list[str]:
     """Return every invariant violation as "field: rule" strings (empty = valid)."""
     v: list[str] = []
     m, w, c = exp.model, exp.workload, exp.cluster
+    for section, schema in _SECTION_FIELDS.items():
+        holder = exp if section == "schedule" else getattr(exp, section)
+        for f in schema:
+            if f.type is int and getattr(holder, f.name) > MAX_INT:
+                v.append(f"{f.name}: must be <= 2**53")
     if m.layers < 1:
         v.append(f"layers: must be >= 1 (got {m.layers})")
     if m.hidden < 1:
@@ -199,10 +224,20 @@ def validate(exp: Experiment) -> list[str]:
         v.append(f"micro_batch: must be >= 1 (got {w.micro_batch})")
     if w.num_microbatches < 1:
         v.append(f"num_microbatches: must be >= 1 (got {w.num_microbatches})")
+    elif m.layers * w.num_microbatches > MAX_LAYER_MICROBATCHES:
+        v.append(
+            f"num_microbatches: layers*num_microbatches must be <= {MAX_LAYER_MICROBATCHES} "
+            f"({m.layers}*{w.num_microbatches})"
+        )
     if c.total_gpus < 2:
         v.append(f"total_gpus: must be >= 2 (got {c.total_gpus})")
     if c.total_nics < 2:
         v.append(f"total_nics: must be >= 2 (got {c.total_nics})")
+    elif c.total_gpus * c.total_nics > MAX_GPUS_X_NICS:
+        v.append(
+            f"total_gpus: total_gpus*total_nics must be <= {MAX_GPUS_X_NICS} "
+            f"({c.total_gpus}*{c.total_nics})"
+        )
     if not 0 < c.gpu_peak < math.inf:
         v.append(f"gpu_peak: must be finite and > 0 (got {c.gpu_peak})")
     if not 0 < c.ib_bw < math.inf:

@@ -39,12 +39,7 @@ def memory_report(exp: Experiment, alloc: Allocation, capacity_bytes: float) -> 
         plan = assign_layers(exp.model.layers, exp.pipeline_depth, component)
         est = memory_estimate(plan, exp.model, exp.workload, alloc)
         out[component] = {
-            "param_bytes": est.param_bytes,
-            "optimizer_bytes": est.optimizer_bytes,
-            "activation_bytes": est.activation_bytes,
-            "total": est.total,
-            "capacity": capacity_bytes,
-            "oom": oom_check(est, capacity_bytes),
+            **asdict(est), "capacity": capacity_bytes, "oom": oom_check(est, capacity_bytes)
         }
     return out
 
@@ -66,21 +61,6 @@ def placement_to_dict(exp: Experiment) -> dict[str, dict]:
     return out
 
 
-def sim_result_to_dict(result: SimResult) -> dict:
-    return {
-        "iteration_time": result.iteration_time,
-        "bubble_warmup": result.bubble_warmup,
-        "bubble_fraction": result.bubble_fraction,
-        "exposed_comm": result.exposed_comm,
-        "mfu": result.mfu,
-        "per_group_busy": dict(result.per_group_busy),
-    }
-
-
-def allocation_to_dict(alloc: Allocation) -> dict:
-    return asdict(alloc)
-
-
 def speedup(base: SimResult, other: SimResult) -> float:
     """speedup(other vs base) = iteration(base) / iteration(other)."""
     if other.iteration_time == 0:
@@ -96,11 +76,11 @@ def build_run_report(
 ) -> RunReport:
     report = RunReport(
         experiment=serialize_experiment(exp),
-        allocation=allocation_to_dict(alloc) if alloc else None,
+        allocation=asdict(alloc) if alloc else None,
         placement=placement_to_dict(exp),
     )
     for kind, result in results.items():
-        report.results[kind.value] = sim_result_to_dict(result)
+        report.results[kind.value] = asdict(result)
     base = results.get(ScheduleKind.MEGATRON_1F1B)
     if base is not None:
         for kind, result in results.items():

@@ -259,3 +259,72 @@ def test_compare_speedup_over_baseline_in_comm_bound_regime(capsys):
     line = next(l for l in out.splitlines() if l.startswith("afpipe vs megatron1f1b"))
     speedup = float(line.split("speedup")[1].split(",")[0])
     assert speedup > 1.0
+
+
+
+ERROR_PATHS = [
+    *[([verb, *override], None, 4)
+      for verb in ("simulate", "compare")
+      for override in (["--attn-gpus", "0"], ["--attn-gpus", "4"], ["--attn-nics", "0"])],
+    (["simulate", "--attn-gpus", "1", "--equal-nics"], ("total_nics: 4", "total_nics: 5"), 4),
+    (["sweep", "--axis", "seq_len", "--values", "0"], None, 2),
+    (["sweep", "--axis", "topk", "--values", "99"], None, 2),
+    (["sweep", "--axis", "ep_size", "--values", "0"], None, 2),
+    (["sweep", "--axis", "virtual_stages", "--values", "3"], None, 2),
+    (["sweep", "--axis", "seq_len", "--values", "abc"], None, 2),
+    (["sweep", "--axis", "seq_len", "--values", ","], None, 2),
+]
+
+
+@pytest.mark.parametrize("argv, doc, code", ERROR_PATHS,
+                         ids=[" ".join(argv) for argv, _, _ in ERROR_PATHS])
+def test_error_paths_exit_with_their_code(argv, doc, code, tmp_path, capsys):
+    # Split overrides that leave a side empty are infeasible (4); sweep points
+    # that break a document rule are configuration errors (2). doc, when
+    # given, edits toy.yaml (here: an odd NIC count for --equal-nics).
+    config = TOY
+    if doc is not None:
+        config = tmp_path / "doc.yaml"
+        text = TOY_TEXT.replace(*doc)
+        assert text != TOY_TEXT
+        config.write_text(text)
+    assert main([*argv, "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, edits", [
+    ("hidden", {"hidden: 512": f"hidden: {10**160}"}),
+    ("micro_batch", {"micro_batch: 1": f"micro_batch: {10**320}"}),
+    ("experts", {"experts: 8": f"experts: {10**400}"}),
+    ("num_microbatches", {"num_microbatches: 4": f"num_microbatches: {10**9}"}),
+    ("total_gpus", {"total_gpus: 4": "total_gpus: 100000", "total_nics: 4": "total_nics: 100000"}),
+], ids=["hidden", "micro_batch", "experts", "num_microbatches", "total_gpus"])
+@VERBS
+def test_oversized_document_exits_2_before_building(argv, field, edits, tmp_path, capsys,
+                                                    monkeypatch):
+    # Integer fields over config.MAX_INT would overflow a float product; the
+    # size caps keep the task count and the split enumeration bounded. Both
+    # are document errors, caught before any graph or split is built.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a graph or enumerated splits")
+
+    for module, attr in (("report", "build_task_graph"), ("allocator", "build_task_graph"),
+                         ("allocator", "enumerate_feasible")):
+        monkeypatch.setattr(f"afpipe.{module}.{attr}", forbidden)
+    text = TOY_TEXT
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    bad = tmp_path / "big.yaml"
+    bad.write_text(text)
+    assert main([*argv, "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
+def test_sweep_point_over_the_integer_bound_exits_2(capsys):
+    assert main(["sweep", "--config", TOY, "--axis", "seq_len",
+                 "--values", "1" + "0" * 200]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seq_len: ") and "Traceback" not in err

@@ -1,10 +1,15 @@
+import math
 import os
-from dataclasses import fields
+from dataclasses import astuple, fields, replace
 
 import pytest
 import yaml
 
+from afpipe.allocator import canonical_allocation
 from afpipe.config import (
+    MAX_GPUS_X_NICS,
+    MAX_INT,
+    MAX_LAYER_MICROBATCHES,
     ClusterConfig,
     Experiment,
     InvalidValue,
@@ -17,6 +22,8 @@ from afpipe.config import (
     serialize_experiment,
     validate,
 )
+from afpipe.costs import layer_costs, stage_times
+from afpipe.placement import ATTN, FFN, assign_layers, memory_estimate
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -138,9 +145,9 @@ def test_validate_returns_all_violations():
     assert any(v.startswith("pipeline_depth:") for v in violations)
 
 
-def _with_cluster(field, value):
+def _with(section, field, value):
     doc = yaml.safe_load(DEEPSEEK_DOC)
-    doc["cluster"][field] = value
+    doc[section][field] = value
     return yaml.safe_dump(doc)
 
 
@@ -160,13 +167,13 @@ INF = float("inf")
 ])
 def test_out_of_range_rate_is_invalid(field, value):
     with pytest.raises(InvalidValue) as exc:
-        parse_experiment(_with_cluster(field, value))
+        parse_experiment(_with("cluster", field, value))
     assert exc.value.name == field
 
 
 @pytest.mark.parametrize("value", [0, 4.0e11])
 def test_nvlink_bw_accepts_finite_non_negative(value):
-    assert parse_experiment(_with_cluster("nvlink_bw", value)).cluster.nvlink_bw == value
+    assert parse_experiment(_with("cluster", "nvlink_bw", value)).cluster.nvlink_bw == value
 
 
 def test_readme_document_names_every_field():
@@ -183,3 +190,74 @@ def test_readme_document_names_every_field():
         assert list(doc[name]) == [f.name for f in fields(cls)]
     assert list(doc["schedule"]) == [f.name for f in fields(Experiment) if f.name not in sections]
     assert list(doc) == [*sections, "schedule"]
+
+
+INT_FIELDS = [
+    (section, f.name)
+    for section, cls in (("model", ModelConfig), ("workload", Workload), ("cluster", ClusterConfig),
+                         ("schedule", Experiment))
+    for f in fields(cls)
+    if f.type is int
+]
+
+
+@pytest.mark.parametrize("section, field", INT_FIELDS, ids=[f for _, f in INT_FIELDS])
+def test_integer_field_over_the_bound_is_invalid(section, field):
+    with pytest.raises(InvalidValue) as exc:
+        parse_experiment(_with(section, field, MAX_INT + 1))
+    assert exc.value.name == field
+
+
+def test_largest_admitted_sizes_keep_float_products_finite():
+    doc = yaml.safe_load(DEEPSEEK_DOC)
+    for key in ("hidden", "experts", "topk", "moe_hidden", "gqa_group"):
+        doc["model"][key] = MAX_INT
+    doc["model"]["bytes_per_element"] = 4
+    doc["workload"].update(seq_len=MAX_INT, micro_batch=MAX_INT, num_microbatches=1024)
+    doc["schedule"]["ep_size"] = MAX_INT
+    exp = parse_experiment(yaml.safe_dump(doc))
+    costs = layer_costs(exp.model, exp.workload, exp.ep_size)
+    alloc = canonical_allocation(1, 1, 16, 16, 8)
+    times = stage_times(costs, alloc, exp.cluster, exp.pipeline_depth)
+    assert all(math.isfinite(t) for t in astuple(times))
+    for component in (ATTN, FFN):
+        plan = assign_layers(exp.model.layers, exp.pipeline_depth, component)
+        est = memory_estimate(plan, exp.model, exp.workload, alloc)
+        assert all(math.isfinite(b) for b in astuple(est))
+
+
+def test_integer_too_large_for_a_float_rate_is_invalid():
+    with pytest.raises(InvalidValue) as exc:
+        parse_experiment(_with("cluster", "gpu_peak", 10**400))
+    assert exc.value.name == "cluster.gpu_peak"
+
+
+def test_integer_over_the_digit_limit_is_a_schema_violation():
+    with pytest.raises(SchemaViolation):
+        parse_experiment(DEEPSEEK_DOC.replace("hidden: 2048", "hidden: " + "9" * 5000))
+
+
+@pytest.mark.parametrize("section, values, named", [
+    ("workload", {"num_microbatches": 10**9}, "num_microbatches"),
+    ("cluster", {"total_gpus": 100_000, "total_nics": 100_000}, "total_gpus"),
+], ids=["num_microbatches", "total_gpus"])
+def test_size_caps_are_invalid(section, values, named):
+    exp = parse_experiment(DEEPSEEK_DOC)
+    big = replace(exp, **{section: replace(getattr(exp, section), **values)})
+    assert validate(big)[0].startswith(f"{named}: ")
+    doc = yaml.safe_load(DEEPSEEK_DOC)
+    doc[section].update(values)
+    with pytest.raises(InvalidValue) as exc:
+        parse_experiment(yaml.safe_dump(doc))
+    assert exc.value.name == named
+
+
+def test_size_caps_admit_28_layers_by_1024_microbatches_and_256_by_256():
+    assert 28 * 1024 <= MAX_LAYER_MICROBATCHES and 256 * 256 <= MAX_GPUS_X_NICS
+    exp = parse_experiment(DEEPSEEK_DOC)
+    big = replace(
+        exp,
+        workload=replace(exp.workload, num_microbatches=1024),
+        cluster=replace(exp.cluster, total_gpus=256, total_nics=256),
+    )
+    assert validate(big) == []
