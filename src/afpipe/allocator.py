@@ -7,9 +7,13 @@ Three phases:
   2. break ties by the roofline objective: the summed attainable throughput
      of both sides under their NIC-lifted bandwidths (the MFU numerator at a
      fixed bottleneck);
-  3. seeded local refinement that perturbs (M, M_a), re-derives node shapes
-     canonically, profiles the candidate with the pipeline simulator, and
-     accepts strict improvements.
+  3. seeded local refinement that perturbs (M, M_a), clips it into the
+     counts phase 1 walks, re-derives node shapes canonically, profiles the
+     candidate with the pipeline simulator, and accepts strict improvements.
+
+split_ranges states every rule on a split (1..W-1 GPUs and 1..M_tot-1 NICs
+a side, M_tot/2 of an even count under equal_nics); canonical_allocation,
+the one place a split is built, raises NoFeasible for any split they deny.
 
 No objective reads a node shape, so a split is one candidate, carrying the
 densest shape on each side (canonical_allocation). The search space is then
@@ -20,11 +24,10 @@ summed from shape counts without building the copies.
 
 Profiling plans once and re-times per split: the disaggregated task graph's
 tasks, dependencies, owners, lanes and credits do not depend on the split,
-only five task durations do. So one graph and its sim.SchedulePlan are
-built per experiment, and each new split only derives its durations
-(taskgraph.visit_times and afpipe_durations, as build_task_graph does) and
-runs the plan: the same scheduler loop simulate runs, giving the same
-makespan.
+only five task durations do. So one profile object (IterationProfile) per
+experiment builds one graph and its sim.SchedulePlan, and re-times each
+split by deriving its durations and running the plan. Phase 3 and
+brute_force_oracle both re-time through it.
 
 brute_force_oracle is exact without running every split. The plan fixes how
 many tasks of each duration key sit on each (owner, lane), and no two tasks
@@ -45,8 +48,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .config import Experiment, ScheduleKind
-from .costs import LayerCosts, arithmetic_intensities, layer_costs, roofline_attainable, stage_times
+from .config import ClusterConfig, Experiment, ScheduleKind
+from .costs import (
+    LayerCosts, StageTimes, arithmetic_intensities, layer_costs, roofline_attainable, stage_times,
+)
 from .sim import SchedulePlan, seconds
 from .taskgraph import afpipe_durations, build_task_graph, visit_times
 # Unused here, but bench/tracing.py patches allocator.assign_layers and
@@ -109,54 +114,75 @@ class AllocationReport:
     objective_trace: list[tuple[Allocation, float]] = field(default_factory=list)
 
 
-def _shape_count(count: int, node_size_max: int) -> int:
-    """How many (nodes, gpus_per_node) pairs with gpus_per_node <= node_size_max hold count GPUs."""
-    return sum(1 for gpn in range(1, min(count, node_size_max) + 1) if count % gpn == 0)
+def _shape_count(count: int, gpus_per_node: int) -> int:
+    """How many (nodes, gpus_per_node) pairs with at most gpus_per_node per node hold count GPUs."""
+    return sum(1 for gpn in range(1, min(count, gpus_per_node) + 1) if count % gpn == 0)
 
 
-def _shaped_size(cands: list[Allocation], node_size_max: int) -> int:
+def _shaped_size(cands: list[Allocation], gpus_per_node: int) -> int:
     """How many (split, attention shape, FFN shape) triples the splits in cands stand for."""
     return sum(
-        _shape_count(c.attn_gpus, node_size_max) * _shape_count(c.ffn_gpus, node_size_max)
+        _shape_count(c.attn_gpus, gpus_per_node) * _shape_count(c.ffn_gpus, gpus_per_node)
         for c in cands
     )
 
 
-def largest_node_shape(count: int, node_size_max: int) -> tuple[int, int]:
+def largest_node_shape(count: int, gpus_per_node: int) -> tuple[int, int]:
     """Canonical shape: the densest packing, i.e. the largest feasible mu."""
-    for gpn in range(min(count, node_size_max), 0, -1):
+    for gpn in range(min(count, gpus_per_node), 0, -1):
         if count % gpn == 0:
             return count // gpn, gpn
     raise ValueError(f"no node shape for {count} GPUs")
 
 
+def split_ranges(cluster: ClusterConfig, equal_nics: bool = False) -> tuple[range, range]:
+    """The attention-side GPU and NIC counts a split of cluster may take.
+
+    Each side keeps at least one GPU and one NIC, so attention takes 1..W-1
+    GPUs and 1..M_tot-1 NICs; equal_nics gives each side M_tot/2 NICs of an
+    even count. Raises NoFeasible when the cluster has no split at all.
+    """
+    total_gpus, total_nics = cluster.total_gpus, cluster.total_nics
+    if total_gpus < 2 or total_nics < 2:
+        raise NoFeasible(f"cannot split {total_gpus} GPUs / {total_nics} NICs into two groups")
+    if cluster.gpus_per_node < 1:
+        raise NoFeasible(f"no node shape has at most {cluster.gpus_per_node} GPUs per node")
+    if equal_nics and total_nics % 2 != 0:
+        raise NoFeasible(f"equal NIC split requires an even NIC count, got {total_nics}")
+    half = total_nics // 2
+    return range(1, total_gpus), range(half, half + 1) if equal_nics else range(1, total_nics)
+
+
 def canonical_allocation(
-    attn_gpus: int,
-    attn_nics: int,
-    total_gpus: int,
-    total_nics: int,
-    node_size_max: int = 8,
+    cluster: ClusterConfig, attn_gpus: int, attn_nics: int, equal_nics: bool = False
 ) -> Allocation:
-    m, mu = largest_node_shape(attn_gpus, node_size_max)
-    n, nu = largest_node_shape(total_gpus - attn_gpus, node_size_max)
+    """The split (attn_gpus, attn_nics) of cluster, each side in its densest node shape.
+
+    The one place a split is built: raises NoFeasible for any split that
+    split_ranges does not admit.
+    """
+    gpus, nics = split_ranges(cluster, equal_nics)
+    if attn_gpus not in gpus:
+        raise NoFeasible(f"attention GPU count {attn_gpus} leaves no split")
+    if attn_nics not in nics and equal_nics:
+        raise NoFeasible(f"equal NIC split gives each side {nics[0]} NICs, got {attn_nics}")
+    if attn_nics not in nics:
+        raise NoFeasible(f"attention NIC count {attn_nics} leaves no split")
+    m, mu = largest_node_shape(attn_gpus, cluster.gpus_per_node)
+    n, nu = largest_node_shape(cluster.total_gpus - attn_gpus, cluster.gpus_per_node)
     return Allocation(
         attn_gpus=attn_gpus,
-        ffn_gpus=total_gpus - attn_gpus,
+        ffn_gpus=cluster.total_gpus - attn_gpus,
         attn_nodes=m,
         ffn_nodes=n,
         attn_gpus_per_node=mu,
         ffn_gpus_per_node=nu,
         attn_nics=attn_nics,
-        ffn_nics=total_nics - attn_nics,
+        ffn_nics=cluster.total_nics - attn_nics,
     )
 
 
-def enumerate_feasible(
-    total_gpus: int,
-    total_nics: int,
-    node_size_max: int = 8,
-    equal_nics: bool = False,
-) -> list[Allocation]:
+def enumerate_feasible(cluster: ClusterConfig, equal_nics: bool = False) -> list[Allocation]:
     """One allocation per feasible split (M, M_a), canonically ordered.
 
     Each carries canonical_allocation's densest node shapes, the shape that
@@ -164,19 +190,11 @@ def enumerate_feasible(
     other shapes are not built; _shaped_size counts them. Order: ascending
     attention GPUs, then attention NICs.
     """
-    if total_gpus < 2 or total_nics < 2:
-        raise NoFeasible(
-            f"cannot split {total_gpus} GPUs / {total_nics} NICs into two groups"
-        )
-    if equal_nics and total_nics % 2 != 0:
-        raise NoFeasible(f"equal NIC split requires an even NIC count, got {total_nics}")
-    if node_size_max < 1:
-        raise NoFeasible(f"no node shape has at most {node_size_max} GPUs per node")
-    nic_splits = [total_nics // 2] if equal_nics else range(1, total_nics)
+    gpus, nics = split_ranges(cluster, equal_nics)
     return [
-        canonical_allocation(attn_gpus, attn_nics, total_gpus, total_nics, node_size_max)
-        for attn_gpus in range(1, total_gpus)
-        for attn_nics in nic_splits
+        canonical_allocation(cluster, attn_gpus, attn_nics, equal_nics)
+        for attn_gpus in gpus
+        for attn_nics in nics
     ]
 
 
@@ -224,29 +242,26 @@ def phase3_refine(
     seed: Allocation,
     params: AllocatorParams,
     profile,
-    total_gpus: int,
-    total_nics: int,
-    node_size_max: int = 8,
+    cluster: ClusterConfig,
     equal_nics: bool = False,
 ) -> tuple[Allocation, float, int, list[tuple[Allocation, float]]]:
     """Exactly `trials` random perturbations of (M, M_a), keeping strict wins.
 
-    Node shapes are re-derived canonically after clipping, so every candidate
-    stays feasible. Fully reproducible from the params' seed.
+    Each perturbed count is clipped into the range enumerate_feasible walks
+    (split_ranges) and node shapes are re-derived canonically, so every
+    candidate stays feasible. Fully reproducible from the params' seed.
     """
+    gpus, nics = split_ranges(cluster, equal_nics)
+    radius = params.radius
     rng = random.Random(params.rng_seed)
     best = seed
     best_time = profile(seed)
     trace = [(seed, best_time)]
     improvements = 0
     for _ in range(params.trials):
-        d_gpu = rng.randint(-params.radius, params.radius)
-        d_nic = rng.randint(-params.radius, params.radius)
-        gpus = min(max(best.attn_gpus + d_gpu, 1), total_gpus - 1)
-        nics = min(max(best.attn_nics + d_nic, 1), total_nics - 1)
-        if equal_nics:
-            nics = total_nics // 2
-        cand = canonical_allocation(gpus, nics, total_gpus, total_nics, node_size_max)
+        attn_gpus = min(max(best.attn_gpus + rng.randint(-radius, radius), gpus[0]), gpus[-1])
+        attn_nics = min(max(best.attn_nics + rng.randint(-radius, radius), nics[0]), nics[-1])
+        cand = canonical_allocation(cluster, attn_gpus, attn_nics, equal_nics)
         t = profile(cand)
         trace.append((cand, t))
         if t < best_time:
@@ -255,76 +270,64 @@ def phase3_refine(
     return best, best_time, improvements, trace
 
 
-class _Retimer:
-    """One experiment's afpipe SchedulePlan, re-timed per split.
+class IterationProfile:
+    """Simulated afpipe iteration time of each split of one experiment's cluster.
 
-    The first split whose durations are asked for builds the graph and its
-    plan; every split then runs that plan under its own durations. keys
-    holds each task's afpipe_durations key in plan order, and lanes the
-    (key, task count) pairs of each (owner, lane). Plans built are counted
-    in counts["plans"].
-    """
-
-    def __init__(self, exp: Experiment, counts: Counter):
-        self.exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
-        self.costs = layer_costs(self.exp.model, self.exp.workload, self.exp.ep_size)
-        self.counts = counts
-        self.plan: SchedulePlan | None = None
-        self.keys: list[tuple] = []
-        self.lanes: list[tuple[tuple[tuple, int], ...]] = []
-
-    def durations(self, alloc: Allocation) -> dict[tuple, int]:
-        """alloc's task durations (ns) by afpipe_durations key."""
-        times = visit_times(self.exp, self.costs, alloc)
-        if self.plan is None:
-            self.plan = SchedulePlan(build_task_graph(self.exp, times=times))
-            self.keys = [(t.kind, t.component) for t in self.plan.tasks]
-            lanes: dict[tuple[str, str], Counter] = {}
-            for task, key in zip(self.plan.tasks, self.keys):
-                lanes.setdefault((task.owner, task.lane), Counter())[key] += 1
-            self.lanes = [tuple(lane.items()) for lane in lanes.values()]
-            self.counts["plans"] += 1
-        return afpipe_durations(times)
-
-    def lane_bound_ns(self, durations: dict[tuple, int]) -> int:
-        """The largest summed duration of one (owner, lane): sim.resource_bound_ns."""
-        return max(
-            (sum(durations[key] * n for key, n in lane) for lane in self.lanes), default=0
-        )
-
-    def makespan_ns(self, durations: dict[tuple, int]) -> int:
-        return self.plan.run([durations[key] for key in self.keys])[1]
-
-
-def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
-    """Deterministic profile function: simulated disaggregated iteration time.
-
-    Memoized on the (M, N, M_a, M_f) split, which fully determines the
-    simulated durations. The first split profiled builds the afpipe graph
-    and its SchedulePlan; every split, that one included, is re-timed: its
-    five task durations come from the experiment's one LayerCosts through
-    visit_times and afpipe_durations, which build_task_graph also uses, and
-    the plan runs under them. The plan reads only what the split does not
-    change (ids, deps, twins, owners, lanes, kinds, micro-batch, virtual
-    index, component and credits), so a profile equals
-    simulate(build_task_graph(exp, alloc))[1].iteration_time exactly.
+    Creating one plans the experiment's afpipe graph, built under zero
+    durations: the plan reads only what a split does not change (ids, deps,
+    twins, owners, lanes, kinds, micro-batch, virtual index, component and
+    credits). A call derives the split's five task durations from the one
+    LayerCosts through visit_times and afpipe_durations, as build_task_graph
+    does, and runs the plan, so it equals
+    simulate(build_task_graph(exp, alloc))[1].iteration_time exactly. Calls
+    are memoized on (M, M_a), which fixes a split of one cluster.
 
     counts, when given, gathers "calls", "retimed" (cache misses) and
     "plans" (plans built).
     """
-    counts = Counter() if counts is None else counts
-    retimer = _Retimer(exp, counts)
-    cache: dict[tuple[int, int, int, int], float] = {}
 
-    def profile(alloc: Allocation) -> float:
-        counts["calls"] += 1
-        key = (alloc.attn_gpus, alloc.ffn_gpus, alloc.attn_nics, alloc.ffn_nics)
-        if key not in cache:
-            cache[key] = seconds(retimer.makespan_ns(retimer.durations(alloc)))
-            counts["retimed"] += 1
-        return cache[key]
+    def __init__(self, exp: Experiment, counts: Counter | None = None):
+        self.exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
+        self.costs = layer_costs(self.exp.model, self.exp.workload, self.exp.ep_size)
+        self.counts = Counter() if counts is None else counts
+        self.cache: dict[tuple[int, int], float] = {}
+        zero = StageTimes(t_attn=0.0, t_ffn=0.0, t_a2a=0.0, t_m2n=0.0, t_p2p=0.0)
+        self.plan = SchedulePlan(build_task_graph(self.exp, times=zero))
+        # Each task's afpipe_durations key in plan order, and the (key, task
+        # count) pairs of each (owner, lane).
+        self.keys = [(t.kind, t.component) for t in self.plan.tasks]
+        lanes: dict[tuple[str, str], Counter] = {}
+        for task, key in zip(self.plan.tasks, self.keys):
+            lanes.setdefault((task.owner, task.lane), Counter())[key] += 1
+        self.lanes = [tuple(lane.items()) for lane in lanes.values()]
+        self.counts["plans"] += 1
 
-    return profile
+    def durations(self, alloc: Allocation) -> dict[tuple, int]:
+        """alloc's task durations (ns) by afpipe_durations key."""
+        return afpipe_durations(visit_times(self.exp, self.costs, alloc))
+
+    def lane_bound_ns(self, alloc: Allocation) -> int:
+        """The largest summed duration of one (owner, lane) under alloc: sim.resource_bound_ns."""
+        durations = self.durations(alloc)
+        return max((sum(durations[key] * n for key, n in lane) for lane in self.lanes), default=0)
+
+    def __call__(self, alloc: Allocation) -> float:
+        self.counts["calls"] += 1
+        key = (alloc.attn_gpus, alloc.attn_nics)
+        if key not in self.cache:
+            durations = self.durations(alloc)
+            self.cache[key] = seconds(self.plan.run([durations[k] for k in self.keys])[1])
+            self.counts["retimed"] += 1
+        return self.cache[key]
+
+
+def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
+    """Deterministic profile function: exp's IterationProfile, called on a split.
+
+    allocate profiles through this module attribute, which the benchmark's
+    tracer (bench/tracing.py) wraps to count profile calls.
+    """
+    return IterationProfile(exp, counts)
 
 
 def _log_profile(verb: str, counts: Counter) -> None:
@@ -338,14 +341,6 @@ def _log_profile(verb: str, counts: Counter) -> None:
     )
 
 
-def _candidates(exp: Experiment, equal_nics: bool) -> list[Allocation]:
-    """enumerate_feasible over exp's cluster."""
-    cluster = exp.cluster
-    return enumerate_feasible(
-        cluster.total_gpus, cluster.total_nics, cluster.gpus_per_node, equal_nics
-    )
-
-
 def allocate(
     exp: Experiment,
     params: AllocatorParams | None = None,
@@ -353,18 +348,13 @@ def allocate(
 ) -> AllocationReport:
     """Run all three phases; the profile oracle is the pipeline simulator."""
     params = params or AllocatorParams()
-    _, band = phase1_min_bottleneck(_candidates(exp, equal_nics), exp, params.epsilon)
+    cands = enumerate_feasible(exp.cluster, equal_nics)
+    _, band = phase1_min_bottleneck(cands, exp, params.epsilon)
     seed = phase2_tiebreak(band, exp)
     counts = Counter()
     profile = af_iteration_profile(exp, counts)
     best, t_star, improvements, trace = phase3_refine(
-        seed,
-        params,
-        profile,
-        exp.cluster.total_gpus,
-        exp.cluster.total_nics,
-        exp.cluster.gpus_per_node,
-        equal_nics,
+        seed, params, profile, exp.cluster, equal_nics
     )
     _log_profile("allocate", counts)
     return AllocationReport(
@@ -391,36 +381,27 @@ def brute_force_oracle(
     profiling every split. Times are compared as the profile returns them,
     makespan / 1e9.
     """
-    cands = _candidates(exp, equal_nics)
+    cands = enumerate_feasible(exp.cluster, equal_nics)
     size = _shaped_size(cands, exp.cluster.gpus_per_node)
     if size > cap:
         raise SearchSpaceTooLarge(f"{size} candidates exceed the cap of {cap}")
-    counts = Counter()
-    retimer = _Retimer(exp, counts)
-    bounded = []
-    for cand in cands:
-        durations = retimer.durations(cand)
-        bounded.append((seconds(retimer.lane_bound_ns(durations)), cand, durations))
+    profile = IterationProfile(exp)
     # Stable: equal bounds keep the canonical order of cands.
-    bounded.sort(key=lambda entry: entry[0])
-    best = None
-    best_time = None
-    retimed = 0
-    for bound, cand, durations in bounded:
-        if best_time is not None and bound > best_time:
+    bounded = sorted(((seconds(profile.lane_bound_ns(c)), c) for c in cands), key=lambda e: e[0])
+    best, best_time = None, float("inf")
+    for bound, cand in bounded:
+        if bound > best_time:
             break
-        t = seconds(retimer.makespan_ns(durations))
-        if best_time is None or t < best_time or (
-            t == best_time and cand.sort_key() < best.sort_key()
-        ):
+        t = profile(cand)
+        if best is None or (t, cand.sort_key()) < (best_time, best.sort_key()):
             best, best_time = cand, t
-        retimed += 1
-    counts.update(calls=retimed, retimed=retimed, pruned=len(cands) - retimed)
-    _log_profile("brute_force_oracle", counts)
+    profile.counts["pruned"] = len(cands) - profile.counts["retimed"]
+    _log_profile("brute_force_oracle", profile.counts)
     return best, best_time
 
 
 def default_allocation(exp: Experiment, equal_nics: bool = False) -> Allocation:
     """Analytic seed (phases 1 and 2 only); the CLI default when none is given."""
-    _, band = phase1_min_bottleneck(_candidates(exp, equal_nics), exp, AllocatorParams().epsilon)
+    cands = enumerate_feasible(exp.cluster, equal_nics)
+    _, band = phase1_min_bottleneck(cands, exp, AllocatorParams().epsilon)
     return phase2_tiebreak(band, exp)

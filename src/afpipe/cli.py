@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import allocator as alloc_mod
-from .allocator import AllocatorParams, NoFeasible, canonical_allocation
+from .allocator import AllocatorParams, NoFeasible, canonical_allocation, split_ranges
 from .config import ConfigError, Experiment, ScheduleKind, load_experiment, validate
 from .costs import attention_flops, ffn_flops, m2n_comm_bytes
 from .report import (
@@ -70,21 +70,15 @@ def _load(path: str) -> Experiment:
 
 
 def _resolve_allocation(exp: Experiment, args) -> alloc_mod.Allocation:
+    """The analytic default split, or the one the overrides name (half of a count not given)."""
     cluster = exp.cluster
     if args.attn_gpus is None and args.attn_nics is None:
         return alloc_mod.default_allocation(exp, equal_nics=args.equal_nics)
-    gpus = args.attn_gpus if args.attn_gpus is not None else cluster.total_gpus // 2
-    nics = args.attn_nics if args.attn_nics is not None else cluster.total_nics // 2
-    if not 1 <= gpus <= cluster.total_gpus - 1:
-        raise NoFeasible(f"attention GPU count {gpus} leaves no split")
-    if not 1 <= nics <= cluster.total_nics - 1:
-        raise NoFeasible(f"attention NIC count {nics} leaves no split")
-    if args.equal_nics:
-        if cluster.total_nics % 2 != 0:
-            raise NoFeasible("equal NIC split requires an even NIC count")
-        nics = cluster.total_nics // 2
     return canonical_allocation(
-        gpus, nics, cluster.total_gpus, cluster.total_nics, cluster.gpus_per_node
+        cluster,
+        cluster.total_gpus // 2 if args.attn_gpus is None else args.attn_gpus,
+        cluster.total_nics // 2 if args.attn_nics is None else args.attn_nics,
+        args.equal_nics,
     )
 
 
@@ -116,7 +110,7 @@ def _result_row(kind: ScheduleKind, result) -> tuple:
 
 def cmd_simulate(args) -> int:
     exp = _load(args.config)
-    kind = ScheduleKind(args.schedule)
+    kind = exp.schedule_kind if args.schedule is None else ScheduleKind(args.schedule)
     alloc = _resolve_allocation(exp, args)
     trace, result = run_schedule(exp, kind, alloc)
     report = build_run_report(exp, alloc, {kind: result}, args.mem_cap)
@@ -196,7 +190,7 @@ def _apply_axis(exp: Experiment, axis: str, raw: str) -> tuple[Experiment, float
     else:  # attn_gpu_share
         total = exp.cluster.total_gpus
         forced_gpus = round(total * value) if 0 < value < 1 else 0  # rejects NaN too
-        if not 1 <= forced_gpus <= total - 1:
+        if forced_gpus not in split_ranges(exp.cluster)[0]:
             raise _CliError(EXIT_CONFIG, f"attn_gpu_share must leave both sides a GPU, got {value}")
     violations = validate(exp)
     if violations:
@@ -221,11 +215,9 @@ def cmd_sweep(args) -> int:
 
     for raw in values:
         point, value, forced_gpus = _apply_axis(exp, args.axis, raw)
-        cluster = point.cluster
         if forced_gpus is not None:
             alloc = canonical_allocation(
-                forced_gpus, cluster.total_nics // 2, cluster.total_gpus, cluster.total_nics,
-                cluster.gpus_per_node,
+                point.cluster, forced_gpus, point.cluster.total_nics // 2, args.equal_nics
             )
         else:
             alloc = alloc_mod.default_allocation(point, equal_nics=args.equal_nics)
@@ -313,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate one schedule")
     _add_common(p_sim)
     _add_alloc_overrides(p_sim)
-    p_sim.add_argument("--schedule", choices=_SCHEDULE_CHOICES, default="afpipe")
+    p_sim.add_argument("--schedule", choices=_SCHEDULE_CHOICES, default=None,
+                       help="schedule to simulate (default: the document's schedule_kind)")
     p_sim.add_argument("--trace", default=None, help="write a trace-event JSON file")
     p_sim.add_argument("--out", default=None, help="write the report JSON")
     p_sim.set_defaults(func=cmd_simulate)

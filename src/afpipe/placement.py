@@ -57,6 +57,16 @@ def assign_layers(num_layers: int, depth: int, component: str) -> PlacementPlan:
     )
 
 
+def credit(num_layers: int, group: int, component: str) -> int:
+    """1F1B credit of a group: how many micro-batches it may hold in flight.
+
+    It counts the forward visits at or after the group's first one in the
+    chain A0 F0 A1 F1 ... (2L visits; group g of attention first appears at
+    2g, of FFN at 2g + 1), and is at least one.
+    """
+    return max(1, 2 * num_layers - (2 * group + (0 if component == ATTN else 1)))
+
+
 def validate_partition(plan: PlacementPlan, num_layers: int) -> list[str]:
     """Check disjoint cover of [0, L) and group sizes differing by at most 1."""
     violations: list[str] = []
@@ -87,26 +97,25 @@ def memory_estimate(
     parameters (E*2*H*D_e elements per layer) are sharded evenly across the
     group's GPUs. Each parameter takes PARAM_BYTES_PER_ELEMENT bytes, plus
     OPTIMIZER_BYTES_PER_PARAM of optimizer state. Activations count one
-    hidden-state tensor per assigned layer per in-flight micro-batch.
+    hidden-state tensor per assigned layer per in-flight micro-batch, at
+    most the group's 1F1B credit.
     """
     layers = plan.virtual_stages
     h, g = model.hidden, model.gqa_group
     if plan.component == ATTN:
         per_layer_elems = Fraction(2 * (g + 1), g) * h * h + h * h
         param_elems = float(layers * per_layer_elems)
-        first_visit = 0
     else:
         gpus_per_group = alloc.ffn_gpus / plan.pipeline_depth
         per_layer_elems = model.experts * 2 * h * model.moe_hidden
         param_elems = layers * per_layer_elems / gpus_per_group
-        first_visit = 1
 
     param_bytes = param_elems * PARAM_BYTES_PER_ELEMENT
     optimizer_bytes = param_elems * OPTIMIZER_BYTES_PER_PARAM
 
     hidden_bytes = model.bytes_per_element * workload.micro_batch * workload.seq_len * h
-    total_visits = 2 * plan.pipeline_depth * plan.virtual_stages
-    in_flight = min(workload.num_microbatches, max(1, total_visits - first_visit))
+    num_layers = sum(len(group_layers) for _, group_layers in plan.groups)
+    in_flight = min(workload.num_microbatches, credit(num_layers, 0, plan.component))
     activation_bytes = float(layers * hidden_bytes * in_flight)
 
     return MemoryEstimate(

@@ -65,6 +65,7 @@ from typing import Iterable, NamedTuple
 
 from .config import ScheduleKind
 from .costs import StageTimes, staged_layer_time
+from .placement import ATTN, FFN
 from .taskgraph import (
     COMPUTE_LANE,
     GraphConstructionError,
@@ -117,7 +118,7 @@ class SimResult:
     per_group_busy: dict[str, float]
 
 
-_COMPONENT_RANK = {"A": 0, "F": 1, None: 2}
+_COMPONENT_RANK = {ATTN: 0, FFN: 1, None: 2}
 
 
 def _check_tasks(graph: TaskGraph) -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .config import Experiment, ScheduleKind
 from .costs import BACKWARD_MULTIPLIER, LayerCosts, StageTimes, layer_costs, staged_layer_time
-from .placement import ATTN, FFN
+from .placement import ATTN, FFN, credit
 
 
 class GraphConstructionError(Exception):
@@ -283,12 +283,9 @@ def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
     ns = afpipe_durations(vt)
 
     graph.owners = tuple(f"A{g}" for g in range(p)) + tuple(f"F{g}" for g in range(p))
-    # 1F1B credit: visits at or after the group's first appearance in the
-    # forward chain (A0 F0 A1 F1 ... repeated across depth).
-    total_visits = 2 * layers
     for g in range(p):
-        graph.credits[f"A{g}"] = max(1, total_visits - 2 * g)
-        graph.credits[f"F{g}"] = max(1, total_visits - (2 * g + 1))
+        for component in (ATTN, FFN):
+            graph.credits[f"{component}{g}"] = credit(layers, g, component)
 
     visits = [
         _Visit(f"{component}{layer % p}", TaskKind.FWD_COMPUTE,

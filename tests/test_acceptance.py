@@ -58,8 +58,7 @@ def _small_experiment(kind, layers, depth, stages, microbatches=6):
 def _build(exp, times=None):
     alloc = None
     if exp.schedule_kind is ScheduleKind.AFPIPE:
-        alloc = canonical_allocation(1, 1, exp.cluster.total_gpus,
-                                     exp.cluster.total_nics, exp.cluster.gpus_per_node)
+        alloc = canonical_allocation(exp.cluster, 1, 1)
     return build_task_graph(exp, alloc, times=times)
 
 
@@ -291,10 +290,10 @@ def test_criterion_8_refinement_properties():
     from afpipe.allocator import af_iteration_profile
 
     profile = af_iteration_profile(exp)
-    seed = canonical_allocation(1, 1, 8, 8, 2)  # deliberately poor start
+    seed = canonical_allocation(exp.cluster, 1, 1)  # deliberately poor start
     for restart in range(100):
         params = AllocatorParams(radius=3, trials=30, rng_seed=restart)
-        best, best_time, improvements, trace = phase3_refine(seed, params, profile, 8, 8, 2)
+        best, best_time, improvements, trace = phase3_refine(seed, params, profile, exp.cluster)
         assert best_time <= trace[0][1], "never worse than the seed"
         accepted = [trace[0][1]]
         for _, t in trace[1:]:
@@ -303,7 +302,7 @@ def test_criterion_8_refinement_properties():
         assert accepted == sorted(accepted, reverse=True)
         assert len(accepted) - 1 == improvements
         assert best_time == accepted[-1]
-        again = phase3_refine(seed, params, profile, 8, 8, 2)
+        again = phase3_refine(seed, params, profile, exp.cluster)
         assert again == (best, best_time, improvements, trace), "seed-reproducible"
     _passed("criterion 8: accept-only-improvement monotonicity and seed "
             "reproducibility over 100 random restarts")

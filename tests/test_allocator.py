@@ -11,7 +11,7 @@ from afpipe.allocator import (
     AllocatorParams,
     NoFeasible,
     SearchSpaceTooLarge,
-    _Retimer,
+    IterationProfile,
     _shaped_size,
     af_iteration_profile,
     allocate,
@@ -37,6 +37,11 @@ from afpipe.sim import resource_bound_ns, simulate
 from afpipe.taskgraph import build_task_graph
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def _cluster(W, nics, gpus_per_node):
+    return ClusterConfig(total_gpus=W, gpus_per_node=gpus_per_node, total_nics=nics,
+                         gpu_peak=1e12, ib_bw=1e10)
 
 
 def _experiment(W=4, nics=4, layers=2, depth=2, stages=1, seq=1024, hidden=512,
@@ -75,42 +80,42 @@ def _brute_force_allocations(total_gpus, total_nics, node_size_max):
 
 
 def test_enumerate_smallest_split():
-    cands = enumerate_feasible(2, 2, node_size_max=1)
+    cands = enumerate_feasible(_cluster(2, 2, 1))
     assert Allocation(1, 1, 1, 1, 1, 1, 1, 1) in cands
 
 
 def test_enumerate_unsplittable_nics():
     with pytest.raises(NoFeasible):
-        enumerate_feasible(2, 1)
+        enumerate_feasible(_cluster(2, 1, 8))
 
 
 def test_enumerate_without_node_shapes():
     with pytest.raises(NoFeasible):
-        enumerate_feasible(4, 4, node_size_max=0)
+        enumerate_feasible(_cluster(4, 4, 0))
 
 
 def test_enumerate_matches_independent_count():
     # One candidate per distinct (M, M_a) of the shape-expanded brute force,
     # with the densest shape, standing for all of that split's shapes.
     for total_gpus, total_nics, node_size_max in ((4, 4, 8), (9, 5, 2), (12, 3, 4)):
-        cands = enumerate_feasible(total_gpus, total_nics, node_size_max)
+        cluster = _cluster(total_gpus, total_nics, node_size_max)
+        cands = enumerate_feasible(cluster)
         expected = _brute_force_allocations(total_gpus, total_nics, node_size_max)
         splits = sorted({(t[0], t[6]) for t in expected})
         assert [(c.attn_gpus, c.attn_nics) for c in cands] == splits
         for c in cands:
-            assert c == canonical_allocation(c.attn_gpus, c.attn_nics, total_gpus, total_nics,
-                                             node_size_max)
+            assert c == canonical_allocation(cluster, c.attn_gpus, c.attn_nics)
         assert _shaped_size(cands, node_size_max) == len(expected)
 
 
 def test_enumerate_canonical_order():
-    cands = enumerate_feasible(6, 4, node_size_max=4)
+    cands = enumerate_feasible(_cluster(6, 4, 4))
     keys = [c.sort_key() for c in cands]
     assert keys == sorted(keys)
 
 
 def test_enumerate_respects_node_size_cap():
-    for c in enumerate_feasible(16, 4, node_size_max=4):
+    for c in enumerate_feasible(_cluster(16, 4, 4)):
         assert c.attn_gpus_per_node <= 4
         assert c.ffn_gpus_per_node <= 4
         assert c.attn_nodes * c.attn_gpus_per_node == c.attn_gpus
@@ -118,14 +123,40 @@ def test_enumerate_respects_node_size_cap():
 
 
 def test_enumerate_equal_nics():
-    cands = enumerate_feasible(4, 4, node_size_max=8, equal_nics=True)
+    cands = enumerate_feasible(_cluster(4, 4, 8), equal_nics=True)
     assert all(c.attn_nics == c.ffn_nics == 2 for c in cands)
     with pytest.raises(NoFeasible):
-        enumerate_feasible(4, 5, equal_nics=True)
+        enumerate_feasible(_cluster(4, 5, 8), equal_nics=True)
+
+
+@pytest.mark.parametrize("attn_gpus, attn_nics", [(0, 2), (4, 2), (2, 0), (2, 4), (2, 5)],
+                         ids=["no-attn-gpu", "no-ffn-gpu", "no-attn-nic", "no-ffn-nic",
+                              "negative-ffn-nics"])
+def test_canonical_allocation_rejects_a_side_left_empty(attn_gpus, attn_nics):
+    with pytest.raises(NoFeasible, match="leaves no split"):
+        canonical_allocation(_cluster(4, 4, 2), attn_gpus, attn_nics)
+
+
+def test_canonical_allocation_enforces_the_equal_nic_rule():
+    assert canonical_allocation(_cluster(4, 4, 2), 1, 2, equal_nics=True).ffn_nics == 2
+    with pytest.raises(NoFeasible, match="^equal NIC split gives each side 2 NICs"):
+        canonical_allocation(_cluster(4, 4, 2), 1, 1, equal_nics=True)
+    with pytest.raises(NoFeasible, match="^equal NIC split requires an even NIC count, got 5$"):
+        canonical_allocation(_cluster(4, 5, 2), 1, 2, equal_nics=True)
+
+
+@pytest.mark.parametrize("equal_nics", [False, True])
+def test_phase3_candidates_stay_in_the_enumerated_splits(equal_nics):
+    exp = _experiment(W=6, nics=4)
+    splits = set(enumerate_feasible(exp.cluster, equal_nics))
+    seed = min(splits, key=Allocation.sort_key)
+    params = AllocatorParams(trials=60, radius=5, rng_seed=2)
+    *_, trace = phase3_refine(seed, params, af_iteration_profile(exp), exp.cluster, equal_nics)
+    assert {cand for cand, _ in trace} <= splits
 
 
 def test_conservation_invariants():
-    for c in enumerate_feasible(9, 7, node_size_max=8):
+    for c in enumerate_feasible(_cluster(9, 7, 8)):
         assert c.attn_gpus + c.ffn_gpus == 9
         assert c.attn_nics + c.ffn_nics == 7
         assert min(c.attn_gpus, c.ffn_gpus, c.attn_nics, c.ffn_nics) >= 1
@@ -133,7 +164,7 @@ def test_conservation_invariants():
 
 def test_phase1_single_candidate():
     exp = _experiment(W=2, nics=2, gpus_per_node=1)
-    cands = enumerate_feasible(2, 2, node_size_max=1)
+    cands = enumerate_feasible(exp.cluster)
     t_star, band = phase1_min_bottleneck(cands, exp, epsilon=0.0)
     assert band == cands
     costs = layer_costs(exp.model, exp.workload, exp.ep_size)
@@ -142,7 +173,7 @@ def test_phase1_single_candidate():
 
 def test_phase1_matches_exhaustive_minimum():
     exp = _experiment(W=4, nics=4)
-    cands = enumerate_feasible(4, 4, node_size_max=2)
+    cands = enumerate_feasible(exp.cluster)
     t_star, band = phase1_min_bottleneck(cands, exp, epsilon=0.0)
     costs = layer_costs(exp.model, exp.workload, exp.ep_size)
     exhaustive = min(analytic_bottleneck(c, exp, costs) for c in cands)
@@ -153,14 +184,14 @@ def test_phase1_matches_exhaustive_minimum():
 def test_phase1_symmetric_costs_keep_balanced_split():
     # seq == hidden == k * moe_hidden makes attention and FFN FLOPs equal.
     exp = _experiment(W=4, nics=4, seq=1024, hidden=1024, topk=2, moe_hidden=1024)
-    cands = enumerate_feasible(4, 4, node_size_max=2)
+    cands = enumerate_feasible(exp.cluster)
     _, band = phase1_min_bottleneck(cands, exp, epsilon=0.0)
     assert any(c.attn_gpus == c.ffn_gpus == 2 for c in band)
 
 
 def test_phase2_single_element():
     exp = _experiment()
-    only = canonical_allocation(1, 1, 4, 4, 2)
+    only = canonical_allocation(exp.cluster, 1, 1)
     assert phase2_tiebreak([only], exp) is only
 
 
@@ -168,8 +199,8 @@ def test_phase2_equal_objectives_keep_canonical_first():
     # Both sides deep in the compute-bound regime: every NIC split attains
     # the same roofline sum, so the canonically first candidate wins.
     exp = _experiment(ib=1e15)
-    a = canonical_allocation(2, 1, 4, 4, 2)
-    b = canonical_allocation(2, 2, 4, 4, 2)
+    a = canonical_allocation(exp.cluster, 2, 1)
+    b = canonical_allocation(exp.cluster, 2, 2)
     assert phase2_tiebreak([a, b], exp) is a
 
 
@@ -181,8 +212,8 @@ def test_phase2_prefers_nic_shift_to_starved_side():
     #   split (Ma=1, Mf=3): min(2e12, 2.56e12) + min(2e12, 1.92e11) = 2.192e12
     exp = _experiment(W=4, nics=4, seq=256, hidden=1024, topk=1, moe_hidden=32,
                       peak=1e12, ib=1e9)
-    balanced = canonical_allocation(2, 2, 4, 4, 2)
-    ffn_lifted = canonical_allocation(2, 1, 4, 4, 2)
+    balanced = canonical_allocation(exp.cluster, 2, 2)
+    ffn_lifted = canonical_allocation(exp.cluster, 2, 1)
     assert phase2_tiebreak([balanced, ffn_lifted], exp) is ffn_lifted
 
 
@@ -191,7 +222,7 @@ def test_phase3_zero_trials_returns_seed():
     seed = default_allocation(exp)
     profile = af_iteration_profile(exp)
     best, t, improvements, trace = phase3_refine(
-        seed, AllocatorParams(trials=0, radius=2), profile, 4, 4, 2)
+        seed, AllocatorParams(trials=0, radius=2), profile, exp.cluster)
     assert best == seed
     assert t == profile(seed)
     assert improvements == 0
@@ -203,7 +234,7 @@ def test_phase3_zero_radius_never_moves():
     seed = default_allocation(exp)
     profile = af_iteration_profile(exp)
     best, _, improvements, trace = phase3_refine(
-        seed, AllocatorParams(trials=10, radius=0), profile, 4, 4, 2)
+        seed, AllocatorParams(trials=10, radius=0), profile, exp.cluster)
     assert best == seed
     assert improvements == 0
     assert len(trace) == 11
@@ -212,9 +243,9 @@ def test_phase3_zero_radius_never_moves():
 def test_phase3_accepts_only_improvements():
     exp = _experiment()
     profile = af_iteration_profile(exp)
-    seed = canonical_allocation(1, 1, 4, 4, 2)  # deliberately lopsided
+    seed = canonical_allocation(exp.cluster, 1, 1)  # deliberately lopsided
     best, t, _, trace = phase3_refine(
-        seed, AllocatorParams(trials=50, radius=2, rng_seed=3), profile, 4, 4, 2)
+        seed, AllocatorParams(trials=50, radius=2, rng_seed=3), profile, exp.cluster)
     assert t <= profile(seed)
     accepted = [time for _, time in trace[:1]]
     for _, time in trace[1:]:
@@ -229,8 +260,8 @@ def test_phase3_reproducible_from_seed():
     profile = af_iteration_profile(exp)
     seed = default_allocation(exp)
     params = AllocatorParams(trials=25, radius=3, rng_seed=11)
-    first = phase3_refine(seed, params, profile, 4, 4, 2)
-    second = phase3_refine(seed, params, profile, 4, 4, 2)
+    first = phase3_refine(seed, params, profile, exp.cluster)
+    second = phase3_refine(seed, params, profile, exp.cluster)
     assert first == second
 
 
@@ -291,11 +322,12 @@ def test_longer_sequences_shift_gpus_to_attention():
 
 
 def test_canonical_allocation_prefers_dense_nodes():
-    alloc = canonical_allocation(12, 2, 16, 4, node_size_max=8)
+    cluster = _cluster(16, 4, 8)
+    alloc = canonical_allocation(cluster, 12, 2)
     assert (alloc.attn_nodes, alloc.attn_gpus_per_node) == (2, 6)
-    alloc = canonical_allocation(7, 2, 16, 4, node_size_max=8)
+    alloc = canonical_allocation(cluster, 7, 2)
     assert (alloc.attn_nodes, alloc.attn_gpus_per_node) == (1, 7)
-    alloc = canonical_allocation(13, 2, 16, 4, node_size_max=8)
+    alloc = canonical_allocation(cluster, 13, 2)
     assert (alloc.attn_nodes, alloc.attn_gpus_per_node) == (13, 1)
 
 
@@ -327,11 +359,10 @@ def test_retimed_profile_equals_simulation(config, microbatches, depth):
     for total in (8, 16):
         exp = replace(base, pipeline_depth=depth,
                       cluster=replace(base.cluster, total_gpus=total, total_nics=total))
-        gpn = exp.cluster.gpus_per_node
         reference = _reference_profile(exp)
         counts = Counter()
         profile = af_iteration_profile(exp, counts)
-        cands = enumerate_feasible(total, total, gpn)
+        cands = enumerate_feasible(exp.cluster)
         splits = {(c.attn_gpus, c.attn_nics): c for c in cands}
         for alloc in splits.values():
             assert profile(alloc) == reference(alloc), alloc
@@ -344,15 +375,25 @@ def test_retimed_profile_equals_simulation(config, microbatches, depth):
         for seed in range(6):
             params = AllocatorParams(radius=4, trials=50, rng_seed=seed)
             report = allocate(exp, params)
-            expected = phase3_refine(report.seed_alloc, params, reference, total, total, gpn)
+            expected = phase3_refine(report.seed_alloc, params, reference, exp.cluster)
             assert report.objective_trace == expected[3]
+
+
+def test_profile_plans_once_when_created_and_memoizes_on_the_split():
+    exp = _experiment()
+    counts = Counter()
+    profile = IterationProfile(exp, counts)
+    assert counts == {"plans": 1}
+    alloc = canonical_allocation(exp.cluster, 2, 1)
+    assert profile(alloc) == profile(alloc) == _reference_profile(exp)(alloc)
+    assert counts == {"plans": 1, "calls": 2, "retimed": 1}
 
 
 def test_profile_of_no_microbatches_is_zero():
     # Config validation rejects 0 micro-batches, so it is set past it.
     exp = _experiment()
     exp = replace(exp, workload=replace(exp.workload, num_microbatches=0))
-    alloc = canonical_allocation(2, 2, 4, 4, 2)
+    alloc = canonical_allocation(exp.cluster, 2, 2)
     assert simulate(build_task_graph(exp, alloc))[1].iteration_time == 0.0
     assert af_iteration_profile(exp)(alloc) == 0.0
 
@@ -378,7 +419,7 @@ def test_allocate_and_oracle_log_profile_counts_at_debug(caplog):
 
     caplog.clear()
     (_, best_time), verb, counts = _profile_log(caplog, lambda: brute_force_oracle(exp))
-    cands = enumerate_feasible(6, 4, 2)
+    cands = enumerate_feasible(exp.cluster)
     bounds = [resource_bound_ns(build_task_graph(exp, c)) / 1e9 for c in cands]
     retimed = sum(bound <= best_time for bound in bounds)
     assert 0 < retimed < len(cands)
@@ -434,7 +475,7 @@ def test_pruned_oracle_keeps_least_sort_key_on_equal_times():
                               ib=1e12, microbatches=1, gpus_per_node=4),
                   model=ModelConfig(layers=2, hidden=512, experts=4, topk=1, moe_hidden=256))
     reference = _reference_profile(exp)
-    first, later = canonical_allocation(3, 5, 5, 10, 4), canonical_allocation(4, 5, 5, 10, 4)
+    first, later = canonical_allocation(exp.cluster, 3, 5), canonical_allocation(exp.cluster, 4, 5)
     assert reference(first) == reference(later) == min(map(reference, _expanded(exp)))
     bound = {c: resource_bound_ns(build_task_graph(exp, c)) for c in (first, later)}
     assert bound[later] < bound[first]
@@ -445,10 +486,10 @@ def test_pruned_oracle_keeps_least_sort_key_on_equal_times():
 def test_lane_bound_equals_resource_bound(depth):
     for config, microbatches in (("toy.yaml", 4), ("deepseek_moe.yaml", 2)):
         exp = _sized(config, 8, depth=depth, num_microbatches=microbatches)
-        retimer = _Retimer(exp, Counter())
-        for alloc in enumerate_feasible(8, 8, exp.cluster.gpus_per_node):
+        profile = IterationProfile(exp)
+        for alloc in enumerate_feasible(exp.cluster):
             graph = build_task_graph(exp, alloc)
-            assert retimer.lane_bound_ns(retimer.durations(alloc)) == resource_bound_ns(graph)
+            assert profile.lane_bound_ns(alloc) == resource_bound_ns(graph)
 
 
 def test_shaped_sizes_match_expanded_enumeration():

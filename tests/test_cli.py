@@ -267,6 +267,9 @@ ERROR_PATHS = [
       for verb in ("simulate", "compare")
       for override in (["--attn-gpus", "0"], ["--attn-gpus", "4"], ["--attn-nics", "0"])],
     (["simulate", "--attn-gpus", "1", "--equal-nics"], ("total_nics: 4", "total_nics: 5"), 4),
+    (["simulate", "--equal-nics", "--attn-nics", "1"], None, 4),
+    (["sweep", "--axis", "attn_gpu_share", "--values", "0.5", "--equal-nics"],
+     ("total_nics: 4", "total_nics: 5"), 4),
     (["sweep", "--axis", "seq_len", "--values", "0"], None, 2),
     (["sweep", "--axis", "topk", "--values", "99"], None, 2),
     (["sweep", "--axis", "ep_size", "--values", "0"], None, 2),
@@ -291,6 +294,21 @@ def test_error_paths_exit_with_their_code(argv, doc, code, tmp_path, capsys):
     assert main([*argv, "--config", str(config)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_simulate_defaults_to_the_documents_schedule(tmp_path, capsys):
+    doc = tmp_path / "naive.yaml"
+    doc.write_text(TOY_TEXT.replace("schedule_kind: afpipe", "schedule_kind: naive"))
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--config", str(doc), "--out", str(out)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[2].split()[0] == "naive"
+    report = json.loads(out.read_text())
+    assert "schedule_kind: naive" in report["experiment"]
+    assert list(report["results"]) == ["naive"]
+    # --schedule still overrides the document.
+    assert main(["simulate", "--config", str(doc), "--schedule", "afpipe"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].split()[0] == "afpipe"
 
 
 @pytest.mark.parametrize("field, edits", [

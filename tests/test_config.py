@@ -217,7 +217,7 @@ def test_largest_admitted_sizes_keep_float_products_finite():
     doc["schedule"]["ep_size"] = MAX_INT
     exp = parse_experiment(yaml.safe_dump(doc))
     costs = layer_costs(exp.model, exp.workload, exp.ep_size)
-    alloc = canonical_allocation(1, 1, 16, 16, 8)
+    alloc = canonical_allocation(exp.cluster, 1, 1)
     times = stage_times(costs, alloc, exp.cluster, exp.pipeline_depth)
     assert all(math.isfinite(t) for t in astuple(times))
     for component in (ATTN, FFN):

@@ -2,17 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afpipe.config import ModelConfig, Workload
+from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
 from afpipe.placement import (
     ATTN,
     FFN,
     InvalidDepth,
     PlacementPlan,
     assign_layers,
+    credit,
     memory_estimate,
     oom_check,
     validate_partition,
 )
+from afpipe.taskgraph import build_task_graph
 
 
 class _Alloc:
@@ -144,6 +146,23 @@ def test_memory_monotone_in_virtual_stages():
         plan = assign_layers(layers, depth, FFN)
         totals.append(memory_estimate(plan, _model(), _workload(), _Alloc()).total)
     assert totals == sorted(totals)
+
+
+def test_memory_counts_the_schedules_credit_when_depth_does_not_divide_layers():
+    # L=3 over p=2: the afpipe schedule lets A0 and F0 hold 6 and 5 of 8
+    # micro-batches (2L - first visit), not 2*p*ceil(L/p) - first visit = 8, 7.
+    exp = Experiment(_model(layers=3), _workload(num_microbatches=8),
+                     ClusterConfig(total_gpus=4, gpus_per_node=2, total_nics=4,
+                                   gpu_peak=1e12, ib_bw=1e10),
+                     ScheduleKind.AFPIPE, pipeline_depth=2, virtual_stages=2)
+    graph = build_task_graph(exp, _Alloc(2, 2, 2, 2))
+    assert graph.credits == {"A0": 6, "F0": 5, "A1": 4, "F1": 3}
+    assert graph.credits == {f"{c}{g}": credit(3, g, c) for g in range(2) for c in (ATTN, FFN)}
+    hidden_bytes = 2 * 1 * 4096 * 2048
+    for component, in_flight in ((ATTN, 6), (FFN, 5)):
+        est = memory_estimate(assign_layers(3, 2, component), exp.model, exp.workload,
+                              _Alloc(2, 2, 2, 2))
+        assert est.activation_bytes == 2 * hidden_bytes * in_flight
 
 
 def test_oom_boundary_is_inclusive_fit():

@@ -63,7 +63,7 @@ def _build(kind, layers, depth, stages, microbatches=4, times=UNIFORM):
     exp = _experiment(kind, layers, depth, stages, microbatches)
     alloc = None
     if kind is ScheduleKind.AFPIPE:
-        alloc = canonical_allocation(1, 1, exp.cluster.total_gpus, exp.cluster.total_nics, 2)
+        alloc = canonical_allocation(exp.cluster, 1, 1)
     return build_task_graph(exp, alloc, times=times)
 
 
@@ -259,7 +259,7 @@ def test_all_kinds_converge_to_compute_bound_without_communication():
     workload = Workload(seq_len=1024, micro_batch=1, num_microbatches=512)
     cluster = ClusterConfig(total_gpus=4, gpus_per_node=2, total_nics=4,
                             gpu_peak=1e12, ib_bw=1e14)
-    alloc = canonical_allocation(2, 2, 4, 4, 2)
+    alloc = canonical_allocation(cluster, 2, 2)
     total_flops = 3.0 * 512 * 2 * float(2 * 8_589_934_592)  # fwd+bwd, both halves
     bound = total_flops / (1e12 * 4)
     for kind in ScheduleKind:
@@ -291,7 +291,7 @@ def test_uneven_layer_count_simulates_cleanly():
     # Seven layers over depth two: group sizes {4, 3}; chunks {2, 2, 2, 1}.
     for kind in (ScheduleKind.AFPIPE, ScheduleKind.MEGATRON_1F1B):
         exp = _experiment(kind, layers=7, depth=2, stages=2, microbatches=3)
-        alloc = canonical_allocation(1, 1, 2, 2, 2) if kind is ScheduleKind.AFPIPE else None
+        alloc = canonical_allocation(exp.cluster, 1, 1) if kind is ScheduleKind.AFPIPE else None
         g = build_task_graph(exp, alloc)
         trace, result = simulate(g)
         assert sorted(e.task.id for e in trace.events) == sorted(g.tasks)
@@ -303,7 +303,7 @@ def test_gpu_count_not_divisible_by_depth():
     # Three attention GPUs over two groups: fractional per-group capacity is
     # a modeling convenience; durations stay finite and positive.
     exp = _experiment(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, gpus=5, nics=3)
-    alloc = canonical_allocation(3, 2, 5, 3, 2)
+    alloc = canonical_allocation(exp.cluster, 3, 2)
     g = build_task_graph(exp, alloc)
     assert all(t.duration_ns > 0 for t in g.tasks.values())
     _, result = simulate(g)

@@ -41,7 +41,7 @@ def _experiment(kind, layers, depth, stages, microbatches=1, gpus=2, nics=2, ep=
 
 
 def _af_graph(exp, **kw):
-    alloc = canonical_allocation(1, 1, exp.cluster.total_gpus, exp.cluster.total_nics, 2)
+    alloc = canonical_allocation(exp.cluster, 1, 1)
     return build_task_graph(exp, alloc, **kw)
 
 

@@ -38,8 +38,8 @@ def _experiment(microbatches):
 
 
 def _af_trace(microbatches=3):
-    alloc = canonical_allocation(1, 1, 2, 2, 1)
-    graph = build_task_graph(_experiment(microbatches), alloc)
+    exp = _experiment(microbatches)
+    graph = build_task_graph(exp, canonical_allocation(exp.cluster, 1, 1))
     trace, _ = simulate(graph)
     return trace
 
