@@ -22,12 +22,13 @@ to replace an integer-programming solver. The phase-1 set size and the
 oracle's cap still count every (split, attention shape, FFN shape) triple,
 summed from shape counts without building the copies.
 
-Profiling plans once and re-times per split: the disaggregated task graph's
-tasks, dependencies, owners, lanes and credits do not depend on the split,
-only five task durations do. So one profile object (IterationProfile) per
-experiment builds one graph and its sim.SchedulePlan, and re-times each
-split by deriving its durations and running the plan. Phase 3 and
-brute_force_oracle both re-time through it.
+Profiling plans once and re-times per split: a split changes the
+disaggregated task graph's duration table (taskgraph.duration_table), not
+its tasks, dependencies, owners, lanes, credits or the key each task reads
+(TaskGraph.keys). So one profile object (IterationProfile) per experiment
+builds one graph and its sim.SchedulePlan, and re-times each split by
+building its table and running the plan. Phase 3 and brute_force_oracle
+both re-time through it.
 
 brute_force_oracle is exact without running every split. The plan fixes how
 many tasks of each duration key sit on each (owner, lane), and no two tasks
@@ -53,7 +54,7 @@ from .costs import (
     LayerCosts, StageTimes, arithmetic_intensities, layer_costs, roofline_attainable, stage_times,
 )
 from .sim import SchedulePlan, seconds
-from .taskgraph import afpipe_durations, build_task_graph, visit_times
+from .taskgraph import build_task_graph, duration_table, visit_times
 # Unused here, but bench/tracing.py patches allocator.assign_layers and
 # allocator.simulate.
 from .placement import assign_layers  # noqa: F401
@@ -276,9 +277,10 @@ class IterationProfile:
     Creating one plans the experiment's afpipe graph, built under zero
     durations: the plan reads only what a split does not change (ids, deps,
     twins, owners, lanes, kinds, micro-batch, virtual index, component and
-    credits). A call derives the split's five task durations from the one
-    LayerCosts through visit_times and afpipe_durations, as build_task_graph
-    does, and runs the plan, so it equals
+    credits). A call builds the split's duration table from the one
+    LayerCosts through visit_times and duration_table, as build_task_graph
+    does, gives each task the entry of the key the graph recorded for it and
+    runs the plan, so it equals
     simulate(build_task_graph(exp, alloc))[1].iteration_time exactly. Calls
     are memoized on (M, M_a), which fixes a split of one cluster.
 
@@ -292,10 +294,11 @@ class IterationProfile:
         self.counts = Counter() if counts is None else counts
         self.cache: dict[tuple[int, int], float] = {}
         zero = StageTimes(t_attn=0.0, t_ffn=0.0, t_a2a=0.0, t_m2n=0.0, t_p2p=0.0)
-        self.plan = SchedulePlan(build_task_graph(self.exp, times=zero))
-        # Each task's afpipe_durations key in plan order, and the (key, task
-        # count) pairs of each (owner, lane).
-        self.keys = [(t.kind, t.component) for t in self.plan.tasks]
+        graph = build_task_graph(self.exp, times=zero)
+        self.plan = SchedulePlan(graph)
+        # Each task's duration key in plan order, and the (key, task count)
+        # pairs of each (owner, lane).
+        self.keys = graph.keys
         lanes: dict[tuple[str, str], Counter] = {}
         for task, key in zip(self.plan.tasks, self.keys):
             lanes.setdefault((task.owner, task.lane), Counter())[key] += 1
@@ -303,8 +306,9 @@ class IterationProfile:
         self.counts["plans"] += 1
 
     def durations(self, alloc: Allocation) -> dict[tuple, int]:
-        """alloc's task durations (ns) by afpipe_durations key."""
-        return afpipe_durations(visit_times(self.exp, self.costs, alloc))
+        """alloc's task durations (ns) by duration key."""
+        table = duration_table(self.exp, visit_times(self.exp, self.costs, alloc))
+        return {key: ns for key, (ns, _) in table.items()}
 
     def lane_bound_ns(self, alloc: Allocation) -> int:
         """The largest summed duration of one (owner, lane) under alloc: sim.resource_bound_ns."""

@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import allocator as alloc_mod
-from .allocator import AllocatorParams, NoFeasible, canonical_allocation, split_ranges
+from .allocator import AllocatorParams, NoFeasible, canonical_allocation
 from .config import ConfigError, Experiment, ScheduleKind, load_experiment, validate
 from .costs import attention_flops, ffn_flops, m2n_comm_bytes
 from .report import (
@@ -187,11 +187,10 @@ def _apply_axis(exp: Experiment, axis: str, raw: str) -> tuple[Experiment, float
                 f"virtual_stages must divide layers={layers} evenly, got {value}",
             )
         exp = replace(exp, virtual_stages=value, pipeline_depth=layers // value)
-    else:  # attn_gpu_share
-        total = exp.cluster.total_gpus
-        forced_gpus = round(total * value) if 0 < value < 1 else 0  # rejects NaN too
-        if forced_gpus not in split_ranges(exp.cluster)[0]:
-            raise _CliError(EXIT_CONFIG, f"attn_gpu_share must leave both sides a GPU, got {value}")
+    else:  # attn_gpu_share; a rounded count that empties a side is infeasible like any split
+        if not 0 < value < 1:  # rejects NaN too
+            raise _CliError(EXIT_CONFIG, f"attn_gpu_share must lie in (0, 1), got {value}")
+        forced_gpus = round(exp.cluster.total_gpus * value)
     violations = validate(exp)
     if violations:
         raise _CliError(EXIT_CONFIG, violations[0])

@@ -19,12 +19,15 @@ depend on each other. The families differ only in their visit lists:
   * naive         - attention, all-to-all, FFN, all-to-all per layer on one
     worker set, with each micro-batch chained behind the previous one.
 
-One path turns costs into durations: visit_times() derives the forward
-per-visit durations as a StageTimes from the cost model and the resources
-serving one group or stage, or a caller passes a StageTimes directly (used by
-tests and the bubble cross-checks). Backward compute takes BACKWARD_MULTIPLIER
-times its forward duration; the staged baselines price a chunk with
-staged_layer_time. All event math downstream is in integer nanoseconds.
+One path turns costs into durations. visit_times() derives the forward
+per-layer seconds (a StageTimes) from the cost model and the resources
+serving one group or stage, or a caller passes a StageTimes directly (tests,
+the bubble cross-checks). duration_table() alone turns them into each task's
+(duration_ns, exposed_ns), by duration key; the walk records every task's
+key in TaskGraph.keys, so one graph re-times under another point's table.
+Backward compute takes BACKWARD_MULTIPLIER times its forward duration; the
+staged baselines price a chunk with staged_layer_time. All event math
+downstream is in integer nanoseconds.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ class TaskGraph:
     schedule_kind: ScheduleKind
     tasks: dict[int, Task] = field(default_factory=dict)
     owners: tuple[str, ...] = ()
+    keys: list[tuple] = field(default_factory=list)  # each task's duration_table key, in id order
     credits: dict[str, int] = field(default_factory=dict)
     total_flops: float = 0.0
     world_gpus: int = 0
@@ -108,11 +112,6 @@ def _ns(seconds: float) -> int:
     if value < 0:
         raise GraphConstructionError(f"negative duration: {seconds}")
     return value
-
-
-def _compute_ns(seconds: float) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Forward and backward (duration_ns, exposed_ns) of a compute visit."""
-    return (_ns(seconds), 0), (_ns(seconds * BACKWARD_MULTIPLIER), 0)
 
 
 def visit_times(exp: Experiment, lc: LayerCosts, alloc=None) -> StageTimes:
@@ -146,14 +145,42 @@ def visit_times(exp: Experiment, lc: LayerCosts, alloc=None) -> StageTimes:
     return StageTimes(t_attn=attn, t_ffn=ffn, t_a2a=a2a, t_m2n=m2n, t_p2p=p2p)
 
 
+def duration_table(exp: Experiment, vt: StageTimes) -> dict[tuple, tuple[int, int]]:
+    """(duration_ns, exposed_ns) of every task of exp's graph under vt, by duration key.
+
+    A key is (what, direction): afpipe and naive have attention and FFN
+    compute plus the M2N exchange or the all-to-all; megatron1f1b and chunked
+    have one entry per chunk size, through staged_layer_time, plus the P2P
+    transfer. A graph's tasks, dependencies, owners, lanes and credits do not
+    read vt, so this table is all that a point of the same topology changes.
+    """
+    kind = exp.schedule_kind
+    table: dict[tuple, tuple[int, int]] = {}
+    if kind in (ScheduleKind.AFPIPE, ScheduleKind.NAIVE_SEQUENTIAL):
+        for component, t in ((ATTN, vt.t_attn), (FFN, vt.t_ffn)):
+            table[component, "fwd"] = (_ns(t), 0)
+            table[component, "bwd"] = (_ns(t * BACKWARD_MULTIPLIER), 0)
+        afpipe = kind is ScheduleKind.AFPIPE
+        transfer, t_transfer = (TaskKind.M2N_SEND, vt.t_m2n) if afpipe else (TaskKind.A2A, vt.t_a2a)
+    else:
+        layers, chunks = exp.model.layers, exp.pipeline_depth * exp.virtual_stages
+        overlap = kind is ScheduleKind.CHUNKED_OVERLAP
+        for n in dict.fromkeys((-(-layers // chunks), layers // chunks)):  # the chunk sizes
+            for direction, scale in (("fwd", 1.0), ("bwd", BACKWARD_MULTIPLIER)):
+                t = staged_layer_time(vt.t_attn * scale, vt.t_ffn * scale, vt.t_a2a, overlap)
+                table[n, direction] = (_ns(n * t[0]), _ns(n * t[1]))
+        transfer, t_transfer = TaskKind.P2P, vt.t_p2p
+    table[transfer, "fwd"] = table[transfer, "bwd"] = (_ns(t_transfer), 0)
+    return table
+
+
 @dataclass(frozen=True)
 class _Visit:
     """One stop of a micro-batch's forward walk; the backward walk retraces it."""
 
     owner: str
     kind: TaskKind  # FWD_COMPUTE or A2A
-    fwd: tuple[int, int]  # (duration_ns, exposed_ns)
-    bwd: tuple[int, int]
+    key: object  # with the walk's direction, the task's duration_table key
     layer: int | None = None
     virtual_index: int = 0
     component: str | None = None
@@ -163,18 +190,20 @@ def _walk(
     graph: TaskGraph,
     exp: Experiment,
     visits: list[_Visit],
-    transfer: tuple[TaskKind, TaskKind, int] | None,
+    transfer: tuple[TaskKind, TaskKind] | None,
+    table: dict[tuple, tuple[int, int]],
     serial: bool = False,
 ) -> None:
     """Add every micro-batch's forward walk over visits, then the reversed walk.
 
     Each task depends on the one before it. Consecutive visits on different
-    owners are joined by a send/recv pair of transfer = (send kind, recv kind,
-    duration_ns) that carries the source visit's layer and virtual index and
-    shares its deps (the simulator enforces a common start). serial=True
-    chains each micro-batch behind the previous one.
+    owners are joined by a send/recv pair of transfer = (send kind, recv
+    kind) that carries the source visit's layer and virtual index and shares
+    its deps (the simulator enforces a common start). A task takes table[key]
+    for its key, (visit key or send kind, direction), which graph.keys
+    records. serial=True chains each micro-batch behind the previous one.
     """
-    tasks = graph.tasks
+    tasks, keys = graph.tasks, graph.keys
     ids = itertools.count()
     prev: int | None = None
     for mb in range(exp.workload.num_microbatches):
@@ -184,7 +213,9 @@ def _walk(
         for direction, walk in (("fwd", visits), ("bwd", visits[::-1])):
             for v in walk:
                 if src is not None and src.owner != v.owner:
-                    send_kind, recv_kind, duration = transfer
+                    send_kind, recv_kind = transfer
+                    key = (send_kind, direction)
+                    duration, exposed = table[key]
                     send, recv = next(ids), next(ids)
                     for tid, kind, owner, lane, twin in (
                         (send, send_kind, src.owner, SEND_LANE, recv),
@@ -194,10 +225,13 @@ def _walk(
                             id=tid, kind=kind, owner=owner, lane=lane, duration_ns=duration,
                             deps=(prev,), microbatch=mb, layer=src.layer,
                             virtual_index=src.virtual_index, direction=direction, twin=twin,
+                            exposed_ns=exposed,
                         )
+                    keys += (key, key)
                     prev = recv
                 compute = v.kind is TaskKind.FWD_COMPUTE
-                duration, exposed = v.fwd if direction == "fwd" else v.bwd
+                key = (v.key, direction)
+                duration, exposed = table[key]
                 tid = next(ids)
                 tasks[tid] = Task(
                     id=tid,
@@ -213,12 +247,8 @@ def _walk(
                     direction=direction,
                     exposed_ns=exposed,
                 )
+                keys.append(key)
                 prev, src = tid, v
-
-
-def _balanced_blocks(total: int, parts: int) -> list[int]:
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
 def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = None) -> TaskGraph:
@@ -247,99 +277,66 @@ def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = 
         return graph
     vt = times if times is not None else visit_times(exp, lc, alloc)
 
-    if exp.schedule_kind is ScheduleKind.AFPIPE:
-        _build_afpipe(graph, exp, vt)
-    elif exp.schedule_kind is ScheduleKind.NAIVE_SEQUENTIAL:
-        _build_naive(graph, exp, vt)
-    else:
-        _build_staged(graph, exp, vt, overlap=exp.schedule_kind is ScheduleKind.CHUNKED_OVERLAP)
+    kind = exp.schedule_kind
+    build = {ScheduleKind.AFPIPE: _build_afpipe, ScheduleKind.NAIVE_SEQUENTIAL: _build_naive}
+    visits, transfer = build.get(kind, _build_staged)(graph, exp)
+    _walk(graph, exp, visits, transfer, duration_table(exp, vt),
+          serial=kind is ScheduleKind.NAIVE_SEQUENTIAL)
     return graph
 
 
-def afpipe_durations(vt: StageTimes) -> dict[tuple[TaskKind, str | None], int]:
-    """duration_ns of every disaggregated-schedule task, by (kind, component).
-
-    Five values: attention and FFN forward and backward compute, and the M2N
-    exchange on both sides. They are all an afpipe graph takes from its
-    split; its tasks, dependencies, owners, lanes and credits do not change.
-    """
-    (attn_fwd, _), (attn_bwd, _) = _compute_ns(vt.t_attn)
-    (ffn_fwd, _), (ffn_bwd, _) = _compute_ns(vt.t_ffn)
-    m2n = _ns(vt.t_m2n)
-    return {
-        (TaskKind.FWD_COMPUTE, ATTN): attn_fwd,
-        (TaskKind.BWD_COMPUTE, ATTN): attn_bwd,
-        (TaskKind.FWD_COMPUTE, FFN): ffn_fwd,
-        (TaskKind.BWD_COMPUTE, FFN): ffn_bwd,
-        (TaskKind.M2N_SEND, None): m2n,
-        (TaskKind.M2N_RECV, None): m2n,
-    }
-
-
-def _build_afpipe(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
+def _build_afpipe(graph: TaskGraph, exp: Experiment) -> tuple[list[_Visit], tuple | None]:
     """Layer l visits A(l mod p) then F(l mod p); every hop is an M2N exchange."""
     p = exp.pipeline_depth
     layers = exp.model.layers
-    ns = afpipe_durations(vt)
-
     graph.owners = tuple(f"A{g}" for g in range(p)) + tuple(f"F{g}" for g in range(p))
     for g in range(p):
         for component in (ATTN, FFN):
             graph.credits[f"{component}{g}"] = credit(layers, g, component)
 
     visits = [
-        _Visit(f"{component}{layer % p}", TaskKind.FWD_COMPUTE,
-               (ns[TaskKind.FWD_COMPUTE, component], 0), (ns[TaskKind.BWD_COMPUTE, component], 0),
+        _Visit(f"{component}{layer % p}", TaskKind.FWD_COMPUTE, component,
                layer=layer, virtual_index=layer // p, component=component)
         for layer in range(layers)
         for component in (ATTN, FFN)
     ]
-    _walk(graph, exp, visits,
-          (TaskKind.M2N_SEND, TaskKind.M2N_RECV, ns[TaskKind.M2N_SEND, None]))
+    return visits, (TaskKind.M2N_SEND, TaskKind.M2N_RECV)
 
 
-def _build_staged(graph: TaskGraph, exp: Experiment, vt: StageTimes, overlap: bool) -> None:
-    """Megatron-style 1F1B over contiguous chunks, interleaved across stages."""
-    pp, v = exp.pipeline_depth, exp.virtual_stages
-    chunks = pp * v
-    sizes = _balanced_blocks(exp.model.layers, chunks)
-    if min(sizes) < 1:
-        raise GraphConstructionError(
-            f"{chunks} chunks cannot be filled from {exp.model.layers} layers"
-        )
+def _build_staged(graph: TaskGraph, exp: Experiment) -> tuple[list[_Visit], tuple | None]:
+    """Megatron-style 1F1B over contiguous chunks, interleaved across stages.
+
+    The L layers split into p*v chunks of L // (p*v) layers, the first
+    L mod (p*v) of them one layer more; a chunk's key is its size.
+    """
+    pp, layers = exp.pipeline_depth, exp.model.layers
+    chunks = pp * exp.virtual_stages
+    if chunks > layers:
+        raise GraphConstructionError(f"{chunks} chunks cannot be filled from {layers} layers")
 
     graph.owners = tuple(f"S{i}" for i in range(pp))
     for i in range(pp):
         graph.credits[f"S{i}"] = max(1, chunks - i)
 
-    fwd_layer = staged_layer_time(vt.t_attn, vt.t_ffn, vt.t_a2a, overlap)
-    bwd_layer = staged_layer_time(
-        vt.t_attn * BACKWARD_MULTIPLIER, vt.t_ffn * BACKWARD_MULTIPLIER, vt.t_a2a, overlap
-    )
+    base, extra = divmod(layers, chunks)
     visits = [
-        _Visit(f"S{j % pp}", TaskKind.FWD_COMPUTE,
-               (_ns(n * fwd_layer[0]), _ns(n * fwd_layer[1])),
-               (_ns(n * bwd_layer[0]), _ns(n * bwd_layer[1])),
-               virtual_index=j // pp)
-        for j, n in enumerate(sizes)
+        _Visit(f"S{j % pp}", TaskKind.FWD_COMPUTE, base + (j < extra), virtual_index=j // pp)
+        for j in range(chunks)
     ]
-    _walk(graph, exp, visits, (TaskKind.P2P, TaskKind.P2P, _ns(vt.t_p2p)))
+    return visits, (TaskKind.P2P, TaskKind.P2P)
 
 
-def _build_naive(graph: TaskGraph, exp: Experiment, vt: StageTimes) -> None:
+def _build_naive(graph: TaskGraph, exp: Experiment) -> tuple[list[_Visit], tuple | None]:
     """Fully serial reference: compute and collectives strictly alternate."""
     owner = "SEQ"
     graph.owners = (owner,)
     graph.credits[owner] = 1
-    attn, ffn = _compute_ns(vt.t_attn), _compute_ns(vt.t_ffn)
-    a2a = (_ns(vt.t_a2a), 0)
-
     visits = []
     for layer in range(exp.model.layers):
         visits += [
-            _Visit(owner, TaskKind.FWD_COMPUTE, *attn, layer=layer, component=ATTN),
-            _Visit(owner, TaskKind.A2A, a2a, a2a, layer=layer),
-            _Visit(owner, TaskKind.FWD_COMPUTE, *ffn, layer=layer, component=FFN),
-            _Visit(owner, TaskKind.A2A, a2a, a2a, layer=layer),
+            _Visit(owner, TaskKind.FWD_COMPUTE, ATTN, layer=layer, component=ATTN),
+            _Visit(owner, TaskKind.A2A, TaskKind.A2A, layer=layer),
+            _Visit(owner, TaskKind.FWD_COMPUTE, FFN, layer=layer, component=FFN),
+            _Visit(owner, TaskKind.A2A, TaskKind.A2A, layer=layer),
         ]
-    _walk(graph, exp, visits, None, serial=True)
+    return visits, None

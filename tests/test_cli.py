@@ -270,6 +270,11 @@ ERROR_PATHS = [
     (["simulate", "--equal-nics", "--attn-nics", "1"], None, 4),
     (["sweep", "--axis", "attn_gpu_share", "--values", "0.5", "--equal-nics"],
      ("total_nics: 4", "total_nics: 5"), 4),
+    # A share inside (0, 1) that rounds to 0 or all 4 GPUs leaves a side empty.
+    (["sweep", "--axis", "attn_gpu_share", "--values", "0.1"], None, 4),
+    (["sweep", "--axis", "attn_gpu_share", "--values", "0.9"], None, 4),
+    *[(["sweep", "--axis", "attn_gpu_share", f"--values={v}"], None, 2)
+      for v in ("0", "1", "inf", "-inf")],
     (["sweep", "--axis", "seq_len", "--values", "0"], None, 2),
     (["sweep", "--axis", "topk", "--values", "99"], None, 2),
     (["sweep", "--axis", "ep_size", "--values", "0"], None, 2),

@@ -15,13 +15,17 @@ from afpipe.config import (
     Workload,
     load_experiment,
 )
-from afpipe.costs import StageTimes
+from afpipe.config import validate
+from afpipe.costs import StageTimes, layer_costs
+from afpipe.sim import SchedulePlan, simulate
 from afpipe.taskgraph import (
     GraphConstructionError,
     Stream,
     Task,
     TaskKind,
     build_task_graph,
+    duration_table,
+    visit_times,
 )
 
 UNIFORM = StageTimes(t_attn=1e-3, t_ffn=1e-3, t_a2a=1e-3, t_m2n=1e-3, t_p2p=0.0)
@@ -194,3 +198,54 @@ def test_toy_graphs_are_pinned(kind, depth):
                               virtual_stages=base.model.layers // depth)
     graph = build_task_graph(exp, default_allocation(exp))
     assert _graph_digest(graph) == GRAPH_PINS[(kind, depth)]
+
+
+DEEPSEEK = TOY.parent / "deepseek_moe.yaml"
+
+
+def _with_workload(exp, **changes):
+    return dataclasses.replace(exp, workload=dataclasses.replace(exp.workload, **changes))
+
+
+def _points_of_one_topology(exp):
+    """exp, then three other sequence lengths and one other top-k."""
+    seq_len = exp.workload.seq_len
+    return [
+        exp,
+        *[_with_workload(exp, seq_len=s) for s in (seq_len // 2, seq_len * 2, seq_len * 3)],
+        dataclasses.replace(exp, model=dataclasses.replace(exp.model, topk=exp.model.topk - 1)),
+    ]
+
+
+def _topology(graph):
+    return [dataclasses.replace(t, duration_ns=0, exposed_ns=0) for t in graph.tasks.values()]
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("config,virtual_stages", [
+    (TOY, None), (DEEPSEEK, None), (DEEPSEEK, 3),  # 28 layers in 6 chunks: sizes 5 and 4
+], ids=["toy", "deepseek", "deepseek-uneven-chunks"])
+def test_one_plan_retimes_every_point_of_its_topology(kind, config, virtual_stages):
+    # Every duration a graph takes from its point is in duration_table, keyed
+    # as graph.keys says, so one plan run under another point's table is
+    # that point's simulation.
+    exp = _with_workload(load_experiment(str(config)), num_microbatches=3)
+    exp = dataclasses.replace(exp, schedule_kind=kind,
+                              virtual_stages=virtual_stages or exp.virtual_stages)
+    alloc = default_allocation(exp)
+    graph = build_task_graph(exp, alloc)
+    plan = SchedulePlan(graph)
+    makespans = set()
+    for point in _points_of_one_topology(exp):
+        assert validate(point) == []
+        table = duration_table(point, visit_times(point, layer_costs(
+            point.model, point.workload, point.ep_size), alloc))
+        fresh = build_task_graph(point, alloc)
+        assert fresh.keys == graph.keys
+        assert _topology(fresh) == _topology(graph)
+        for task, key in zip(fresh.tasks.values(), fresh.keys):
+            assert (task.duration_ns, task.exposed_ns) == table[key], task
+        makespan = plan.run([table[key][0] for key in graph.keys])[1]
+        assert makespan == simulate(fresh)[0].iteration_ns
+        makespans.add(makespan)
+    assert len(makespans) == 5
