@@ -48,6 +48,12 @@ is a plan, one run under the graph's own durations, then the timeline and
 its aggregation. The allocator re-times one plan per experiment under each
 split's durations, through the same loop.
 
+Timeline: trace events are ordered by (start, owner, lane, id). simulate
+ranks the n tasks once by (owner, lane, id) and sorts the ints
+start * n + rank, which decode to the start and the task. The rank is
+computed in simulate, not kept in the plan: the allocator re-times plans
+and never builds a timeline.
+
 check_schedule lists what a trace breaks of the scheduler's invariants.
 
 A negative duration raises NegativeDuration. A dependency on an unknown task,
@@ -124,18 +130,23 @@ _COMPONENT_RANK = {ATTN: 0, FFN: 1, None: 2}
 def _check_tasks(graph: TaskGraph) -> None:
     tasks = graph.tasks
     for task in tasks.values():
-        if task.duration_ns < 0:
-            raise NegativeDuration(f"task {task.id} has duration {task.duration_ns} ns")
-        for dep in task.deps:
-            if dep not in tasks:
-                raise CycleDetected(f"task {task.id} depends on unknown task {dep}")
-        if task.twin is not None:
-            twin = tasks.get(task.twin)
-            paired = twin is not None and twin.twin == task.id
-            if not paired or (twin.lane == RECV_LANE) == (task.lane == RECV_LANE):
-                raise GraphConstructionError(
-                    f"task {task.id} and its twin {task.twin} are not a send/recv pair"
-                )
+        _check_task(tasks, task.id, task.lane, task.duration_ns, task.deps, task.twin)
+
+
+def _check_task(tasks: dict[int, Task], tid: int, lane: str, duration: int,
+                deps: tuple[int, ...], twin_id: int | None) -> None:
+    if duration < 0:
+        raise NegativeDuration(f"task {tid} has duration {duration} ns")
+    for dep in deps:
+        if dep not in tasks:
+            raise CycleDetected(f"task {tid} depends on unknown task {dep}")
+    if twin_id is not None:
+        twin = tasks.get(twin_id)
+        paired = twin is not None and twin.twin == tid
+        if not paired or (twin.lane == RECV_LANE) == (lane == RECV_LANE):
+            raise GraphConstructionError(
+                f"task {tid} and its twin {twin_id} are not a send/recv pair"
+            )
 
 
 class _Queue:
@@ -178,7 +189,6 @@ class SchedulePlan:
     """
 
     def __init__(self, graph: TaskGraph):
-        _check_tasks(graph)
         tasks = graph.tasks
         # A duration table gives one value per task, in this order.
         self.tasks = ordered = tuple(tasks.values())
@@ -186,12 +196,22 @@ class SchedulePlan:
         # A schedulable unit is a lone task or a send/recv pair keyed by its
         # send side; the receive side is committed together with its twin.
         # Units are numbered in tie-break order, so the heap compares ints only.
-        order = sorted(
-            (t.microbatch, t.virtual_index, _COMPONENT_RANK.get(t.component, 2), t.owner, t.lane,
-             t.id, k)
-            for k, t in enumerate(ordered)
-            if t.twin is None or t.lane != RECV_LANE
-        )
+        # Each task is unpacked once, which costs about as much as reading
+        # five NamedTuple fields by name, and checked. An entry of order is
+        # the tie-break key up to the unique task id, then the task index,
+        # deps and twin, which the sort never compares. It holds no enum: a
+        # tuple of ints, strings and such tuples stops being tracked by the
+        # cyclic collector, so later collections skip it.
+        order = []
+        for k, (tid, _, owner, lane, duration, deps, mb, _, vi, component, _, twin, _) in (
+            enumerate(ordered)
+        ):
+            _check_task(tasks, tid, lane, duration, deps, twin)
+            if twin is None or lane != RECV_LANE:
+                order.append(
+                    (mb, vi, _COMPONENT_RANK.get(component, 2), owner, lane, tid, k, deps, twin)
+                )
+        order.sort()
         lane_index: dict[tuple[str, str], int] = {}
         owner_index: dict[str, int] = {}
         queues: dict[tuple, _Queue] = {}  # by the (owner, lane, kind) of a unit's tasks
@@ -199,18 +219,19 @@ class SchedulePlan:
         self.unit_queue = unit_queue = []
         self.remaining = remaining = []  # dependency count of each unit
         dependents: dict[int, list[int]] = {tid: [] for tid in tasks}
-        for i, entry in enumerate(order):
-            k = entry[-1]
-            task = ordered[k]
-            if task.twin is None:
+        for i, (_, _, _, owner, lane, _, k, deps, twin) in enumerate(order):
+            kind = ordered[k].kind
+            if twin is None:
                 members = (k,)
-                shape = (task.owner, task.lane, task.kind)
-                deps = set(task.deps)
+                shape = (owner, lane, kind)
             else:
-                twin = tasks[task.twin]
-                members = (k, index[task.twin])
-                shape = (task.owner, task.lane, task.kind, twin.owner, twin.lane, twin.kind)
-                deps = set(task.deps).union(twin.deps)
+                other = tasks[twin]
+                members = (k, index[twin])
+                shape = (owner, lane, kind, other.owner, other.lane, other.kind)
+                if other.deps != deps:  # the two sides of a pair usually share their deps
+                    deps += other.deps
+            if len(deps) > 1:  # a dependency named twice counts once
+                deps = set(deps)
             q = queues.get(shape)
             if q is None:
                 lanes, counters = [], []
@@ -220,8 +241,8 @@ class SchedulePlan:
                     )
                     counter = -1
                     if member.lane == COMPUTE_LANE:
-                        owner = owner_index.setdefault(member.owner, len(owner_index))
-                        counter = 2 * owner + (member.kind is TaskKind.BWD_COMPUTE)
+                        group = owner_index.setdefault(member.owner, len(owner_index))
+                        counter = 2 * group + (member.kind is TaskKind.BWD_COMPUTE)
                     counters.append(counter)
                 q = queues[shape] = _Queue(tuple(lanes), tuple(counters))
             unit_tasks.append(members)
@@ -343,16 +364,26 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     """
     plan = SchedulePlan(graph)
     tasks = plan.tasks
-    starts, makespan = plan.run([t.duration_ns for t in tasks])
-    timeline = sorted(
-        (begin, (t := tasks[k]).owner, t.lane, t.id, t)
-        for begin, members in zip(starts, plan.unit_tasks)
-        for k in members
-    )
-    trace = ScheduleTrace(
-        events=tuple(TraceEvent(t, at, at + t.duration_ns) for at, _, _, _, t in timeline),
-        iteration_ns=makespan,
-    )
+    durations = [t.duration_ns for t in tasks]
+    starts, makespan = plan.run(durations)
+    # The timeline orders tasks by (start, owner, lane, id). With rank[k] the
+    # rank of task k under (owner, lane, id), that is the order of the ints
+    # start * n + rank[k], which sort without a tuple per task. by_rank lists
+    # the task indices by rank: stable sorts on id, then lane, then owner
+    # cost half of one sort on (owner, lane, id) tuples.
+    n = len(tasks)
+    by_rank = sorted(range(n), key=[t.id for t in tasks].__getitem__)
+    by_rank.sort(key=[t.lane for t in tasks].__getitem__)
+    by_rank.sort(key=[t.owner for t in tasks].__getitem__)
+    rank = sorted(range(n), key=by_rank.__getitem__)  # the inverse permutation
+    events = []
+    for key in sorted([
+        begin * n + rank[k] for begin, members in zip(starts, plan.unit_tasks) for k in members
+    ]):
+        at = key // n
+        k = by_rank[key % n]
+        events.append(TraceEvent(tasks[k], at, at + durations[k]))
+    trace = ScheduleTrace(events=tuple(events), iteration_ns=makespan)
     return trace, _aggregate(graph, trace)
 
 
@@ -363,13 +394,15 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
 
     first_activity: dict[str, int] = {}
     busy: dict[str, int] = {}
-    for ev in trace.events:
-        owner = ev.task.owner
+    embedded_ns = 0
+    for task, start, end in trace.events:
+        owner = task.owner
         cur = first_activity.get(owner)
-        if cur is None or ev.start_ns < cur:
-            first_activity[owner] = ev.start_ns
-        if ev.task.lane == COMPUTE_LANE:
-            busy[owner] = busy.get(owner, 0) + (ev.end_ns - ev.start_ns)
+        if cur is None or start < cur:
+            first_activity[owner] = start
+        if task.lane == COMPUTE_LANE:
+            busy[owner] = busy.get(owner, 0) + (end - start)
+        embedded_ns += task.exposed_ns
 
     # Warmup bubble: the longest any group waits before its first activity.
     bubble_warmup = max(first_activity.values()) / 1e9
@@ -383,7 +416,6 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
     else:
         fraction = 0.0
 
-    embedded_ns = sum(t.exposed_ns for t in graph.tasks.values())
     exposed = exposed_comm(trace) + seconds(embedded_ns)
 
     mfu = 0.0
@@ -401,28 +433,28 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
     )
 
 
-def _merge(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+def _merge(intervals: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The union of intervals as disjoint [start, end] pairs, in order."""
     merged: list[list[int]] = []
+    last = None
     for s, e in sorted(intervals):
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
+        if last is not None and s <= last[1]:
+            if e > last[1]:
+                last[1] = e
         else:
-            merged.append([s, e])
-    return [(s, e) for s, e in merged]
+            last = [s, e]
+            merged.append(last)
+    return merged
 
 
 def exposed_comm(trace: ScheduleTrace) -> float:
     """Seconds during which communication runs while every compute engine idles."""
-    comm = _merge(
-        (ev.start_ns, ev.end_ns)
-        for ev in trace.events
-        if ev.task.lane != COMPUTE_LANE and ev.end_ns > ev.start_ns
-    )
-    compute = _merge(
-        (ev.start_ns, ev.end_ns)
-        for ev in trace.events
-        if ev.task.lane == COMPUTE_LANE and ev.end_ns > ev.start_ns
-    )
+    comm_spans: list[tuple[int, int]] = []
+    compute_spans: list[tuple[int, int]] = []
+    for task, start, end in trace.events:
+        if end > start:
+            (compute_spans if task.lane == COMPUTE_LANE else comm_spans).append((start, end))
+    comm, compute = _merge(comm_spans), _merge(compute_spans)
     exposed = 0
     ci = 0
     for s, e in comm:

@@ -4,16 +4,25 @@ Emits the complete-event ('X') flavor of the trace-event format understood by
 chrome://tracing and Perfetto: pid = worker group, tid = lane within the
 group, timestamps and durations in microseconds. The shipped JSON schema
 (schemas/trace_event.schema.json) pins the exact document shape.
+
+The bytes are those of json.dumps(events, indent=1, sort_keys=True), made
+from templates: a task's shape, (kind, direction, owner, lane), fixes eight
+of an event's fields, so each shape's template is filled with them once and
+an event formats only its own numbers. The document is made in pieces of
+_CHUNK events; write_trace streams them to the file and export_trace_json
+joins the same pieces. Every time is checked before the first piece, so a
+time with no float value in microseconds raises SerializationError before a
+file is opened.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from importlib import resources
+from typing import Iterator
 
-from .sim import ScheduleTrace
-from .taskgraph import COMPUTE_LANE, RECV_LANE, SEND_LANE
+from .sim import ScheduleTrace, TraceEvent
+from .taskgraph import COMPUTE_LANE, RECV_LANE, SEND_LANE, Task
 
 
 class SerializationError(Exception):
@@ -33,8 +42,10 @@ def trace_schema() -> dict:
 # One event as json.dumps(..., indent=1, sort_keys=True) lays it out inside
 # the top-level array, with strings escaped by json's ASCII encoder and
 # floats written by repr, as json.dumps does. With indent set, json.dumps
-# runs its pure-Python encoder; filling this template gives the same bytes
-# several times faster.
+# runs its pure-Python encoder; filling templates gives the same bytes
+# several times faster. Every slot is a %s: _shape_template fills each
+# field that a task's shape fixes, once per shape, and puts a placeholder
+# in each of the others, which _format fills per event.
 _EVENT_JSON = """\
  {
   "args": {
@@ -42,59 +53,100 @@ _EVENT_JSON = """\
    "kind": %s,
    "lane": %s,
    "layer": %s,
-   "microbatch": %d,
+   "microbatch": %s,
    "owner": %s,
    "stream": %s,
-   "task": %d,
-   "virtual_index": %d
+   "task": %s,
+   "virtual_index": %s
   },
-  "dur": %r,
+  "dur": %s,
   "name": %s,
   "ph": "X",
-  "pid": %d,
-  "tid": %d,
-  "ts": %r
+  "pid": %s,
+  "tid": %s,
+  "ts": %s
  }"""
+
+_CHUNK = 1024  # events per string handed to the file
+
+
+def _shape_template(task: Task, pid: int, has_layer: bool) -> str:
+    """_EVENT_JSON for the events of task's shape and of its owner's pid.
+
+    The placeholders left take, in order: layer, microbatch, task,
+    virtual_index, dur, the name's microbatch and layer, ts. Without a layer
+    the two layer placeholders are absent and the layer field reads null.
+    """
+    quote = json.encoder.encode_basestring_ascii
+
+    def fixed(text: str) -> str:
+        return quote(text).replace("%", "%%")
+
+    kind = fixed(task.kind.value)
+    # The name is kind + " mb<microbatch>" [+ " L<layer>"]: the digits need no
+    # escaping, so they go inside kind's quotes.
+    name = kind[:-1] + (' mb%d L%d"' if has_layer else ' mb%d"')
+    return _EVENT_JSON % (
+        fixed(task.direction), kind, fixed(task.lane), "%d" if has_layer else "null", "%d",
+        fixed(task.owner), fixed(task.stream.value), "%d", "%d", "%r", name, pid,
+        _LANE_TID[task.lane], "%r",
+    )
+
+
+def _chunks(trace: ScheduleTrace) -> Iterator[str]:
+    """export_trace_json's document in pieces of up to _CHUNK events.
+
+    The times are checked here, before any piece is made. No start, end or
+    duration exceeds in magnitude the width of [min(0, lowest time),
+    max(0, highest time)], so if that width converts to a float in
+    microseconds, they all do.
+    """
+    events = trace.events
+    if events:
+        starts = [ev.start_ns for ev in events]
+        ends = [ev.end_ns for ev in events]
+        width = max(0, max(starts), max(ends)) - min(0, min(starts), min(ends))
+        try:
+            width / 1e3
+        except OverflowError:
+            raise SerializationError("a trace time has no float value in microseconds") from None
+    return _format(events)
+
+
+def _format(events: tuple[TraceEvent, ...]) -> Iterator[str]:
+    """The pieces of _chunks, made without checking the times."""
+    if not events:
+        yield "[]"
+        return
+    pid_of = {owner: i for i, owner in enumerate(sorted({ev.task.owner for ev in events}))}
+    templates: dict[tuple, str] = {}
+    head = "[\n"
+    for lo in range(0, len(events), _CHUNK):
+        texts = []
+        for task, start, end in events[lo:lo + _CHUNK]:
+            tid, kind, owner, lane, _, _, mb, layer, vi, _, direction, _, _ = task
+            has_layer = layer is not None
+            shape = (kind, direction, owner, lane, has_layer)
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _shape_template(task, pid_of[owner], has_layer)
+            ts, dur = start / 1e3, (end - start) / 1e3
+            if has_layer:
+                texts.append(template % (layer, mb, tid, vi, dur, mb, layer, ts))
+            else:
+                texts.append(template % (mb, tid, vi, dur, mb, ts))
+        yield head + ",\n".join(texts)
+        head = ",\n"
+    yield "\n]"
 
 
 def export_trace_json(trace: ScheduleTrace) -> str:
     """One complete event per scheduled task, in canonical event order, as
-    json.dumps(..., indent=1, sort_keys=True) writes the list."""
-    if not trace.events:
-        return "[]"
-    quote = json.encoder.encode_basestring_ascii
-    owners = sorted({ev.task.owner for ev in trace.events})
-    pid_of = {owner: i for i, owner in enumerate(owners)}
-    events = []
-    for task, start_ns, end_ns in trace.events:
-        ts = start_ns / 1e3
-        dur = (end_ns - start_ns) / 1e3
-        if not (math.isfinite(ts) and math.isfinite(dur)):
-            raise SerializationError(f"non-finite timestamp on task {task.id}")
-        kind = task.kind.value
-        name = f"{kind} mb{task.microbatch}"
-        if task.layer is None:
-            layer = "null"
-        else:
-            layer = "%d" % task.layer
-            name += f" L{task.layer}"
-        events.append(_EVENT_JSON % (
-            quote(task.direction),
-            quote(kind),
-            quote(task.lane),
-            layer,
-            task.microbatch,
-            quote(task.owner),
-            quote(task.stream.value),
-            task.id,
-            task.virtual_index,
-            dur,
-            quote(name),
-            pid_of[task.owner],
-            _LANE_TID[task.lane],
-            ts,
-        ))
-    return "[\n" + ",\n".join(events) + "\n]"
+    json.dumps(..., indent=1, sort_keys=True) writes the list.
+
+    Raises SerializationError when a time has no float value in microseconds.
+    """
+    return "".join(_chunks(trace))
 
 
 def export_trace(trace: ScheduleTrace) -> list[dict]:
@@ -103,8 +155,11 @@ def export_trace(trace: ScheduleTrace) -> list[dict]:
 
 
 def write_trace(trace: ScheduleTrace, path: str) -> None:
+    """Write export_trace_json(trace) to path, streamed in pieces of _CHUNK
+    events. A SerializationError is raised before path is opened."""
+    chunks = _chunks(trace)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(export_trace_json(trace))
+        fh.writelines(chunks)
 
 
 def parse_trace_events(document: str | list) -> list[tuple[int, int, str]]:

@@ -124,6 +124,13 @@ def test_transfer_pairs_are_twinned_with_equal_duration():
             assert {task.kind, twin.kind} <= {TaskKind.M2N_SEND, TaskKind.M2N_RECV, TaskKind.P2P}
 
 
+def test_task_fields_cannot_be_assigned():
+    exp = load_experiment(str(TOY))
+    task = next(iter(build_task_graph(exp, default_allocation(exp)).tasks.values()))
+    with pytest.raises(AttributeError):
+        task.duration_ns = 0
+
+
 def test_afpipe_without_allocation_rejected():
     exp = _experiment(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2)
     with pytest.raises(GraphConstructionError):
@@ -182,7 +189,7 @@ def _graph_digest(graph):
     def plain(value):
         return value.value if isinstance(value, enum.Enum) else value
 
-    names = [f.name for f in dataclasses.fields(Task)]
+    names = Task._fields
     doc = {
         "tasks": [[plain(getattr(graph.tasks[tid], n)) for n in names] for tid in sorted(graph.tasks)],
         "owners": list(graph.owners),
@@ -218,7 +225,7 @@ def _points_of_one_topology(exp):
 
 
 def _topology(graph):
-    return [dataclasses.replace(t, duration_ns=0, exposed_ns=0) for t in graph.tasks.values()]
+    return [t._replace(duration_ns=0, exposed_ns=0) for t in graph.tasks.values()]
 
 
 @pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)

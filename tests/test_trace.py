@@ -1,11 +1,20 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from afpipe.allocator import canonical_allocation
-from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
+from afpipe import trace_io
+from afpipe.allocator import canonical_allocation, default_allocation
+from afpipe.config import (
+    ClusterConfig,
+    Experiment,
+    ModelConfig,
+    ScheduleKind,
+    Workload,
+    load_experiment,
+)
 from afpipe.sim import ScheduleTrace, TraceEvent, simulate
 from afpipe.taskgraph import (
     COMPUTE_LANE,
@@ -16,12 +25,16 @@ from afpipe.taskgraph import (
     build_task_graph,
 )
 from afpipe.trace_io import (
+    SerializationError,
     export_trace,
     export_trace_json,
     parse_trace_events,
     trace_schema,
     write_trace,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _experiment(microbatches):
@@ -161,3 +174,51 @@ def test_trace_json_matches_json_dumps(make_trace):
     trace = make_trace()
     expected = json.dumps(export_trace(trace), indent=1, sort_keys=True)
     assert export_trace_json(trace) == expected
+
+
+def _deepseek_trace():
+    exp = load_experiment(str(CONFIGS / "deepseek_moe.yaml"))  # afpipe, 8 micro-batches
+    trace, _ = simulate(build_task_graph(exp, default_allocation(exp)))
+    return trace
+
+
+def _one_chunk_trace():
+    trace = _deepseek_trace()
+    return ScheduleTrace(events=trace.events[:trace_io._CHUNK], iteration_ns=trace.iteration_ns)
+
+
+@pytest.mark.parametrize("make_trace,events", [
+    (lambda: ScheduleTrace(events=(), iteration_ns=0), 0),
+    (_af_trace, 60),
+    (_one_chunk_trace, trace_io._CHUNK),
+    (_deepseek_trace, 2656),
+], ids=["empty", "under-one-chunk", "one-chunk", "deepseek-mb8"])
+def test_written_trace_bytes_equal_exported_json(make_trace, events, tmp_path):
+    trace = make_trace()
+    assert len(trace.events) == events
+    path = tmp_path / "trace.json"
+    write_trace(trace, str(path))
+    expected = json.dumps(export_trace(trace), indent=1, sort_keys=True)
+    assert export_trace_json(trace) == expected
+    assert path.read_bytes() == expected.encode()
+
+
+def _trace_starting_at(start_ns, events):
+    # The first events of the deepseek trace, the last of them moved to start at start_ns.
+    *head, last = _deepseek_trace().events[:events]
+    last = last._replace(start_ns=start_ns, end_ns=start_ns + 1)
+    return ScheduleTrace(events=(*head, last), iteration_ns=start_ns + 1)
+
+
+@pytest.mark.parametrize("events", [1, 2 * trace_io._CHUNK], ids=["one-event", "second-chunk"])
+def test_time_without_a_float_value_is_a_serialization_error(events, tmp_path):
+    # 10**400 ns converts to no float: int / float raises OverflowError
+    # rather than returning inf, so the check is made before any event is
+    # formatted, and a written trace is never left half done.
+    trace = _trace_starting_at(10**400, events)
+    with pytest.raises(SerializationError, match="no float value"):
+        export_trace_json(trace)
+    path = tmp_path / "trace.json"
+    with pytest.raises(SerializationError, match="no float value"):
+        write_trace(trace, str(path))
+    assert not path.exists()
