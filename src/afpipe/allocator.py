@@ -22,18 +22,17 @@ to replace an integer-programming solver. The phase-1 set size and the
 oracle's cap still count every (split, attention shape, FFN shape) triple,
 summed from shape counts without building the copies.
 
-Profiling plans once and re-times per split: a split changes the
-disaggregated task graph's duration table (taskgraph.duration_table), not
-its tasks, dependencies, owners, lanes, credits or the key each task reads
-(TaskGraph.keys). So one profile object (IterationProfile) per experiment
+Profiling plans once and re-times per split: a graph is its tasks plus the
+duration table it was built under (TaskGraph.table), and a split changes
+only the table. So one profile object (IterationProfile) per experiment
 builds one graph and its sim.SchedulePlan, and re-times each split by
-building its table and running the plan. Phase 3 and brute_force_oracle
+running the plan under the split's table. Phase 3 and brute_force_oracle
 both re-time through it.
 
-brute_force_oracle is exact without running every split. The plan fixes how
-many tasks of each duration key sit on each (owner, lane), and no two tasks
-on one lane overlap, so each lane's summed duration is a lower bound on a
-split's makespan (sim.resource_bound_ns, with no graph). The oracle visits
+brute_force_oracle is exact without running every split. The graph fixes how
+many tasks of each duration key sit on each (owner, lane) (sim.lane_counts),
+and no two tasks on one lane overlap, so each lane's summed duration is a
+lower bound on a split's makespan (sim.lane_bound_ns). The oracle visits
 splits in bound order and runs the plan only while the bound is at most the
 best time found: every split it skips takes longer than that time, so the
 argmin and its canonical tie-break are those of the exhaustive search.
@@ -53,8 +52,8 @@ from .config import ClusterConfig, Experiment, ScheduleKind
 from .costs import (
     LayerCosts, StageTimes, arithmetic_intensities, layer_costs, roofline_attainable, stage_times,
 )
-from .sim import SchedulePlan, seconds
-from .taskgraph import build_task_graph, duration_table, visit_times
+from .sim import SchedulePlan, durations_ns, lane_bound_ns, lane_counts, seconds
+from .taskgraph import Table, build_task_graph, duration_table, visit_times
 # Unused here, but bench/tracing.py patches allocator.assign_layers and
 # allocator.simulate.
 from .placement import assign_layers  # noqa: F401
@@ -275,12 +274,10 @@ class IterationProfile:
     """Simulated afpipe iteration time of each split of one experiment's cluster.
 
     Creating one plans the experiment's afpipe graph, built under zero
-    durations: the plan reads only what a split does not change (ids, deps,
-    twins, owners, lanes, kinds, micro-batch, virtual index, component and
-    credits). A call builds the split's duration table from the one
-    LayerCosts through visit_times and duration_table, as build_task_graph
-    does, gives each task the entry of the key the graph recorded for it and
-    runs the plan, so it equals
+    durations, and counts its duration keys per lane (sim.lane_counts): a
+    split changes only the graph's table. A call builds the split's table
+    from the one LayerCosts through visit_times and duration_table, as
+    build_task_graph does, and runs the plan under it, so it equals
     simulate(build_task_graph(exp, alloc))[1].iteration_time exactly. Calls
     are memoized on (M, M_a), which fixes a split of one cluster.
 
@@ -296,31 +293,24 @@ class IterationProfile:
         zero = StageTimes(t_attn=0.0, t_ffn=0.0, t_a2a=0.0, t_m2n=0.0, t_p2p=0.0)
         graph = build_task_graph(self.exp, times=zero)
         self.plan = SchedulePlan(graph)
-        # Each task's duration key in plan order, and the (key, task count)
-        # pairs of each (owner, lane).
         self.keys = graph.keys
-        lanes: dict[tuple[str, str], Counter] = {}
-        for task, key in zip(self.plan.tasks, self.keys):
-            lanes.setdefault((task.owner, task.lane), Counter())[key] += 1
-        self.lanes = [tuple(lane.items()) for lane in lanes.values()]
+        self.lanes = lane_counts(graph)
         self.counts["plans"] += 1
 
-    def durations(self, alloc: Allocation) -> dict[tuple, int]:
-        """alloc's task durations (ns) by duration key."""
-        table = duration_table(self.exp, visit_times(self.exp, self.costs, alloc))
-        return {key: ns for key, (ns, _) in table.items()}
+    def table(self, alloc: Allocation) -> Table:
+        """The duration table of the experiment's graph under alloc."""
+        return duration_table(self.exp, visit_times(self.exp, self.costs, alloc))
 
     def lane_bound_ns(self, alloc: Allocation) -> int:
         """The largest summed duration of one (owner, lane) under alloc: sim.resource_bound_ns."""
-        durations = self.durations(alloc)
-        return max((sum(durations[key] * n for key, n in lane) for lane in self.lanes), default=0)
+        return lane_bound_ns(self.lanes, self.table(alloc))
 
     def __call__(self, alloc: Allocation) -> float:
         self.counts["calls"] += 1
         key = (alloc.attn_gpus, alloc.attn_nics)
         if key not in self.cache:
-            durations = self.durations(alloc)
-            self.cache[key] = seconds(self.plan.run([durations[k] for k in self.keys])[1])
+            durations = durations_ns(self.keys, self.table(alloc))
+            self.cache[key] = seconds(self.plan.run(durations)[1])
             self.counts["retimed"] += 1
         return self.cache[key]
 

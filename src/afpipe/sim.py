@@ -39,33 +39,30 @@ A commit costs a few heap operations, one per queue it touches, instead of a
 scan of every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each
 run's units, commits, heap pushes, stale pops and peak heap size.
 
-Plan and run: nothing above but the start times reads a duration. So a
+Plan and run: nothing above but the start times reads a duration, and a
+task holds none: graph.keys names its entry of graph.table. So a
 SchedulePlan, built once per graph, holds the checked tasks, the units in
-tie-break order, their queues, lanes and 1F1B counters, the dependents,
-the initial dependency counts and the credits; SchedulePlan.run takes one
-duration per task and returns each unit's start and the makespan. simulate
-is a plan, one run under the graph's own durations, then the timeline and
-its aggregation. The allocator re-times one plan per experiment under each
-split's durations, through the same loop.
-
-Timeline: trace events are ordered by (start, owner, lane, id). simulate
-ranks the n tasks once by (owner, lane, id) and sorts the ints
-start * n + rank, which decode to the start and the task. The rank is
-computed in simulate, not kept in the plan: the allocator re-times plans
-and never builds a timeline.
+tie-break order, their queues, lanes and 1F1B counters, the dependents, the
+initial dependency counts and the credits. SchedulePlan.run takes each
+task's duration, as durations_ns reads it from a table, and returns each
+unit's start and the makespan. simulate is a plan and one run under the
+graph's table, then the timeline and its aggregation; the allocator re-times
+one plan per experiment under each split's table.
 
 check_schedule lists what a trace breaks of the scheduler's invariants.
 
-A negative duration raises NegativeDuration. A dependency on an unknown task,
-or tasks the ready set never reaches (a cycle), raise CycleDetected. Twins
-that are not one send side and one receive side naming each other raise
-GraphConstructionError. A makespan, or a sum of task times, too large for a
-float in seconds raises MakespanOverflow.
+Errors: a negative table entry raises NegativeDuration; a dependency on an
+unknown task, or tasks the ready set never reaches (a cycle), CycleDetected;
+keys that do not give every task one table entry, or twins that are not one
+send and one receive side naming each other, GraphConstructionError; a
+makespan or sum of task times too large for a float in seconds,
+MakespanOverflow.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -73,12 +70,7 @@ from .config import ScheduleKind
 from .costs import StageTimes, staged_layer_time
 from .placement import ATTN, FFN
 from .taskgraph import (
-    COMPUTE_LANE,
-    GraphConstructionError,
-    RECV_LANE,
-    Task,
-    TaskGraph,
-    TaskKind,
+    COMPUTE_LANE, RECV_LANE, GraphConstructionError, Table, Task, TaskGraph, TaskKind,
 )
 
 
@@ -127,16 +119,36 @@ class SimResult:
 _COMPONENT_RANK = {ATTN: 0, FFN: 1, None: 2}
 
 
+def durations_ns(keys: Iterable[tuple], table: Table) -> list[int]:
+    """The duration (ns) that table gives each of keys: the one reader of a table's durations.
+
+    A negative entry raises NegativeDuration, a key with none GraphConstructionError.
+    """
+    ns = {}
+    for key, (duration, _) in table.items():
+        if duration < 0:
+            raise NegativeDuration(f"duration key {key!r} has duration {duration} ns")
+        ns[key] = duration
+    try:
+        return list(map(ns.__getitem__, keys))
+    except KeyError as missing:
+        raise GraphConstructionError(f"duration key {missing} is not in the table") from None
+
+
+def _check_keys(graph: TaskGraph) -> None:
+    if len(graph.keys) != len(graph.tasks):
+        raise GraphConstructionError(f"{len(graph.keys)} duration keys for {len(graph)} tasks")
+
+
 def _check_tasks(graph: TaskGraph) -> None:
+    _check_keys(graph)
     tasks = graph.tasks
     for task in tasks.values():
-        _check_task(tasks, task.id, task.lane, task.duration_ns, task.deps, task.twin)
+        _check_task(tasks, task.id, task.lane, task.deps, task.twin)
 
 
-def _check_task(tasks: dict[int, Task], tid: int, lane: str, duration: int,
+def _check_task(tasks: dict[int, Task], tid: int, lane: str,
                 deps: tuple[int, ...], twin_id: int | None) -> None:
-    if duration < 0:
-        raise NegativeDuration(f"task {tid} has duration {duration} ns")
     for dep in deps:
         if dep not in tasks:
             raise CycleDetected(f"task {tid} depends on unknown task {dep}")
@@ -189,8 +201,9 @@ class SchedulePlan:
     """
 
     def __init__(self, graph: TaskGraph):
+        _check_keys(graph)
         tasks = graph.tasks
-        # A duration table gives one value per task, in this order.
+        # graph.keys names one table entry per task, in this order.
         self.tasks = ordered = tuple(tasks.values())
         index = dict(zip(tasks, range(len(ordered))))
         # A schedulable unit is a lone task or a send/recv pair keyed by its
@@ -203,10 +216,8 @@ class SchedulePlan:
         # tuple of ints, strings and such tuples stops being tracked by the
         # cyclic collector, so later collections skip it.
         order = []
-        for k, (tid, _, owner, lane, duration, deps, mb, _, vi, component, _, twin, _) in (
-            enumerate(ordered)
-        ):
-            _check_task(tasks, tid, lane, duration, deps, twin)
+        for k, (tid, _, owner, lane, deps, mb, _, vi, component, _, twin) in enumerate(ordered):
+            _check_task(tasks, tid, lane, deps, twin)
             if twin is None or lane != RECV_LANE:
                 order.append(
                     (mb, vi, _COMPONENT_RANK.get(component, 2), owner, lane, tid, k, deps, twin)
@@ -358,19 +369,20 @@ class SchedulePlan:
 
 
 def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
-    """Schedule the graph and aggregate the run metrics.
+    """Schedule the graph under its table and aggregate the run metrics.
 
     Raises CycleDetected when the ready set empties with tasks unplaced.
     """
     plan = SchedulePlan(graph)
     tasks = plan.tasks
-    durations = [t.duration_ns for t in tasks]
+    durations = durations_ns(graph.keys, graph.table)
     starts, makespan = plan.run(durations)
     # The timeline orders tasks by (start, owner, lane, id). With rank[k] the
     # rank of task k under (owner, lane, id), that is the order of the ints
     # start * n + rank[k], which sort without a tuple per task. by_rank lists
     # the task indices by rank: stable sorts on id, then lane, then owner
-    # cost half of one sort on (owner, lane, id) tuples.
+    # cost half of one sort on (owner, lane, id) tuples. The rank is not kept
+    # in the plan: the allocator re-times plans and never builds a timeline.
     n = len(tasks)
     by_rank = sorted(range(n), key=[t.id for t in tasks].__getitem__)
     by_rank.sort(key=[t.lane for t in tasks].__getitem__)
@@ -394,7 +406,6 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
 
     first_activity: dict[str, int] = {}
     busy: dict[str, int] = {}
-    embedded_ns = 0
     for task, start, end in trace.events:
         owner = task.owner
         cur = first_activity.get(owner)
@@ -402,7 +413,7 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
             first_activity[owner] = start
         if task.lane == COMPUTE_LANE:
             busy[owner] = busy.get(owner, 0) + (end - start)
-        embedded_ns += task.exposed_ns
+    embedded_ns = sum(graph.table[key][1] for key in graph.keys)  # inside task durations
 
     # Warmup bubble: the longest any group waits before its first activity.
     bubble_warmup = max(first_activity.values()) / 1e9
@@ -501,37 +512,48 @@ def warmup_bubble_analytic(
 def critical_path_ns(graph: TaskGraph) -> int:
     """Longest dependency chain ignoring resource contention (a lower bound)."""
     _check_tasks(graph)
-    dist: dict[int, int] = {}
-    order: list[int] = []
-    indeg = {tid: len(set(t.deps)) for tid, t in graph.tasks.items()}
-    dependents: dict[int, list[int]] = {tid: [] for tid in graph.tasks}
-    for tid, task in graph.tasks.items():
+    tasks = graph.tasks
+    duration = dict(zip(tasks, durations_ns(graph.keys, graph.table)))
+    dist: dict[int, int] = {}  # the longest chain ending with each task
+    indeg = {tid: len(set(t.deps)) for tid, t in tasks.items()}
+    dependents: dict[int, list[int]] = {tid: [] for tid in tasks}
+    for tid, task in tasks.items():
         for dep in set(task.deps):
             dependents[dep].append(tid)
     stack = [tid for tid, d in indeg.items() if d == 0]
     while stack:
         tid = stack.pop()
-        order.append(tid)
+        dist[tid] = max((dist[d] for d in tasks[tid].deps), default=0) + duration[tid]
         for nxt in dependents[tid]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
                 stack.append(nxt)
-    if len(order) != len(graph.tasks):
+    if len(dist) != len(tasks):
         raise CycleDetected("dependency graph contains a cycle")
-    for tid in order:
-        task = graph.tasks[tid]
-        base = max((dist[d] for d in set(task.deps)), default=0)
-        dist[tid] = base + task.duration_ns
     return max(dist.values(), default=0)
+
+
+def lane_counts(graph: TaskGraph) -> tuple[tuple[tuple, ...], list[list[int]]]:
+    """The distinct keys of graph and how many tasks of each (owner, lane) read each."""
+    _check_keys(graph)
+    keys = tuple(dict.fromkeys(graph.keys))
+    column = {key: i for i, key in enumerate(keys)}
+    lanes: dict[tuple[str, str], list[int]] = {}
+    for task, key in zip(graph.tasks.values(), graph.keys):
+        lanes.setdefault((task.owner, task.lane), [0] * len(keys))[column[key]] += 1
+    return keys, list(lanes.values())
+
+
+def lane_bound_ns(counts: tuple[tuple[tuple, ...], list[list[int]]], table: Table) -> int:
+    """Max over (owner, lane) of summed durations under table, from lane_counts."""
+    keys, lanes = counts
+    ns = durations_ns(keys, table)
+    return max((sum(map(operator.mul, ns, row)) for row in lanes), default=0)
 
 
 def resource_bound_ns(graph: TaskGraph) -> int:
     """Max over (owner, lane) of summed durations (a second lower bound)."""
-    totals: dict[tuple[str, str], int] = {}
-    for task in graph.tasks.values():
-        key = (task.owner, task.lane)
-        totals[key] = totals.get(key, 0) + task.duration_ns
-    return max(totals.values(), default=0)
+    return lane_bound_ns(lane_counts(graph), graph.table)
 
 
 def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
@@ -542,6 +564,8 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
     twins start and end together; iteration_ns is the last end and is at
     least both lower bounds, critical_path_ns and resource_bound_ns.
     """
+    bound = max(critical_path_ns(graph), resource_bound_ns(graph))
+    duration = dict(zip(graph.tasks, durations_ns(graph.keys, graph.table)))
     problems = []
     span: dict[int, tuple[int, int]] = {}
     by_lane: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
@@ -559,8 +583,8 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
             problems.append(f"task {tid} is missing from the trace")
             continue
         start, end = span[tid]
-        if end - start != task.duration_ns:
-            problems.append(f"task {tid} runs {end - start} ns, not its {task.duration_ns} ns")
+        if end - start != duration[tid]:
+            problems.append(f"task {tid} runs {end - start} ns, not its {duration[tid]} ns")
         for dep in task.deps:
             if dep in span and start < span[dep][1]:
                 problems.append(
@@ -580,7 +604,6 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
     last_end = max((ev.end_ns for ev in trace.events), default=0)
     if trace.iteration_ns != last_end:
         problems.append(f"iteration_ns {trace.iteration_ns} is not the last end, {last_end}")
-    bound = max(critical_path_ns(graph), resource_bound_ns(graph))
     if trace.iteration_ns < bound:
         problems.append(f"iteration_ns {trace.iteration_ns} is below the lower bound {bound}")
     return problems

@@ -22,12 +22,12 @@ depend on each other. The families differ only in their visit lists:
 One path turns costs into durations. visit_times() derives the forward
 per-layer seconds (a StageTimes) from the cost model and the resources
 serving one group or stage, or a caller passes a StageTimes directly (tests,
-the bubble cross-checks). duration_table() alone turns them into each task's
-(duration_ns, exposed_ns), by duration key; the walk records every task's
-key in TaskGraph.keys, so one graph re-times under another point's table.
-Backward compute takes BACKWARD_MULTIPLIER times its forward duration; the
-staged baselines price a chunk with staged_layer_time. All event math
-downstream is in integer nanoseconds.
+the bubble cross-checks). duration_table() alone turns them into
+(duration_ns, exposed_ns) entries by duration key. A graph is its tasks,
+which hold only topology, plus TaskGraph.table, the table it was built
+under, and TaskGraph.keys names each task's entry. Backward compute takes
+BACKWARD_MULTIPLIER times its forward duration; the staged baselines price
+a chunk with staged_layer_time. Event math is in integer nanoseconds.
 """
 
 from __future__ import annotations
@@ -66,25 +66,26 @@ COMPUTE_LANE = "compute"
 SEND_LANE = "comm.send"
 RECV_LANE = "comm.recv"
 
+Table = dict[tuple, tuple[int, int]]  # (duration_ns, exposed_ns) by duration key
+
 _COMPUTE_STREAMS = {TaskKind.FWD_COMPUTE: Stream.FORWARD, TaskKind.BWD_COMPUTE: Stream.BACKWARD}
 
 
 class Task(NamedTuple):
-    """One task of a graph: what runs, where, for how long and after what.
+    """One task of a graph: what runs, where and after what; its duration is
+    the graph's table entry for its key (TaskGraph.keys).
 
     A NamedTuple, so it is immutable and cheap to build. A field read by
     name costs about twice a slotted attribute's, so the loops that read
     most fields of every task, the scheduler's plan and the trace writer,
-    unpack each task once. Like any tuple, a Task compares equal to a plain
-    tuple of the same values; nothing compares a Task with a plain tuple
-    today.
+    unpack each task once. Like any tuple, a Task equals a plain tuple of
+    the same values.
     """
 
     id: int
     kind: TaskKind
     owner: str
     lane: str
-    duration_ns: int
     deps: tuple[int, ...]
     microbatch: int
     layer: int | None = None
@@ -92,7 +93,6 @@ class Task(NamedTuple):
     component: str | None = None
     direction: str = "fwd"
     twin: int | None = None  # co-scheduled partner of a send/recv pair
-    exposed_ns: int = 0  # communication embedded in this task's duration
 
     @property
     def stream(self) -> Stream:
@@ -104,7 +104,8 @@ class TaskGraph:
     schedule_kind: ScheduleKind
     tasks: dict[int, Task] = field(default_factory=dict)
     owners: tuple[str, ...] = ()
-    keys: list[tuple] = field(default_factory=list)  # each task's duration_table key, in id order
+    keys: list[tuple] = field(default_factory=list)  # each task's table key, in tasks order
+    table: Table = field(default_factory=dict)  # the duration_table it was built under
     credits: dict[str, int] = field(default_factory=dict)
     total_flops: float = 0.0
     world_gpus: int = 0
@@ -155,17 +156,17 @@ def visit_times(exp: Experiment, lc: LayerCosts, alloc=None) -> StageTimes:
     return StageTimes(t_attn=attn, t_ffn=ffn, t_a2a=a2a, t_m2n=m2n, t_p2p=p2p)
 
 
-def duration_table(exp: Experiment, vt: StageTimes) -> dict[tuple, tuple[int, int]]:
+def duration_table(exp: Experiment, vt: StageTimes) -> Table:
     """(duration_ns, exposed_ns) of every task of exp's graph under vt, by duration key.
 
     A key is (what, direction): afpipe and naive have attention and FFN
     compute plus the M2N exchange or the all-to-all; megatron1f1b and chunked
     have one entry per chunk size, through staged_layer_time, plus the P2P
-    transfer. A graph's tasks, dependencies, owners, lanes and credits do not
-    read vt, so this table is all that a point of the same topology changes.
+    transfer. A graph's tasks, owners and credits do not read vt, so this
+    table holds every duration that differs between points of one topology.
     """
     kind = exp.schedule_kind
-    table: dict[tuple, tuple[int, int]] = {}
+    table: Table = {}
     if kind in (ScheduleKind.AFPIPE, ScheduleKind.NAIVE_SEQUENTIAL):
         for component, t in ((ATTN, vt.t_attn), (FFN, vt.t_ffn)):
             table[component, "fwd"] = (_ns(t), 0)
@@ -201,7 +202,6 @@ def _walk(
     exp: Experiment,
     visits: list[_Visit],
     transfer: tuple[TaskKind, TaskKind] | None,
-    table: dict[tuple, tuple[int, int]],
     serial: bool = False,
 ) -> None:
     """Add every micro-batch's forward walk over visits, then the reversed walk.
@@ -209,9 +209,9 @@ def _walk(
     Each task depends on the one before it. Consecutive visits on different
     owners are joined by a send/recv pair of transfer = (send kind, recv
     kind) that carries the source visit's layer and virtual index and shares
-    its deps (the simulator enforces a common start). A task takes table[key]
-    for its key, (visit key or send kind, direction), which graph.keys
-    records. serial=True chains each micro-batch behind the previous one.
+    its deps (the simulator enforces a common start). graph.keys records each
+    task's key, (visit key or send kind, direction). serial=True chains each
+    micro-batch behind the previous one.
     Tasks are built positionally, in Task's field order: a keyword call
     costs about twice as much per task.
     """
@@ -227,37 +227,22 @@ def _walk(
                 if src is not None and src.owner != v.owner:
                     send_kind, recv_kind = transfer
                     key = (send_kind, direction)
-                    duration, exposed = table[key]
                     send, recv = next(ids), next(ids)
                     for tid, kind, owner, lane, twin in (
                         (send, send_kind, src.owner, SEND_LANE, recv),
                         (recv, recv_kind, v.owner, RECV_LANE, send),
                     ):
-                        tasks[tid] = Task(tid, kind, owner, lane, duration, (prev,), mb,
-                                          src.layer, src.virtual_index, None, direction, twin,
-                                          exposed)
+                        tasks[tid] = Task(tid, kind, owner, lane, (prev,), mb,
+                                          src.layer, src.virtual_index, None, direction, twin)
                     keys += (key, key)
                     prev = recv
                 compute = v.kind is TaskKind.FWD_COMPUTE
-                key = (v.key, direction)
-                duration, exposed = table[key]
+                kind = TaskKind.BWD_COMPUTE if compute and direction == "bwd" else v.kind
                 tid = next(ids)
-                tasks[tid] = Task(
-                    tid,
-                    TaskKind.BWD_COMPUTE if compute and direction == "bwd" else v.kind,
-                    v.owner,
-                    COMPUTE_LANE if compute else SEND_LANE,
-                    duration,
-                    () if prev is None else (prev,),
-                    mb,
-                    v.layer,
-                    v.virtual_index,
-                    v.component,
-                    direction,
-                    None,
-                    exposed,
-                )
-                keys.append(key)
+                tasks[tid] = Task(tid, kind, v.owner, COMPUTE_LANE if compute else SEND_LANE,
+                                  () if prev is None else (prev,), mb, v.layer, v.virtual_index,
+                                  v.component, direction)
+                keys.append((v.key, direction))
                 prev, src = tid, v
 
 
@@ -290,8 +275,8 @@ def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = 
     kind = exp.schedule_kind
     build = {ScheduleKind.AFPIPE: _build_afpipe, ScheduleKind.NAIVE_SEQUENTIAL: _build_naive}
     visits, transfer = build.get(kind, _build_staged)(graph, exp)
-    _walk(graph, exp, visits, transfer, duration_table(exp, vt),
-          serial=kind is ScheduleKind.NAIVE_SEQUENTIAL)
+    graph.table = duration_table(exp, vt)
+    _walk(graph, exp, visits, transfer, serial=kind is ScheduleKind.NAIVE_SEQUENTIAL)
     return graph
 
 

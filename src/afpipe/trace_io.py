@@ -124,7 +124,7 @@ def _format(events: tuple[TraceEvent, ...]) -> Iterator[str]:
     for lo in range(0, len(events), _CHUNK):
         texts = []
         for task, start, end in events[lo:lo + _CHUNK]:
-            tid, kind, owner, lane, _, _, mb, layer, vi, _, direction, _, _ = task
+            tid, kind, owner, lane, _, mb, layer, vi, _, direction, _ = task
             has_layer = layer is not None
             shape = (kind, direction, owner, lane, has_layer)
             template = templates.get(shape)

@@ -24,6 +24,8 @@ from afpipe.taskgraph import COMPUTE_LANE, RECV_LANE, Task, TaskGraph, TaskKind
 def simulate_scan(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     _check_tasks(graph)
     tasks = graph.tasks
+    # Read straight from the table, not through afpipe.sim.durations_ns.
+    duration = {tid: graph.table[key][0] for tid, key in zip(tasks, graph.keys)}
     if not tasks:
         trace = ScheduleTrace(events=(), iteration_ns=0)
         return trace, _aggregate(graph, trace)
@@ -88,7 +90,7 @@ def simulate_scan(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     def commit_one(tid: int, at: int) -> None:
         task = tasks[tid]
         start[tid] = at
-        end[tid] = at + task.duration_ns
+        end[tid] = at + duration[tid]
         lane_free[(task.owner, task.lane)] = end[tid]
         if task.lane == COMPUTE_LANE:
             counter = bwd_started if task.kind is TaskKind.BWD_COMPUTE else fwd_started

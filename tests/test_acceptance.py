@@ -216,7 +216,8 @@ def test_criterion_6a_a2a_share_monotone_in_ep():
         exp = _desk_experiment(schedule_kind=ScheduleKind.MEGATRON_1F1B, ep_size=ep)
         graph = build_task_graph(exp)
         _, result = simulate(graph)
-        per_stage_a2a = sum(t.exposed_ns for t in graph.tasks.values()) / 1e9 / exp.pipeline_depth
+        embedded_ns = sum(graph.table[key][1] for key in graph.keys)
+        per_stage_a2a = embedded_ns / 1e9 / exp.pipeline_depth
         shares.append(per_stage_a2a / result.iteration_time)
     assert shares == sorted(shares)
     assert shares[0] < shares[-1]

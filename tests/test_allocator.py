@@ -2,7 +2,7 @@ import logging
 import os
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -480,6 +480,20 @@ def test_pruned_oracle_keeps_least_sort_key_on_equal_times():
     bound = {c: resource_bound_ns(build_task_graph(exp, c)) for c in (first, later)}
     assert bound[later] < bound[first]
     assert brute_force_oracle(exp) == (first, reference(first))
+
+
+def test_allocation_layout_is_pinned():
+    # asdict(Allocation) reaches bytes that the benchmark's golden gate hashes:
+    # bench/workloads.py hashes it for every oracle_exhaustive item, and the
+    # allocate --out and report JSON it checks embed it too. Those documents
+    # sort their keys, so the field names decide the bytes; the order is what
+    # Allocation(*fields) reads. So dropping the shape fields, which are pure
+    # functions of (attn_gpus, attn_nics) and the cluster, changes golden
+    # bytes: it needs a benchmark change that re-records them.
+    assert [f.name for f in fields(Allocation)] == [
+        "attn_gpus", "ffn_gpus", "attn_nodes", "ffn_nodes",
+        "attn_gpus_per_node", "ffn_gpus_per_node", "attn_nics", "ffn_nics",
+    ]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])

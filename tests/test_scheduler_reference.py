@@ -69,14 +69,17 @@ def test_deepseek_graphs_match_the_scan(kind, microbatches):
 
 
 def _task(tid, kind, owner, duration, deps=(), mb=0, lane=COMPUTE_LANE, twin=None):
-    return Task(id=tid, kind=kind, owner=owner, lane=lane, duration_ns=duration,
-                deps=tuple(deps), microbatch=mb, twin=twin)
+    return Task(id=tid, kind=kind, owner=owner, lane=lane,
+                deps=tuple(deps), microbatch=mb, twin=twin), duration
 
 
-def _graph(tasks, credits):
+def _graph(pairs, credits):
+    """A graph of (task, duration) pairs; each task's table key is its id."""
     graph = TaskGraph(schedule_kind=ScheduleKind.AFPIPE)
-    graph.tasks = {t.id: t for t in tasks}
-    graph.owners = tuple(sorted({t.owner for t in tasks}))
+    graph.tasks = {t.id: t for t, _ in pairs}
+    graph.keys = [t.id for t, _ in pairs]
+    graph.table = {t.id: (duration, 0) for t, duration in pairs}
+    graph.owners = tuple(sorted({t.owner for t in graph.tasks.values()}))
     graph.credits = credits
     return graph
 

@@ -13,6 +13,7 @@ from afpipe.sim import (
     ScheduleTrace,
     check_schedule,
     critical_path_ns,
+    durations_ns,
     exposed_comm,
     resource_bound_ns,
     simulate,
@@ -33,17 +34,20 @@ from afpipe.trace_io import export_trace_json
 UNIFORM = StageTimes(t_attn=1e-3, t_ffn=1e-3, t_a2a=1e-3, t_m2n=1e-3, t_p2p=0.0)
 
 
-def _graph(tasks):
+def _graph(pairs):
+    """A graph of (task, duration_ns) pairs; each task's table key is its id."""
     g = TaskGraph(schedule_kind=ScheduleKind.AFPIPE)
-    g.tasks = {t.id: t for t in tasks}
-    g.owners = tuple(sorted({t.owner for t in tasks}))
+    g.tasks = {t.id: t for t, _ in pairs}
+    g.keys = [t.id for t, _ in pairs]
+    g.table = {t.id: (ns, 0) for t, ns in pairs}
+    g.owners = tuple(sorted({t.owner for t in g.tasks.values()}))
     g.credits = {o: 1 for o in g.owners}
     return g
 
 
 def _compute(tid, owner, dur_ns, deps=(), kind=TaskKind.FWD_COMPUTE, mb=0):
-    return Task(id=tid, kind=kind, owner=owner, lane=COMPUTE_LANE, duration_ns=dur_ns,
-                deps=deps, microbatch=mb)
+    return Task(id=tid, kind=kind, owner=owner, lane=COMPUTE_LANE,
+                deps=deps, microbatch=mb), dur_ns
 
 
 def _experiment(kind, layers, depth, stages, microbatches=4, gpus=2, nics=2, ep=2):
@@ -98,17 +102,27 @@ def test_empty_graph():
 
 
 def test_negative_duration_rejected():
-    bad = Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0",
-               lane=COMPUTE_LANE, duration_ns=-1, deps=(), microbatch=0)
     with pytest.raises(NegativeDuration):
-        simulate(_graph([bad]))
+        simulate(_graph([_compute(0, "A0", -1)]))
+
+
+def test_fewer_keys_than_tasks_rejected():
+    g = _graph([_compute(0, "A0", 1), _compute(1, "A0", 1)])
+    g.keys = g.keys[:1]
+    with pytest.raises(GraphConstructionError, match="1 duration keys for 2 tasks"):
+        simulate(g)
+
+
+def test_key_missing_from_table_rejected():
+    g = _graph([_compute(0, "A0", 1), _compute(1, "A0", 1)])
+    del g.table[1]
+    with pytest.raises(GraphConstructionError, match="duration key 1 is not in the table"):
+        simulate(g)
 
 
 def test_cycle_rejected():
-    a = Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0",
-             lane=COMPUTE_LANE, duration_ns=1, deps=(1,), microbatch=0)
-    b = Task(id=1, kind=TaskKind.FWD_COMPUTE, owner="A0",
-             lane=COMPUTE_LANE, duration_ns=1, deps=(0,), microbatch=0)
+    a = _compute(0, "A0", 1, deps=(1,))
+    b = _compute(1, "A0", 1, deps=(0,))
     with pytest.raises(CycleDetected):
         simulate(_graph([a, b]))
 
@@ -131,10 +145,10 @@ def test_two_task_cycle_rejected_by_critical_path():
 
 def _transfer_pair(base_id, src, dst, dur_ns, deps=()):
     send = Task(id=base_id, kind=TaskKind.M2N_SEND, owner=src,
-                lane=SEND_LANE, duration_ns=dur_ns, deps=deps, microbatch=0, twin=base_id + 1)
+                lane=SEND_LANE, deps=deps, microbatch=0, twin=base_id + 1)
     recv = Task(id=base_id + 1, kind=TaskKind.M2N_RECV, owner=dst,
-                lane=RECV_LANE, duration_ns=dur_ns, deps=deps, microbatch=0, twin=base_id)
-    return send, recv
+                lane=RECV_LANE, deps=deps, microbatch=0, twin=base_id)
+    return (send, dur_ns), (recv, dur_ns)
 
 
 def test_transfer_pair_occupies_both_lanes_simultaneously():
@@ -305,7 +319,7 @@ def test_gpu_count_not_divisible_by_depth():
     exp = _experiment(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, gpus=5, nics=3)
     alloc = canonical_allocation(exp.cluster, 3, 2)
     g = build_task_graph(exp, alloc)
-    assert all(t.duration_ns > 0 for t in g.tasks.values())
+    assert all(ns > 0 for ns in durations_ns(g.keys, g.table))
     _, result = simulate(g)
     assert result.iteration_time > 0
 
@@ -400,10 +414,10 @@ def test_heap_work_per_unit_does_not_grow_with_microbatches(caplog):
     (None, None),  # no receive side
 ], ids=["two-send-sides", "one-sided", "unknown-twin"])
 def test_malformed_twins_rejected(recv_lane, recv_twin):
-    tasks = [Task(id=0, kind=TaskKind.M2N_SEND, owner="A0", lane=SEND_LANE, duration_ns=1,
-                  deps=(), microbatch=0, twin=1)]
+    tasks = [(Task(id=0, kind=TaskKind.M2N_SEND, owner="A0", lane=SEND_LANE,
+                   deps=(), microbatch=0, twin=1), 1)]
     if recv_lane is not None:
-        tasks.append(Task(id=1, kind=TaskKind.M2N_RECV, owner="F0", lane=recv_lane,
-                          duration_ns=1, deps=(), microbatch=0, twin=recv_twin))
+        tasks.append((Task(id=1, kind=TaskKind.M2N_RECV, owner="F0", lane=recv_lane,
+                           deps=(), microbatch=0, twin=recv_twin), 1))
     with pytest.raises(GraphConstructionError, match="not a send/recv pair"):
         simulate(_graph(tasks))

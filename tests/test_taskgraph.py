@@ -17,7 +17,7 @@ from afpipe.config import (
 )
 from afpipe.config import validate
 from afpipe.costs import StageTimes, layer_costs
-from afpipe.sim import SchedulePlan, simulate
+from afpipe.sim import SchedulePlan, durations_ns, simulate
 from afpipe.taskgraph import (
     GraphConstructionError,
     Stream,
@@ -27,6 +27,7 @@ from afpipe.taskgraph import (
     duration_table,
     visit_times,
 )
+from afpipe.trace_io import export_trace_json
 
 UNIFORM = StageTimes(t_attn=1e-3, t_ffn=1e-3, t_a2a=1e-3, t_m2n=1e-3, t_p2p=0.0)
 
@@ -51,6 +52,11 @@ def _af_graph(exp, **kw):
 
 def _count(graph, kind):
     return sum(1 for t in graph.tasks.values() if t.kind is kind)
+
+
+def _entries(graph):
+    """Each task's (duration_ns, exposed_ns) by task id: the table entry of its key."""
+    return {tid: graph.table[key] for tid, key in zip(graph.tasks, graph.keys)}
 
 
 def test_single_layer_disaggregated_graph_shape():
@@ -78,9 +84,10 @@ def test_staged_baseline_embeds_all_to_all_in_compute():
     exp = _experiment(ScheduleKind.MEGATRON_1F1B, layers=2, depth=2, stages=1)
     graph = build_task_graph(exp, times=UNIFORM)
     fwd = [t for t in graph.tasks.values() if t.kind is TaskKind.FWD_COMPUTE]
+    entry = _entries(graph)
     # One chunk of one layer per stage: attention + FFN + two exchanges.
-    assert all(t.duration_ns == int(4e6) for t in fwd)
-    assert all(t.exposed_ns == int(2e6) for t in fwd)
+    assert all(entry[t.id][0] == int(4e6) for t in fwd)
+    assert all(entry[t.id][1] == int(2e6) for t in fwd)
     assert _count(graph, TaskKind.P2P) == 2 * 2 * 1  # send+recv, fwd and bwd
     assert _count(graph, TaskKind.A2A) == 0
 
@@ -89,9 +96,10 @@ def test_chunked_baseline_hides_exchange_behind_expert_compute():
     exp = _experiment(ScheduleKind.CHUNKED_OVERLAP, layers=2, depth=2, stages=1)
     graph = build_task_graph(exp, times=UNIFORM)
     fwd = [t for t in graph.tasks.values() if t.kind is TaskKind.FWD_COMPUTE]
+    entry = _entries(graph)
     # Per layer: t_attn + max(t_ffn, 2 t_a2a) = 3 ms, exposed = 1 ms.
-    assert all(t.duration_ns == int(3e6) for t in fwd)
-    assert all(t.exposed_ns == int(1e6) for t in fwd)
+    assert all(entry[t.id][0] == int(3e6) for t in fwd)
+    assert all(entry[t.id][1] == int(1e6) for t in fwd)
 
 
 def test_naive_graph_serializes_collectives_as_tasks():
@@ -116,11 +124,12 @@ def test_graph_is_acyclic_and_deps_resolve():
 def test_transfer_pairs_are_twinned_with_equal_duration():
     exp = _experiment(ScheduleKind.AFPIPE, layers=2, depth=1, stages=2, microbatches=2)
     graph = _af_graph(exp)
+    entry = _entries(graph)
     for task in graph.tasks.values():
         if task.twin is not None:
             twin = graph.tasks[task.twin]
             assert twin.twin == task.id
-            assert twin.duration_ns == task.duration_ns
+            assert entry[twin.id][0] == entry[task.id][0]
             assert {task.kind, twin.kind} <= {TaskKind.M2N_SEND, TaskKind.M2N_RECV, TaskKind.P2P}
 
 
@@ -128,7 +137,7 @@ def test_task_fields_cannot_be_assigned():
     exp = load_experiment(str(TOY))
     task = next(iter(build_task_graph(exp, default_allocation(exp)).tasks.values()))
     with pytest.raises(AttributeError):
-        task.duration_ns = 0
+        task.deps = ()
 
 
 def test_afpipe_without_allocation_rejected():
@@ -142,9 +151,10 @@ def test_backward_multiplier_scales_backward_tasks():
     exp = _experiment(ScheduleKind.AFPIPE, layers=2, depth=1, stages=2)
     times = StageTimes(t_attn=1e-3, t_ffn=3e-3, t_a2a=0.0, t_m2n=1e-3, t_p2p=0.0)
     graph = _af_graph(exp, times=times)
-    fwd = {(t.component, t.layer): t.duration_ns for t in graph.tasks.values()
+    entry = _entries(graph)
+    fwd = {(t.component, t.layer): entry[t.id][0] for t in graph.tasks.values()
            if t.kind is TaskKind.FWD_COMPUTE}
-    bwd = {(t.component, t.layer): t.duration_ns for t in graph.tasks.values()
+    bwd = {(t.component, t.layer): entry[t.id][0] for t in graph.tasks.values()
            if t.kind is TaskKind.BWD_COMPUTE}
     assert fwd == {("A", 0): 1_000_000, ("F", 0): 3_000_000,
                    ("A", 1): 1_000_000, ("F", 1): 3_000_000}
@@ -153,10 +163,13 @@ def test_backward_multiplier_scales_backward_tasks():
 
 TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.yaml"
 
-# sha256 over every Task field in id order, the owners and the credits of the
+# sha256 over every task's row in id order, the owners and the credits of the
 # graph built from configs/toy.yaml at each depth (virtual stages fill the 4
-# layers). Task ids feed the scheduler's tie-break and the trace, so a change
-# in creation order, metadata or durations shows here.
+# layers). A row is the task's fields with its table entry put back where Task
+# once held it: duration_ns after lane, exposed_ns last. So these hashes were
+# recorded before tasks lost their durations and still hold. Task ids feed
+# the scheduler's tie-break and the trace, so a change in creation order,
+# metadata or durations shows here.
 GRAPH_PINS = {
     (ScheduleKind.AFPIPE, 1):
         "b4a77ad535939ad98246649b1924f807331d16009c90b17dc3a3eaac4232f2fa",
@@ -186,12 +199,16 @@ GRAPH_PINS = {
 
 
 def _graph_digest(graph):
-    def plain(value):
-        return value.value if isinstance(value, enum.Enum) else value
+    entry = _entries(graph)
 
-    names = Task._fields
+    def row(task):
+        values = [value.value if isinstance(value, enum.Enum) else value for value in task]
+        duration, exposed = entry[task.id]
+        return [*values[:Task._fields.index("lane") + 1], duration,
+                *values[Task._fields.index("deps"):], exposed]
+
     doc = {
-        "tasks": [[plain(getattr(graph.tasks[tid], n)) for n in names] for tid in sorted(graph.tasks)],
+        "tasks": [row(graph.tasks[tid]) for tid in sorted(graph.tasks)],
         "owners": list(graph.owners),
         "credits": sorted(graph.credits.items()),
     }
@@ -224,18 +241,15 @@ def _points_of_one_topology(exp):
     ]
 
 
-def _topology(graph):
-    return [t._replace(duration_ns=0, exposed_ns=0) for t in graph.tasks.values()]
-
-
 @pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("config,virtual_stages", [
     (TOY, None), (DEEPSEEK, None), (DEEPSEEK, 3),  # 28 layers in 6 chunks: sizes 5 and 4
 ], ids=["toy", "deepseek", "deepseek-uneven-chunks"])
 def test_one_plan_retimes_every_point_of_its_topology(kind, config, virtual_stages):
-    # Every duration a graph takes from its point is in duration_table, keyed
-    # as graph.keys says, so one plan run under another point's table is
-    # that point's simulation.
+    # Every duration a graph takes from its point is in its table, keyed as
+    # graph.keys says, so the same tasks and one plan, run under another
+    # point's table, are that point's simulation. total_flops, the MFU
+    # numerator, is the one other field a point changes.
     exp = _with_workload(load_experiment(str(config)), num_microbatches=3)
     exp = dataclasses.replace(exp, schedule_kind=kind,
                               virtual_stages=virtual_stages or exp.virtual_stages)
@@ -249,10 +263,14 @@ def test_one_plan_retimes_every_point_of_its_topology(kind, config, virtual_stag
             point.model, point.workload, point.ep_size), alloc))
         fresh = build_task_graph(point, alloc)
         assert fresh.keys == graph.keys
-        assert _topology(fresh) == _topology(graph)
-        for task, key in zip(fresh.tasks.values(), fresh.keys):
-            assert (task.duration_ns, task.exposed_ns) == table[key], task
-        makespan = plan.run([table[key][0] for key in graph.keys])[1]
-        assert makespan == simulate(fresh)[0].iteration_ns
+        assert fresh.tasks == graph.tasks
+        assert fresh.table == table
+        trace, result = simulate(fresh)
+        retrace, reresult = simulate(
+            dataclasses.replace(graph, table=table, total_flops=fresh.total_flops))
+        assert reresult == result
+        assert export_trace_json(retrace) == export_trace_json(trace)
+        makespan = plan.run(durations_ns(graph.keys, table))[1]
+        assert makespan == trace.iteration_ns
         makespans.add(makespan)
     assert len(makespans) == 5

@@ -66,8 +66,9 @@ def test_single_task_microsecond_conversion():
     g = TaskGraph(schedule_kind=ScheduleKind.AFPIPE)
     duration_s = 1.5e-3
     g.tasks = {0: Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0",
-                       lane=COMPUTE_LANE, duration_ns=int(duration_s * 1e9), deps=(),
-                       microbatch=0)}
+                       lane=COMPUTE_LANE, deps=(), microbatch=0)}
+    g.keys = [0]
+    g.table = {0: (int(duration_s * 1e9), 0)}
     g.owners = ("A0",)
     g.credits = {"A0": 1}
     trace, _ = simulate(g)
@@ -96,9 +97,9 @@ def test_layered_event_is_pinned_in_full():
     # Every field of the second event differs from every other field of the
     # same type, so a template that swaps two of them fails here.
     first = Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0", lane=COMPUTE_LANE,
-                 duration_ns=1500, deps=(), microbatch=0)
+                 deps=(), microbatch=0)
     recv = Task(id=7, kind=TaskKind.M2N_RECV, owner="F1", lane=RECV_LANE,
-                duration_ns=2500, deps=(0,), microbatch=3, layer=5, virtual_index=4,
+                deps=(0,), microbatch=3, layer=5, virtual_index=4,
                 component="F", direction="bwd")
     trace = ScheduleTrace(
         events=(TraceEvent(first, 0, 1500), TraceEvent(recv, 1500, 4000)), iteration_ns=4000
