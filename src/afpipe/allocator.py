@@ -22,12 +22,13 @@ to replace an integer-programming solver. The phase-1 set size and the
 oracle's cap still count every (split, attention shape, FFN shape) triple,
 summed from shape counts without building the copies.
 
-Profiling plans once and re-times per split: a graph is its tasks plus the
-duration table it was built under (TaskGraph.table), and a split changes
-only the table. So one profile object (IterationProfile) per experiment
-builds one graph and its sim.SchedulePlan, and re-times each split by
-running the plan under the split's table. Phase 3 and brute_force_oracle
-both re-time through it.
+Profiling plans once and re-times per duration table: a graph is its tasks
+plus the duration table it was built under (TaskGraph.table), and a split
+changes only the table. So one profile object (IterationProfile) per
+experiment builds one graph and its sim.SchedulePlan, and runs the plan once
+per distinct table. The table reads the NICs only through min(M_a, M_f), so
+the splits (M, M_a) and (M, M_tot - M_a) share one run. Phase 3 and
+brute_force_oracle both re-time through it.
 
 brute_force_oracle is exact without running every split. The graph fixes how
 many tasks of each duration key sit on each (owner, lane) (sim.lane_counts),
@@ -38,8 +39,9 @@ best time found: every split it skips takes longer than that time, so the
 argmin and its canonical tie-break are those of the exhaustive search.
 
 With AFPIPE_LOG=DEBUG, logger afpipe.allocator logs each allocate and
-brute_force_oracle run's profile calls, splits re-timed, splits pruned and
-plan builds.
+brute_force_oracle run's profile calls, splits re-timed (plan runs, one per
+distinct table; the other calls hit the memo), splits pruned (skipped by the
+oracle's bound) and plan builds.
 """
 
 from __future__ import annotations
@@ -279,17 +281,18 @@ class IterationProfile:
     from the one LayerCosts through visit_times and duration_table, as
     build_task_graph does, and runs the plan under it, so it equals
     simulate(build_task_graph(exp, alloc))[1].iteration_time exactly. Calls
-    are memoized on (M, M_a), which fixes a split of one cluster.
+    are memoized on the table's durations over the distinct keys, all that a
+    run reads, so mirrored NIC splits share one run.
 
-    counts, when given, gathers "calls", "retimed" (cache misses) and
-    "plans" (plans built).
+    counts, when given, gathers "calls", "retimed" (plan runs: distinct
+    tables) and "plans" (plans built).
     """
 
     def __init__(self, exp: Experiment, counts: Counter | None = None):
         self.exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
         self.costs = layer_costs(self.exp.model, self.exp.workload, self.exp.ep_size)
         self.counts = Counter() if counts is None else counts
-        self.cache: dict[tuple[int, int], float] = {}
+        self.cache: dict[tuple[int, ...], float] = {}
         zero = StageTimes(t_attn=0.0, t_ffn=0.0, t_a2a=0.0, t_m2n=0.0, t_p2p=0.0)
         graph = build_task_graph(self.exp, times=zero)
         self.plan = SchedulePlan(graph)
@@ -307,10 +310,10 @@ class IterationProfile:
 
     def __call__(self, alloc: Allocation) -> float:
         self.counts["calls"] += 1
-        key = (alloc.attn_gpus, alloc.attn_nics)
+        table = self.table(alloc)
+        key = tuple(durations_ns(self.lanes[0], table))
         if key not in self.cache:
-            durations = durations_ns(self.keys, self.table(alloc))
-            self.cache[key] = seconds(self.plan.run(durations)[1])
+            self.cache[key] = seconds(self.plan.run(durations_ns(self.keys, table))[1])
             self.counts["retimed"] += 1
         return self.cache[key]
 
@@ -389,7 +392,7 @@ def brute_force_oracle(
         t = profile(cand)
         if best is None or (t, cand.sort_key()) < (best_time, best.sort_key()):
             best, best_time = cand, t
-    profile.counts["pruned"] = len(cands) - profile.counts["retimed"]
+    profile.counts["pruned"] = len(cands) - profile.counts["calls"]
     _log_profile("brute_force_oracle", profile.counts)
     return best, best_time
 

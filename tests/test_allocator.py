@@ -33,7 +33,7 @@ from afpipe.config import (
     load_experiment,
 )
 from afpipe.costs import layer_costs
-from afpipe.sim import resource_bound_ns, simulate
+from afpipe.sim import durations_ns, resource_bound_ns, simulate
 from afpipe.taskgraph import build_task_graph
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -331,6 +331,13 @@ def test_canonical_allocation_prefers_dense_nodes():
     assert (alloc.attn_nodes, alloc.attn_gpus_per_node) == (13, 1)
 
 
+def _distinct_tables(exp, allocs):
+    """How many distinct task durations fresh afpipe builds of exp give allocs."""
+    af_exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
+    graphs = (build_task_graph(af_exp, alloc) for alloc in allocs)
+    return len({tuple(durations_ns(g.keys, g.table)) for g in graphs})
+
+
 def _reference_profile(exp):
     """Builds and simulates every split it profiles, memoized on the split."""
     af_exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
@@ -366,7 +373,9 @@ def test_retimed_profile_equals_simulation(config, microbatches, depth):
         splits = {(c.attn_gpus, c.attn_nics): c for c in cands}
         for alloc in splits.values():
             assert profile(alloc) == reference(alloc), alloc
-        assert counts == {"calls": len(splits), "retimed": len(splits), "plans": 1}
+        tables = _distinct_tables(exp, splits.values())
+        assert tables == {8: 28, 16: 120}[total]  # a NIC split and its mirror share a table
+        assert counts == {"calls": len(splits), "retimed": tables, "plans": 1}
         if total != 8:
             continue
 
@@ -387,6 +396,29 @@ def test_profile_plans_once_when_created_and_memoizes_on_the_split():
     alloc = canonical_allocation(exp.cluster, 2, 1)
     assert profile(alloc) == profile(alloc) == _reference_profile(exp)(alloc)
     assert counts == {"plans": 1, "calls": 2, "retimed": 1}
+
+
+@pytest.mark.parametrize("config,microbatches", [("toy.yaml", None), ("deepseek_moe.yaml", 2)])
+def test_mirrored_nic_split_shares_the_table_and_its_run(config, microbatches):
+    # The afpipe table reads the NICs only through min(M_a, M_f), so the
+    # split (M, M_tot - M_a) is a memo hit on the run of (M, M_a).
+    base = load_experiment(os.path.join(CONFIGS, config))
+    if microbatches is not None:
+        base = replace(base, workload=replace(base.workload, num_microbatches=microbatches))
+    for total in (8, 16):
+        exp = replace(base, cluster=replace(base.cluster, total_gpus=total, total_nics=total))
+        reference = _reference_profile(exp)
+        counts = Counter()
+        profile = IterationProfile(exp, counts)
+        for attn_gpus in range(1, total):
+            for attn_nics in range(1, total // 2 + 1):
+                split = canonical_allocation(exp.cluster, attn_gpus, attn_nics)
+                mirror = canonical_allocation(exp.cluster, attn_gpus, total - attn_nics)
+                assert build_task_graph(exp, mirror).table == build_task_graph(exp, split).table
+                profile(split)
+                retimed = counts["retimed"]
+                assert profile(mirror) == reference(mirror), mirror
+                assert counts["retimed"] == retimed, mirror
 
 
 def test_profile_of_no_microbatches_is_zero():
@@ -414,16 +446,18 @@ def test_allocate_and_oracle_log_profile_counts_at_debug(caplog):
     exp = _experiment(W=6, nics=4)
     params = AllocatorParams(trials=40, radius=2, rng_seed=3)
     report, verb, counts = _profile_log(caplog, lambda: allocate(exp, params))
-    splits = {(a.attn_gpus, a.attn_nics) for a, _ in report.objective_trace}
-    assert (verb, counts) == ("allocate", (params.trials + 1, len(splits), 0, 1))
+    retimed = _distinct_tables(exp, [a for a, _ in report.objective_trace])
+    assert (verb, counts) == ("allocate", (params.trials + 1, retimed, 0, 1))
 
     caplog.clear()
     (_, best_time), verb, counts = _profile_log(caplog, lambda: brute_force_oracle(exp))
     cands = enumerate_feasible(exp.cluster)
     bounds = [resource_bound_ns(build_task_graph(exp, c)) / 1e9 for c in cands]
-    retimed = sum(bound <= best_time for bound in bounds)
-    assert 0 < retimed < len(cands)
-    assert (verb, counts) == ("brute_force_oracle", (retimed, retimed, len(cands) - retimed, 1))
+    called = [c for c, bound in zip(cands, bounds) if bound <= best_time]
+    retimed = _distinct_tables(exp, called)
+    assert 0 < retimed < len(called) < len(cands)
+    assert (verb, counts) == ("brute_force_oracle",
+                              (len(called), retimed, len(cands) - len(called), 1))
 
 
 def _sized(config, total, depth=None, **workload):
