@@ -30,18 +30,24 @@ per distinct table. The table reads the NICs only through min(M_a, M_f), so
 the splits (M, M_a) and (M, M_tot - M_a) share one run. Phase 3 and
 brute_force_oracle both re-time through it.
 
-brute_force_oracle is exact without running every split. The graph fixes how
-many tasks of each duration key sit on each (owner, lane) (sim.lane_counts),
-and no two tasks on one lane overlap, so each lane's summed duration is a
-lower bound on a split's makespan (sim.lane_bound_ns). The oracle visits
-splits in bound order and runs the plan only while the bound is at most the
-best time found: every split it skips takes longer than that time, so the
-argmin and its canonical tie-break are those of the exhaustive search.
+brute_force_oracle is exact without running every split. It prunes by two
+lower bounds on a split's makespan, each read from the split's durations:
+  * the lane bound. The graph fixes how many tasks of each duration key sit
+    on each (owner, lane) (sim.lane_counts), and no two tasks on one lane
+    overlap, so each lane's summed duration bounds the makespan
+    (sim.lane_bound_ns). The oracle visits splits in this bound's order and
+    stops at the first whose bound exceeds the best time found;
+  * the dependency chain (SchedulePlan.chain_ns), which pipeline fill sets
+    at few micro-batches, where it is close to the makespan and the lane
+    bound is not. It costs a small part of a plan run, and the oracle skips
+    a split whose chain exceeds the best time found before running it.
+Every split skipped takes longer than a time already found, so the argmin
+and its canonical tie-break are those of the exhaustive search.
 
 With AFPIPE_LOG=DEBUG, logger afpipe.allocator logs each allocate and
 brute_force_oracle run's profile calls, splits re-timed (plan runs, one per
-distinct table; the other calls hit the memo), splits pruned (skipped by the
-oracle's bound) and plan builds.
+distinct table; the other calls hit the memo), splits pruned (skipped by
+either of the oracle's bounds) and plan builds.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from .costs import (
     LayerCosts, StageTimes, arithmetic_intensities, layer_costs, roofline_attainable, stage_times,
 )
 from .sim import SchedulePlan, durations_ns, lane_bound_ns, lane_counts, seconds
-from .taskgraph import Table, build_task_graph, duration_table, visit_times
+from .taskgraph import build_task_graph, duration_table, visit_times
 # Unused here, but bench/tracing.py patches allocator.assign_layers and
 # allocator.simulate.
 from .placement import assign_layers  # noqa: F401
@@ -277,12 +283,14 @@ class IterationProfile:
 
     Creating one plans the experiment's afpipe graph, built under zero
     durations, and counts its duration keys per lane (sim.lane_counts): a
-    split changes only the graph's table. A call builds the split's table
-    from the one LayerCosts through visit_times and duration_table, as
-    build_task_graph does, and runs the plan under it, so it equals
-    simulate(build_task_graph(exp, alloc))[1].iteration_time exactly. Calls
-    are memoized on the table's durations over the distinct keys, all that a
-    run reads, so mirrored NIC splits share one run.
+    split changes only the graph's table. durations(alloc) builds the split's
+    table from the one LayerCosts through visit_times and duration_table, as
+    build_task_graph does, and reads its durations over the graph's distinct
+    keys. That tuple is all that the rest reads of a split: the lane bound
+    (lane_bound_ns), the dependency chain (chain_ns) and the plan run
+    (time). The chain and the run are memoized on it, so mirrored NIC splits
+    share one of each. A call is time(durations(alloc)), so it equals
+    simulate(build_task_graph(exp, alloc))[1].iteration_time exactly.
 
     counts, when given, gathers "calls", "retimed" (plan runs: distinct
     tables) and "plans" (plans built).
@@ -292,30 +300,44 @@ class IterationProfile:
         self.exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
         self.costs = layer_costs(self.exp.model, self.exp.workload, self.exp.ep_size)
         self.counts = Counter() if counts is None else counts
-        self.cache: dict[tuple[int, ...], float] = {}
+        self.times: dict[tuple[int, ...], float] = {}
+        self.chains: dict[tuple[int, ...], int] = {}
         zero = StageTimes(t_attn=0.0, t_ffn=0.0, t_a2a=0.0, t_m2n=0.0, t_p2p=0.0)
         graph = build_task_graph(self.exp, times=zero)
         self.plan = SchedulePlan(graph)
-        self.keys = graph.keys
-        self.lanes = lane_counts(graph)
+        self.keys, self.rows = lane_counts(graph)
+        column = {key: i for i, key in enumerate(self.keys)}
+        self.columns = [column[key] for key in graph.keys]  # each task's distinct key
         self.counts["plans"] += 1
 
-    def table(self, alloc: Allocation) -> Table:
-        """The duration table of the experiment's graph under alloc."""
-        return duration_table(self.exp, visit_times(self.exp, self.costs, alloc))
+    def durations(self, alloc: Allocation) -> tuple[int, ...]:
+        """The durations (ns) of the graph's distinct keys under alloc's table."""
+        table = duration_table(self.exp, visit_times(self.exp, self.costs, alloc))
+        return tuple(durations_ns(self.keys, table))
 
-    def lane_bound_ns(self, alloc: Allocation) -> int:
-        """The largest summed duration of one (owner, lane) under alloc: sim.resource_bound_ns."""
-        return lane_bound_ns(self.lanes, self.table(alloc))
+    def _task_durations(self, ns: tuple[int, ...]) -> list[int]:
+        return list(map(ns.__getitem__, self.columns))
+
+    def lane_bound_ns(self, ns: tuple[int, ...]) -> int:
+        """The largest summed duration of one (owner, lane): sim.resource_bound_ns."""
+        return lane_bound_ns(self.rows, ns)
+
+    def chain_ns(self, ns: tuple[int, ...]) -> int:
+        """The longest dependency chain: sim.critical_path_ns. Memoized on ns."""
+        if ns not in self.chains:
+            self.chains[ns] = self.plan.chain_ns(self._task_durations(ns))
+        return self.chains[ns]
+
+    def time(self, ns: tuple[int, ...]) -> float:
+        """The iteration time in seconds, one plan run per distinct ns."""
+        self.counts["calls"] += 1
+        if ns not in self.times:
+            self.times[ns] = seconds(self.plan.run(self._task_durations(ns))[1])
+            self.counts["retimed"] += 1
+        return self.times[ns]
 
     def __call__(self, alloc: Allocation) -> float:
-        self.counts["calls"] += 1
-        table = self.table(alloc)
-        key = tuple(durations_ns(self.lanes[0], table))
-        if key not in self.cache:
-            self.cache[key] = seconds(self.plan.run(durations_ns(self.keys, table))[1])
-            self.counts["retimed"] += 1
-        return self.cache[key]
+        return self.time(self.durations(alloc))
 
 
 def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
@@ -371,25 +393,32 @@ def brute_force_oracle(
 ) -> tuple[Allocation, float]:
     """Exact argmin of the profiled time over every feasible split, canonical tie-break.
 
-    cap bounds the (split, attention shape, FFN shape) count. Splits are
-    visited by ascending lane bound, canonical order among equal bounds, and
-    the plan runs only while the bound is at most the best time so far; the
-    splits left take longer than the best, so the result is that of
-    profiling every split. Times are compared as the profile returns them,
-    makespan / 1e9.
+    cap bounds the (split, attention shape, FFN shape) count. Each split's
+    durations are read once. Splits are visited by ascending lane bound,
+    canonical order among equal bounds, and the visit stops at the first
+    whose bound exceeds the best time so far. A visited split whose
+    dependency chain exceeds the best time is skipped; the plan runs for the
+    others. Every split skipped takes longer than the best, so the result
+    is that of profiling every split. Times and bounds are compared in
+    seconds, ns / 1e9, as the profile returns times.
     """
     cands = enumerate_feasible(exp.cluster, equal_nics)
     size = _shaped_size(cands, exp.cluster.gpus_per_node)
     if size > cap:
         raise SearchSpaceTooLarge(f"{size} candidates exceed the cap of {cap}")
     profile = IterationProfile(exp)
+    keyed = ((profile.durations(c), c) for c in cands)  # one table per split
     # Stable: equal bounds keep the canonical order of cands.
-    bounded = sorted(((seconds(profile.lane_bound_ns(c)), c) for c in cands), key=lambda e: e[0])
+    bounded = sorted(
+        ((seconds(profile.lane_bound_ns(ns)), ns, c) for ns, c in keyed), key=lambda e: e[0]
+    )
     best, best_time = None, float("inf")
-    for bound, cand in bounded:
+    for bound, ns, cand in bounded:
         if bound > best_time:
             break
-        t = profile(cand)
+        if seconds(profile.chain_ns(ns)) > best_time:
+            continue
+        t = profile.time(ns)
         if best is None or (t, cand.sort_key()) < (best_time, best.sort_key()):
             best, best_time = cand, t
     profile.counts["pruned"] = len(cands) - profile.counts["calls"]

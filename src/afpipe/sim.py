@@ -45,9 +45,14 @@ SchedulePlan, built once per graph, holds the checked tasks, the units in
 tie-break order, their queues, lanes and 1F1B counters, the dependents, the
 initial dependency counts and the credits. SchedulePlan.run takes each
 task's duration, as durations_ns reads it from a table, and returns each
-unit's start and the makespan. simulate is a plan and one run under the
-graph's table, then the timeline and its aggregation; the allocator re-times
-one plan per experiment under each split's table.
+unit's start and the makespan. SchedulePlan.chain_ns takes the same
+durations and returns the longest dependency chain over the units, a lower
+bound on run's makespan that ignores the lanes; the topological order it
+walks is built by its first call and kept. simulate is a plan and one run
+under the graph's table, then the timeline and its aggregation;
+critical_path_ns is a plan and one chain. The allocator re-times one plan
+per experiment under each split's table, and its exact oracle skips a split
+whose chain already exceeds the best time found.
 
 check_schedule lists what a trace breaks of the scheduler's invariants.
 
@@ -64,7 +69,8 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import ScheduleKind
 from .costs import StageTimes, staged_layer_time
@@ -138,13 +144,6 @@ def durations_ns(keys: Iterable[tuple], table: Table) -> list[int]:
 def _check_keys(graph: TaskGraph) -> None:
     if len(graph.keys) != len(graph.tasks):
         raise GraphConstructionError(f"{len(graph.keys)} duration keys for {len(graph)} tasks")
-
-
-def _check_tasks(graph: TaskGraph) -> None:
-    _check_keys(graph)
-    tasks = graph.tasks
-    for task in tasks.values():
-        _check_task(tasks, task.id, task.lane, task.deps, task.twin)
 
 
 def _check_task(tasks: dict[int, Task], tid: int, lane: str,
@@ -367,6 +366,47 @@ class SchedulePlan:
         # A lane is free from the end of its last task, so the latest is the makespan.
         return unit_start, max(lane_free, default=0)
 
+    @cached_property
+    def _topological_order(self) -> list[int]:
+        """The units, each after every unit it depends on; short when some lie on a cycle."""
+        unit_tasks, dependents = self.unit_tasks, self.dependents
+        remaining = self.remaining[:]
+        order = [i for i, n in enumerate(remaining) if n == 0]
+        for i in order:  # the loop reaches the units appended while it runs
+            for k in unit_tasks[i]:
+                for j in dependents[k]:
+                    remaining[j] -= 1
+                    if remaining[j] == 0:
+                        order.append(j)
+        return order
+
+    def chain_ns(self, durations: list[int]) -> int:
+        """The longest dependency chain when tasks take durations (ns, in tasks order).
+
+        Lanes are ignored, so it is a lower bound on run's makespan. A
+        send/recv pair is one unit that starts after the union of its two
+        sides' dependencies, as run starts it; so when the twins' deps differ
+        the chain can exceed a task-by-task longest path. The topological
+        order is built by the first call and kept. Raises CycleDetected when
+        some unit lies on a cycle.
+        """
+        unit_tasks, dependents = self.unit_tasks, self.dependents
+        order = self._topological_order
+        if len(order) < len(unit_tasks):
+            raise CycleDetected("dependency graph contains a cycle")
+        ready = [0] * len(unit_tasks)  # the longest chain ending before each unit
+        longest = 0
+        for i in order:
+            at = ready[i]
+            for k in unit_tasks[i]:
+                end = at + durations[k]
+                if end > longest:
+                    longest = end
+                for j in dependents[k]:
+                    if end > ready[j]:
+                        ready[j] = end
+        return longest
+
 
 def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     """Schedule the graph under its table and aggregate the run metrics.
@@ -510,27 +550,13 @@ def warmup_bubble_analytic(
 
 
 def critical_path_ns(graph: TaskGraph) -> int:
-    """Longest dependency chain ignoring resource contention (a lower bound)."""
-    _check_tasks(graph)
-    tasks = graph.tasks
-    duration = dict(zip(tasks, durations_ns(graph.keys, graph.table)))
-    dist: dict[int, int] = {}  # the longest chain ending with each task
-    indeg = {tid: len(set(t.deps)) for tid, t in tasks.items()}
-    dependents: dict[int, list[int]] = {tid: [] for tid in tasks}
-    for tid, task in tasks.items():
-        for dep in set(task.deps):
-            dependents[dep].append(tid)
-    stack = [tid for tid, d in indeg.items() if d == 0]
-    while stack:
-        tid = stack.pop()
-        dist[tid] = max((dist[d] for d in tasks[tid].deps), default=0) + duration[tid]
-        for nxt in dependents[tid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                stack.append(nxt)
-    if len(dist) != len(tasks):
-        raise CycleDetected("dependency graph contains a cycle")
-    return max(dist.values(), default=0)
+    """Longest dependency chain ignoring resource contention (a lower bound).
+
+    The graph's plan's chain_ns under its table: a send/recv pair counts the
+    union of its two sides' dependencies.
+    """
+    plan = SchedulePlan(graph)
+    return plan.chain_ns(durations_ns(graph.keys, graph.table))
 
 
 def lane_counts(graph: TaskGraph) -> tuple[tuple[tuple, ...], list[list[int]]]:
@@ -544,16 +570,18 @@ def lane_counts(graph: TaskGraph) -> tuple[tuple[tuple, ...], list[list[int]]]:
     return keys, list(lanes.values())
 
 
-def lane_bound_ns(counts: tuple[tuple[tuple, ...], list[list[int]]], table: Table) -> int:
-    """Max over (owner, lane) of summed durations under table, from lane_counts."""
-    keys, lanes = counts
-    ns = durations_ns(keys, table)
-    return max((sum(map(operator.mul, ns, row)) for row in lanes), default=0)
+def lane_bound_ns(rows: list[list[int]], ns: Sequence[int]) -> int:
+    """Max over (owner, lane) of summed durations.
+
+    rows are lane_counts' counts and ns the durations of its distinct keys.
+    """
+    return max((sum(map(operator.mul, ns, row)) for row in rows), default=0)
 
 
 def resource_bound_ns(graph: TaskGraph) -> int:
     """Max over (owner, lane) of summed durations (a second lower bound)."""
-    return lane_bound_ns(lane_counts(graph), graph.table)
+    keys, rows = lane_counts(graph)
+    return lane_bound_ns(rows, durations_ns(keys, graph.table))
 
 
 def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:

@@ -16,14 +16,17 @@ from afpipe.sim import (
     SimResult,
     TraceEvent,
     _aggregate,
-    _check_tasks,
+    _check_keys,
+    _check_task,
 )
 from afpipe.taskgraph import COMPUTE_LANE, RECV_LANE, Task, TaskGraph, TaskKind
 
 
 def simulate_scan(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
-    _check_tasks(graph)
+    _check_keys(graph)
     tasks = graph.tasks
+    for task in tasks.values():
+        _check_task(tasks, task.id, task.lane, task.deps, task.twin)
     # Read straight from the table, not through afpipe.sim.durations_ns.
     duration = {tid: graph.table[key][0] for tid, key in zip(tasks, graph.keys)}
     if not tasks:

@@ -33,7 +33,7 @@ from afpipe.config import (
     load_experiment,
 )
 from afpipe.costs import layer_costs
-from afpipe.sim import durations_ns, resource_bound_ns, simulate
+from afpipe.sim import critical_path_ns, durations_ns, resource_bound_ns, simulate
 from afpipe.taskgraph import build_task_graph
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -452,7 +452,9 @@ def test_allocate_and_oracle_log_profile_counts_at_debug(caplog):
     caplog.clear()
     (_, best_time), verb, counts = _profile_log(caplog, lambda: brute_force_oracle(exp))
     cands = enumerate_feasible(exp.cluster)
-    bounds = [resource_bound_ns(build_task_graph(exp, c)) / 1e9 for c in cands]
+    # The oracle prunes by both lower bounds: the lane bound and the dependency chain.
+    graphs = [build_task_graph(exp, c) for c in cands]
+    bounds = [max(resource_bound_ns(g), critical_path_ns(g)) / 1e9 for g in graphs]
     called = [c for c, bound in zip(cands, bounds) if bound <= best_time]
     retimed = _distinct_tables(exp, called)
     assert 0 < retimed < len(called) < len(cands)
@@ -502,18 +504,38 @@ def test_pruned_oracle_equals_exhaustive_reference(config):
 
 
 def test_pruned_oracle_keeps_least_sort_key_on_equal_times():
-    # One micro-batch on 5 GPUs: the splits M=3 and M=4 (5 NICs each) take
-    # the same time, and the later one has the smaller lane bound, so it is
-    # re-timed first; the canonically first must still win.
-    exp = replace(_experiment(W=5, nics=10, seq=1024, hidden=512, topk=1, moe_hidden=256,
-                              ib=1e12, microbatches=1, gpus_per_node=4),
-                  model=ModelConfig(layers=2, hidden=512, experts=4, topk=1, moe_hidden=256))
-    reference = _reference_profile(exp)
-    first, later = canonical_allocation(exp.cluster, 3, 5), canonical_allocation(exp.cluster, 4, 5)
-    assert reference(first) == reference(later) == min(map(reference, _expanded(exp)))
-    bound = {c: resource_bound_ns(build_task_graph(exp, c)) for c in (first, later)}
-    assert bound[later] < bound[first]
-    assert brute_force_oracle(exp) == (first, reference(first))
+    # Two splits (5 NICs each) take the same, least time, and the later one
+    # has the smaller lane bound, which orders the visits, so it is re-timed
+    # first; the canonically first must still win.
+    # * 3 micro-batches on 6 GPUs, M=2 and M=3: the later one also has the
+    #   smaller max(lane bound, chain), the bound the oracle prunes by.
+    # * 1 micro-batch on 5 GPUs, M=3 and M=4: with no pipeline to fill, both
+    #   chains equal the time, so the first is re-timed only because a chain
+    #   equal to the best time does not prune.
+    cases = [
+        (dict(W=6, layers=2, depth=1, seq=256, hidden=512, topk=2, moe_hidden=512,
+              microbatches=3), 2, 3, False),
+        (dict(W=5, seq=1024, hidden=512, topk=1, moe_hidden=256, microbatches=1,
+              gpus_per_node=4), 3, 4, True),
+    ]
+    for kwargs, first_gpus, later_gpus, chain_is_time in cases:
+        exp = _experiment(nics=10, ib=1e12, **kwargs)
+        exp = replace(exp, model=replace(exp.model, experts=4))
+        reference = _reference_profile(exp)
+        first = canonical_allocation(exp.cluster, first_gpus, 5)
+        later = canonical_allocation(exp.cluster, later_gpus, 5)
+        assert reference(first) == reference(later) == min(map(reference, _expanded(exp)))
+        graphs = {c: build_task_graph(exp, c) for c in (first, later)}
+        time_ns = simulate(graphs[first])[0].iteration_ns
+        lane = {c: resource_bound_ns(g) for c, g in graphs.items()}
+        chain = {c: critical_path_ns(g) for c, g in graphs.items()}
+        bound = {c: max(lane[c], chain[c]) for c in graphs}
+        assert lane[later] < lane[first]
+        if chain_is_time:
+            assert chain[first] == chain[later] == time_ns
+        else:
+            assert bound[later] < bound[first] <= time_ns
+        assert brute_force_oracle(exp) == (first, reference(first))
 
 
 def test_allocation_layout_is_pinned():
@@ -537,7 +559,9 @@ def test_lane_bound_equals_resource_bound(depth):
         profile = IterationProfile(exp)
         for alloc in enumerate_feasible(exp.cluster):
             graph = build_task_graph(exp, alloc)
-            assert profile.lane_bound_ns(alloc) == resource_bound_ns(graph)
+            ns = profile.durations(alloc)
+            assert profile.lane_bound_ns(ns) == resource_bound_ns(graph)
+            assert profile.chain_ns(ns) == critical_path_ns(graph)
 
 
 def test_shaped_sizes_match_expanded_enumeration():

@@ -1,15 +1,21 @@
 import logging
 import random
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from task_critical_path import critical_path_tasks
 
-from afpipe.allocator import canonical_allocation
-from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
+from afpipe.allocator import canonical_allocation, default_allocation
+from afpipe.config import (
+    ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload, load_experiment,
+)
 from afpipe.costs import StageTimes, staged_layer_time
 from afpipe.sim import (
     CycleDetected,
     NegativeDuration,
+    SchedulePlan,
     ScheduleTrace,
     check_schedule,
     critical_path_ns,
@@ -31,6 +37,7 @@ from afpipe.taskgraph import (
 )
 from afpipe.trace_io import export_trace_json
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 UNIFORM = StageTimes(t_attn=1e-3, t_ffn=1e-3, t_a2a=1e-3, t_m2n=1e-3, t_p2p=0.0)
 
 
@@ -208,6 +215,47 @@ def test_iteration_bounded_below_by_critical_path_and_busy_time():
         trace, _ = simulate(g)
         assert trace.iteration_ns >= critical_path_ns(g)
         assert trace.iteration_ns >= resource_bound_ns(g)
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
+def test_plan_chain_equals_task_level_longest_path(config, kind):
+    # On a built graph a pair's twins share their deps, so the plan's chain
+    # over units is the task-by-task longest path.
+    exp = replace(load_experiment(str(CONFIGS / config)), schedule_kind=kind)
+    graph = build_task_graph(exp, default_allocation(exp))
+    assert critical_path_ns(graph) == critical_path_tasks(graph) > 0
+
+
+def test_plan_chain_is_at_most_the_makespan_under_random_tables():
+    rng = random.Random(11)
+    for kind in ScheduleKind:
+        g = _build(kind, layers=4, depth=2, stages=2, microbatches=4)
+        plan = SchedulePlan(g)
+        plan.run(durations_ns(g.keys, g.table))
+        assert "_topological_order" not in vars(plan)  # only chain_ns builds it
+        for _ in range(10):
+            table = {key: (rng.randrange(10_000), 0) for key in g.table}
+            durations = durations_ns(g.keys, table)
+            makespan = plan.run(durations)[1]
+            chain = plan.chain_ns(durations)
+            assert chain <= makespan, kind
+            assert chain == critical_path_tasks(replace(g, table=table)), kind
+
+
+def test_plan_chain_starts_a_pair_after_both_sides_deps():
+    # The send side waits on task 0 (1 us), the receive side on task 3
+    # (5 us), and task 4 on the send side. Task by task the send ends at
+    # 3 us and task 4 at 4 us; the pair starts at 5 us, as the scheduler
+    # starts it, so task 4 ends at 8 us.
+    send = Task(id=1, kind=TaskKind.M2N_SEND, owner="A0", lane=SEND_LANE,
+                deps=(0,), microbatch=0, twin=2)
+    recv = Task(id=2, kind=TaskKind.M2N_RECV, owner="F0", lane=RECV_LANE,
+                deps=(3,), microbatch=0, twin=1)
+    g = _graph([_compute(0, "A0", 1_000), (send, 2_000), (recv, 2_000),
+                _compute(3, "F0", 5_000), _compute(4, "A0", 1_000, deps=(1,))])
+    assert critical_path_tasks(g) == 7_000
+    assert critical_path_ns(g) == simulate(g)[0].iteration_ns == 8_000
 
 
 def test_determinism_byte_identical_traces():
