@@ -350,7 +350,7 @@ def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
 
 
 def _log_profile(verb: str, counts: Counter) -> None:
-    # Imported here, as in sim.SchedulePlan.run: a cold start that never
+    # Imported here, as in sim._debug: a cold start that never
     # logs would otherwise pay for importing logging.
     import logging
 

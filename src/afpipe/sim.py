@@ -37,7 +37,9 @@ the group whose preference it flips and of the queues it adds ready units to.
 Those heads are pushed again; superseded heap entries are skipped when popped.
 A commit costs a few heap operations, one per queue it touches, instead of a
 scan of every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each
-run's units, commits, heap pushes, stale pops and peak heap size.
+run's units, commits, heap pushes, stale pops and peak heap size; each
+simulate's wall time of plan, run and metrics; and each timeline build's
+event count and wall time.
 
 Plan and run: nothing above but the start times reads a duration, and a
 task holds none: graph.keys names its entry of graph.table. So a
@@ -49,10 +51,15 @@ unit's start and the makespan. SchedulePlan.chain_ns takes the same
 durations and returns the longest dependency chain over the units, a lower
 bound on run's makespan that ignores the lanes; the topological order it
 walks is built by its first call and kept. simulate is a plan and one run
-under the graph's table, then the timeline and its aggregation;
-critical_path_ns is a plan and one chain. The allocator re-times one plan
-per experiment under each split's table, and its exact oracle skips a split
-whose chain already exceeds the best time found.
+under the graph's table, and its metrics come straight from the run: the
+units of a queue share their lanes, so per queue their starts and durations
+give each owner's first activity and compute time and the spans whose union
+sets the exposed communication, a send/recv pair being one span. The trace
+it returns builds its timeline, one TraceEvent per task, only when its
+events are read, as by trace_io.write_trace or check_schedule; sweep and
+compare never read them. critical_path_ns is a plan and one chain. The
+allocator re-times one plan per experiment under each split's table, and its
+exact oracle skips a split whose chain already exceeds the best time found.
 
 check_schedule lists what a trace breaks of the scheduler's invariants.
 
@@ -68,6 +75,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -100,16 +108,62 @@ def seconds(ns: int) -> float:
         raise MakespanOverflow("a schedule time is too large for a float in seconds") from None
 
 
+def _debug(message: str, *args) -> None:
+    """Log message % args at DEBUG on logger afpipe.sim."""
+    # Imported here, not at the top: a cold start that never logs, such as a
+    # library import, would otherwise pay for importing logging.
+    import logging
+
+    logging.getLogger("afpipe.sim").debug(message, *args)
+
+
 class TraceEvent(NamedTuple):
     task: Task
     start_ns: int
     end_ns: int
 
 
-@dataclass(frozen=True)
 class ScheduleTrace:
-    events: tuple[TraceEvent, ...]
-    iteration_ns: int
+    """A schedule's events in timeline order, (start, owner, lane, id), and
+    its makespan, iteration_ns.
+
+    ScheduleTrace(events, iteration_ns) holds the events it is given. The
+    trace simulate returns holds its run instead and builds the events when
+    they are first read, then drops the run. Two traces are equal when their
+    events and iteration_ns are.
+    """
+
+    __slots__ = ("_events", "_run", "iteration_ns")
+
+    def __init__(self, events: tuple[TraceEvent, ...], iteration_ns: int):
+        self._events = events
+        self._run: tuple | None = None
+        self.iteration_ns = iteration_ns
+
+    @classmethod
+    def _of_run(cls, tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
+                starts: list[int], durations: list[int], makespan: int) -> ScheduleTrace:
+        trace = cls((), makespan)
+        trace._run = (tasks, unit_tasks, starts, durations)
+        return trace
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        if self._run is not None:
+            begin = time.perf_counter()
+            self._events = _timeline(*self._run)
+            self._run = None
+            _debug("timeline: %d events in %.3f ms",
+                   len(self._events), (time.perf_counter() - begin) * 1e3)
+        return self._events
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScheduleTrace):
+            return NotImplemented
+        return self.iteration_ns == other.iteration_ns and self.events == other.events
+
+    def __repr__(self) -> str:
+        return f"ScheduleTrace(events={self.events!r}, iteration_ns={self.iteration_ns!r})"
 
 
 @dataclass(frozen=True)
@@ -169,7 +223,7 @@ class _Queue:
     and are ordered by (ready_ns, ordinal).
     """
 
-    __slots__ = ("lanes", "counters", "parked", "pending", "key", "stamp")
+    __slots__ = ("lanes", "counters", "units", "parked", "pending", "key", "stamp")
 
     def __init__(self, lanes: tuple[int, ...], counters: tuple[int, ...]):
         # Per task of a unit: the lane it occupies and the compute counter it
@@ -178,6 +232,7 @@ class _Queue:
         # owner's credit ranks compute units; others rank 0.
         self.lanes = lanes
         self.counters = counters
+        self.units: list[int] = []  # every unit of this shape, in unit order
         self.clear()
 
     def clear(self) -> None:
@@ -192,8 +247,9 @@ class SchedulePlan:
     """What scheduling a graph reads, except its durations; built once per graph.
 
     It holds the graph's checked tasks, its units in tie-break order, the
-    queue of each unit (lanes and 1F1B counters), the units that depend on
-    each task, each unit's dependency count and each owner's credit. None of
+    queue of each unit (lanes and 1F1B counters) and the units of each queue,
+    the owner of each lane, the units that depend on each task, each unit's
+    dependency count and each owner's credit. None of
     these reads a duration, so one plan schedules the graph under any
     durations of its tasks: run() is the scheduler loop. run() resets and
     reuses the plan's queues, so one plan runs one schedule at a time.
@@ -255,6 +311,7 @@ class SchedulePlan:
                         counter = 2 * group + (member.kind is TaskKind.BWD_COMPUTE)
                     counters.append(counter)
                 q = queues[shape] = _Queue(tuple(lanes), tuple(counters))
+            q.units.append(i)
             unit_tasks.append(members)
             unit_queue.append(q)
             remaining.append(len(deps))
@@ -264,6 +321,7 @@ class SchedulePlan:
         # Units, by task index: the dict keeps the order of graph.tasks.
         self.dependents = list(dependents.values())
         self.credit = [graph.credits.get(owner, 1) for owner in owner_index]
+        self.lane_owners = [owner for owner, _ in lane_index]
         self.queues = tuple(queues.values())
         self.lane_queues: list[list[_Queue]] = [[] for _ in lane_index]
         self.owner_queues: list[list[_Queue]] = [[] for _ in owner_index]
@@ -353,14 +411,8 @@ class SchedulePlan:
                 if q.parked or q.pending:
                     refresh(q)
 
-        # Imported here, not at the top: a cold start that never logs, such as a
-        # library import, would otherwise pay for importing logging.
-        import logging
-
-        logging.getLogger("afpipe.sim").debug(
-            "simulate: %d units, %d commits, %d heap pushes, %d stale pops, peak heap %d",
-            len(unit_tasks), pushes - stale, pushes, stale, peak,
-        )
+        _debug("simulate: %d units, %d commits, %d heap pushes, %d stale pops, peak heap %d",
+               len(unit_tasks), pushes - stale, pushes, stale, peak)
         if None in unit_start:
             raise CycleDetected("dependency graph contains a cycle")
         # A lane is free from the end of its last task, so the latest is the makespan.
@@ -411,18 +463,28 @@ class SchedulePlan:
 def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     """Schedule the graph under its table and aggregate the run metrics.
 
-    Raises CycleDetected when the ready set empties with tasks unplaced.
+    The trace builds its events only when they are read. Raises
+    CycleDetected when the ready set empties with tasks unplaced.
     """
+    begin = time.perf_counter()
     plan = SchedulePlan(graph)
-    tasks = plan.tasks
+    planned = time.perf_counter()
     durations = durations_ns(graph.keys, graph.table)
     starts, makespan = plan.run(durations)
-    # The timeline orders tasks by (start, owner, lane, id). With rank[k] the
-    # rank of task k under (owner, lane, id), that is the order of the ints
-    # start * n + rank[k], which sort without a tuple per task. by_rank lists
-    # the task indices by rank: stable sorts on id, then lane, then owner
-    # cost half of one sort on (owner, lane, id) tuples. The rank is not kept
-    # in the plan: the allocator re-times plans and never builds a timeline.
+    ran = time.perf_counter()
+    result = _metrics(graph, plan, starts, durations, makespan)
+    _debug("simulate wall: plan %.3f ms, run %.3f ms, metrics %.3f ms",
+           (planned - begin) * 1e3, (ran - planned) * 1e3, (time.perf_counter() - ran) * 1e3)
+    return ScheduleTrace._of_run(plan.tasks, plan.unit_tasks, starts, durations, makespan), result
+
+
+def _timeline(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
+              starts: list[int], durations: list[int]) -> tuple[TraceEvent, ...]:
+    """One event per task of a run, ordered by (start, owner, lane, id)."""
+    # With rank[k] the rank of task k under (owner, lane, id), that order is
+    # the order of the ints start * n + rank[k], which sort without a tuple
+    # per task. by_rank lists the task indices by rank: stable sorts on id,
+    # then lane, then owner cost half of one sort on (owner, lane, id) tuples.
     n = len(tasks)
     by_rank = sorted(range(n), key=[t.id for t in tasks].__getitem__)
     by_rank.sort(key=[t.lane for t in tasks].__getitem__)
@@ -430,44 +492,65 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     rank = sorted(range(n), key=by_rank.__getitem__)  # the inverse permutation
     events = []
     for key in sorted([
-        begin * n + rank[k] for begin, members in zip(starts, plan.unit_tasks) for k in members
+        begin * n + rank[k] for begin, members in zip(starts, unit_tasks) for k in members
     ]):
         at = key // n
         k = by_rank[key % n]
         events.append(TraceEvent(tasks[k], at, at + durations[k]))
-    trace = ScheduleTrace(events=tuple(events), iteration_ns=makespan)
-    return trace, _aggregate(graph, trace)
+    return tuple(events)
 
 
-def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
-    iteration = seconds(trace.iteration_ns)
-    if not trace.events:
+def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
+             durations: list[int], makespan: int) -> SimResult:
+    """The run metrics of plan's run: unit starts and makespan under durations.
+
+    Units of one queue share their lanes, so each queue's first start,
+    compute time and spans come from its units' starts and durations at
+    once. A send/recv pair is one communication span.
+    """
+    iteration = seconds(makespan)
+    if not plan.tasks:
         return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, {})
 
+    unit_tasks, lane_owners = plan.unit_tasks, plan.lane_owners
     first_activity: dict[str, int] = {}
     busy: dict[str, int] = {}
-    for task, start, end in trace.events:
-        owner = task.owner
-        cur = first_activity.get(owner)
-        if cur is None or start < cur:
-            first_activity[owner] = start
-        if task.lane == COMPUTE_LANE:
-            busy[owner] = busy.get(owner, 0) + (end - start)
-    embedded_ns = sum(graph.table[key][1] for key in graph.keys)  # inside task durations
+    comm_spans: list[tuple[int, int]] = []
+    compute_spans: list[tuple[int, int]] = []
+    for q in plan.queues:
+        begins = list(map(starts.__getitem__, q.units))
+        first = min(begins)
+        # Per task of the units: its durations, in q.units order.
+        sides = [
+            list(map(durations.__getitem__, side))
+            for side in zip(*map(unit_tasks.__getitem__, q.units))
+        ]
+        comm_sides = []
+        for lane, counter, side in zip(q.lanes, q.counters, sides):
+            owner = lane_owners[lane]
+            earliest = first_activity.get(owner)
+            if earliest is None or first < earliest:
+                first_activity[owner] = first
+            if counter >= 0:
+                busy[owner] = busy.get(owner, 0) + sum(side)
+                compute_spans += zip(begins, map(operator.add, begins, side))
+            else:
+                comm_sides.append(side)
+        if comm_sides:
+            longest = comm_sides[0] if len(comm_sides) == 1 else map(max, *comm_sides)
+            comm_spans += zip(begins, map(operator.add, begins, longest))
+    embedded = {key: exposed_ns for key, (_, exposed_ns) in graph.table.items()}
+    embedded_ns = sum(map(embedded.__getitem__, graph.keys))  # inside task durations
 
     # Warmup bubble: the longest any group waits before its first activity.
     bubble_warmup = max(first_activity.values()) / 1e9
 
     compute_owners = [o for o in first_activity if busy.get(o, 0) > 0]
-    if compute_owners and trace.iteration_ns > 0:
-        fraction = 1.0 - sum(busy[o] for o in compute_owners) / (
-            len(compute_owners) * trace.iteration_ns
-        )
+    if compute_owners and makespan > 0:
+        fraction = 1.0 - sum(busy[o] for o in compute_owners) / (len(compute_owners) * makespan)
         fraction = min(max(fraction, 0.0), 1.0)
     else:
         fraction = 0.0
-
-    exposed = exposed_comm(trace) + seconds(embedded_ns)
 
     mfu = 0.0
     if graph.total_flops > 0 and iteration > 0 and graph.world_gpus > 0 and graph.gpu_peak > 0:
@@ -478,7 +561,7 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
         iteration_time=iteration,
         bubble_warmup=bubble_warmup,
         bubble_fraction=fraction,
-        exposed_comm=exposed,
+        exposed_comm=_exposed_ns(comm_spans, compute_spans) / 1e9 + seconds(embedded_ns),
         mfu=mfu,
         per_group_busy={o: busy.get(o, 0) / 1e9 for o in sorted(first_activity)},
     )
@@ -498,13 +581,12 @@ def _merge(intervals: Iterable[tuple[int, int]]) -> list[list[int]]:
     return merged
 
 
-def exposed_comm(trace: ScheduleTrace) -> float:
-    """Seconds during which communication runs while every compute engine idles."""
-    comm_spans: list[tuple[int, int]] = []
-    compute_spans: list[tuple[int, int]] = []
-    for task, start, end in trace.events:
-        if end > start:
-            (compute_spans if task.lane == COMPUTE_LANE else comm_spans).append((start, end))
+def _exposed_ns(comm_spans: Iterable[tuple[int, int]],
+                compute_spans: Iterable[tuple[int, int]]) -> int:
+    """How long some comm span runs while no compute span does (ns).
+
+    A zero-length span adds nothing to either union, so none is filtered out.
+    """
     comm, compute = _merge(comm_spans), _merge(compute_spans)
     exposed = 0
     ci = 0
@@ -520,7 +602,16 @@ def exposed_comm(trace: ScheduleTrace) -> float:
             if cs > cursor:
                 exposed += cs - cursor
             cursor = min(ce, e)
-    return exposed / 1e9
+    return exposed
+
+
+def exposed_comm(trace: ScheduleTrace) -> float:
+    """Seconds during which communication runs while every compute engine idles."""
+    comm_spans: list[tuple[int, int]] = []
+    compute_spans: list[tuple[int, int]] = []
+    for task, start, end in trace.events:
+        (compute_spans if task.lane == COMPUTE_LANE else comm_spans).append((start, end))
+    return _exposed_ns(comm_spans, compute_spans) / 1e9
 
 
 def warmup_bubble_analytic(

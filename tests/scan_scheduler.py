@@ -1,10 +1,13 @@
-"""Reference list scheduler: the ready-set scan that sim.simulate replaced.
+"""Reference list scheduler and run metrics: what sim.simulate replaced.
 
-On every commit it re-evaluates the earliest start and the priority of every
-ready unit and takes the minimum of (earliest start, 1F1B rank, micro-batch,
-virtual index, component rank, owner, lane, task id). Its time grows with the
-square of the task count, so it lives here only as the gate that the heap
-scheduler in afpipe.sim must match trace for trace.
+simulate_scan re-evaluates, on every commit, the earliest start and the
+priority of every ready unit and takes the minimum of (earliest start, 1F1B
+rank, micro-batch, virtual index, component rank, owner, lane, task id). Its
+time grows with the square of the task count, so it lives here only as the
+gate that the heap scheduler in afpipe.sim must match trace for trace.
+
+_aggregate computes a SimResult from a trace's events, as simulate did before
+it read the metrics straight from the run; simulate must match it exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from afpipe.sim import (
     ScheduleTrace,
     SimResult,
     TraceEvent,
-    _aggregate,
     _check_keys,
     _check_task,
+    exposed_comm,
+    seconds,
 )
 from afpipe.taskgraph import COMPUTE_LANE, RECV_LANE, Task, TaskGraph, TaskKind
 
@@ -126,3 +130,48 @@ def simulate_scan(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     )
     trace = ScheduleTrace(events=tuple(events), iteration_ns=max(end.values()))
     return trace, _aggregate(graph, trace)
+
+
+def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
+    iteration = seconds(trace.iteration_ns)
+    if not trace.events:
+        return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, {})
+
+    first_activity: dict[str, int] = {}
+    busy: dict[str, int] = {}
+    for task, start, end in trace.events:
+        owner = task.owner
+        cur = first_activity.get(owner)
+        if cur is None or start < cur:
+            first_activity[owner] = start
+        if task.lane == COMPUTE_LANE:
+            busy[owner] = busy.get(owner, 0) + (end - start)
+    embedded_ns = sum(graph.table[key][1] for key in graph.keys)  # inside task durations
+
+    # Warmup bubble: the longest any group waits before its first activity.
+    bubble_warmup = max(first_activity.values()) / 1e9
+
+    compute_owners = [o for o in first_activity if busy.get(o, 0) > 0]
+    if compute_owners and trace.iteration_ns > 0:
+        fraction = 1.0 - sum(busy[o] for o in compute_owners) / (
+            len(compute_owners) * trace.iteration_ns
+        )
+        fraction = min(max(fraction, 0.0), 1.0)
+    else:
+        fraction = 0.0
+
+    exposed = exposed_comm(trace) + seconds(embedded_ns)
+
+    mfu = 0.0
+    if graph.total_flops > 0 and iteration > 0 and graph.world_gpus > 0 and graph.gpu_peak > 0:
+        mfu = graph.total_flops / (iteration * graph.world_gpus * graph.gpu_peak)
+        mfu = min(max(mfu, 0.0), 1.0)
+
+    return SimResult(
+        iteration_time=iteration,
+        bubble_warmup=bubble_warmup,
+        bubble_fraction=fraction,
+        exposed_comm=exposed,
+        mfu=mfu,
+        per_group_busy={o: busy.get(o, 0) / 1e9 for o in sorted(first_activity)},
+    )

@@ -1,7 +1,9 @@
-"""The heap scheduler in afpipe.sim against the ready-set scan it replaced.
+"""The heap scheduler in afpipe.sim against the ready-set scan it replaced,
+and simulate's run metrics against the event aggregate they replaced.
 
-Every case asserts the same ScheduleTrace, the same SimResult down to the
-float repr, and the same exported trace bytes.
+Every scan case asserts the same ScheduleTrace, the same SimResult down to
+the float repr, and the same exported trace bytes. Every metrics case asserts
+the same SimResult as the aggregate of simulate's own trace.
 """
 
 import dataclasses
@@ -9,7 +11,7 @@ import random
 from pathlib import Path
 
 import pytest
-from scan_scheduler import simulate_scan
+from scan_scheduler import _aggregate, simulate_scan
 from test_acceptance import _build as build_small
 from test_acceptance import criterion_5_experiments
 from test_taskgraph import GRAPH_PINS
@@ -137,3 +139,40 @@ def test_random_graphs_match_the_scan():
     rng = random.Random(11)
     for _ in range(300):
         _assert_same_schedule(_random_graph(rng))
+
+
+def _assert_same_metrics(graph):
+    trace, result = simulate(graph)
+    assert result == _aggregate(graph, trace)
+
+
+def _random_tables(rng, graph, count=3):
+    """graph under count random tables: zero durations and embedded exposure
+    both common."""
+    for _ in range(count):
+        yield dataclasses.replace(graph, table={
+            key: (rng.choice((0, rng.randint(1, 10**6))), rng.choice((0, rng.randint(1, 10**5))))
+            for key in graph.table
+        })
+
+
+@pytest.mark.parametrize("microbatches", [1, 4, 8])
+@pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
+def test_run_metrics_equal_the_event_aggregate(kind, config, microbatches):
+    base = load_experiment(str(CONFIGS / config))
+    graph = _config_graph(
+        config, schedule_kind=kind,
+        workload=dataclasses.replace(base.workload, num_microbatches=microbatches),
+    )
+    _assert_same_metrics(graph)
+    for retimed in _random_tables(random.Random(f"{kind.value}{config}{microbatches}"), graph):
+        _assert_same_metrics(retimed)
+
+
+def test_run_metrics_equal_the_event_aggregate_on_random_graphs():
+    rng = random.Random(12)
+    _assert_same_metrics(TaskGraph(schedule_kind=ScheduleKind.AFPIPE))
+    for _ in range(100):
+        for retimed in _random_tables(rng, _random_graph(rng), count=2):
+            _assert_same_metrics(retimed)

@@ -425,7 +425,10 @@ def test_check_schedule_reports_each_violation(tamper, message):
 def _scheduler_counts(caplog, graph):
     with caplog.at_level(logging.DEBUG, logger="afpipe.sim"):
         simulate(graph)
-    lines = [r.getMessage() for r in caplog.records if r.name == "afpipe.sim"]
+    lines = [
+        r.getMessage() for r in caplog.records
+        if r.name == "afpipe.sim" and r.getMessage().startswith("simulate: ")
+    ]
     assert len(lines) == 1
     match = re.fullmatch(
         r"simulate: (\d+) units, (\d+) commits, (\d+) heap pushes, (\d+) stale pops, "
@@ -442,6 +445,25 @@ def test_simulate_logs_scheduler_counts_at_debug(caplog):
     assert counts["units"] == counts["commits"] == len(g.tasks) - pairs
     assert counts["heap pushes"] == counts["commits"] + counts["stale pops"]
     assert 1 <= counts["peak heap"] <= counts["heap pushes"]
+
+
+def test_simulate_logs_stage_wall_times_and_the_timeline_build_at_debug(caplog):
+    g = _build(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, microbatches=4)
+    with caplog.at_level(logging.DEBUG, logger="afpipe.sim"):
+        trace, _ = simulate(g)
+        after_simulate = [r.getMessage() for r in caplog.records if r.name == "afpipe.sim"]
+        trace.events
+        trace.events
+    lines = [r.getMessage() for r in caplog.records if r.name == "afpipe.sim"]
+    ms = r"\d+\.\d{3} ms"
+    walls = [m for m in lines if m.startswith("simulate wall: ")]
+    assert len(walls) == 1
+    assert re.fullmatch(f"simulate wall: plan {ms}, run {ms}, metrics {ms}", walls[0]), walls
+    # The timeline is built, and logged, once, when the events are first read.
+    timelines = [m for m in lines if m.startswith("timeline: ")]
+    assert not any(m.startswith("timeline: ") for m in after_simulate)
+    assert len(timelines) == 1
+    assert re.fullmatch(f"timeline: {len(g)} events in {ms}", timelines[0]), timelines
 
 
 def test_heap_work_per_unit_does_not_grow_with_microbatches(caplog):

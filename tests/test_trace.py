@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from afpipe import trace_io
+from afpipe import cli, sim, trace_io
 from afpipe.allocator import canonical_allocation, default_allocation
 from afpipe.config import (
     ClusterConfig,
@@ -223,3 +224,74 @@ def test_time_without_a_float_value_is_a_serialization_error(events, tmp_path):
     with pytest.raises(SerializationError, match="no float value"):
         write_trace(trace, str(path))
     assert not path.exists()
+
+
+def _count_events(monkeypatch):
+    """A list that gains one entry per TraceEvent afpipe.sim builds from now on."""
+    made = []
+
+    def counting(*fields):
+        made.append(fields)
+        return TraceEvent(*fields)
+
+    monkeypatch.setattr(sim, "TraceEvent", counting)
+    return made
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", str(CONFIGS / "toy.yaml"), "--axis", "seq_len", "--values", "512,2048"],
+    ["compare", "--config", str(CONFIGS / "deepseek_moe.yaml")],
+    ["simulate", "--config", str(CONFIGS / "toy.yaml")],
+], ids=["sweep", "compare", "simulate"])
+def test_verbs_that_write_no_trace_build_no_events(argv, monkeypatch, capsys):
+    made = _count_events(monkeypatch)
+    assert cli.main(argv) == 0
+    assert made == []
+
+
+def test_simulate_trace_builds_one_event_per_task(monkeypatch, tmp_path, capsys):
+    made = _count_events(monkeypatch)
+    path = tmp_path / "trace.json"
+    assert cli.main(["simulate", "--config", str(CONFIGS / "toy.yaml"), "--trace", str(path)]) == 0
+    assert len(made) == len(json.loads(path.read_text())) > 0
+
+
+def test_events_are_built_once_then_the_run_is_dropped(monkeypatch):
+    trace = _af_trace()
+    made = _count_events(monkeypatch)
+    events = trace.events
+    assert trace._run is None
+    assert trace.events is events
+    assert len(made) == len(events) > 0
+
+
+def test_lazy_trace_equals_the_eager_trace_of_its_events():
+    lazy, built = _af_trace(), _af_trace()
+    eager = ScheduleTrace(events=built.events, iteration_ns=built.iteration_ns)
+    assert lazy == eager and eager == lazy
+    assert lazy != ScheduleTrace(events=eager.events, iteration_ns=eager.iteration_ns + 1)
+    assert lazy != ScheduleTrace(events=eager.events[1:], iteration_ns=eager.iteration_ns)
+
+
+# sha256 of the file simulate --trace writes for each config at each
+# micro-batch count, as written before simulate built its events lazily.
+TRACE_FILE_PINS = {
+    ("toy.yaml", 8): "599a9e26039d6638ee0daf55e737d0458437fc3343e625b4293d0c3fa7d1c4e3",
+    ("toy.yaml", 32): "b8b7b47c7ca9e7f3640f7aa18be356cc20db54616246d3f694f144fbf2e55f22",
+    ("deepseek_moe.yaml", 8): "1046370a4a0e8b44d16f714f9588de3122ed755ff01415bdff4bb8f7727f6f4c",
+    ("deepseek_moe.yaml", 32): "c3cd6c79e053c1728ef0a2c8b9abf35c4da08d94333da196e435faa3b6ccbb53",
+}
+
+
+@pytest.mark.parametrize("config,microbatches", list(TRACE_FILE_PINS))
+def test_simulate_trace_file_bytes_are_pinned(config, microbatches, tmp_path, capsys):
+    doc = tmp_path / config
+    lines = (CONFIGS / config).read_text().splitlines(keepends=True)
+    doc.write_text("".join(
+        f"  num_microbatches: {microbatches}\n" if "num_microbatches:" in line else line
+        for line in lines
+    ))
+    path = tmp_path / "trace.json"
+    assert cli.main(["simulate", "--config", str(doc), "--trace", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == TRACE_FILE_PINS[config, microbatches]
