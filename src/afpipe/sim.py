@@ -34,12 +34,18 @@ order above. Its keys are exact although no unit is re-keyed as time passes:
   * the 1F1B rank changes only when the group commits compute.
 So a commit moves only the heads of the queues on the lanes it occupies, of
 the group whose preference it flips and of the queues it adds ready units to.
-Those heads are pushed again; superseded heap entries are skipped when popped.
-A commit costs a few heap operations, one per queue it touches, instead of a
-scan of every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each
-run's units, commits, heap pushes, stale pops and peak heap size; each
-simulate's wall time of plan, run and metrics; and each timeline build's
-event count and wall time.
+The first are the committed queue's neighbours, listed once per plan. The
+loop refreshes each touched queue inline: it re-keys the queue's head and
+pushes it when the key has changed. Superseded heap entries are skipped when
+popped. A queue may be touched twice in one commit, and the touched queues
+come in no set order; neither matters. A second refresh finds the key it
+just pushed and pushes nothing. Live keys (start, rank, unit) are unique, so
+the order of the pushes cannot change which unit the heap yields. A commit
+costs a few heap operations, one per queue it touches, instead of a scan of
+every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each run's
+units, commits, heap pushes, stale pops and peak heap size; each simulate's
+wall time of plan, run and metrics; and each timeline build's event count
+and wall time.
 
 Plan and run: nothing above but the start times reads a duration, and a
 task holds none: graph.keys names its entry of graph.table. So a
@@ -73,11 +79,11 @@ MakespanOverflow.
 
 from __future__ import annotations
 
-import heapq
 import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import ScheduleKind
@@ -220,10 +226,12 @@ class _Queue:
     So they occupy the same lanes and share a 1F1B rank class. Parked units
     were ready by the time all those lanes are free, so each can start exactly
     then and they are ordered by ordinal alone; pending units are ready later
-    and are ordered by (ready_ns, ordinal).
+    and are ordered by (ready_ns, ordinal). A commit from this queue frees its
+    lanes, so it re-keys its neighbours, the queues that share one of them.
     """
 
-    __slots__ = ("lanes", "counters", "units", "parked", "pending", "key", "stamp")
+    __slots__ = ("lanes", "counters", "units", "lane", "other", "owner", "bwd", "neighbors",
+                 "parked", "pending", "key", "stamp")
 
     def __init__(self, lanes: tuple[int, ...], counters: tuple[int, ...]):
         # Per task of a unit: the lane it occupies and the compute counter it
@@ -233,6 +241,16 @@ class _Queue:
         self.lanes = lanes
         self.counters = counters
         self.units: list[int] = []  # every unit of this shape, in unit order
+        # What run reads of them. A unit is one task or a send/recv pair, so
+        # lane and other are its two lanes, or its one lane twice. Then the
+        # rank class's owner, -1 for rank 0 (run's last preference slot, which
+        # never prefers backward), and whether the class is backward.
+        self.lane, self.other = lanes[0], lanes[-1]
+        self.owner = counters[0] >> 1 if counters[0] >= 0 else -1
+        self.bwd = counters[0] >= 0 and counters[0] & 1 == 1
+        # The distinct queues that share a lane with this one, itself first:
+        # set by the plan once every queue exists.
+        self.neighbors: tuple[_Queue, ...] = ()
         self.clear()
 
     def clear(self) -> None:
@@ -247,12 +265,13 @@ class SchedulePlan:
     """What scheduling a graph reads, except its durations; built once per graph.
 
     It holds the graph's checked tasks, its units in tie-break order, the
-    queue of each unit (lanes and 1F1B counters) and the units of each queue,
-    the owner of each lane, the units that depend on each task, each unit's
-    dependency count and each owner's credit. None of
-    these reads a duration, so one plan schedules the graph under any
-    durations of its tasks: run() is the scheduler loop. run() resets and
-    reuses the plan's queues, so one plan runs one schedule at a time.
+    queue of each unit (lanes, 1F1B counters and neighbours) and the units of
+    each queue, each task's lane and counter, the owner of each lane, the
+    units that depend on each task, each unit's dependency count and each
+    owner's credit. None of these reads a duration, so one plan schedules the
+    graph under any durations of its tasks: run() is the scheduler loop.
+    run() resets and reuses the plan's queues, so one plan runs one schedule
+    at a time.
     """
 
     def __init__(self, graph: TaskGraph):
@@ -323,13 +342,25 @@ class SchedulePlan:
         self.credit = [graph.credits.get(owner, 1) for owner in owner_index]
         self.lane_owners = [owner for owner, _ in lane_index]
         self.queues = tuple(queues.values())
-        self.lane_queues: list[list[_Queue]] = [[] for _ in lane_index]
+        lane_queues: list[list[_Queue]] = [[] for _ in lane_index]
         self.owner_queues: list[list[_Queue]] = [[] for _ in owner_index]
         for q in self.queues:
             for lane in q.lanes:
-                self.lane_queues[lane].append(q)
-            if q.counters[0] >= 0:
-                self.owner_queues[q.counters[0] >> 1].append(q)
+                lane_queues[lane].append(q)
+            if q.owner >= 0:
+                self.owner_queues[q.owner].append(q)
+        # Per task, the lane and the compute counter of its side of its queue:
+        # a commit reads them by task, with no zip over the queue's sides.
+        self.task_lane = task_lane = [0] * len(ordered)
+        self.task_counter = task_counter = [0] * len(ordered)
+        for q in self.queues:
+            shared = [q, *(p for lane in q.lanes for p in lane_queues[lane])]
+            q.neighbors = tuple(dict.fromkeys(shared))
+            sides = zip(*map(unit_tasks.__getitem__, q.units))
+            for side, lane, counter in zip(sides, q.lanes, q.counters):
+                for k in side:
+                    task_lane[k] = lane
+                    task_counter[k] = counter
 
     def run(self, durations: list[int]) -> tuple[list[int | None], int]:
         """Schedule every unit when its tasks take durations (ns, in tasks order).
@@ -338,78 +369,87 @@ class SchedulePlan:
         the ready set empties with tasks unplaced.
         """
         unit_tasks, unit_queue, dependents = self.unit_tasks, self.unit_queue, self.dependents
-        credit, lane_queues, owner_queues = self.credit, self.lane_queues, self.owner_queues
+        credit, owner_queues = self.credit, self.owner_queues
+        task_lane, task_counter = self.task_lane, self.task_counter
         for q in self.queues:
             q.clear()
         remaining = self.remaining[:]
         started = [0] * (2 * len(credit))  # forward, backward compute starts per owner
-        lane_free = [0] * len(lane_queues)
+        # Whether each owner prefers backward: once its in-flight forward count,
+        # none yet, reaches its credit. The last slot is rank 0's (_Queue.owner).
+        prefer = [c <= 0 for c in credit] + [False]
+        lane_free = [0] * len(self.lane_owners)
         ready_ns = [0] * len(unit_tasks)  # latest end among a unit's committed dependencies
         unit_start: list[int | None] = [None] * len(unit_tasks)
         heap: list[tuple[int, int, int, int, _Queue]] = []
         pushes = stale = peak = 0
 
-        def place(i: int) -> _Queue:
-            q = unit_queue[i]
-            if ready_ns[i] <= max(map(lane_free.__getitem__, q.lanes)):
-                heapq.heappush(q.parked, i)
-            else:
-                heapq.heappush(q.pending, (ready_ns[i], i))
-            return q
+        # Units with no dependencies are ready at 0, when every lane is free;
+        # they are taken in unit order, so each parked list is already a heap.
+        for i, n in enumerate(remaining):
+            if n == 0:
+                unit_queue[i].parked.append(i)
+        touched: Iterable[_Queue] = self.queues
+        while True:
+            # Give the heap the head of each non-empty touched queue under its
+            # current key; a queue whose key has not changed pushes nothing.
+            for r in touched:
+                parked, pending = r.parked, r.pending
+                if not (parked or pending):
+                    continue
+                free, other = lane_free[r.lane], lane_free[r.other]
+                if other > free:
+                    free = other
+                while pending and pending[0][0] <= free:
+                    heappush(parked, heappop(pending)[1])
+                at, i = (free, parked[0]) if parked else pending[0]
+                rank = prefer[r.owner] != r.bwd  # False (0) for the preferred class
+                key = (at, rank, i)
+                if key != r.key:
+                    pushes += 1
+                    r.key, r.stamp = key, pushes
+                    heappush(heap, (at, rank, i, pushes, r))
 
-        def refresh(q: _Queue) -> None:
-            """Give the heap the head of the non-empty queue q under its current key."""
-            nonlocal pushes
-            parked, pending = q.parked, q.pending
-            free = max(map(lane_free.__getitem__, q.lanes))
-            while pending and pending[0][0] <= free:
-                heapq.heappush(parked, heapq.heappop(pending)[1])
-            at, i = (free, parked[0]) if parked else pending[0]
-            rank = 0
-            rank_class = q.counters[0]
-            if rank_class >= 0:
-                owner = rank_class >> 1
-                prefer_bwd = started[2 * owner] - started[2 * owner + 1] >= credit[owner]
-                rank = 0 if (rank_class & 1) == prefer_bwd else 1
-            key = (at, rank, i)
-            if key != q.key:
-                pushes += 1
-                q.key, q.stamp = key, pushes
-                heapq.heappush(heap, (at, rank, i, pushes, q))
-
-        for q in dict.fromkeys([place(i) for i, n in enumerate(remaining) if n == 0]):
-            refresh(q)
-
-        while heap:
-            if len(heap) > peak:
-                peak = len(heap)
-            at, _, i, stamp, q = heapq.heappop(heap)
-            if stamp != q.stamp:
+            while heap:
+                if len(heap) > peak:
+                    peak = len(heap)
+                at, _, i, stamp, q = heappop(heap)
+                if stamp == q.stamp:
+                    break
                 stale += 1
-                continue
-            heapq.heappop(q.parked if q.parked else q.pending)
+            else:
+                break
+            heappop(q.parked if q.parked else q.pending)
             q.key = None
             unit_start[i] = at
-            touched = [q]
-            for k, lane, counter in zip(unit_tasks[i], q.lanes, q.counters):
-                lane_free[lane] = finish = at + durations[k]
-                touched += lane_queues[lane]
+            # Besides q's neighbours, the commit touches the owner's queues when
+            # it flips the owner's preference and the queues of units it readies.
+            touched = [*q.neighbors]
+            for k in unit_tasks[i]:
+                lane_free[task_lane[k]] = finish = at + durations[k]
+                counter = task_counter[k]
                 if counter >= 0:
                     started[counter] += 1
                     owner = counter >> 1
-                    # The owner's queues change rank only when this start carries
-                    # its in-flight forward count across its credit.
-                    if started[2 * owner] - started[2 * owner + 1] == credit[owner] - (counter & 1):
+                    bwd = started[2 * owner] - started[2 * owner + 1] >= credit[owner]
+                    if bwd != prefer[owner]:  # the owner's queues change rank
+                        prefer[owner] = bwd
                         touched += owner_queues[owner]
                 for j in dependents[k]:
                     if finish > ready_ns[j]:
                         ready_ns[j] = finish
                     remaining[j] -= 1
                     if remaining[j] == 0:
-                        touched.append(place(j))
-            for q in dict.fromkeys(touched):
-                if q.parked or q.pending:
-                    refresh(q)
+                        # Pending if ready after its lanes' free times so far; when
+                        # a later side of this commit frees them later, the refresh
+                        # parks it.
+                        p = unit_queue[j]
+                        ready = ready_ns[j]
+                        if ready <= lane_free[p.lane] or ready <= lane_free[p.other]:
+                            heappush(p.parked, j)
+                        else:
+                            heappush(p.pending, (ready, j))
+                        touched.append(p)
 
         _debug("simulate: %d units, %d commits, %d heap pushes, %d stale pops, peak heap %d",
                len(unit_tasks), pushes - stale, pushes, stale, peak)
@@ -539,8 +579,10 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
         if comm_sides:
             longest = comm_sides[0] if len(comm_sides) == 1 else map(max, *comm_sides)
             comm_spans += zip(begins, map(operator.add, begins, longest))
+    # Exposure inside task durations; no afpipe or naive table has any, so a
+    # table of zeros skips the per-task sum.
     embedded = {key: exposed_ns for key, (_, exposed_ns) in graph.table.items()}
-    embedded_ns = sum(map(embedded.__getitem__, graph.keys))  # inside task durations
+    embedded_ns = sum(map(embedded.__getitem__, graph.keys)) if any(embedded.values()) else 0
 
     # Warmup bubble: the longest any group waits before its first activity.
     bubble_warmup = max(first_activity.values()) / 1e9

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from task_critical_path import critical_path_tasks
+from test_scheduler_reference import _assert_same_schedule, _random_graph
 
 from afpipe.allocator import canonical_allocation, default_allocation
 from afpipe.config import (
@@ -150,12 +151,13 @@ def test_two_task_cycle_rejected_by_critical_path():
         critical_path_ns(g)
 
 
-def _transfer_pair(base_id, src, dst, dur_ns, deps=()):
+def _transfer_pair(base_id, src, dst, dur_ns, deps=(), recv_ns=None, mb=0):
+    """A send/recv pair; the receive side takes recv_ns when given, else dur_ns."""
     send = Task(id=base_id, kind=TaskKind.M2N_SEND, owner=src,
-                lane=SEND_LANE, deps=deps, microbatch=0, twin=base_id + 1)
+                lane=SEND_LANE, deps=deps, microbatch=mb, twin=base_id + 1)
     recv = Task(id=base_id + 1, kind=TaskKind.M2N_RECV, owner=dst,
-                lane=RECV_LANE, deps=deps, microbatch=0, twin=base_id)
-    return (send, dur_ns), (recv, dur_ns)
+                lane=RECV_LANE, deps=deps, microbatch=mb, twin=base_id)
+    return (send, dur_ns), (recv, dur_ns if recv_ns is None else recv_ns)
 
 
 def test_transfer_pair_occupies_both_lanes_simultaneously():
@@ -476,6 +478,64 @@ def test_heap_work_per_unit_does_not_grow_with_microbatches(caplog):
         counts = _scheduler_counts(caplog, g)
         ratios.append(counts["heap pushes"] / counts["units"])
     assert max(ratios) <= 2.0, ratios
+
+
+# The scheduler's heap work on three graphs of the bundled configs at 4
+# micro-batches: (units, commits, heap pushes, stale pops, peak heap). A
+# rewrite of the loop must commit the same units in the same order and do the
+# same heap work, not only give the same schedule.
+HEAP_WORK_PINS = {
+    ("deepseek_moe.yaml", ScheduleKind.AFPIPE): (888, 888, 891, 3, 5),
+    ("toy.yaml", ScheduleKind.MEGATRON_1F1B): (56, 56, 65, 9, 5),
+    ("toy.yaml", ScheduleKind.NAIVE_SEQUENTIAL): (128, 128, 128, 0, 1),
+}
+
+
+@pytest.mark.parametrize("config,kind", list(HEAP_WORK_PINS), ids=lambda v: getattr(v, "value", v))
+def test_heap_work_is_pinned(caplog, config, kind):
+    base = load_experiment(str(CONFIGS / config))
+    exp = replace(base, schedule_kind=kind,
+                  workload=replace(base.workload, num_microbatches=4))
+    counts = _scheduler_counts(caplog, build_task_graph(exp, default_allocation(exp)))
+    fields = ("units", "commits", "heap pushes", "stale pops", "peak heap")
+    assert tuple(map(counts.__getitem__, fields)) == HEAP_WORK_PINS[(config, kind)]
+
+
+def test_pair_sides_free_their_lanes_apart_and_a_pair_waits_on_its_second_lane():
+    # Pair 0/1 (G2 -> G1) sends for 3 ns and receives for 10, so task 4,
+    # after the send side, starts at 3 and task 5, after the receive side, at
+    # 10. Pair 2/3 (G0 -> G1) is ready at 0 with G0's send lane free, but
+    # waits for G1's receive lane, its second, until 10. Pair 8/9, readied at
+    # 5 by task 4, waits on that lane again, until pair 2/3 frees it at 16.
+    g = _graph([
+        *_transfer_pair(0, "G2", "G1", 3, recv_ns=10),
+        *_transfer_pair(2, "G0", "G1", 4, recv_ns=6, mb=1),
+        _compute(4, "G2", 2, deps=(0,)),
+        _compute(5, "G1", 2, deps=(1,)),
+        _compute(6, "G0", 2, deps=(2,)),
+        _compute(7, "G1", 2, deps=(3,)),
+        *_transfer_pair(8, "G2", "G1", 1, deps=(4,), recv_ns=2, mb=2),
+    ])
+    trace, _ = simulate(g)
+    spans = {ev.task.id: (ev.start_ns, ev.end_ns) for ev in trace.events}
+    assert spans == {0: (0, 3), 1: (0, 10), 2: (10, 14), 3: (10, 16), 4: (3, 5), 5: (10, 12),
+                     6: (14, 16), 7: (16, 18), 8: (16, 17), 9: (16, 18)}
+    assert trace.iteration_ns == 18
+    _assert_same_schedule(g)
+
+
+def test_random_graphs_with_independent_pair_sides_match_the_scan():
+    # _random_graph gives both sides of a pair one duration; a fresh table
+    # over its per-task keys gives each side its own.
+    rng = random.Random(13)
+    uneven = 0
+    for _ in range(150):
+        g = _random_graph(rng)
+        g.table = {key: (rng.randint(0, 6), 0) for key in g.table}
+        uneven += any(t.twin is not None and g.table[t.id] != g.table[t.twin]
+                      for t in g.tasks.values())
+        _assert_same_schedule(g)
+    assert uneven > 100
 
 
 @pytest.mark.parametrize("recv_lane,recv_twin", [
