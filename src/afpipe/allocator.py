@@ -25,8 +25,8 @@ summed from shape counts without building the copies.
 Profiling plans once and re-times per duration table: a graph is its tasks
 plus the duration table it was built under (TaskGraph.table), and a split
 changes only the table. So one profile object (IterationProfile) per
-experiment builds one graph and its sim.SchedulePlan, and runs the plan once
-per distinct table. The table reads the NICs only through min(M_a, M_f), so
+experiment walks one graph and keeps its sim.SchedulePlan in a sim.Retimer,
+which runs the plan once per distinct table. The table reads the NICs only through min(M_a, M_f), so
 the splits (M, M_a) and (M, M_tot - M_a) share one run. Phase 3 and
 brute_force_oracle both re-time through it.
 
@@ -58,14 +58,15 @@ from dataclasses import dataclass, field, replace
 
 from .config import ClusterConfig, Experiment, ScheduleKind
 from .costs import (
-    LayerCosts, StageTimes, arithmetic_intensities, layer_costs, roofline_attainable, stage_times,
+    LayerCosts, arithmetic_intensities, layer_costs, roofline_attainable, stage_times,
 )
-from .sim import SchedulePlan, durations_ns, lane_bound_ns, lane_counts, seconds
-from .taskgraph import build_task_graph, duration_table, visit_times
-# Unused here, but bench/tracing.py patches allocator.assign_layers and
-# allocator.simulate.
+from .sim import Retimer, lane_bound_ns, lane_counts, seconds
+from .taskgraph import duration_table, topology_graph, visit_times
+# Unused here, but bench/tracing.py patches allocator.assign_layers,
+# allocator.simulate and allocator.build_task_graph.
 from .placement import assign_layers  # noqa: F401
 from .sim import simulate  # noqa: F401
+from .taskgraph import build_task_graph  # noqa: F401
 
 
 class NoFeasible(Exception):
@@ -281,42 +282,34 @@ def phase3_refine(
 class IterationProfile:
     """Simulated afpipe iteration time of each split of one experiment's cluster.
 
-    Creating one plans the experiment's afpipe graph, built under zero
-    durations, and counts its duration keys per lane (sim.lane_counts): a
-    split changes only the graph's table. durations(alloc) builds the split's
-    table from the one LayerCosts through visit_times and duration_table, as
-    build_task_graph does, and reads its durations over the graph's distinct
-    keys. That tuple is all that the rest reads of a split: the lane bound
+    Creating one walks the experiment's afpipe topology (topology_graph),
+    keeps its plan in a Retimer and counts its duration keys per lane
+    (sim.lane_counts): a split changes only the graph's table.
+    durations(alloc) builds the split's table from the one LayerCosts
+    through visit_times and duration_table, as build_task_graph does, and
+    reads its durations over the graph's distinct keys (Retimer.ns). That
+    tuple is all that the rest reads of a split: the lane bound
     (lane_bound_ns), the dependency chain (chain_ns) and the plan run
-    (time). The chain and the run are memoized on it, so mirrored NIC splits
-    share one of each. A call is time(durations(alloc)), so it equals
+    (time). The retimer memoizes the chain and the run on it, so mirrored NIC
+    splits share one of each. A call is time(durations(alloc)), so it equals
     simulate(build_task_graph(exp, alloc))[1].iteration_time exactly.
 
-    counts, when given, gathers "calls", "retimed" (plan runs: distinct
-    tables) and "plans" (plans built).
+    counts, when given, gathers the retimer's "calls", "retimed" (plan runs:
+    distinct tables) and "plans" (plans built).
     """
 
     def __init__(self, exp: Experiment, counts: Counter | None = None):
         self.exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
         self.costs = layer_costs(self.exp.model, self.exp.workload, self.exp.ep_size)
-        self.counts = Counter() if counts is None else counts
-        self.times: dict[tuple[int, ...], float] = {}
-        self.chains: dict[tuple[int, ...], int] = {}
-        zero = StageTimes(t_attn=0.0, t_ffn=0.0, t_a2a=0.0, t_m2n=0.0, t_p2p=0.0)
-        graph = build_task_graph(self.exp, times=zero)
-        self.plan = SchedulePlan(graph)
-        self.keys, self.rows = lane_counts(graph)
-        column = {key: i for i, key in enumerate(self.keys)}
-        self.columns = [column[key] for key in graph.keys]  # each task's distinct key
-        self.counts["plans"] += 1
+        graph = topology_graph(self.exp)
+        self.retimer = Retimer(graph, counts)
+        self.counts = self.retimer.counts
+        # lane_counts lists the distinct keys in the retimer's order: first use.
+        _, self.rows = lane_counts(graph)
 
     def durations(self, alloc: Allocation) -> tuple[int, ...]:
         """The durations (ns) of the graph's distinct keys under alloc's table."""
-        table = duration_table(self.exp, visit_times(self.exp, self.costs, alloc))
-        return tuple(durations_ns(self.keys, table))
-
-    def _task_durations(self, ns: tuple[int, ...]) -> list[int]:
-        return list(map(ns.__getitem__, self.columns))
+        return self.retimer.ns(duration_table(self.exp, visit_times(self.exp, self.costs, alloc)))
 
     def lane_bound_ns(self, ns: tuple[int, ...]) -> int:
         """The largest summed duration of one (owner, lane): sim.resource_bound_ns."""
@@ -324,17 +317,11 @@ class IterationProfile:
 
     def chain_ns(self, ns: tuple[int, ...]) -> int:
         """The longest dependency chain: sim.critical_path_ns. Memoized on ns."""
-        if ns not in self.chains:
-            self.chains[ns] = self.plan.chain_ns(self._task_durations(ns))
-        return self.chains[ns]
+        return self.retimer.chain_ns(ns)
 
     def time(self, ns: tuple[int, ...]) -> float:
         """The iteration time in seconds, one plan run per distinct ns."""
-        self.counts["calls"] += 1
-        if ns not in self.times:
-            self.times[ns] = seconds(self.plan.run(self._task_durations(ns))[1])
-            self.counts["retimed"] += 1
-        return self.times[ns]
+        return seconds(self.retimer.makespan_ns(ns))
 
     def __call__(self, alloc: Allocation) -> float:
         return self.time(self.durations(alloc))

@@ -30,7 +30,7 @@ from .report import (
     run_schedule,
     speedup,
 )
-from .sim import CycleDetected, MakespanOverflow, NegativeDuration
+from .sim import CycleDetected, MakespanOverflow, NegativeDuration, Retimer
 from .taskgraph import GraphConstructionError
 from .trace_io import write_trace
 
@@ -45,6 +45,14 @@ EXIT_IO = 5
 _SCHEDULE_CHOICES = [k.value for k in ScheduleKind]
 _SWEEP_AXES = ("seq_len", "topk", "ep_size", "virtual_stages", "attn_gpu_share")
 _SIMULATION_ERRORS = (GraphConstructionError, CycleDetected, NegativeDuration, MakespanOverflow)
+# The schedule families in the order sweep runs them, each over every point:
+# a family keeps one topology from point to point unless the axis moves it,
+# and megatron1f1b and chunked share theirs at every point.
+_FAMILIES = (
+    (ScheduleKind.AFPIPE,),
+    (ScheduleKind.MEGATRON_1F1B, ScheduleKind.CHUNKED_OVERLAP),
+    (ScheduleKind.NAIVE_SEQUENTIAL,),
+)
 _SPLIT = ("M={0.attn_gpus} N={0.ffn_gpus} Ma={0.attn_nics} Mf={0.ffn_nics} "
           "(m={0.attn_nodes}x{0.attn_gpus_per_node}, n={0.ffn_nodes}x{0.ffn_gpus_per_node})")
 
@@ -197,11 +205,67 @@ def _apply_axis(exp: Experiment, axis: str, raw: str) -> tuple[Experiment, float
     return exp, value, forced_gpus
 
 
+def _sweep_point(exp: Experiment, args, raw: str) -> tuple:
+    """(experiment, value, allocation, attention FLOPs, FFN FLOPs, OOM flag) of one value."""
+    point, value, forced_gpus = _apply_axis(exp, args.axis, raw)
+    if forced_gpus is not None:
+        alloc = canonical_allocation(
+            point.cluster, forced_gpus, point.cluster.total_nics // 2, args.equal_nics
+        )
+    else:
+        alloc = alloc_mod.default_allocation(point, equal_nics=args.equal_nics)
+    c_a = float(attention_flops(point.model, point.workload))
+    c_f = float(ffn_flops(point.model, point.workload))
+    oom = estimate_oom(point, alloc, args.mem_cap)
+    return point, value, alloc, c_a, c_f, oom
+
+
+def _log_retimer(verb: str, points: int, counts) -> None:
+    log.debug("%s: %d points, %d plans built, %d runs, %d memo hits",
+              verb, points, counts["plans"], counts["retimed"], counts["calls"] - counts["retimed"])
+
+
 def cmd_sweep(args) -> int:
+    """One CSV row per (point, schedule), point by point.
+
+    The simulations run family by family (_FAMILIES) on one Retimer, so each
+    topology is planned once and only one plan is alive at a time. A point's
+    error and a simulation's error are raised once every step before them,
+    in point-by-point order, has run, so the first failing step sets the
+    exit code as if the points ran in that order.
+    """
     exp = _load(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise _CliError(EXIT_CONFIG, "no sweep values given")
+
+    # The first failure in point-by-point order: its (point, kind index),
+    # where -1 is the point's own set-up, and the exception.
+    failure: tuple[tuple[int, int], Exception] | None = None
+    points = []
+    for i, raw in enumerate(values):
+        try:
+            points.append(_sweep_point(exp, args, raw))
+        except (_CliError, ConfigError, NoFeasible) as exc:  # raised after earlier points
+            failure = ((i, -1), exc)
+            break
+
+    kinds = list(ScheduleKind)
+    results: list[dict] = [{} for _ in points]
+    retimer = Retimer()
+    for family in _FAMILIES:
+        for i, (point, _, alloc, *_) in enumerate(points):
+            for kind in family:
+                at = (i, kinds.index(kind))
+                if failure is not None and at > failure[0]:
+                    break
+                try:
+                    _, results[i][kind] = run_schedule(point, kind, alloc, retimer)
+                except _SIMULATION_ERRORS as exc:  # earlier than any failure so far
+                    failure = (at, exc)
+    _log_retimer("sweep", len(points), retimer.counts)
+    if failure is not None:
+        raise failure[1]
 
     fieldnames = [
         "schedule", "axis", "value", "iteration_time_s", "bubble_fraction",
@@ -211,25 +275,10 @@ def cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
-
-    for raw in values:
-        point, value, forced_gpus = _apply_axis(exp, args.axis, raw)
-        if forced_gpus is not None:
-            alloc = canonical_allocation(
-                point.cluster, forced_gpus, point.cluster.total_nics // 2, args.equal_nics
-            )
-        else:
-            alloc = alloc_mod.default_allocation(point, equal_nics=args.equal_nics)
-
-        c_a = float(attention_flops(point.model, point.workload))
-        c_f = float(ffn_flops(point.model, point.workload))
-        oom = estimate_oom(point, alloc, args.mem_cap)
-        results = {}
+    for (point, value, _, c_a, c_f, oom), by_kind in zip(points, results):
+        base = by_kind[ScheduleKind.MEGATRON_1F1B]
         for kind in ScheduleKind:
-            _, results[kind] = run_schedule(point, kind, alloc)
-        base = results[ScheduleKind.MEGATRON_1F1B]
-        for kind in ScheduleKind:
-            result = results[kind]
+            result = by_kind[kind]
             writer.writerow({
                 "schedule": kind.value,
                 "axis": args.axis,
@@ -256,8 +305,10 @@ def cmd_compare(args) -> int:
     exp = _load(args.config)
     alloc = _resolve_allocation(exp, args)
     results = {}
+    retimer = Retimer()  # megatron1f1b and chunked, adjacent, share one plan
     for kind in ScheduleKind:
-        _, results[kind] = run_schedule(exp, kind, alloc)
+        _, results[kind] = run_schedule(exp, kind, alloc, retimer)
+    _log_retimer("compare", 1, retimer.counts)
     _print_result_table([_result_row(kind, results[kind]) for kind in ScheduleKind])
     af = results[ScheduleKind.AFPIPE]
     print()

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .allocator import Allocation
 from .config import Experiment, ScheduleKind, serialize_experiment
 from .placement import ATTN, FFN, assign_layers, memory_estimate, oom_check
-from .sim import ScheduleTrace, SimResult, simulate
+from .sim import Retimer, ScheduleTrace, SimResult, simulate
 from .taskgraph import build_task_graph
 
 DEFAULT_GPU_MEMORY_BYTES = 80e9  # one 80 GB accelerator
@@ -26,10 +26,19 @@ class RunReport:
 
 
 def run_schedule(
-    exp: Experiment, kind: ScheduleKind, alloc: Allocation | None
+    exp: Experiment, kind: ScheduleKind, alloc: Allocation | None,
+    retimer: Retimer | None = None,
 ) -> tuple[ScheduleTrace, SimResult]:
-    """Build the task graph for one kind, then simulate it."""
-    return simulate(build_task_graph(replace(exp, schedule_kind=kind), alloc))
+    """Build the task graph for one kind, then simulate it.
+
+    With a retimer, a graph of the retimer's kept topology shares its tasks
+    and is re-timed on its plan, a memo hit when its durations repeat; a
+    graph of another topology is planned and kept instead.
+    """
+    exp = replace(exp, schedule_kind=kind)
+    if retimer is None:
+        return simulate(build_task_graph(exp, alloc))
+    return retimer.simulate(build_task_graph(exp, alloc, like=retimer.graph))
 
 
 def memory_report(exp: Experiment, alloc: Allocation, capacity_bytes: float) -> dict[str, dict]:

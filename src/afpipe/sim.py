@@ -44,8 +44,9 @@ the order of the pushes cannot change which unit the heap yields. A commit
 costs a few heap operations, one per queue it touches, instead of a scan of
 every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each run's
 units, commits, heap pushes, stale pops and peak heap size; each simulate's
-wall time of plan, run and metrics; and each timeline build's event count
-and wall time.
+wall time of plan, run and metrics, with whether the plan was built or
+reused and whether the run ran or hit the memo; and each timeline build's
+event count and wall time.
 
 Plan and run: nothing above but the start times reads a duration, and a
 task holds none: graph.keys names its entry of graph.table. So a
@@ -56,16 +57,25 @@ task's duration, as durations_ns reads it from a table, and returns each
 unit's start and the makespan. SchedulePlan.chain_ns takes the same
 durations and returns the longest dependency chain over the units, a lower
 bound on run's makespan that ignores the lanes; the topological order it
-walks is built by its first call and kept. simulate is a plan and one run
-under the graph's table, and its metrics come straight from the run: the
-units of a queue share their lanes, so per queue their starts and durations
-give each owner's first activity and compute time and the spans whose union
-sets the exposed communication, a send/recv pair being one span. The trace
-it returns builds its timeline, one TraceEvent per task, only when its
-events are read, as by trace_io.write_trace or check_schedule; sweep and
-compare never read them. critical_path_ns is a plan and one chain. The
-allocator re-times one plan per experiment under each split's table, and its
-exact oracle skips a split whose chain already exceeds the best time found.
+walks is built by its first call and kept.
+
+A Retimer keeps one graph and its plan and runs the plan under the table of
+any graph that shares the kept graph's tasks: the graphs of one topology
+(taskgraph.Topology), which differ only in table and total_flops. A table
+reaches a run only through its durations over the graph's distinct keys, so
+runs are memoized on those. simulate is a new Retimer's one run under the
+graph's table, and its metrics come straight from the run: the units of a
+queue share their lanes, so per queue their starts and durations give each
+owner's first activity and compute time and the spans whose union sets the
+exposed communication, a send/recv pair being one span. The trace it
+returns builds its timeline, one TraceEvent per task, only when its events
+are read, as by trace_io.write_trace or check_schedule; sweep and compare
+never read them. sweep and compare run every schedule of a call on one
+Retimer, so each topology is planned once and re-timed per point; the
+metrics, which read the point's table and total_flops, are computed per
+point. critical_path_ns is a plan and one chain. The allocator re-times one
+Retimer per experiment under each split's table, and its exact oracle skips
+a split whose chain already exceeds the best time found.
 
 check_schedule lists what a trace breaks of the scheduler's invariants.
 
@@ -81,6 +91,7 @@ from __future__ import annotations
 
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -230,8 +241,8 @@ class _Queue:
     lanes, so it re-keys its neighbours, the queues that share one of them.
     """
 
-    __slots__ = ("lanes", "counters", "units", "lane", "other", "owner", "bwd", "neighbors",
-                 "parked", "pending", "key", "stamp")
+    __slots__ = ("lanes", "counters", "units", "sides", "lane", "other", "owner", "bwd",
+                 "neighbors", "parked", "pending", "key", "stamp")
 
     def __init__(self, lanes: tuple[int, ...], counters: tuple[int, ...]):
         # Per task of a unit: the lane it occupies and the compute counter it
@@ -241,6 +252,9 @@ class _Queue:
         self.lanes = lanes
         self.counters = counters
         self.units: list[int] = []  # every unit of this shape, in unit order
+        # Per task of a unit, the task indices of that side of every unit, in
+        # units order: set by the plan once every unit is queued.
+        self.sides: tuple[tuple[int, ...], ...] = ()
         # What run reads of them. A unit is one task or a send/recv pair, so
         # lane and other are its two lanes, or its one lane twice. Then the
         # rank class's owner, -1 for rank 0 (run's last preference slot, which
@@ -356,8 +370,8 @@ class SchedulePlan:
         for q in self.queues:
             shared = [q, *(p for lane in q.lanes for p in lane_queues[lane])]
             q.neighbors = tuple(dict.fromkeys(shared))
-            sides = zip(*map(unit_tasks.__getitem__, q.units))
-            for side, lane, counter in zip(sides, q.lanes, q.counters):
+            q.sides = tuple(zip(*map(unit_tasks.__getitem__, q.units)))
+            for side, lane, counter in zip(q.sides, q.lanes, q.counters):
                 for k in side:
                     task_lane[k] = lane
                     task_counter[k] = counter
@@ -500,22 +514,117 @@ class SchedulePlan:
         return longest
 
 
+class Retimer:
+    """Schedules the graphs of one topology on one kept SchedulePlan.
+
+    It keeps one graph, its plan and its distinct duration keys. A point of
+    that topology reaches a run only through ns(table), its table's
+    durations over those keys, so runs are memoized on ns: a point whose
+    table gives every key the durations of an earlier point's is a memo
+    hit. simulate remembers its last two runs; makespan_ns remembers every
+    makespan. simulate(graph) plans graph unless it shares the kept graph's
+    tasks and keys (build_task_graph(..., like=retimer.graph) builds such a
+    graph for a point of the kept topology). A graph of another topology
+    replaces the kept one, so at most one plan is alive. The metrics read the
+    point's table, total_flops and cluster, so simulate computes them every
+    call.
+    makespan_ns and chain_ns re-time the kept graph under ns alone, for the
+    allocator; they keep no starts.
+
+    counts gathers "plans" (plans built), "calls" (runs asked for) and
+    "retimed" (plan runs; the other calls hit the memo).
+    """
+
+    def __init__(self, graph: TaskGraph | None = None, counts: Counter | None = None):
+        self.counts = Counter() if counts is None else counts
+        self.graph: TaskGraph | None = None
+        if graph is not None:
+            self._keep(graph)
+
+    def _keep(self, graph: TaskGraph) -> None:
+        if self.graph is not None:
+            # Queues list each other as neighbours; unlinked, the dropped plan
+            # is freed now, not by a later cyclic collection. It cannot run
+            # again, and nothing but this retimer holds it.
+            for q in self.plan.queues:
+                q.neighbors = ()
+        self.graph = self.plan = None  # the kept plan goes before the next is built
+        self.plan = SchedulePlan(graph)
+        self.graph = graph
+        column: dict[tuple, int] = {}
+        # Each task's distinct key, numbered in order of first use.
+        self.columns = [column.setdefault(key, len(column)) for key in graph.keys]
+        self.keys = tuple(column)
+        self.runs: dict[tuple[int, ...], tuple[list[int | None], int]] = {}  # simulate's last two
+        self.makespans: dict[tuple[int, ...], int] = {}
+        self.chains: dict[tuple[int, ...], int] = {}
+        self.counts["plans"] += 1
+
+    def ns(self, table: Table) -> tuple[int, ...]:
+        """The durations (ns) that table gives the kept graph's distinct keys."""
+        return tuple(durations_ns(self.keys, table))
+
+    def durations(self, ns: tuple[int, ...]) -> list[int]:
+        """Each task's duration (ns, in tasks order) when its distinct key takes ns."""
+        return list(map(ns.__getitem__, self.columns))
+
+    def makespan_ns(self, ns: tuple[int, ...]) -> int:
+        """The makespan of the plan's run under ns: one plan run per distinct ns."""
+        self.counts["calls"] += 1
+        if ns not in self.makespans:
+            self.makespans[ns] = self.plan.run(self.durations(ns))[1]
+            self.counts["retimed"] += 1
+        return self.makespans[ns]
+
+    def chain_ns(self, ns: tuple[int, ...]) -> int:
+        """The longest dependency chain under ns (SchedulePlan.chain_ns), memoized on ns."""
+        if ns not in self.chains:
+            self.chains[ns] = self.plan.chain_ns(self.durations(ns))
+        return self.chains[ns]
+
+    def simulate(self, graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
+        """Schedule graph under its table and aggregate the run metrics.
+
+        The trace builds its events only when they are read. Raises
+        CycleDetected when the ready set empties with tasks unplaced.
+        """
+        begin = time.perf_counter()
+        built = (self.graph is None or graph.tasks is not self.graph.tasks
+                 or graph.keys is not self.graph.keys)
+        if built:
+            self._keep(graph)
+        planned = time.perf_counter()
+        ns = self.ns(graph.table)
+        durations = self.durations(ns)
+        self.counts["calls"] += 1
+        ran = ns not in self.runs
+        if ran:
+            # A run's starts cost a list as long as the units, so only the
+            # last two stay: enough for the two kinds that share a topology
+            # and alternate point by point.
+            if len(self.runs) == 2:
+                del self.runs[next(iter(self.runs))]
+            self.runs[ns] = self.plan.run(durations)
+            self.counts["retimed"] += 1
+        starts, makespan = self.runs[ns]
+        timed = time.perf_counter()
+        result = _metrics(graph, self.plan, starts, durations, makespan)
+        _debug("simulate wall: plan %.3f ms (%s), run %.3f ms (%s), metrics %.3f ms",
+               (planned - begin) * 1e3, "built" if built else "reused",
+               (timed - planned) * 1e3, "ran" if ran else "memo hit",
+               (time.perf_counter() - timed) * 1e3)
+        trace = ScheduleTrace._of_run(self.plan.tasks, self.plan.unit_tasks, starts, durations,
+                                      makespan)
+        return trace, result
+
+
 def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
-    """Schedule the graph under its table and aggregate the run metrics.
+    """Schedule the graph under its table and aggregate the run metrics: a new plan's run.
 
     The trace builds its events only when they are read. Raises
     CycleDetected when the ready set empties with tasks unplaced.
     """
-    begin = time.perf_counter()
-    plan = SchedulePlan(graph)
-    planned = time.perf_counter()
-    durations = durations_ns(graph.keys, graph.table)
-    starts, makespan = plan.run(durations)
-    ran = time.perf_counter()
-    result = _metrics(graph, plan, starts, durations, makespan)
-    _debug("simulate wall: plan %.3f ms, run %.3f ms, metrics %.3f ms",
-           (planned - begin) * 1e3, (ran - planned) * 1e3, (time.perf_counter() - ran) * 1e3)
-    return ScheduleTrace._of_run(plan.tasks, plan.unit_tasks, starts, durations, makespan), result
+    return Retimer().simulate(graph)
 
 
 def _timeline(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
@@ -552,7 +661,7 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
     if not plan.tasks:
         return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, {})
 
-    unit_tasks, lane_owners = plan.unit_tasks, plan.lane_owners
+    lane_owners = plan.lane_owners
     first_activity: dict[str, int] = {}
     busy: dict[str, int] = {}
     comm_spans: list[tuple[int, int]] = []
@@ -561,10 +670,7 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
         begins = list(map(starts.__getitem__, q.units))
         first = min(begins)
         # Per task of the units: its durations, in q.units order.
-        sides = [
-            list(map(durations.__getitem__, side))
-            for side in zip(*map(unit_tasks.__getitem__, q.units))
-        ]
+        sides = [list(map(durations.__getitem__, side)) for side in q.sides]
         comm_sides = []
         for lane, counter, side in zip(q.lanes, q.counters, sides):
             owner = lane_owners[lane]

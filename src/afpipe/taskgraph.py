@@ -28,6 +28,14 @@ which hold only topology, plus TaskGraph.table, the table it was built
 under, and TaskGraph.keys names each task's entry. Backward compute takes
 BACKWARD_MULTIPLIER times its forward duration; the staged baselines price
 a chunk with staged_layer_time. Event math is in integer nanoseconds.
+
+A graph's tasks, keys, owners and credits are its topology: the walk's own
+inputs (a Topology), which graph_topology reads from the experiment alone.
+topology_graph walks one into a graph with no table; build_task_graph adds
+the table and total_flops, and given a graph of the same topology (like=)
+shares its tasks instead of walking them again. megatron1f1b and chunked
+have one topology at every point, and seq_len, topk, ep_size and the
+GPU/NIC split change only the table and total_flops.
 """
 
 from __future__ import annotations
@@ -99,6 +107,33 @@ class Task(NamedTuple):
         return _COMPUTE_STREAMS.get(self.kind, Stream.COMM)
 
 
+class _Visit(NamedTuple):
+    """One stop of a micro-batch's forward walk; the backward walk retraces it."""
+
+    owner: str
+    kind: TaskKind  # FWD_COMPUTE or A2A
+    key: object  # with the walk's direction, the task's duration_table key
+    layer: int | None = None
+    virtual_index: int = 0
+    component: str | None = None
+
+
+class Topology(NamedTuple):
+    """The inputs of a graph's walk, which fix its tasks, keys, owners and credits.
+
+    Graphs of equal topologies have equal tasks and keys, so one SchedulePlan
+    schedules them all; they differ only in their tables, total_flops and
+    the cluster numbers that MFU reads.
+    """
+
+    visits: tuple[_Visit, ...]
+    transfer: tuple[TaskKind, TaskKind] | None  # (send kind, recv kind) joining two owners
+    serial: bool  # each micro-batch chained behind the previous one
+    num_microbatches: int
+    owners: tuple[str, ...]
+    credits: tuple[tuple[str, int], ...]
+
+
 @dataclass
 class TaskGraph:
     schedule_kind: ScheduleKind
@@ -110,6 +145,7 @@ class TaskGraph:
     total_flops: float = 0.0
     world_gpus: int = 0
     gpu_peak: float = 0.0
+    topology: Topology | None = None  # what the tasks were walked from, when built
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -164,6 +200,9 @@ def duration_table(exp: Experiment, vt: StageTimes) -> Table:
     have one entry per chunk size, through staged_layer_time, plus the P2P
     transfer. A graph's tasks, owners and credits do not read vt, so this
     table holds every duration that differs between points of one topology.
+    The afpipe table does not read ep_size: its exchange is t_m2n, and only
+    t_a2a, which the naive and staged tables read, depends on ep_size. So
+    the points of an ep_size sweep give afpipe one table.
     """
     kind = exp.schedule_kind
     table: Table = {}
@@ -185,40 +224,24 @@ def duration_table(exp: Experiment, vt: StageTimes) -> Table:
     return table
 
 
-@dataclass(frozen=True)
-class _Visit:
-    """One stop of a micro-batch's forward walk; the backward walk retraces it."""
-
-    owner: str
-    kind: TaskKind  # FWD_COMPUTE or A2A
-    key: object  # with the walk's direction, the task's duration_table key
-    layer: int | None = None
-    virtual_index: int = 0
-    component: str | None = None
-
-
-def _walk(
-    graph: TaskGraph,
-    exp: Experiment,
-    visits: list[_Visit],
-    transfer: tuple[TaskKind, TaskKind] | None,
-    serial: bool = False,
-) -> None:
-    """Add every micro-batch's forward walk over visits, then the reversed walk.
+def _walk(graph: TaskGraph, topology: Topology) -> None:
+    """Add every micro-batch's forward walk over topology's visits, then the reversed walk.
 
     Each task depends on the one before it. Consecutive visits on different
-    owners are joined by a send/recv pair of transfer = (send kind, recv
-    kind) that carries the source visit's layer and virtual index and shares
-    its deps (the simulator enforces a common start). graph.keys records each
-    task's key, (visit key or send kind, direction). serial=True chains each
+    owners are joined by a send/recv pair of the transfer kinds that carries
+    the source visit's layer and virtual index and shares its deps (the
+    simulator enforces a common start). graph.keys records each task's key,
+    (visit key or send kind, direction). A serial topology chains each
     micro-batch behind the previous one.
     Tasks are built positionally, in Task's field order: a keyword call
     costs about twice as much per task.
     """
+    visits, transfer, serial = topology.visits, topology.transfer, topology.serial
+    graph.owners, graph.credits = topology.owners, dict(topology.credits)
     tasks, keys = graph.tasks, graph.keys
     ids = itertools.count()
     prev: int | None = None
-    for mb in range(exp.workload.num_microbatches):
+    for mb in range(topology.num_microbatches):
         if not serial:
             prev = None
         src: _Visit | None = None
@@ -246,22 +269,43 @@ def _walk(
                 prev, src = tid, v
 
 
-def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = None) -> TaskGraph:
+def graph_topology(exp: Experiment) -> Topology:
+    """The topology of exp's graph for its schedule kind; it reads no cost."""
+    build = {ScheduleKind.AFPIPE: _build_afpipe, ScheduleKind.NAIVE_SEQUENTIAL: _build_naive}
+    return build.get(exp.schedule_kind, _build_staged)(exp)
+
+
+def topology_graph(exp: Experiment, like: TaskGraph | None = None) -> TaskGraph:
+    """exp's graph with an empty table and no total_flops: its topology walked.
+
+    When like was built from the same topology, the graph shares like's
+    tasks, keys, owners and credits (the same objects) instead of walking.
+    """
+    topology = graph_topology(exp)
+    graph = TaskGraph(schedule_kind=exp.schedule_kind, world_gpus=exp.cluster.total_gpus,
+                      gpu_peak=exp.cluster.gpu_peak, topology=topology)
+    if like is not None and like.topology == topology:
+        graph.tasks, graph.keys, graph.owners, graph.credits = (
+            like.tasks, like.keys, like.owners, like.credits)
+    else:
+        _walk(graph, topology)
+    return graph
+
+
+def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = None,
+                     like: TaskGraph | None = None) -> TaskGraph:
     """Build the task DAG for exp's schedule kind.
 
     The disaggregated schedule needs an allocation unless `times` gives the
     forward durations directly; the baselines ignore it. Group g of each side
     serves layers {g, g+p, ...} (placement.assign_layers). num_microbatches
-    == 0 yields an empty graph.
+    == 0 yields an empty graph. A graph like of exp's topology lends its
+    tasks (topology_graph).
     """
-    graph = TaskGraph(
-        schedule_kind=exp.schedule_kind,
-        world_gpus=exp.cluster.total_gpus,
-        gpu_peak=exp.cluster.gpu_peak,
-    )
+    total_flops = 0.0
     if times is None:
         lc = layer_costs(exp.model, exp.workload, exp.ep_size)
-        graph.total_flops = (
+        total_flops = (
             (float(lc.attn_flops) + float(lc.ffn_flops))
             * exp.model.layers
             * exp.workload.num_microbatches
@@ -269,36 +313,36 @@ def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = 
         )
 
     if exp.workload.num_microbatches == 0:
-        return graph
+        return TaskGraph(schedule_kind=exp.schedule_kind, total_flops=total_flops,
+                         world_gpus=exp.cluster.total_gpus, gpu_peak=exp.cluster.gpu_peak)
     vt = times if times is not None else visit_times(exp, lc, alloc)
-
-    kind = exp.schedule_kind
-    build = {ScheduleKind.AFPIPE: _build_afpipe, ScheduleKind.NAIVE_SEQUENTIAL: _build_naive}
-    visits, transfer = build.get(kind, _build_staged)(graph, exp)
+    graph = topology_graph(exp, like)
     graph.table = duration_table(exp, vt)
-    _walk(graph, exp, visits, transfer, serial=kind is ScheduleKind.NAIVE_SEQUENTIAL)
+    graph.total_flops = total_flops
     return graph
 
 
-def _build_afpipe(graph: TaskGraph, exp: Experiment) -> tuple[list[_Visit], tuple | None]:
+def _build_afpipe(exp: Experiment) -> Topology:
     """Layer l visits A(l mod p) then F(l mod p); every hop is an M2N exchange."""
     p = exp.pipeline_depth
     layers = exp.model.layers
-    graph.owners = tuple(f"A{g}" for g in range(p)) + tuple(f"F{g}" for g in range(p))
-    for g in range(p):
-        for component in (ATTN, FFN):
-            graph.credits[f"{component}{g}"] = credit(layers, g, component)
-
-    visits = [
+    owners = tuple(f"A{g}" for g in range(p)) + tuple(f"F{g}" for g in range(p))
+    credits = tuple(
+        (f"{component}{g}", credit(layers, g, component))
+        for g in range(p)
+        for component in (ATTN, FFN)
+    )
+    visits = tuple(
         _Visit(f"{component}{layer % p}", TaskKind.FWD_COMPUTE, component,
-               layer=layer, virtual_index=layer // p, component=component)
+               layer, layer // p, component)
         for layer in range(layers)
         for component in (ATTN, FFN)
-    ]
-    return visits, (TaskKind.M2N_SEND, TaskKind.M2N_RECV)
+    )
+    return Topology(visits, (TaskKind.M2N_SEND, TaskKind.M2N_RECV), False,
+                    exp.workload.num_microbatches, owners, credits)
 
 
-def _build_staged(graph: TaskGraph, exp: Experiment) -> tuple[list[_Visit], tuple | None]:
+def _build_staged(exp: Experiment) -> Topology:
     """Megatron-style 1F1B over contiguous chunks, interleaved across stages.
 
     The L layers split into p*v chunks of L // (p*v) layers, the first
@@ -309,29 +353,26 @@ def _build_staged(graph: TaskGraph, exp: Experiment) -> tuple[list[_Visit], tupl
     if chunks > layers:
         raise GraphConstructionError(f"{chunks} chunks cannot be filled from {layers} layers")
 
-    graph.owners = tuple(f"S{i}" for i in range(pp))
-    for i in range(pp):
-        graph.credits[f"S{i}"] = max(1, chunks - i)
-
+    owners = tuple(f"S{i}" for i in range(pp))
+    credits = tuple((f"S{i}", max(1, chunks - i)) for i in range(pp))
     base, extra = divmod(layers, chunks)
-    visits = [
+    visits = tuple(
         _Visit(f"S{j % pp}", TaskKind.FWD_COMPUTE, base + (j < extra), virtual_index=j // pp)
         for j in range(chunks)
-    ]
-    return visits, (TaskKind.P2P, TaskKind.P2P)
+    )
+    return Topology(visits, (TaskKind.P2P, TaskKind.P2P), False,
+                    exp.workload.num_microbatches, owners, credits)
 
 
-def _build_naive(graph: TaskGraph, exp: Experiment) -> tuple[list[_Visit], tuple | None]:
+def _build_naive(exp: Experiment) -> Topology:
     """Fully serial reference: compute and collectives strictly alternate."""
     owner = "SEQ"
-    graph.owners = (owner,)
-    graph.credits[owner] = 1
-    visits = []
-    for layer in range(exp.model.layers):
-        visits += [
-            _Visit(owner, TaskKind.FWD_COMPUTE, ATTN, layer=layer, component=ATTN),
-            _Visit(owner, TaskKind.A2A, TaskKind.A2A, layer=layer),
-            _Visit(owner, TaskKind.FWD_COMPUTE, FFN, layer=layer, component=FFN),
-            _Visit(owner, TaskKind.A2A, TaskKind.A2A, layer=layer),
-        ]
-    return visits, None
+    visits = tuple(
+        _Visit(owner, kind, key, layer, 0, component)  # positional: half a keyword call's cost
+        for layer in range(exp.model.layers)
+        for kind, key, component in (
+            (TaskKind.FWD_COMPUTE, ATTN, ATTN), (TaskKind.A2A, TaskKind.A2A, None),
+            (TaskKind.FWD_COMPUTE, FFN, FFN), (TaskKind.A2A, TaskKind.A2A, None),
+        )
+    )
+    return Topology(visits, None, True, exp.workload.num_microbatches, (owner,), ((owner, 1),))
