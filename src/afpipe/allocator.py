@@ -26,18 +26,19 @@ Profiling plans once and re-times per duration table: a graph is its tasks
 plus the duration table it was built under (TaskGraph.table), and a split
 changes only the table. So one profile object (IterationProfile) per
 experiment walks one graph and keeps its sim.SchedulePlan in a sim.Retimer,
-which runs the plan once per distinct table. The table reads the NICs only through min(M_a, M_f), so
-the splits (M, M_a) and (M, M_tot - M_a) share one run. Phase 3 and
-brute_force_oracle both re-time through it.
+which runs the plan once per distinct table. The table reads the NICs only
+through min(M_a, M_f), so the splits (M, M_a) and (M, M_tot - M_a) share
+one run. Phase 3 and brute_force_oracle both re-time through it.
 
 brute_force_oracle is exact without running every split. It prunes by two
-lower bounds on a split's makespan, each read from the split's durations:
-  * the lane bound. The graph fixes how many tasks of each duration key sit
-    on each (owner, lane) (sim.lane_counts), and no two tasks on one lane
-    overlap, so each lane's summed duration bounds the makespan
-    (sim.lane_bound_ns). The oracle visits splits in this bound's order and
-    stops at the first whose bound exceeds the best time found;
-  * the dependency chain (SchedulePlan.chain_ns), which pipeline fill sets
+lower bounds on a split's makespan, each read by the profile's Retimer from
+the split's durations over the graph's distinct keys:
+  * the lane bound (Retimer.lane_bound_ns). The graph fixes how many tasks
+    of each distinct key sit on each (owner, lane), and no two tasks on one
+    lane overlap, so each lane's summed duration bounds the makespan. The
+    oracle visits splits in this bound's order and stops at the first whose
+    bound exceeds the best time found;
+  * the dependency chain (Retimer.chain_ns), which pipeline fill sets
     at few micro-batches, where it is close to the makespan and the lane
     bound is not. It costs a small part of a plan run, and the oracle skips
     a split whose chain exceeds the best time found before running it.
@@ -60,7 +61,7 @@ from .config import ClusterConfig, Experiment, ScheduleKind
 from .costs import (
     LayerCosts, arithmetic_intensities, layer_costs, roofline_attainable, stage_times,
 )
-from .sim import Retimer, lane_bound_ns, lane_counts, seconds
+from .sim import Retimer, seconds
 from .taskgraph import duration_table, topology_graph, visit_times
 # Unused here, but bench/tracing.py patches allocator.assign_layers,
 # allocator.simulate and allocator.build_task_graph.
@@ -90,15 +91,9 @@ class Allocation:
     attn_nics: int
     ffn_nics: int
 
-    def sort_key(self) -> tuple:
-        return (
-            self.attn_gpus,
-            self.attn_nics,
-            self.attn_nodes,
-            self.attn_gpus_per_node,
-            self.ffn_nodes,
-            self.ffn_gpus_per_node,
-        )
+    def sort_key(self) -> tuple[int, int]:
+        """Canonical order: one candidate per split, so the split decides it."""
+        return self.attn_gpus, self.attn_nics
 
 
 @dataclass(frozen=True)
@@ -282,17 +277,17 @@ def phase3_refine(
 class IterationProfile:
     """Simulated afpipe iteration time of each split of one experiment's cluster.
 
-    Creating one walks the experiment's afpipe topology (topology_graph),
-    keeps its plan in a Retimer and counts its duration keys per lane
-    (sim.lane_counts): a split changes only the graph's table.
-    durations(alloc) builds the split's table from the one LayerCosts
-    through visit_times and duration_table, as build_task_graph does, and
-    reads its durations over the graph's distinct keys (Retimer.ns). That
-    tuple is all that the rest reads of a split: the lane bound
-    (lane_bound_ns), the dependency chain (chain_ns) and the plan run
-    (time). The retimer memoizes the chain and the run on it, so mirrored NIC
-    splits share one of each. A call is time(durations(alloc)), so it equals
-    simulate(build_task_graph(exp, alloc))[1].iteration_time exactly.
+    Creating one walks the experiment's afpipe topology (topology_graph)
+    and keeps its plan in a Retimer (retimer): a split changes only the
+    graph's table. durations(alloc) builds the split's table from the one
+    LayerCosts through visit_times and duration_table, as build_task_graph
+    does, and reads its durations over the graph's distinct keys
+    (Retimer.ns). That tuple is all that the retimer reads of a split: the
+    lane bound (lane_bound_ns), the dependency chain (chain_ns) and the plan
+    run (makespan_ns). It memoizes the chain and the run on the tuple, so
+    mirrored NIC splits share one of each. A call is the run's makespan in
+    seconds, so it equals the iteration_time of
+    simulate(build_task_graph(exp, alloc)) exactly.
 
     counts, when given, gathers the retimer's "calls", "retimed" (plan runs:
     distinct tables) and "plans" (plans built).
@@ -301,30 +296,14 @@ class IterationProfile:
     def __init__(self, exp: Experiment, counts: Counter | None = None):
         self.exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
         self.costs = layer_costs(self.exp.model, self.exp.workload, self.exp.ep_size)
-        graph = topology_graph(self.exp)
-        self.retimer = Retimer(graph, counts)
-        self.counts = self.retimer.counts
-        # lane_counts lists the distinct keys in the retimer's order: first use.
-        _, self.rows = lane_counts(graph)
+        self.retimer = Retimer(topology_graph(self.exp), counts)
 
     def durations(self, alloc: Allocation) -> tuple[int, ...]:
         """The durations (ns) of the graph's distinct keys under alloc's table."""
         return self.retimer.ns(duration_table(self.exp, visit_times(self.exp, self.costs, alloc)))
 
-    def lane_bound_ns(self, ns: tuple[int, ...]) -> int:
-        """The largest summed duration of one (owner, lane): sim.resource_bound_ns."""
-        return lane_bound_ns(self.rows, ns)
-
-    def chain_ns(self, ns: tuple[int, ...]) -> int:
-        """The longest dependency chain: sim.critical_path_ns. Memoized on ns."""
-        return self.retimer.chain_ns(ns)
-
-    def time(self, ns: tuple[int, ...]) -> float:
-        """The iteration time in seconds, one plan run per distinct ns."""
-        return seconds(self.retimer.makespan_ns(ns))
-
     def __call__(self, alloc: Allocation) -> float:
-        return self.time(self.durations(alloc))
+        return seconds(self.retimer.makespan_ns(self.durations(alloc)))
 
 
 def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
@@ -394,22 +373,23 @@ def brute_force_oracle(
     if size > cap:
         raise SearchSpaceTooLarge(f"{size} candidates exceed the cap of {cap}")
     profile = IterationProfile(exp)
+    retimer = profile.retimer
     keyed = ((profile.durations(c), c) for c in cands)  # one table per split
     # Stable: equal bounds keep the canonical order of cands.
     bounded = sorted(
-        ((seconds(profile.lane_bound_ns(ns)), ns, c) for ns, c in keyed), key=lambda e: e[0]
+        ((seconds(retimer.lane_bound_ns(ns)), ns, c) for ns, c in keyed), key=lambda e: e[0]
     )
     best, best_time = None, float("inf")
     for bound, ns, cand in bounded:
         if bound > best_time:
             break
-        if seconds(profile.chain_ns(ns)) > best_time:
+        if seconds(retimer.chain_ns(ns)) > best_time:
             continue
-        t = profile.time(ns)
+        t = seconds(retimer.makespan_ns(ns))
         if best is None or (t, cand.sort_key()) < (best_time, best.sort_key()):
             best, best_time = cand, t
-    profile.counts["pruned"] = len(cands) - profile.counts["calls"]
-    _log_profile("brute_force_oracle", profile.counts)
+    retimer.counts["pruned"] = len(cands) - retimer.counts["calls"]
+    _log_profile("brute_force_oracle", retimer.counts)
     return best, best_time
 
 

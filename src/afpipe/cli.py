@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -205,7 +206,7 @@ def _apply_axis(exp: Experiment, axis: str, raw: str) -> tuple[Experiment, float
     return exp, value, forced_gpus
 
 
-def _sweep_point(exp: Experiment, args, raw: str) -> tuple:
+def _sweep_point(exp: Experiment, args, raw: str, candidates) -> tuple:
     """(experiment, value, allocation, attention FLOPs, FFN FLOPs, OOM flag) of one value."""
     point, value, forced_gpus = _apply_axis(exp, args.axis, raw)
     if forced_gpus is not None:
@@ -213,7 +214,8 @@ def _sweep_point(exp: Experiment, args, raw: str) -> tuple:
             point.cluster, forced_gpus, point.cluster.total_nics // 2, args.equal_nics
         )
     else:
-        alloc = alloc_mod.default_allocation(point, equal_nics=args.equal_nics)
+        _, band = alloc_mod.phase1_min_bottleneck(candidates(), point, AllocatorParams().epsilon)
+        alloc = alloc_mod.phase2_tiebreak(band, point)
     c_a = float(attention_flops(point.model, point.workload))
     c_f = float(ffn_flops(point.model, point.workload))
     oom = estimate_oom(point, alloc, args.mem_cap)
@@ -242,10 +244,13 @@ def cmd_sweep(args) -> int:
     # The first failure in point-by-point order: its (point, kind index),
     # where -1 is the point's own set-up, and the exception.
     failure: tuple[tuple[int, int], Exception] | None = None
+    # No axis changes the cluster, so the points share one list of feasible
+    # splits, enumerated when the first point needs it.
+    candidates = functools.cache(lambda: alloc_mod.enumerate_feasible(exp.cluster, args.equal_nics))
     points = []
     for i, raw in enumerate(values):
         try:
-            points.append(_sweep_point(exp, args, raw))
+            points.append(_sweep_point(exp, args, raw, candidates))
         except (_CliError, ConfigError, NoFeasible) as exc:  # raised after earlier points
             failure = ((i, -1), exc)
             break

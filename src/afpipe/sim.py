@@ -73,9 +73,12 @@ are read, as by trace_io.write_trace or check_schedule; sweep and compare
 never read them. sweep and compare run every schedule of a call on one
 Retimer, so each topology is planned once and re-timed per point; the
 metrics, which read the point's table and total_flops, are computed per
-point. critical_path_ns is a plan and one chain. The allocator re-times one
-Retimer per experiment under each split's table, and its exact oracle skips
-a split whose chain already exceeds the best time found.
+point. The Retimer's one index of the distinct keys also gives both lower
+bounds on a makespan under ns: chain_ns, the longest dependency chain, and
+lane_bound_ns, the largest summed duration of one (owner, lane).
+critical_path_ns, resource_bound_ns and check_schedule read them from a new
+Retimer. The allocator re-times one Retimer per experiment under each
+split's table, and its exact oracle prunes splits by both bounds.
 
 check_schedule lists what a trace breaks of the scheduler's invariants.
 
@@ -95,7 +98,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .config import ScheduleKind
 from .costs import StageTimes, staged_layer_time
@@ -528,8 +531,9 @@ class Retimer:
     replaces the kept one, so at most one plan is alive. The metrics read the
     point's table, total_flops and cluster, so simulate computes them every
     call.
-    makespan_ns and chain_ns re-time the kept graph under ns alone, for the
-    allocator; they keep no starts.
+    makespan_ns, chain_ns and lane_bound_ns time or bound the kept graph
+    under ns alone, for the allocator and the bound checks; they keep no
+    starts.
 
     counts gathers "plans" (plans built), "calls" (runs asked for) and
     "retimed" (plan runs; the other calls hit the memo).
@@ -558,6 +562,7 @@ class Retimer:
         self.runs: dict[tuple[int, ...], tuple[list[int | None], int]] = {}  # simulate's last two
         self.makespans: dict[tuple[int, ...], int] = {}
         self.chains: dict[tuple[int, ...], int] = {}
+        self._lane_rows: list[list[int]] | None = None  # per lane, its tasks of each key
         self.counts["plans"] += 1
 
     def ns(self, table: Table) -> tuple[int, ...]:
@@ -581,6 +586,17 @@ class Retimer:
         if ns not in self.chains:
             self.chains[ns] = self.plan.chain_ns(self.durations(ns))
         return self.chains[ns]
+
+    def lane_bound_ns(self, ns: tuple[int, ...]) -> int:
+        """The largest summed duration of one (owner, lane) under ns: a lower bound.
+
+        The first call counts each lane's tasks per distinct key (task_lane, columns).
+        """
+        if self._lane_rows is None:
+            self._lane_rows = [[0] * len(self.keys) for _ in self.plan.lane_owners]
+            for lane, column in zip(self.plan.task_lane, self.columns):
+                self._lane_rows[lane][column] += 1
+        return max((sum(map(operator.mul, ns, row)) for row in self._lane_rows), default=0)
 
     def simulate(self, graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
         """Schedule graph under its table and aggregate the run metrics.
@@ -791,36 +807,21 @@ def warmup_bubble_analytic(
 def critical_path_ns(graph: TaskGraph) -> int:
     """Longest dependency chain ignoring resource contention (a lower bound).
 
-    The graph's plan's chain_ns under its table: a send/recv pair counts the
-    union of its two sides' dependencies.
+    A new Retimer's chain_ns under the graph's table: a send/recv pair counts
+    the union of its two sides' dependencies.
     """
-    plan = SchedulePlan(graph)
-    return plan.chain_ns(durations_ns(graph.keys, graph.table))
-
-
-def lane_counts(graph: TaskGraph) -> tuple[tuple[tuple, ...], list[list[int]]]:
-    """The distinct keys of graph and how many tasks of each (owner, lane) read each."""
-    _check_keys(graph)
-    keys = tuple(dict.fromkeys(graph.keys))
-    column = {key: i for i, key in enumerate(keys)}
-    lanes: dict[tuple[str, str], list[int]] = {}
-    for task, key in zip(graph.tasks.values(), graph.keys):
-        lanes.setdefault((task.owner, task.lane), [0] * len(keys))[column[key]] += 1
-    return keys, list(lanes.values())
-
-
-def lane_bound_ns(rows: list[list[int]], ns: Sequence[int]) -> int:
-    """Max over (owner, lane) of summed durations.
-
-    rows are lane_counts' counts and ns the durations of its distinct keys.
-    """
-    return max((sum(map(operator.mul, ns, row)) for row in rows), default=0)
+    retimer = Retimer(graph)
+    return retimer.chain_ns(retimer.ns(graph.table))
 
 
 def resource_bound_ns(graph: TaskGraph) -> int:
-    """Max over (owner, lane) of summed durations (a second lower bound)."""
-    keys, rows = lane_counts(graph)
-    return lane_bound_ns(rows, durations_ns(keys, graph.table))
+    """Max over (owner, lane) of summed durations (a second lower bound).
+
+    A new Retimer's lane_bound_ns under the graph's table. It builds a plan,
+    so a malformed graph raises the plan's errors.
+    """
+    retimer = Retimer(graph)
+    return retimer.lane_bound_ns(retimer.ns(graph.table))
 
 
 def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
@@ -831,8 +832,10 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
     twins start and end together; iteration_ns is the last end and is at
     least both lower bounds, critical_path_ns and resource_bound_ns.
     """
-    bound = max(critical_path_ns(graph), resource_bound_ns(graph))
-    duration = dict(zip(graph.tasks, durations_ns(graph.keys, graph.table)))
+    retimer = Retimer(graph)  # one plan for both bounds and the durations
+    ns = retimer.ns(graph.table)
+    bound = max(retimer.chain_ns(ns), retimer.lane_bound_ns(ns))
+    duration = dict(zip(graph.tasks, retimer.durations(ns)))
     problems = []
     span: dict[int, tuple[int, int]] = {}
     by_lane: dict[tuple[str, str], list[tuple[int, int, int]]] = {}

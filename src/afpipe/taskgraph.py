@@ -29,7 +29,7 @@ under, and TaskGraph.keys names each task's entry. Backward compute takes
 BACKWARD_MULTIPLIER times its forward duration; the staged baselines price
 a chunk with staged_layer_time. Event math is in integer nanoseconds.
 
-A graph's tasks, keys, owners and credits are its topology: the walk's own
+A graph's tasks, keys and credits come from its topology: the walk's own
 inputs (a Topology), which graph_topology reads from the experiment alone.
 topology_graph walks one into a graph with no table; build_task_graph adds
 the table and total_flops, and given a graph of the same topology (like=)
@@ -138,7 +138,6 @@ class Topology(NamedTuple):
 class TaskGraph:
     schedule_kind: ScheduleKind
     tasks: dict[int, Task] = field(default_factory=dict)
-    owners: tuple[str, ...] = ()
     keys: list[tuple] = field(default_factory=list)  # each task's table key, in tasks order
     table: Table = field(default_factory=dict)  # the duration_table it was built under
     credits: dict[str, int] = field(default_factory=dict)
@@ -237,7 +236,7 @@ def _walk(graph: TaskGraph, topology: Topology) -> None:
     costs about twice as much per task.
     """
     visits, transfer, serial = topology.visits, topology.transfer, topology.serial
-    graph.owners, graph.credits = topology.owners, dict(topology.credits)
+    graph.credits = dict(topology.credits)
     tasks, keys = graph.tasks, graph.keys
     ids = itertools.count()
     prev: int | None = None
@@ -279,14 +278,13 @@ def topology_graph(exp: Experiment, like: TaskGraph | None = None) -> TaskGraph:
     """exp's graph with an empty table and no total_flops: its topology walked.
 
     When like was built from the same topology, the graph shares like's
-    tasks, keys, owners and credits (the same objects) instead of walking.
+    tasks, keys and credits (the same objects) instead of walking.
     """
     topology = graph_topology(exp)
     graph = TaskGraph(schedule_kind=exp.schedule_kind, world_gpus=exp.cluster.total_gpus,
                       gpu_peak=exp.cluster.gpu_peak, topology=topology)
     if like is not None and like.topology == topology:
-        graph.tasks, graph.keys, graph.owners, graph.credits = (
-            like.tasks, like.keys, like.owners, like.credits)
+        graph.tasks, graph.keys, graph.credits = like.tasks, like.keys, like.credits
     else:
         _walk(graph, topology)
     return graph

@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
+from task_lane_bound import lane_bound_tasks
 
 from afpipe.allocator import (
     Allocation,
@@ -473,13 +474,19 @@ def _sized(config, total, depth=None, **workload):
     )
 
 
+def _canonical_order(c):
+    """The canonical order of shape-expanded candidates: the split, then the densest shape."""
+    return (c.attn_gpus, c.attn_nics, c.attn_nodes, c.attn_gpus_per_node,
+            c.ffn_nodes, c.ffn_gpus_per_node)
+
+
 def _expanded(exp, equal_nics=False):
     """The shape-expanded candidates, canonically ordered, from the independent enumeration."""
     cluster = exp.cluster
     cands = sorted(
         (Allocation(*t) for t in _brute_force_allocations(
             cluster.total_gpus, cluster.total_nics, cluster.gpus_per_node)),
-        key=Allocation.sort_key,
+        key=_canonical_order,
     )
     if equal_nics:
         cands = [c for c in cands if c.attn_nics == cluster.total_nics // 2]
@@ -560,8 +567,9 @@ def test_lane_bound_equals_resource_bound(depth):
         for alloc in enumerate_feasible(exp.cluster):
             graph = build_task_graph(exp, alloc)
             ns = profile.durations(alloc)
-            assert profile.lane_bound_ns(ns) == resource_bound_ns(graph)
-            assert profile.chain_ns(ns) == critical_path_ns(graph)
+            assert profile.retimer.lane_bound_ns(ns) == resource_bound_ns(graph)
+            assert resource_bound_ns(graph) == lane_bound_tasks(graph)
+            assert profile.retimer.chain_ns(ns) == critical_path_ns(graph)
 
 
 def test_shaped_sizes_match_expanded_enumeration():

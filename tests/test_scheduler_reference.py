@@ -81,7 +81,6 @@ def _graph(pairs, credits):
     graph.tasks = {t.id: t for t, _ in pairs}
     graph.keys = [t.id for t, _ in pairs]
     graph.table = {t.id: (duration, 0) for t, duration in pairs}
-    graph.owners = tuple(sorted({t.owner for t in graph.tasks.values()}))
     graph.credits = credits
     return graph
 

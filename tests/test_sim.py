@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 from task_critical_path import critical_path_tasks
-from test_scheduler_reference import _assert_same_schedule, _random_graph
+from task_lane_bound import lane_bound_tasks
+from test_scheduler_reference import _assert_same_schedule, _random_graph, _random_tables
 
 from afpipe.allocator import canonical_allocation, default_allocation
 from afpipe.config import (
@@ -16,6 +17,7 @@ from afpipe.costs import StageTimes, staged_layer_time
 from afpipe.sim import (
     CycleDetected,
     NegativeDuration,
+    Retimer,
     SchedulePlan,
     ScheduleTrace,
     check_schedule,
@@ -48,8 +50,7 @@ def _graph(pairs):
     g.tasks = {t.id: t for t, _ in pairs}
     g.keys = [t.id for t, _ in pairs]
     g.table = {t.id: (ns, 0) for t, ns in pairs}
-    g.owners = tuple(sorted({t.owner for t in g.tasks.values()}))
-    g.credits = {o: 1 for o in g.owners}
+    g.credits = {t.owner: 1 for t in g.tasks.values()}
     return g
 
 
@@ -258,6 +259,63 @@ def test_plan_chain_starts_a_pair_after_both_sides_deps():
                 _compute(3, "F0", 5_000), _compute(4, "A0", 1_000, deps=(1,))])
     assert critical_path_tasks(g) == 7_000
     assert critical_path_ns(g) == simulate(g)[0].iteration_ns == 8_000
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
+def test_lane_bound_equals_task_level_lane_sums(config, kind):
+    exp = replace(load_experiment(str(CONFIGS / config)), schedule_kind=kind)
+    graph = build_task_graph(exp, default_allocation(exp))
+    assert resource_bound_ns(graph) == lane_bound_tasks(graph) > 0
+    for retimed in _random_tables(random.Random(f"{kind.value}{config}"), graph):
+        assert resource_bound_ns(retimed) == lane_bound_tasks(retimed)
+
+
+def test_lane_bound_equals_task_level_lane_sums_on_random_graphs():
+    # One Retimer bounds each graph under every table: the counts its first
+    # lane_bound_ns call builds serve the later calls.
+    rng = random.Random(13)
+    for _ in range(200):
+        graph = _random_graph(rng)
+        retimer = Retimer(graph)
+        for retimed in [graph, *_random_tables(rng, graph)]:
+            expected = lane_bound_tasks(retimed)
+            assert retimer.lane_bound_ns(retimer.ns(retimed.table)) == expected
+            assert resource_bound_ns(retimed) == expected
+
+
+def test_only_the_lane_bound_counts_tasks_per_lane():
+    g = _build(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, microbatches=3)
+    retimer = Retimer()
+    retimer.simulate(g)
+    ns = retimer.ns(g.table)
+    retimer.makespan_ns(ns)
+    retimer.chain_ns(ns)
+    assert retimer._lane_rows is None  # simulate, sweep and compare never pay for it
+    assert retimer.lane_bound_ns(ns) == resource_bound_ns(g)
+
+
+def test_a_new_topology_recounts_the_lanes():
+    retimer = Retimer()
+    for kind in (ScheduleKind.AFPIPE, ScheduleKind.NAIVE_SEQUENTIAL, ScheduleKind.AFPIPE):
+        g = _build(kind, layers=4, depth=2, stages=2, microbatches=3)
+        retimer.simulate(g)  # keeps g's plan in place of the last one
+        assert retimer.lane_bound_ns(retimer.ns(g.table)) == lane_bound_tasks(g), kind
+
+
+def test_check_schedule_builds_one_plan(monkeypatch):
+    g = _build(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, microbatches=3)
+    trace, _ = simulate(g)
+    plans = []
+
+    class CountedPlan(SchedulePlan):
+        def __init__(self, graph):
+            plans.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr("afpipe.sim.SchedulePlan", CountedPlan)
+    assert check_schedule(g, trace) == []
+    assert plans == [g]
 
 
 def test_determinism_byte_identical_traces():

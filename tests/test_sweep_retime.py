@@ -16,8 +16,8 @@ from dataclasses import replace
 
 import pytest
 
-from afpipe import cli, report
-from afpipe.allocator import default_allocation
+from afpipe import allocator, cli, report
+from afpipe.allocator import default_allocation, enumerate_feasible
 from afpipe.config import ScheduleKind, load_experiment
 from afpipe.costs import BACKWARD_MULTIPLIER, layer_costs
 from afpipe.report import run_schedule
@@ -217,3 +217,21 @@ def test_the_first_failure_in_point_order_sets_the_exit(values, failures, code, 
     _failing_at(monkeypatch, failures)
     assert _sweep("--config", TOY, "--axis", "seq_len", f"--values={values}") == (
         code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("axis,per_sweep", [("seq_len", 1), ("attn_gpu_share", 0)])
+def test_one_sweep_enumerates_the_candidates_once(axis, per_sweep, monkeypatch):
+    # No axis changes the cluster, so the points' analytic splits come from
+    # one candidate list per sweep call; a forced share reads none. Nothing
+    # is kept from one call to the next.
+    enumerated = []
+
+    def counted(*args, **kwargs):
+        enumerated.append(args)
+        return enumerate_feasible(*args, **kwargs)
+
+    monkeypatch.setattr(allocator, "enumerate_feasible", counted)
+    argv = ["--config", DEEPSEEK, "--axis", axis, "--values", AXIS_VALUES[DEEPSEEK][axis]]
+    for sweeps in (1, 2):
+        assert _sweep(*argv)[0] == 0
+        assert len(enumerated) == sweeps * per_sweep

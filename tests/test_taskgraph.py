@@ -108,7 +108,7 @@ def test_naive_graph_serializes_collectives_as_tasks():
     graph = build_task_graph(exp, times=UNIFORM)
     # Two collectives per layer per direction.
     assert _count(graph, TaskKind.A2A) == 3 * 2 * 2 * 2
-    assert graph.owners == ("SEQ",)
+    assert graph.topology.owners == ("SEQ",)
 
 
 def test_graph_is_acyclic_and_deps_resolve():
@@ -209,7 +209,7 @@ def _graph_digest(graph):
 
     doc = {
         "tasks": [row(graph.tasks[tid]) for tid in sorted(graph.tasks)],
-        "owners": list(graph.owners),
+        "owners": list(graph.topology.owners),
         "credits": sorted(graph.credits.items()),
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()

@@ -70,7 +70,6 @@ def test_single_task_microsecond_conversion():
                        lane=COMPUTE_LANE, deps=(), microbatch=0)}
     g.keys = [0]
     g.table = {0: (int(duration_s * 1e9), 0)}
-    g.owners = ("A0",)
     g.credits = {"A0": 1}
     trace, _ = simulate(g)
     assert export_trace(trace) == [{
