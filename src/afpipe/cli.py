@@ -65,8 +65,9 @@ class _CliError(Exception):
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("AFPIPE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # Only a level name maps to an int (not BASIC_FORMAT); any other falls back to WARNING.
+    level = logging.getLevelName(os.environ.get("AFPIPE_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 def _load(path: str) -> Experiment:

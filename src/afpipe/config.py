@@ -148,7 +148,7 @@ def _read_section(doc: dict, section: str) -> dict:
     if not isinstance(raw, dict):
         raise SchemaViolation(f"section '{section}' must be a mapping")
     schema = _SECTION_FIELDS[section]
-    unknown = sorted(set(raw) - {f.name for f in schema})
+    unknown = sorted(map(str, set(raw) - {f.name for f in schema}))  # a YAML key may be 1 or null
     if unknown:
         raise SchemaViolation(f"unknown key(s) in '{section}': {', '.join(unknown)}")
     out = {}
@@ -168,13 +168,13 @@ def parse_experiment(text: str) -> Experiment:
     """
     try:
         doc = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer over 4300 digits
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # 4301 digits, deep nesting
         raise SchemaViolation(f"not a well-formed document: {exc}") from exc
     if doc is None:
         raise SchemaViolation("empty document")
     if not isinstance(doc, dict):
         raise SchemaViolation("top level must be a mapping of sections")
-    unknown = sorted(set(doc) - set(_SECTION_FIELDS))
+    unknown = sorted(map(str, set(doc) - set(_SECTION_FIELDS)))
     if unknown:
         raise SchemaViolation(f"unknown top-level section(s): {', '.join(unknown)}")
 
@@ -274,4 +274,7 @@ def serialize_experiment(exp: Experiment) -> str:
 
 def load_experiment(path: str) -> Experiment:
     with open(path, encoding="utf-8") as fh:
-        return parse_experiment(fh.read())
+        try:
+            return parse_experiment(fh.read())
+        except UnicodeDecodeError as exc:
+            raise SchemaViolation(f"not a UTF-8 document: {exc}") from exc

@@ -241,13 +241,15 @@ class _Queue:
     were ready by the time all those lanes are free, so each can start exactly
     then and they are ordered by ordinal alone; pending units are ready later
     and are ordered by (ready_ns, ordinal). A commit from this queue frees its
-    lanes, so it re-keys its neighbours, the queues that share one of them.
+    lanes, so it re-keys its neighbours, the queues that share one of them;
+    the plan lists those by the queue's index, so a queue refers to no other.
     """
 
-    __slots__ = ("lanes", "counters", "units", "sides", "lane", "other", "owner", "bwd",
-                 "neighbors", "parked", "pending", "key", "stamp")
+    __slots__ = ("index", "lanes", "counters", "units", "sides", "lane", "other", "owner", "bwd",
+                 "parked", "pending", "key", "stamp")
 
-    def __init__(self, lanes: tuple[int, ...], counters: tuple[int, ...]):
+    def __init__(self, index: int, lanes: tuple[int, ...], counters: tuple[int, ...]):
+        self.index = index  # its position in the plan's queues and neighbour lists
         # Per task of a unit: the lane it occupies and the compute counter it
         # bumps, 2 * owner + 1 for backward compute, 2 * owner for forward,
         # -1 for none. The first task's counter is the units' rank class: the
@@ -265,9 +267,6 @@ class _Queue:
         self.lane, self.other = lanes[0], lanes[-1]
         self.owner = counters[0] >> 1 if counters[0] >= 0 else -1
         self.bwd = counters[0] >= 0 and counters[0] & 1 == 1
-        # The distinct queues that share a lane with this one, itself first:
-        # set by the plan once every queue exists.
-        self.neighbors: tuple[_Queue, ...] = ()
         self.clear()
 
     def clear(self) -> None:
@@ -282,13 +281,14 @@ class SchedulePlan:
     """What scheduling a graph reads, except its durations; built once per graph.
 
     It holds the graph's checked tasks, its units in tie-break order, the
-    queue of each unit (lanes, 1F1B counters and neighbours) and the units of
-    each queue, each task's lane and counter, the owner of each lane, the
-    units that depend on each task, each unit's dependency count and each
-    owner's credit. None of these reads a duration, so one plan schedules the
-    graph under any durations of its tasks: run() is the scheduler loop.
+    queue of each unit (lanes and 1F1B counters) and the units of each queue,
+    each queue's neighbours, each task's lane and counter, the owner of each
+    lane, the units that depend on each task, each unit's dependency count and
+    each owner's credit. None of these reads a duration, so one plan schedules
+    the graph under any durations of its tasks: run() is the scheduler loop.
     run() resets and reuses the plan's queues, so one plan runs one schedule
-    at a time.
+    at a time. No queue refers to another, so nothing in a plan forms a
+    reference cycle: a dropped plan is freed when its last reference goes.
     """
 
     def __init__(self, graph: TaskGraph):
@@ -346,7 +346,7 @@ class SchedulePlan:
                         group = owner_index.setdefault(member.owner, len(owner_index))
                         counter = 2 * group + (member.kind is TaskKind.BWD_COMPUTE)
                     counters.append(counter)
-                q = queues[shape] = _Queue(tuple(lanes), tuple(counters))
+                q = queues[shape] = _Queue(len(queues), tuple(lanes), tuple(counters))
             q.units.append(i)
             unit_tasks.append(members)
             unit_queue.append(q)
@@ -370,9 +370,13 @@ class SchedulePlan:
         # a commit reads them by task, with no zip over the queue's sides.
         self.task_lane = task_lane = [0] * len(ordered)
         self.task_counter = task_counter = [0] * len(ordered)
+        # By queue index, the distinct queues that share a lane with it, itself
+        # first. The plan holds them, so no queue refers to another.
+        self.neighbors = [
+            tuple(dict.fromkeys([q, *(p for lane in q.lanes for p in lane_queues[lane])]))
+            for q in self.queues
+        ]
         for q in self.queues:
-            shared = [q, *(p for lane in q.lanes for p in lane_queues[lane])]
-            q.neighbors = tuple(dict.fromkeys(shared))
             q.sides = tuple(zip(*map(unit_tasks.__getitem__, q.units)))
             for side, lane, counter in zip(q.sides, q.lanes, q.counters):
                 for k in side:
@@ -386,7 +390,7 @@ class SchedulePlan:
         the ready set empties with tasks unplaced.
         """
         unit_tasks, unit_queue, dependents = self.unit_tasks, self.unit_queue, self.dependents
-        credit, owner_queues = self.credit, self.owner_queues
+        credit, owner_queues, neighbors = self.credit, self.owner_queues, self.neighbors
         task_lane, task_counter = self.task_lane, self.task_counter
         for q in self.queues:
             q.clear()
@@ -441,7 +445,7 @@ class SchedulePlan:
             unit_start[i] = at
             # Besides q's neighbours, the commit touches the owner's queues when
             # it flips the owner's preference and the queues of units it readies.
-            touched = [*q.neighbors]
+            touched = [*neighbors[q.index]]
             for k in unit_tasks[i]:
                 lane_free[task_lane[k]] = finish = at + durations[k]
                 counter = task_counter[k]
@@ -546,12 +550,6 @@ class Retimer:
             self._keep(graph)
 
     def _keep(self, graph: TaskGraph) -> None:
-        if self.graph is not None:
-            # Queues list each other as neighbours; unlinked, the dropped plan
-            # is freed now, not by a later cyclic collection. It cannot run
-            # again, and nothing but this retimer holds it.
-            for q in self.plan.queues:
-                q.neighbors = ()
         self.graph = self.plan = None  # the kept plan goes before the next is built
         self.plan = SchedulePlan(graph)
         self.graph = graph

@@ -21,8 +21,7 @@ depend on each other. The families differ only in their visit lists:
 
 One path turns costs into durations. visit_times() derives the forward
 per-layer seconds (a StageTimes) from the cost model and the resources
-serving one group or stage, or a caller passes a StageTimes directly (tests,
-the bubble cross-checks). duration_table() alone turns them into
+serving one group or stage, and duration_table() alone turns them into
 (duration_ns, exposed_ns) entries by duration key. A graph is its tasks,
 which hold only topology, plus TaskGraph.table, the table it was built
 under, and TaskGraph.keys names each task's entry. Backward compute takes
@@ -119,7 +118,7 @@ class _Visit(NamedTuple):
 
 
 class Topology(NamedTuple):
-    """The inputs of a graph's walk, which fix its tasks, keys, owners and credits.
+    """The inputs of a graph's walk, which fix its tasks, keys and credits.
 
     Graphs of equal topologies have equal tasks and keys, so one SchedulePlan
     schedules them all; they differ only in their tables, total_flops and
@@ -130,13 +129,11 @@ class Topology(NamedTuple):
     transfer: tuple[TaskKind, TaskKind] | None  # (send kind, recv kind) joining two owners
     serial: bool  # each micro-batch chained behind the previous one
     num_microbatches: int
-    owners: tuple[str, ...]
     credits: tuple[tuple[str, int], ...]
 
 
 @dataclass
 class TaskGraph:
-    schedule_kind: ScheduleKind
     tasks: dict[int, Task] = field(default_factory=dict)
     keys: list[tuple] = field(default_factory=list)  # each task's table key, in tasks order
     table: Table = field(default_factory=dict)  # the duration_table it was built under
@@ -197,7 +194,7 @@ def duration_table(exp: Experiment, vt: StageTimes) -> Table:
     A key is (what, direction): afpipe and naive have attention and FFN
     compute plus the M2N exchange or the all-to-all; megatron1f1b and chunked
     have one entry per chunk size, through staged_layer_time, plus the P2P
-    transfer. A graph's tasks, owners and credits do not read vt, so this
+    transfer. A graph's tasks and credits do not read vt, so this
     table holds every duration that differs between points of one topology.
     The afpipe table does not read ep_size: its exchange is t_m2n, and only
     t_a2a, which the naive and staged tables read, depends on ep_size. So
@@ -281,8 +278,8 @@ def topology_graph(exp: Experiment, like: TaskGraph | None = None) -> TaskGraph:
     tasks, keys and credits (the same objects) instead of walking.
     """
     topology = graph_topology(exp)
-    graph = TaskGraph(schedule_kind=exp.schedule_kind, world_gpus=exp.cluster.total_gpus,
-                      gpu_peak=exp.cluster.gpu_peak, topology=topology)
+    graph = TaskGraph(world_gpus=exp.cluster.total_gpus, gpu_peak=exp.cluster.gpu_peak,
+                      topology=topology)
     if like is not None and like.topology == topology:
         graph.tasks, graph.keys, graph.credits = like.tasks, like.keys, like.credits
     else:
@@ -290,33 +287,23 @@ def topology_graph(exp: Experiment, like: TaskGraph | None = None) -> TaskGraph:
     return graph
 
 
-def build_task_graph(exp: Experiment, alloc=None, *, times: StageTimes | None = None,
-                     like: TaskGraph | None = None) -> TaskGraph:
+def build_task_graph(exp: Experiment, alloc=None, *, like: TaskGraph | None = None) -> TaskGraph:
     """Build the task DAG for exp's schedule kind.
 
-    The disaggregated schedule needs an allocation unless `times` gives the
-    forward durations directly; the baselines ignore it. Group g of each side
-    serves layers {g, g+p, ...} (placement.assign_layers). num_microbatches
-    == 0 yields an empty graph. A graph like of exp's topology lends its
-    tasks (topology_graph).
+    The disaggregated schedule needs an allocation; the baselines ignore it.
+    Group g of each side serves layers {g, g+p, ...} (placement.assign_layers).
+    num_microbatches == 0 yields an empty graph. A graph like of exp's
+    topology lends its tasks (topology_graph).
     """
-    total_flops = 0.0
-    if times is None:
-        lc = layer_costs(exp.model, exp.workload, exp.ep_size)
-        total_flops = (
-            (float(lc.attn_flops) + float(lc.ffn_flops))
-            * exp.model.layers
-            * exp.workload.num_microbatches
-            * (1.0 + BACKWARD_MULTIPLIER)
-        )
-
-    if exp.workload.num_microbatches == 0:
-        return TaskGraph(schedule_kind=exp.schedule_kind, total_flops=total_flops,
-                         world_gpus=exp.cluster.total_gpus, gpu_peak=exp.cluster.gpu_peak)
-    vt = times if times is not None else visit_times(exp, lc, alloc)
+    lc = layer_costs(exp.model, exp.workload, exp.ep_size)
     graph = topology_graph(exp, like)
-    graph.table = duration_table(exp, vt)
-    graph.total_flops = total_flops
+    graph.table = duration_table(exp, visit_times(exp, lc, alloc))
+    graph.total_flops = (
+        (float(lc.attn_flops) + float(lc.ffn_flops))
+        * exp.model.layers
+        * exp.workload.num_microbatches
+        * (1.0 + BACKWARD_MULTIPLIER)
+    )
     return graph
 
 
@@ -324,7 +311,6 @@ def _build_afpipe(exp: Experiment) -> Topology:
     """Layer l visits A(l mod p) then F(l mod p); every hop is an M2N exchange."""
     p = exp.pipeline_depth
     layers = exp.model.layers
-    owners = tuple(f"A{g}" for g in range(p)) + tuple(f"F{g}" for g in range(p))
     credits = tuple(
         (f"{component}{g}", credit(layers, g, component))
         for g in range(p)
@@ -337,7 +323,7 @@ def _build_afpipe(exp: Experiment) -> Topology:
         for component in (ATTN, FFN)
     )
     return Topology(visits, (TaskKind.M2N_SEND, TaskKind.M2N_RECV), False,
-                    exp.workload.num_microbatches, owners, credits)
+                    exp.workload.num_microbatches, credits)
 
 
 def _build_staged(exp: Experiment) -> Topology:
@@ -351,7 +337,6 @@ def _build_staged(exp: Experiment) -> Topology:
     if chunks > layers:
         raise GraphConstructionError(f"{chunks} chunks cannot be filled from {layers} layers")
 
-    owners = tuple(f"S{i}" for i in range(pp))
     credits = tuple((f"S{i}", max(1, chunks - i)) for i in range(pp))
     base, extra = divmod(layers, chunks)
     visits = tuple(
@@ -359,7 +344,7 @@ def _build_staged(exp: Experiment) -> Topology:
         for j in range(chunks)
     )
     return Topology(visits, (TaskKind.P2P, TaskKind.P2P), False,
-                    exp.workload.num_microbatches, owners, credits)
+                    exp.workload.num_microbatches, credits)
 
 
 def _build_naive(exp: Experiment) -> Topology:
@@ -373,4 +358,4 @@ def _build_naive(exp: Experiment) -> Topology:
             (TaskKind.FWD_COMPUTE, FFN, FFN), (TaskKind.A2A, TaskKind.A2A, None),
         )
     )
-    return Topology(visits, None, True, exp.workload.num_microbatches, (owner,), ((owner, 1),))
+    return Topology(visits, None, True, exp.workload.num_microbatches, ((owner, 1),))

@@ -8,6 +8,8 @@ import dataclasses
 import random
 import time
 
+from timed_graph import UNIFORM, timed_graph
+
 from afpipe.allocator import (
     AllocatorParams,
     allocate,
@@ -18,7 +20,6 @@ from afpipe.allocator import (
 )
 from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
 from afpipe.costs import (
-    StageTimes,
     arithmetic_intensities,
     attention_flops,
     ffn_flops,
@@ -30,8 +31,6 @@ from afpipe.report import memory_report, run_schedule
 from afpipe.sim import check_schedule, simulate, warmup_bubble_analytic
 from afpipe.taskgraph import build_task_graph
 from afpipe.trace_io import export_trace_json
-
-UNIFORM = StageTimes(t_attn=1e-3, t_ffn=1e-3, t_a2a=1e-3, t_m2n=1e-3, t_p2p=0.0)
 
 DEEPSEEK = ModelConfig(layers=28, hidden=2048, experts=64, topk=4, moe_hidden=1408)
 DESK_CLUSTER = ClusterConfig(total_gpus=16, gpus_per_node=8, total_nics=16,
@@ -55,11 +54,11 @@ def _small_experiment(kind, layers, depth, stages, microbatches=6):
     )
 
 
-def _build(exp, times=None):
+def _build(exp):
     alloc = None
     if exp.schedule_kind is ScheduleKind.AFPIPE:
         alloc = canonical_allocation(exp.cluster, 1, 1)
-    return build_task_graph(exp, alloc, times=times)
+    return build_task_graph(exp, alloc)
 
 
 def test_criterion_1_warmup_bubble_quarter():
@@ -70,11 +69,11 @@ def test_criterion_1_warmup_bubble_quarter():
 
     # Simulated PP=2 with one layer per stage, uniform times for both kinds.
     staged = _small_experiment(ScheduleKind.MEGATRON_1F1B, layers=2, depth=2, stages=1)
-    _, staged_result = simulate(_build(staged, times=UNIFORM))
+    _, staged_result = simulate(timed_graph(staged))
     assert abs(staged_result.bubble_warmup - base) / base < 0.01
 
     disagg = _small_experiment(ScheduleKind.AFPIPE, layers=1, depth=1, stages=1)
-    _, disagg_result = simulate(_build(disagg, times=UNIFORM))
+    _, disagg_result = simulate(timed_graph(disagg))
     assert abs(disagg_result.bubble_warmup - af) / af < 0.01
 
     elapsed = time.perf_counter() - started

@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
 from afpipe.cli import main
+from afpipe.config import SchemaViolation, load_experiment
 from afpipe.trace_io import trace_schema
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -299,6 +302,42 @@ def test_error_paths_exit_with_their_code(argv, doc, code, tmp_path, capsys):
     assert main([*argv, "--config", str(config)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+MALFORMED_DOCUMENTS = {
+    "not-utf-8": (b"model: \xff\n", "not a UTF-8 document: "),
+    "nested-past-the-stack": (b"model: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+                              "not a well-formed document: "),
+    "int-key": (b"1: x\n", "unknown top-level section(s): 1\n"),
+    "null-key": (b"null: x\n", "unknown top-level section(s): None\n"),
+    "int-and-string-keys": (b"1: x\nextras: y\n", "unknown top-level section(s): 1, extras\n"),
+    "int-key-in-a-section": (b"model: {1: 2}\n", "unknown key(s) in 'model': 1\n"),
+    "string-keys": (b"more: 1\nextras: 2\n", "unknown top-level section(s): extras, more\n"),
+}
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_DOCUMENTS.values(),
+                         ids=list(MALFORMED_DOCUMENTS))
+def test_malformed_document_is_a_schema_violation(data, message, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(data)
+    with pytest.raises(SchemaViolation):
+        load_experiment(str(path))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error in {path}: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["BASIC_FORMAT", "_STYLES"])
+def test_afpipe_log_naming_no_level_falls_back_to_warning(name):
+    # In a new process: under pytest the root logger has handlers, so
+    # logging.basicConfig would not read the level at all.
+    paths = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "AFPIPE_LOG": name, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run([sys.executable, "-m", "afpipe", "compare", "--config", TOY],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("schedule ")
 
 
 def test_simulate_defaults_to_the_documents_schedule(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Property test: any edit of a valid document ends in a documented exit code.
 
-Each example starts from configs/toy.yaml, drops one leaf or replaces one or
+Each example starts from configs/toy.yaml, drops one leaf, replaces one or
 two leaves with a value from a fixed pool of extreme and wrong-typed values,
-and runs one verb with small arguments. cli.main must return 0, 2, 3, 4 or 5
+or adds a key that YAML reads as no string (1, null, true) to a section or
+the top level, and runs one verb with small arguments. cli.main must return 0, 2, 3, 4 or 5
 and raise nothing; a non-zero return prints an "error: " line. No pool value
 is a valid large size, so no example builds a large graph.
 """
@@ -31,6 +32,7 @@ POOL = [
     0, -1, 1, 2, 1.5, "x", True, None, float("inf"), float("-inf"), float("nan"),
     1e-300, 1e-289, 1e300, 2**53 + 1, 10**20, 10**160, 10**320, 10**400,
 ]
+NON_STRING_KEYS = [1, 0, None, True, 1.5]
 AXIS_VALUES = [
     "0", "-1", "1", "2", "3", "1.5", "0.5", "x", "true", "nan", "inf", "-inf",
     "1e-300", str(2**53 + 1), str(10**20), str(10**400), ",",
@@ -42,6 +44,8 @@ edits = st.one_of(
         st.tuples(st.sampled_from(LEAVES), st.sampled_from(POOL), st.just(False)),
         min_size=1, max_size=2,
     ),
+    st.tuples(st.sampled_from([None, *TOY]), st.sampled_from(NON_STRING_KEYS))
+    .map(lambda leaf: [(leaf, "x", False)]),  # section None: the top level
 )
 verbs = st.one_of(
     st.just(["simulate"]),
@@ -60,10 +64,11 @@ verbs = st.one_of(
 def test_edited_document_ends_in_a_documented_exit_code(tmp_path_factory, edits, argv):
     doc = {section: dict(body) for section, body in TOY.items()}
     for (section, key), value, drop in edits:
+        body = doc if section is None else doc[section]
         if drop:
-            doc[section].pop(key, None)
+            body.pop(key, None)
         else:
-            doc[section][key] = value
+            body[key] = value
     path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
 

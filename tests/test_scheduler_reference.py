@@ -77,7 +77,7 @@ def _task(tid, kind, owner, duration, deps=(), mb=0, lane=COMPUTE_LANE, twin=Non
 
 def _graph(pairs, credits):
     """A graph of (task, duration) pairs; each task's table key is its id."""
-    graph = TaskGraph(schedule_kind=ScheduleKind.AFPIPE)
+    graph = TaskGraph()
     graph.tasks = {t.id: t for t, _ in pairs}
     graph.keys = [t.id for t, _ in pairs]
     graph.table = {t.id: (duration, 0) for t, duration in pairs}
@@ -171,7 +171,7 @@ def test_run_metrics_equal_the_event_aggregate(kind, config, microbatches):
 
 def test_run_metrics_equal_the_event_aggregate_on_random_graphs():
     rng = random.Random(12)
-    _assert_same_metrics(TaskGraph(schedule_kind=ScheduleKind.AFPIPE))
+    _assert_same_metrics(TaskGraph())
     for _ in range(100):
         for retimed in _random_tables(rng, _random_graph(rng), count=2):
             _assert_same_metrics(retimed)

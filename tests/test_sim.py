@@ -1,3 +1,4 @@
+import gc
 import logging
 import random
 import re
@@ -8,12 +9,16 @@ import pytest
 from task_critical_path import critical_path_tasks
 from task_lane_bound import lane_bound_tasks
 from test_scheduler_reference import _assert_same_schedule, _random_graph, _random_tables
+from timed_graph import UNIFORM, timed_graph
 
-from afpipe.allocator import canonical_allocation, default_allocation
+from afpipe.allocator import (
+    AllocatorParams, allocate, brute_force_oracle, canonical_allocation, default_allocation,
+)
 from afpipe.config import (
     ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload, load_experiment,
 )
-from afpipe.costs import StageTimes, staged_layer_time
+from afpipe.costs import staged_layer_time
+from afpipe.report import run_schedule
 from afpipe.sim import (
     CycleDetected,
     NegativeDuration,
@@ -41,12 +46,11 @@ from afpipe.taskgraph import (
 from afpipe.trace_io import export_trace_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-UNIFORM = StageTimes(t_attn=1e-3, t_ffn=1e-3, t_a2a=1e-3, t_m2n=1e-3, t_p2p=0.0)
 
 
 def _graph(pairs):
     """A graph of (task, duration_ns) pairs; each task's table key is its id."""
-    g = TaskGraph(schedule_kind=ScheduleKind.AFPIPE)
+    g = TaskGraph()
     g.tasks = {t.id: t for t, _ in pairs}
     g.keys = [t.id for t, _ in pairs]
     g.table = {t.id: (ns, 0) for t, ns in pairs}
@@ -72,12 +76,8 @@ def _experiment(kind, layers, depth, stages, microbatches=4, gpus=2, nics=2, ep=
     )
 
 
-def _build(kind, layers, depth, stages, microbatches=4, times=UNIFORM):
-    exp = _experiment(kind, layers, depth, stages, microbatches)
-    alloc = None
-    if kind is ScheduleKind.AFPIPE:
-        alloc = canonical_allocation(exp.cluster, 1, 1)
-    return build_task_graph(exp, alloc, times=times)
+def _build(kind, layers, depth, stages, microbatches=4):
+    return timed_graph(_experiment(kind, layers, depth, stages, microbatches))
 
 
 def test_single_task():
@@ -611,3 +611,39 @@ def test_malformed_twins_rejected(recv_lane, recv_twin):
                            deps=(), microbatch=0, twin=recv_twin), 1))
     with pytest.raises(GraphConstructionError, match="not a send/recv pair"):
         simulate(_graph(tasks))
+
+
+def _simulate(exp):
+    simulate(build_task_graph(exp, default_allocation(exp)))
+
+
+def _check(exp):
+    graph = build_task_graph(exp, default_allocation(exp))
+    assert check_schedule(graph, simulate(graph)[0]) == []
+
+
+def _retime_every_kind(exp):
+    retimer = Retimer()
+    for kind in ScheduleKind:
+        run_schedule(exp, kind, default_allocation(exp), retimer)
+
+
+@pytest.mark.parametrize("operation", [
+    _simulate,
+    _check,
+    lambda exp: allocate(exp, AllocatorParams(trials=3, radius=1, rng_seed=0)),
+    brute_force_oracle,
+    _retime_every_kind,
+], ids=["simulate", "check_schedule", "allocate", "brute_force_oracle", "retimer"])
+def test_a_dropped_plan_leaves_no_cyclic_garbage(operation):
+    # No queue refers to another, so every plan an operation builds is freed
+    # by reference counting when the operation drops it.
+    exp = load_experiment(str(CONFIGS / "toy.yaml"))
+    operation(exp)  # first-call imports and caches are not the operation's garbage
+    gc.disable()
+    try:
+        gc.collect()
+        operation(exp)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

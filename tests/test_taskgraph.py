@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from timed_graph import timed_graph
 
 from afpipe.allocator import canonical_allocation, default_allocation
 from afpipe.config import (
@@ -29,8 +30,6 @@ from afpipe.taskgraph import (
 )
 from afpipe.trace_io import export_trace_json
 
-UNIFORM = StageTimes(t_attn=1e-3, t_ffn=1e-3, t_a2a=1e-3, t_m2n=1e-3, t_p2p=0.0)
-
 
 def _experiment(kind, layers, depth, stages, microbatches=1, gpus=2, nics=2, ep=2):
     return Experiment(
@@ -45,9 +44,8 @@ def _experiment(kind, layers, depth, stages, microbatches=1, gpus=2, nics=2, ep=
     )
 
 
-def _af_graph(exp, **kw):
-    alloc = canonical_allocation(exp.cluster, 1, 1)
-    return build_task_graph(exp, alloc, **kw)
+def _af_graph(exp):
+    return build_task_graph(exp, canonical_allocation(exp.cluster, 1, 1))
 
 
 def _count(graph, kind):
@@ -82,7 +80,7 @@ def test_zero_microbatches_build_empty_graph():
 
 def test_staged_baseline_embeds_all_to_all_in_compute():
     exp = _experiment(ScheduleKind.MEGATRON_1F1B, layers=2, depth=2, stages=1)
-    graph = build_task_graph(exp, times=UNIFORM)
+    graph = timed_graph(exp)
     fwd = [t for t in graph.tasks.values() if t.kind is TaskKind.FWD_COMPUTE]
     entry = _entries(graph)
     # One chunk of one layer per stage: attention + FFN + two exchanges.
@@ -94,7 +92,7 @@ def test_staged_baseline_embeds_all_to_all_in_compute():
 
 def test_chunked_baseline_hides_exchange_behind_expert_compute():
     exp = _experiment(ScheduleKind.CHUNKED_OVERLAP, layers=2, depth=2, stages=1)
-    graph = build_task_graph(exp, times=UNIFORM)
+    graph = timed_graph(exp)
     fwd = [t for t in graph.tasks.values() if t.kind is TaskKind.FWD_COMPUTE]
     entry = _entries(graph)
     # Per layer: t_attn + max(t_ffn, 2 t_a2a) = 3 ms, exposed = 1 ms.
@@ -105,10 +103,10 @@ def test_chunked_baseline_hides_exchange_behind_expert_compute():
 def test_naive_graph_serializes_collectives_as_tasks():
     exp = _experiment(ScheduleKind.NAIVE_SEQUENTIAL, layers=2, depth=1, stages=1,
                       microbatches=3)
-    graph = build_task_graph(exp, times=UNIFORM)
+    graph = timed_graph(exp)
     # Two collectives per layer per direction.
     assert _count(graph, TaskKind.A2A) == 3 * 2 * 2 * 2
-    assert graph.topology.owners == ("SEQ",)
+    assert graph.topology.credits == (("SEQ", 1),)
 
 
 def test_graph_is_acyclic_and_deps_resolve():
@@ -146,11 +144,18 @@ def test_afpipe_without_allocation_rejected():
         build_task_graph(exp)
 
 
+def test_afpipe_without_allocation_rejected_at_zero_microbatches():
+    # An empty walk is still priced, so the missing allocation shows at any count.
+    exp = _experiment(ScheduleKind.AFPIPE, layers=4, depth=2, stages=2, microbatches=0)
+    with pytest.raises(GraphConstructionError, match="needs an allocation"):
+        build_task_graph(exp)
+
+
 def test_backward_multiplier_scales_backward_tasks():
     # Backward compute takes exactly twice its forward visit, per component.
     exp = _experiment(ScheduleKind.AFPIPE, layers=2, depth=1, stages=2)
     times = StageTimes(t_attn=1e-3, t_ffn=3e-3, t_a2a=0.0, t_m2n=1e-3, t_p2p=0.0)
-    graph = _af_graph(exp, times=times)
+    graph = timed_graph(exp, times)
     entry = _entries(graph)
     fwd = {(t.component, t.layer): entry[t.id][0] for t in graph.tasks.values()
            if t.kind is TaskKind.FWD_COMPUTE}
@@ -163,38 +168,40 @@ def test_backward_multiplier_scales_backward_tasks():
 
 TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.yaml"
 
-# sha256 over every task's row in id order, the owners and the credits of the
-# graph built from configs/toy.yaml at each depth (virtual stages fill the 4
+# sha256 over every task's row in id order and the credits of the graph
+# built from configs/toy.yaml at each depth (virtual stages fill the 4
 # layers). A row is the task's fields with its table entry put back where Task
-# once held it: duration_ns after lane, exposed_ns last. So these hashes were
-# recorded before tasks lost their durations and still hold. Task ids feed
-# the scheduler's tie-break and the trace, so a change in creation order,
-# metadata or durations shows here.
+# once held it: duration_ns after lane, exposed_ns last, so rows hash as they
+# did before tasks lost their durations. The hashes were re-recorded when the
+# digest dropped the owner list (a reordering of the credit keys): on the
+# graph code that still had it, where they passed, and they held unchanged
+# once it was gone. Task ids feed the scheduler's tie-break and the trace, so
+# a change in creation order, metadata or durations shows here.
 GRAPH_PINS = {
     (ScheduleKind.AFPIPE, 1):
-        "b4a77ad535939ad98246649b1924f807331d16009c90b17dc3a3eaac4232f2fa",
+        "f80e7eb20764eaaa9780d1c3cf0c14e0330a13c049b05b20f286bae1f0ac22bb",
     (ScheduleKind.AFPIPE, 2):
-        "66f2e706281f240e2ccec41f2847491bed8e9f0aa804fa596b15676f4178b6ee",
+        "3bc0166c1ab1beef0e1b7725f541d25f3db6f8603f8c18ef4680d99621f0ada6",
     (ScheduleKind.AFPIPE, 4):
-        "20036e3d160252d75e7a6e989cde965e027149b88247c416f69a8d611f96794a",
+        "6cfe78eaa68a776b9beb74e88e1984e99d52234a2159f715dc0566d618508b7a",
     (ScheduleKind.MEGATRON_1F1B, 1):
-        "cd6e50c5641f6785c362c455fceede0f0a5342345e2c4d9e8494e15bb6ecfb5b",
+        "7cc7eef8ae65e14d911384e58cd42c1d6b50aa592a437490e303c4afc8d1fed0",
     (ScheduleKind.MEGATRON_1F1B, 2):
-        "436cc183cddb116a385f69b310544e8d8ed290989763981381d81e376a529fd7",
+        "7a1c11b51a473ae749f0d73205cf7ee686d10acd3723158fdca80f53691fb40d",
     (ScheduleKind.MEGATRON_1F1B, 4):
-        "242bfea546d0487c8f1a828d6c151e4bbfaae0c484ba08afefb7d2489f185aca",
+        "2a3756c05e45fe241e11d2d8efc966762101cd8ff9f5c472af95003a6274dcdd",
     (ScheduleKind.CHUNKED_OVERLAP, 1):
-        "b5cc37197ec240a8ba07249e81e54d600dfea165fd301b6b3de90eb006782f9c",
+        "cf0c1573b196cba4851d00202666511c5835b0a983d8448c999b80de93627dd0",
     (ScheduleKind.CHUNKED_OVERLAP, 2):
-        "31c4ea67365eddd788dc2e7fb64f86787af430c0efa141d186bc73535541806d",
+        "a8dcc5879f198b6261433fbbb8ecd845ee562c0d9ebec2231620f974417b9e54",
     (ScheduleKind.CHUNKED_OVERLAP, 4):
-        "8a7d8717c10b1383f2285007d6499143c2cf280ef343a15d1d65a45954a92aa4",
+        "ea37bc5108d626f62ad5df6c8015092a110dc585d4180bf32766140cae7a153f",
     (ScheduleKind.NAIVE_SEQUENTIAL, 1):
-        "64d79ca1bde344e504a471b9b611d21c710cd0e949dfa5fa6cede0f949aa77bc",
+        "122a75f067803c59d70753ea7e51b5a47c85fbd14ea0b4edf94e60c43d6e2684",
     (ScheduleKind.NAIVE_SEQUENTIAL, 2):
-        "64d79ca1bde344e504a471b9b611d21c710cd0e949dfa5fa6cede0f949aa77bc",
+        "122a75f067803c59d70753ea7e51b5a47c85fbd14ea0b4edf94e60c43d6e2684",
     (ScheduleKind.NAIVE_SEQUENTIAL, 4):
-        "64d79ca1bde344e504a471b9b611d21c710cd0e949dfa5fa6cede0f949aa77bc",
+        "122a75f067803c59d70753ea7e51b5a47c85fbd14ea0b4edf94e60c43d6e2684",
 }
 
 
@@ -209,7 +216,6 @@ def _graph_digest(graph):
 
     doc = {
         "tasks": [row(graph.tasks[tid]) for tid in sorted(graph.tasks)],
-        "owners": list(graph.topology.owners),
         "credits": sorted(graph.credits.items()),
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()

@@ -64,7 +64,7 @@ def test_empty_trace_exports_empty_array():
 
 
 def test_single_task_microsecond_conversion():
-    g = TaskGraph(schedule_kind=ScheduleKind.AFPIPE)
+    g = TaskGraph()
     duration_s = 1.5e-3
     g.tasks = {0: Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0",
                        lane=COMPUTE_LANE, deps=(), microbatch=0)}
