@@ -116,10 +116,19 @@ _SECTION_FIELDS = {
 }
 
 
+_SHOWN = 80  # characters of a rejected value's repr that its message quotes
+
+
+def _shown(value) -> str:
+    """repr(value), cut to _SHOWN characters and "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
+
+
 def _coerce(name: str, value, kind: type):
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidValue(name, f"expected an integer, got {value!r}")
+            raise InvalidValue(name, f"expected an integer, got {_shown(value)}")
         return value
     if kind is float:
         if isinstance(value, str):
@@ -127,9 +136,9 @@ def _coerce(name: str, value, kind: type):
             try:
                 return float(value)
             except ValueError:
-                raise InvalidValue(name, f"expected a number, got {value!r}") from None
+                raise InvalidValue(name, f"expected a number, got {_shown(value)}") from None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidValue(name, f"expected a number, got {value!r}")
+            raise InvalidValue(name, f"expected a number, got {_shown(value)}")
         try:
             return float(value)
         except OverflowError:
@@ -138,7 +147,7 @@ def _coerce(name: str, value, kind: type):
         return kind(value)
     except ValueError:
         options = ", ".join(k.value for k in kind)
-        raise InvalidValue(name, f"expected one of {{{options}}}, got {value!r}") from None
+        raise InvalidValue(name, f"expected one of {{{options}}}, got {_shown(value)}") from None
 
 
 def _read_section(doc: dict, section: str) -> dict:

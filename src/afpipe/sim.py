@@ -69,8 +69,9 @@ queue share their lanes, so per queue their starts and durations give each
 owner's first activity and compute time and the spans whose union sets the
 exposed communication, a send/recv pair being one span. The trace it
 returns builds its timeline, one TraceEvent per task, only when its events
-are read, as by trace_io.write_trace or check_schedule; sweep and compare
-never read them. sweep and compare run every schedule of a call on one
+are read, as by check_schedule; trace_io.write_trace formats the same order
+from the run (ScheduleTrace.timeline) and builds none, and sweep and compare
+read neither. sweep and compare run every schedule of a call on one
 Retimer, so each topology is planned once and re-timed per point; the
 metrics, which read the point's table and total_flops, are computed per
 point. The Retimer's one index of the distinct keys also gives both lower
@@ -98,7 +99,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import ScheduleKind
 from .costs import StageTimes, staged_layer_time
@@ -149,8 +150,9 @@ class ScheduleTrace:
 
     ScheduleTrace(events, iteration_ns) holds the events it is given. The
     trace simulate returns holds its run instead and builds the events when
-    they are first read, then drops the run. Two traces are equal when their
-    events and iteration_ns are.
+    they are first read, then drops the run; timeline() gives the events'
+    parts in the same order without building them. Two traces are equal when
+    their events and iteration_ns are.
     """
 
     __slots__ = ("_events", "_run", "iteration_ns")
@@ -176,6 +178,19 @@ class ScheduleTrace:
             _debug("timeline: %d events in %.3f ms",
                    len(self._events), (time.perf_counter() - begin) * 1e3)
         return self._events
+
+    def timeline(self) -> tuple[tuple[Task, ...], Sequence[int], list[int], list[int]]:
+        """The events' parts, (tasks, order, starts, durations), built from the run if held.
+
+        Event i is task tasks[order[i]], starting at starts[i] and lasting
+        durations[order[i]] ns. Reading it builds no TraceEvent.
+        """
+        if self._run is None:
+            events = self._events
+            return (tuple(ev.task for ev in events), range(len(events)),
+                    [ev.start_ns for ev in events], [ev.end_ns - ev.start_ns for ev in events])
+        tasks, unit_tasks, starts, durations = self._run
+        return (tasks, *_timeline_order(tasks, unit_tasks, starts), durations)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleTrace):
@@ -218,20 +233,6 @@ def durations_ns(keys: Iterable[tuple], table: Table) -> list[int]:
 def _check_keys(graph: TaskGraph) -> None:
     if len(graph.keys) != len(graph.tasks):
         raise GraphConstructionError(f"{len(graph.keys)} duration keys for {len(graph)} tasks")
-
-
-def _check_task(tasks: dict[int, Task], tid: int, lane: str,
-                deps: tuple[int, ...], twin_id: int | None) -> None:
-    for dep in deps:
-        if dep not in tasks:
-            raise CycleDetected(f"task {tid} depends on unknown task {dep}")
-    if twin_id is not None:
-        twin = tasks.get(twin_id)
-        paired = twin is not None and twin.twin == tid
-        if not paired or (twin.lane == RECV_LANE) == (lane == RECV_LANE):
-            raise GraphConstructionError(
-                f"task {tid} and its twin {twin_id} are not a send/recv pair"
-            )
 
 
 class _Queue:
@@ -301,18 +302,28 @@ class SchedulePlan:
         # send side; the receive side is committed together with its twin.
         # Units are numbered in tie-break order, so the heap compares ints only.
         # Each task is unpacked once, which costs about as much as reading
-        # five NamedTuple fields by name, and checked. An entry of order is
-        # the tie-break key up to the unique task id, then the task index,
-        # deps and twin, which the sort never compares. It holds no enum: a
-        # tuple of ints, strings and such tuples stops being tracked by the
-        # cyclic collector, so later collections skip it.
+        # five NamedTuple fields by name, and checked in task order: each
+        # dependency is a task, and a twin names the task back from the other
+        # side of a send/recv pair. An entry of order is the tie-break key up
+        # to the unique task id, then the task index, kind, deps and twin,
+        # which the sort never compares.
         order = []
-        for k, (tid, _, owner, lane, deps, mb, _, vi, component, _, twin) in enumerate(ordered):
-            _check_task(tasks, tid, lane, deps, twin)
-            if twin is None or lane != RECV_LANE:
-                order.append(
-                    (mb, vi, _COMPONENT_RANK.get(component, 2), owner, lane, tid, k, deps, twin)
-                )
+        for k, (tid, kind, owner, lane, deps, mb, _, vi, component, _, twin) in enumerate(ordered):
+            for dep in deps:
+                if dep not in tasks:
+                    raise CycleDetected(f"task {tid} depends on unknown task {dep}")
+            if twin is not None:
+                other = tasks.get(twin)
+                if (other is None or other.twin != tid
+                        or (other.lane == RECV_LANE) == (lane == RECV_LANE)):
+                    raise GraphConstructionError(
+                        f"task {tid} and its twin {twin} are not a send/recv pair"
+                    )
+                if lane == RECV_LANE:
+                    continue
+            order.append(
+                (mb, vi, _COMPONENT_RANK.get(component, 2), owner, lane, tid, k, kind, deps, twin)
+            )
         order.sort()
         lane_index: dict[tuple[str, str], int] = {}
         owner_index: dict[str, int] = {}
@@ -320,15 +331,16 @@ class SchedulePlan:
         self.unit_tasks = unit_tasks = []  # task indices of each unit
         self.unit_queue = unit_queue = []
         self.remaining = remaining = []  # dependency count of each unit
-        dependents: dict[int, list[int]] = {tid: [] for tid in tasks}
-        for i, (_, _, _, owner, lane, _, k, deps, twin) in enumerate(order):
-            kind = ordered[k].kind
+        # The units that depend on each task, by task index.
+        self.dependents = dependents = [[] for _ in ordered]
+        for i, (_, _, _, owner, lane, _, k, kind, deps, twin) in enumerate(order):
             if twin is None:
                 members = (k,)
                 shape = (owner, lane, kind)
             else:
-                other = tasks[twin]
-                members = (k, index[twin])
+                j = index[twin]
+                other = ordered[j]
+                members = (k, j)
                 shape = (owner, lane, kind, other.owner, other.lane, other.kind)
                 if other.deps != deps:  # the two sides of a pair usually share their deps
                     deps += other.deps
@@ -352,10 +364,8 @@ class SchedulePlan:
             unit_queue.append(q)
             remaining.append(len(deps))
             for dep in deps:
-                dependents[dep].append(i)
+                dependents[index[dep]].append(i)
 
-        # Units, by task index: the dict keeps the order of graph.tasks.
-        self.dependents = list(dependents.values())
         self.credit = [graph.credits.get(owner, 1) for owner in owner_index]
         self.lane_owners = [owner for owner, _ in lane_index]
         self.queues = tuple(queues.values())
@@ -641,9 +651,9 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     return Retimer().simulate(graph)
 
 
-def _timeline(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
-              starts: list[int], durations: list[int]) -> tuple[TraceEvent, ...]:
-    """One event per task of a run, ordered by (start, owner, lane, id)."""
+def _timeline_order(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
+                    starts: list[int]) -> tuple[list[int], list[int]]:
+    """A run's task indices ordered by (start, owner, lane, id), and their starts."""
     # With rank[k] the rank of task k under (owner, lane, id), that order is
     # the order of the ints start * n + rank[k], which sort without a tuple
     # per task. by_rank lists the task indices by rank: stable sorts on id,
@@ -653,14 +663,19 @@ def _timeline(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
     by_rank.sort(key=[t.lane for t in tasks].__getitem__)
     by_rank.sort(key=[t.owner for t in tasks].__getitem__)
     rank = sorted(range(n), key=by_rank.__getitem__)  # the inverse permutation
-    events = []
-    for key in sorted([
+    keys = sorted([
         begin * n + rank[k] for begin, members in zip(starts, unit_tasks) for k in members
-    ]):
-        at = key // n
-        k = by_rank[key % n]
-        events.append(TraceEvent(tasks[k], at, at + durations[k]))
-    return tuple(events)
+    ])
+    return (list(map(by_rank.__getitem__, map(n.__rmod__, keys))),
+            list(map(n.__rfloordiv__, keys)))
+
+
+def _timeline(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
+              starts: list[int], durations: list[int]) -> tuple[TraceEvent, ...]:
+    """One event per task of a run, in _timeline_order."""
+    order, begins = _timeline_order(tasks, unit_tasks, starts)
+    ends = map(operator.add, begins, map(durations.__getitem__, order))
+    return tuple(map(TraceEvent, map(tasks.__getitem__, order), begins, ends))
 
 
 def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],

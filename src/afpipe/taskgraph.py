@@ -40,7 +40,6 @@ GPU/NIC split change only the table and total_flops.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -82,11 +81,14 @@ class Task(NamedTuple):
     """One task of a graph: what runs, where and after what; its duration is
     the graph's table entry for its key (TaskGraph.keys).
 
-    A NamedTuple, so it is immutable and cheap to build. A field read by
-    name costs about twice a slotted attribute's, so the loops that read
-    most fields of every task, the scheduler's plan and the trace writer,
-    unpack each task once. Like any tuple, a Task equals a plain tuple of
-    the same values.
+    A NamedTuple, so it is immutable and cheap to build: the graph walk
+    builds each with tuple.__new__(Task, fields), all eleven fields
+    positional, which skips Task.__new__. A field read by name costs about
+    twice a slotted attribute's, so the loops that read most fields of every
+    task, the scheduler's plan and the trace writer, unpack each task once.
+    Like any tuple, a Task equals a plain tuple of the same values. The
+    cyclic collector tracks every Task: it untracks only exact tuples, never
+    a subclass's instances, whatever they hold.
     """
 
     id: int
@@ -227,42 +229,52 @@ def _walk(graph: TaskGraph, topology: Topology) -> None:
     owners are joined by a send/recv pair of the transfer kinds that carries
     the source visit's layer and virtual index and shares its deps (the
     simulator enforces a common start). graph.keys records each task's key,
-    (visit key or send kind, direction). A serial topology chains each
-    micro-batch behind the previous one.
-    Tasks are built positionally, in Task's field order: a keyword call
-    costs about twice as much per task.
+    (visit key or send kind, direction); each distinct key is one object,
+    made once per walk. A serial topology chains each micro-batch behind the
+    previous one.
+    Tasks are built with tuple.__new__, all eleven fields positional in
+    Task's field order: that skips Task.__new__, a Python-level call.
     """
     visits, transfer, serial = topology.visits, topology.transfer, topology.serial
     graph.credits = dict(topology.credits)
     tasks, keys = graph.tasks, graph.keys
-    ids = itertools.count()
+    new = tuple.__new__
+    interned: dict[tuple, tuple] = {}
+
+    def intern(key: tuple) -> tuple:
+        return interned.setdefault(key, key)
+
+    # Per direction: its walk over the visits, each visit's key, and the pair key.
+    walks = [
+        (direction, walk, [intern((v.key, direction)) for v in walk],
+         None if transfer is None else intern((transfer[0], direction)))
+        for direction, walk in (("fwd", visits), ("bwd", visits[::-1]))
+    ]
+    tid = 0
     prev: int | None = None
     for mb in range(topology.num_microbatches):
         if not serial:
             prev = None
         src: _Visit | None = None
-        for direction, walk in (("fwd", visits), ("bwd", visits[::-1])):
-            for v in walk:
+        for direction, walk, walk_keys, pair_key in walks:
+            for v, key in zip(walk, walk_keys):
                 if src is not None and src.owner != v.owner:
                     send_kind, recv_kind = transfer
-                    key = (send_kind, direction)
-                    send, recv = next(ids), next(ids)
-                    for tid, kind, owner, lane, twin in (
-                        (send, send_kind, src.owner, SEND_LANE, recv),
-                        (recv, recv_kind, v.owner, RECV_LANE, send),
-                    ):
-                        tasks[tid] = Task(tid, kind, owner, lane, (prev,), mb,
-                                          src.layer, src.virtual_index, None, direction, twin)
-                    keys += (key, key)
-                    prev = recv
+                    send, recv = tid, tid + 1
+                    deps = (prev,)
+                    tasks[send] = new(Task, (send, send_kind, src.owner, SEND_LANE, deps, mb,
+                                             src.layer, src.virtual_index, None, direction, recv))
+                    tasks[recv] = new(Task, (recv, recv_kind, v.owner, RECV_LANE, deps, mb,
+                                             src.layer, src.virtual_index, None, direction, send))
+                    keys += (pair_key, pair_key)
+                    prev, tid = recv, tid + 2
                 compute = v.kind is TaskKind.FWD_COMPUTE
                 kind = TaskKind.BWD_COMPUTE if compute and direction == "bwd" else v.kind
-                tid = next(ids)
-                tasks[tid] = Task(tid, kind, v.owner, COMPUTE_LANE if compute else SEND_LANE,
-                                  () if prev is None else (prev,), mb, v.layer, v.virtual_index,
-                                  v.component, direction)
-                keys.append((v.key, direction))
-                prev, src = tid, v
+                tasks[tid] = new(Task, (tid, kind, v.owner, COMPUTE_LANE if compute else SEND_LANE,
+                                        () if prev is None else (prev,), mb, v.layer,
+                                        v.virtual_index, v.component, direction, None))
+                keys.append(key)
+                prev, src, tid = tid, v, tid + 1
 
 
 def graph_topology(exp: Experiment) -> Topology:

@@ -13,15 +13,22 @@ _CHUNK events; write_trace streams them to the file and export_trace_json
 joins the same pieces. Every time is checked before the first piece, so a
 time with no float value in microseconds raises SerializationError before a
 file is opened.
+
+The pieces are formatted from ScheduleTrace.timeline(), the events' parts in
+timeline order. For the trace simulate returns, those come straight from its
+run (tasks, starts, durations), so an export builds no TraceEvent; a graph
+has a few distinct durations, and each is written once per export.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import time
 from importlib import resources
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .sim import ScheduleTrace, TraceEvent
+from .sim import ScheduleTrace
 from .taskgraph import COMPUTE_LANE, RECV_LANE, SEND_LANE, Task
 
 
@@ -45,7 +52,8 @@ def trace_schema() -> dict:
 # runs its pure-Python encoder; filling templates gives the same bytes
 # several times faster. Every slot is a %s: _shape_template fills each
 # field that a task's shape fixes, once per shape, and puts a placeholder
-# in each of the others, which _format fills per event.
+# in each of the others, which _format fills per event, dur and ts with
+# the reprs of their floats.
 _EVENT_JSON = """\
  {
   "args": {
@@ -88,49 +96,56 @@ def _shape_template(task: Task, pid: int, has_layer: bool) -> str:
     name = kind[:-1] + (' mb%d L%d"' if has_layer else ' mb%d"')
     return _EVENT_JSON % (
         fixed(task.direction), kind, fixed(task.lane), "%d" if has_layer else "null", "%d",
-        fixed(task.owner), fixed(task.stream.value), "%d", "%d", "%r", name, pid,
-        _LANE_TID[task.lane], "%r",
+        fixed(task.owner), fixed(task.stream.value), "%d", "%d", "%s", name, pid,
+        _LANE_TID[task.lane], "%s",
     )
 
 
-def _chunks(trace: ScheduleTrace) -> Iterator[str]:
-    """export_trace_json's document in pieces of up to _CHUNK events.
+def _chunks(trace: ScheduleTrace) -> tuple[int, Iterator[str]]:
+    """The event count and export_trace_json's document in pieces of up to _CHUNK events.
 
     The times are checked here, before any piece is made. No start, end or
     duration exceeds in magnitude the width of [min(0, lowest time),
     max(0, highest time)], so if that width converts to a float in
     microseconds, they all do.
     """
-    events = trace.events
-    if events:
-        starts = [ev.start_ns for ev in events]
-        ends = [ev.end_ns for ev in events]
+    tasks, order, starts, durations = trace.timeline()
+    if starts:
+        ends = list(map(operator.add, starts, map(durations.__getitem__, order)))
         width = max(0, max(starts), max(ends)) - min(0, min(starts), min(ends))
         try:
             width / 1e3
         except OverflowError:
             raise SerializationError("a trace time has no float value in microseconds") from None
-    return _format(events)
+    return len(order), _format(tasks, order, starts, durations)
 
 
-def _format(events: tuple[TraceEvent, ...]) -> Iterator[str]:
-    """The pieces of _chunks, made without checking the times."""
-    if not events:
+def _format(tasks: tuple[Task, ...], order: Sequence[int], starts: list[int],
+            durations: list[int]) -> Iterator[str]:
+    """The pieces of _chunks for ScheduleTrace.timeline's parts, made without checking the times.
+
+    A graph has a few distinct durations, so each is written once.
+    """
+    if not order:
         yield "[]"
         return
-    pid_of = {owner: i for i, owner in enumerate(sorted({ev.task.owner for ev in events}))}
+    pid_of = {owner: i for i, owner in enumerate(sorted({task.owner for task in tasks}))}
+    dur_text = {d: repr(d / 1e3) for d in set(durations)}
     templates: dict[tuple, str] = {}
     head = "[\n"
-    for lo in range(0, len(events), _CHUNK):
+    last = ts = None  # the previous event's start and its text
+    for lo in range(0, len(order), _CHUNK):
         texts = []
-        for task, start, end in events[lo:lo + _CHUNK]:
-            tid, kind, owner, lane, _, mb, layer, vi, _, direction, _ = task
+        for k, start in zip(order[lo:lo + _CHUNK], starts[lo:lo + _CHUNK]):
+            tid, kind, owner, lane, _, mb, layer, vi, _, direction, _ = task = tasks[k]
             has_layer = layer is not None
             shape = (kind, direction, owner, lane, has_layer)
             template = templates.get(shape)
             if template is None:
                 template = templates[shape] = _shape_template(task, pid_of[owner], has_layer)
-            ts, dur = start / 1e3, (end - start) / 1e3
+            if start != last:  # events in timeline order often share their start
+                last, ts = start, repr(start / 1e3)
+            dur = dur_text[durations[k]]
             if has_layer:
                 texts.append(template % (layer, mb, tid, vi, dur, mb, layer, ts))
             else:
@@ -146,7 +161,7 @@ def export_trace_json(trace: ScheduleTrace) -> str:
 
     Raises SerializationError when a time has no float value in microseconds.
     """
-    return "".join(_chunks(trace))
+    return "".join(_chunks(trace)[1])
 
 
 def export_trace(trace: ScheduleTrace) -> list[dict]:
@@ -156,10 +171,25 @@ def export_trace(trace: ScheduleTrace) -> list[dict]:
 
 def write_trace(trace: ScheduleTrace, path: str) -> None:
     """Write export_trace_json(trace) to path, streamed in pieces of _CHUNK
-    events. A SerializationError is raised before path is opened."""
-    chunks = _chunks(trace)
+    events. A SerializationError is raised before path is opened.
+
+    With AFPIPE_LOG=DEBUG, logger afpipe.trace_io logs the events, bytes and
+    wall time of each write.
+    """
+    begin = time.perf_counter()
+    events, chunks = _chunks(trace)
+    size = 0  # the document is ASCII, so its length is its size in bytes
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
+        for chunk in chunks:
+            fh.write(chunk)
+            size += len(chunk)
+    # Imported here, as in sim._debug: a cold start that never logs skips it.
+    import logging
+
+    logging.getLogger("afpipe.trace_io").debug(
+        "write_trace: %d events, %d bytes in %.3f ms",
+        events, size, (time.perf_counter() - begin) * 1e3,
+    )
 
 
 def parse_trace_events(document: str | list) -> list[tuple[int, int, str]]:

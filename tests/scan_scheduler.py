@@ -19,11 +19,27 @@ from afpipe.sim import (
     SimResult,
     TraceEvent,
     _check_keys,
-    _check_task,
     exposed_comm,
     seconds,
 )
-from afpipe.taskgraph import COMPUTE_LANE, RECV_LANE, Task, TaskGraph, TaskKind
+from afpipe.taskgraph import (
+    COMPUTE_LANE, RECV_LANE, GraphConstructionError, Task, TaskGraph, TaskKind,
+)
+
+
+def _check_task(tasks: dict[int, Task], tid: int, lane: str,
+                deps: tuple[int, ...], twin_id: int | None) -> None:
+    """The checks SchedulePlan makes of each task, in the same order and words."""
+    for dep in deps:
+        if dep not in tasks:
+            raise CycleDetected(f"task {tid} depends on unknown task {dep}")
+    if twin_id is not None:
+        twin = tasks.get(twin_id)
+        paired = twin is not None and twin.twin == tid
+        if not paired or (twin.lane == RECV_LANE) == (lane == RECV_LANE):
+            raise GraphConstructionError(
+                f"task {tid} and its twin {twin_id} are not a send/recv pair"
+            )
 
 
 def simulate_scan(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:

@@ -46,6 +46,19 @@ def test_depth_zero_without_virtual_stages_exits_2(tmp_path, capsys):
     assert "pipeline_depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [
+    "[" + ", ".join(["0"] * 20_000) + "]",
+    "[" * 400 + "]" * 400,
+], ids=["20000-element-list", "nested-400-deep"])
+def test_long_rejected_value_ends_in_one_bounded_line(value, tmp_path, capsys):
+    bad = tmp_path / "long.yaml"
+    bad.write_text(TOY_TEXT.replace("layers: 4\n", f"layers: {value}\n", 1))
+    assert main(["simulate", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid value for model.layers: expected an integer, got [" in err
+    assert max(map(len, err.splitlines())) < 400
+
+
 @pytest.mark.parametrize("argv", [
     ["allocate", "--trials", "-1"],
     ["allocate", "--radius", "-1"],

@@ -106,8 +106,17 @@ def test_unknown_section_is_schema_violation():
 
 def test_non_integer_count_is_invalid():
     doc = DEEPSEEK_DOC.replace("layers: 28", "layers: twenty")
-    with pytest.raises(InvalidValue):
+    with pytest.raises(InvalidValue, match=r"expected an integer, got 'twenty'$"):
         parse_experiment(doc)
+
+
+def test_rejected_value_is_quoted_up_to_80_characters():
+    exact = "x" * 78  # its repr is 80 characters, which are quoted whole
+    longer = exact + "y"
+    for value, shown in ((exact, repr(exact)), (longer, repr(longer)[:80] + "...")):
+        with pytest.raises(InvalidValue) as exc:
+            parse_experiment(_with("model", "layers", value))
+        assert str(exc.value).endswith(f"expected an integer, got {shown}")
 
 
 def test_parse_is_deterministic():

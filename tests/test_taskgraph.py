@@ -280,3 +280,11 @@ def test_one_plan_retimes_every_point_of_its_topology(kind, config, virtual_stag
         assert makespan == trace.iteration_ns
         makespans.add(makespan)
     assert len(makespans) == 5
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda kind: kind.value)
+def test_each_distinct_key_is_one_object(kind):
+    exp = dataclasses.replace(load_experiment(str(DEEPSEEK)), schedule_kind=kind)
+    graph = build_task_graph(exp, default_allocation(exp))
+    assert len({id(key) for key in graph.keys}) == len(set(graph.keys)) < len(graph.keys)
+    assert all(type(task) is Task for task in graph.tasks.values())

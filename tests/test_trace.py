@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import logging
+import random
+import re
 from pathlib import Path
 
 import jsonschema
@@ -16,7 +19,7 @@ from afpipe.config import (
     Workload,
     load_experiment,
 )
-from afpipe.sim import ScheduleTrace, TraceEvent, simulate
+from afpipe.sim import ScheduleTrace, TraceEvent, check_schedule, simulate
 from afpipe.taskgraph import (
     COMPUTE_LANE,
     RECV_LANE,
@@ -248,11 +251,71 @@ def test_verbs_that_write_no_trace_build_no_events(argv, monkeypatch, capsys):
     assert made == []
 
 
-def test_simulate_trace_builds_one_event_per_task(monkeypatch, tmp_path, capsys):
+def test_simulate_trace_builds_no_events(monkeypatch, tmp_path, capsys):
+    # The export formats the trace straight from its run.
     made = _count_events(monkeypatch)
     path = tmp_path / "trace.json"
     assert cli.main(["simulate", "--config", str(CONFIGS / "toy.yaml"), "--trace", str(path)]) == 0
-    assert len(made) == len(json.loads(path.read_text())) > 0
+    assert made == []
+    assert len(json.loads(path.read_text())) > 0
+
+
+def _graph(config, kind):
+    exp = dataclasses.replace(load_experiment(str(CONFIGS / config)), schedule_kind=kind)
+    return build_task_graph(exp, default_allocation(exp) if kind is ScheduleKind.AFPIPE else None)
+
+
+def _tables(graph, seed):
+    """graph's own table, then two random ones over its keys with some zero durations."""
+    rng = random.Random(seed)
+    tables = [graph.table]
+    for _ in range(2):
+        durations = [rng.choice((0, rng.randrange(1, 10**7))) for _ in graph.table]
+        durations[0] = 0
+        tables.append({key: (duration, exposed)
+                       for (key, (_, exposed)), duration in zip(graph.table.items(), durations)})
+    return tables
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
+def test_lazy_trace_writes_the_bytes_of_its_eager_trace(config, kind, tmp_path):
+    graph = _graph(config, kind)
+    lazy_path, eager_path = tmp_path / "lazy.json", tmp_path / "eager.json"
+    for table in _tables(graph, f"{config} {kind.value}"):
+        point = dataclasses.replace(graph, table=table)
+        written, _ = simulate(point)
+        exported, _ = simulate(point)
+        write_trace(written, str(lazy_path))
+        text = export_trace_json(exported)
+        # The events still build, and correctly, after the run was written.
+        assert written.events == exported.events
+        assert check_schedule(point, written) == []
+        eager = ScheduleTrace(written.events, written.iteration_ns)
+        write_trace(eager, str(eager_path))
+        assert lazy_path.read_bytes() == eager_path.read_bytes() == text.encode()
+
+
+def test_lazy_time_without_a_float_value_is_a_serialization_error(tmp_path):
+    tasks, unit_tasks, starts, durations = _af_trace()._run
+    lazy = ScheduleTrace._of_run(tasks, unit_tasks, [10**400, *starts[1:]], durations, 10**400)
+    with pytest.raises(SerializationError, match="no float value"):
+        export_trace_json(lazy)
+    path = tmp_path / "trace.json"
+    with pytest.raises(SerializationError, match="no float value"):
+        write_trace(lazy, str(path))
+    assert not path.exists()
+
+
+def test_write_trace_logs_events_bytes_and_wall_time_at_debug(caplog, tmp_path):
+    trace = _af_trace()
+    path = tmp_path / "trace.json"
+    with caplog.at_level(logging.DEBUG, logger="afpipe"):
+        write_trace(trace, str(path))
+    [line] = [r.getMessage() for r in caplog.records if r.name == "afpipe.trace_io"]
+    assert re.fullmatch(rf"write_trace: 60 events, {path.stat().st_size} bytes in [0-9.]+ ms",
+                        line)
+    assert not [r for r in caplog.records if r.name == "afpipe.sim"]  # no timeline built
 
 
 def test_events_are_built_once_then_the_run_is_dropped(monkeypatch):
