@@ -11,6 +11,8 @@ validate() also bounds what a document can make the program build: every
 integer field is at most MAX_INT, layers * num_microbatches (the task count
 is linear in it) at most MAX_LAYER_MICROBATCHES, and total_gpus * total_nics
 (about the number of splits the allocator enumerates) at most MAX_GPUS_X_NICS.
+parse_experiment rejects a document longer than MAX_DOCUMENT_CHARS before
+parsing it, since the YAML parser's time grows with the text.
 """
 
 import enum
@@ -30,6 +32,10 @@ MAX_LAYER_MICROBATCHES = 2**15
 # Phase 1 enumerates (total_gpus - 1) * (total_nics - 1) splits; 2**17
 # admits 256 GPUs with 256 NICs.
 MAX_GPUS_X_NICS = 2**17
+# The bundled documents are under 1 KB, and the pure-Python YAML parser took
+# 8.9 s on a 600 KB document on a 2-CPU host, so a longer text is rejected
+# unparsed.
+MAX_DOCUMENT_CHARS = 2**17
 
 
 class ConfigError(Exception):
@@ -173,8 +179,13 @@ def parse_experiment(text: str) -> Experiment:
     """Parse an experiment document, apply defaults, and check all invariants.
 
     Raises MissingField, InvalidValue, or SchemaViolation; never returns a
-    partially populated Experiment.
+    partially populated Experiment. A text longer than MAX_DOCUMENT_CHARS
+    is a SchemaViolation, raised before it is parsed.
     """
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise SchemaViolation(
+            f"document of {len(text)} characters is over the {MAX_DOCUMENT_CHARS}-character limit"
+        )
     try:
         doc = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # 4301 digits, deep nesting

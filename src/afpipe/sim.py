@@ -45,16 +45,28 @@ costs a few heap operations, one per queue it touches, instead of a scan of
 every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each run's
 units, commits, heap pushes, stale pops and peak heap size; each simulate's
 wall time of plan, run and metrics, with whether the plan was built or
-reused and whether the run ran or hit the memo; and each timeline build's
-event count and wall time.
+reused and whether the run ran or hit the memo; each replicated plan's
+units, template units, micro-batches and wall time; and each timeline
+build's event count and wall time.
 
 Plan and run: nothing above but the start times reads a duration, and a
 task holds none: graph.keys names its entry of graph.table. So a
 SchedulePlan, built once per graph, holds the checked tasks, the units in
 tie-break order, their queues, lanes and 1F1B counters, the dependents, the
-initial dependency counts and the credits. SchedulePlan.run takes each
-task's duration, as durations_ns reads it from a table, and returns each
-unit's start and the makespan. SchedulePlan.chain_ns takes the same
+initial dependency counts and the credits. A built graph (one with a
+topology) is its one-micro-batch template (taskgraph.template_graph)
+repeated: the walk numbers tasks micro-batch by micro-batch and the
+tie-break order is micro-batch-major. So its plan is the template's,
+checked task by task, copied once per micro-batch with each task index
+shifted by the template's task count and each unit index by its unit
+count; the copies share the template's queues, lanes and credits, and a
+serial topology also makes each micro-batch's first unit wait for the
+last task of the one before. A graph without a topology is planned task
+by task. The timeline order ranks the template's tasks by (owner, lane,
+id) and spreads the ranks over the copies, and the Retimer counts keys
+and lanes over the template. SchedulePlan.run takes each task's duration,
+as durations_ns reads it from a table, and returns each unit's start and
+the makespan. SchedulePlan.chain_ns takes the same
 durations and returns the longest dependency chain over the units, a lower
 bound on run's makespan that ignores the lanes; the topological order it
 walks is built by its first call and kept.
@@ -85,10 +97,10 @@ check_schedule lists what a trace breaks of the scheduler's invariants.
 
 Errors: a negative table entry raises NegativeDuration; a dependency on an
 unknown task, or tasks the ready set never reaches (a cycle), CycleDetected;
-keys that do not give every task one table entry, or twins that are not one
-send and one receive side naming each other, GraphConstructionError; a
-makespan or sum of task times too large for a float in seconds,
-MakespanOverflow.
+keys that do not give every task one table entry, twins that are not one
+send and one receive side naming each other, or a built graph whose task
+count is not its topology's, GraphConstructionError; a makespan or sum of
+task times too large for a float in seconds, MakespanOverflow.
 """
 
 from __future__ import annotations
@@ -99,6 +111,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import ScheduleKind
@@ -106,6 +119,7 @@ from .costs import StageTimes, staged_layer_time
 from .placement import ATTN, FFN
 from .taskgraph import (
     COMPUTE_LANE, RECV_LANE, GraphConstructionError, Table, Task, TaskGraph, TaskKind,
+    template_graph,
 )
 
 
@@ -155,25 +169,29 @@ class ScheduleTrace:
     their events and iteration_ns are.
     """
 
-    __slots__ = ("_events", "_run", "iteration_ns")
+    __slots__ = ("_events", "_run", "_copies", "iteration_ns")
 
     def __init__(self, events: tuple[TraceEvent, ...], iteration_ns: int):
         self._events = events
         self._run: tuple | None = None
+        self._copies = 1
         self.iteration_ns = iteration_ns
 
     @classmethod
     def _of_run(cls, tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
-                starts: list[int], durations: list[int], makespan: int) -> ScheduleTrace:
+                starts: list[int], durations: list[int], makespan: int,
+                copies: int = 1) -> ScheduleTrace:
+        """The trace of a plan's run; copies, the plan's, lets the timeline rank one copy."""
         trace = cls((), makespan)
         trace._run = (tasks, unit_tasks, starts, durations)
+        trace._copies = copies
         return trace
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         if self._run is not None:
             begin = time.perf_counter()
-            self._events = _timeline(*self._run)
+            self._events = _timeline(*self._run, self._copies)
             self._run = None
             _debug("timeline: %d events in %.3f ms",
                    len(self._events), (time.perf_counter() - begin) * 1e3)
@@ -190,7 +208,7 @@ class ScheduleTrace:
             return (tuple(ev.task for ev in events), range(len(events)),
                     [ev.start_ns for ev in events], [ev.end_ns - ev.start_ns for ev in events])
         tasks, unit_tasks, starts, durations = self._run
-        return (tasks, *_timeline_order(tasks, unit_tasks, starts), durations)
+        return (tasks, *_timeline_order(tasks, unit_tasks, starts, self._copies), durations)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleTrace):
@@ -287,12 +305,41 @@ class SchedulePlan:
     lane, the units that depend on each task, each unit's dependency count and
     each owner's credit. None of these reads a duration, so one plan schedules
     the graph under any durations of its tasks: run() is the scheduler loop.
+
+    A graph of two or more micro-batches with a topology is planned from its
+    template (taskgraph.template_graph): the template's plan, whose checks
+    stand for every copy, copied copies times, one per micro-batch. Its tasks
+    must number copies times the template's, or GraphConstructionError is
+    raised. Any other graph is planned task by task, and copies is 1.
     run() resets and reuses the plan's queues, so one plan runs one schedule
     at a time. No queue refers to another, so nothing in a plan forms a
     reference cycle: a dropped plan is freed when its last reference goes.
     """
 
     def __init__(self, graph: TaskGraph):
+        copies = 0 if graph.topology is None else graph.topology.num_microbatches
+        if copies < 2:
+            self._build(graph)
+            self.copies = 1
+            return
+        begin = time.perf_counter()
+        template = template_graph(graph.topology)
+        size = len(template.tasks)
+        if len(graph.tasks) != copies * size:
+            raise GraphConstructionError(
+                f"{len(graph.tasks)} tasks, not the {copies} x {size} of the graph's topology"
+            )
+        _check_keys(graph)
+        self._build(template)
+        self._replicate(copies, size, graph.topology.serial)
+        self.tasks = tuple(graph.tasks.values())
+        self.copies = copies
+        _debug("plan: %d units from a %d-unit template x %d micro-batches in %.3f ms",
+               len(self.unit_tasks), len(self.unit_tasks) // copies, copies,
+               (time.perf_counter() - begin) * 1e3)
+
+    def _build(self, graph: TaskGraph) -> None:
+        """Plan graph task by task, checking each task's deps and twin."""
         _check_keys(graph)
         tasks = graph.tasks
         # graph.keys names one table entry per task, in this order.
@@ -392,6 +439,43 @@ class SchedulePlan:
                 for k in side:
                     task_lane[k] = lane
                     task_counter[k] = counter
+
+    def _replicate(self, copies: int, size: int, serial: bool) -> None:
+        """Turn the plan of one micro-batch's size tasks into the plan of copies micro-batches.
+
+        Copy m is the template with m * size added to each task index and
+        m * len(units) to each unit index; it shares the template's queues,
+        lanes, counters and credits. A serial topology also makes the first
+        unit of copy m depend on the last task of copy m - 1.
+        """
+        units = len(self.unit_tasks)
+        task_offsets = range(0, copies * size, size)
+        unit_offsets = range(0, copies * units, units)
+        # A walked unit is one task or a pair, and a walked task has at most
+        # one dependent unit: each task depends on the one before it, and the
+        # two sides of a pair on the same task. So each copy is one flat
+        # comprehension, a third of the cost of a nested one, which makes a
+        # call per task on Python 3.11.
+        assert all(len(d) <= 1 for d in self.dependents)
+        sides = [(u[0], u[1] if len(u) == 2 else None) for u in self.unit_tasks]
+        dependent = [d[0] if d else None for d in self.dependents]
+        self.unit_tasks = unit_tasks = []
+        self.dependents = dependents = []
+        for t, u in zip(task_offsets, unit_offsets):
+            unit_tasks += [(a + t,) if b is None else (a + t, b + t) for a, b in sides]
+            dependents += [[] if d is None else [d + u] for d in dependent]
+        self.unit_queue *= copies
+        self.remaining *= copies
+        self.task_lane *= copies
+        self.task_counter *= copies
+        if serial:
+            first = next(i for i, (a, _) in enumerate(sides) if a == 0)
+            for t, u in zip(task_offsets[1:], unit_offsets[1:]):
+                dependents[t - 1].append(first + u)
+                self.remaining[first + u] += 1
+        for q in self.queues:
+            q.units = [i + u for u in unit_offsets for i in q.units]
+            q.sides = tuple(tuple([k + t for t in task_offsets for k in side]) for side in q.sides)
 
     def run(self, durations: list[int]) -> tuple[list[int | None], int]:
         """Schedule every unit when its tasks take durations (ns, in tasks order).
@@ -564,8 +648,10 @@ class Retimer:
         self.plan = SchedulePlan(graph)
         self.graph = graph
         column: dict[tuple, int] = {}
-        # Each task's distinct key, numbered in order of first use.
-        self.columns = [column.setdefault(key, len(column)) for key in graph.keys]
+        # Each task's distinct key, numbered in order of first use, over the
+        # plan's first copy: every copy repeats its keys.
+        keys = graph.keys[:len(graph.keys) // self.plan.copies]
+        self.columns = [column.setdefault(key, len(column)) for key in keys]
         self.keys = tuple(column)
         self.runs: dict[tuple[int, ...], tuple[list[int | None], int]] = {}  # simulate's last two
         self.makespans: dict[tuple[int, ...], int] = {}
@@ -579,7 +665,7 @@ class Retimer:
 
     def durations(self, ns: tuple[int, ...]) -> list[int]:
         """Each task's duration (ns, in tasks order) when its distinct key takes ns."""
-        return list(map(ns.__getitem__, self.columns))
+        return list(map(ns.__getitem__, self.columns)) * self.plan.copies
 
     def makespan_ns(self, ns: tuple[int, ...]) -> int:
         """The makespan of the plan's run under ns: one plan run per distinct ns."""
@@ -598,12 +684,14 @@ class Retimer:
     def lane_bound_ns(self, ns: tuple[int, ...]) -> int:
         """The largest summed duration of one (owner, lane) under ns: a lower bound.
 
-        The first call counts each lane's tasks per distinct key (task_lane, columns).
+        The first call counts each lane's tasks per distinct key (task_lane,
+        columns) over the plan's first copy, each task once per copy.
         """
         if self._lane_rows is None:
+            copies = self.plan.copies
             self._lane_rows = [[0] * len(self.keys) for _ in self.plan.lane_owners]
             for lane, column in zip(self.plan.task_lane, self.columns):
-                self._lane_rows[lane][column] += 1
+                self._lane_rows[lane][column] += copies
         return max((sum(map(operator.mul, ns, row)) for row in self._lane_rows), default=0)
 
     def simulate(self, graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
@@ -638,7 +726,7 @@ class Retimer:
                (timed - planned) * 1e3, "ran" if ran else "memo hit",
                (time.perf_counter() - timed) * 1e3)
         trace = ScheduleTrace._of_run(self.plan.tasks, self.plan.unit_tasks, starts, durations,
-                                      makespan)
+                                      makespan, self.plan.copies)
         return trace, result
 
 
@@ -652,17 +740,44 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
 
 
 def _timeline_order(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
-                    starts: list[int]) -> tuple[list[int], list[int]]:
-    """A run's task indices ordered by (start, owner, lane, id), and their starts."""
+                    starts: list[int], copies: int = 1) -> tuple[list[int], list[int]]:
+    """A run's task indices ordered by (start, owner, lane, id), and their starts.
+
+    With copies > 1, tasks are copies micro-batch copies of their first
+    len(tasks) // copies, as in a replicated plan (SchedulePlan.copies):
+    task k + m * size has task k's owner and lane and id k + m * size.
+    """
     # With rank[k] the rank of task k under (owner, lane, id), that order is
     # the order of the ints start * n + rank[k], which sort without a tuple
     # per task. by_rank lists the task indices by rank: stable sorts on id,
     # then lane, then owner cost half of one sort on (owner, lane, id) tuples.
+    # They sort the first copy alone; in each (owner, lane) the ids of copy m
+    # follow those of copy m - 1.
     n = len(tasks)
-    by_rank = sorted(range(n), key=[t.id for t in tasks].__getitem__)
-    by_rank.sort(key=[t.lane for t in tasks].__getitem__)
-    by_rank.sort(key=[t.owner for t in tasks].__getitem__)
-    rank = sorted(range(n), key=by_rank.__getitem__)  # the inverse permutation
+    size = n // copies
+    first = tasks[:size]
+    by_rank = sorted(range(size), key=[t.id for t in first].__getitem__)
+    by_rank.sort(key=[t.lane for t in first].__getitem__)
+    by_rank.sort(key=[t.owner for t in first].__getitem__)
+    rank = sorted(range(size), key=by_rank.__getitem__)  # the inverse permutation
+    if copies > 1:
+        # Group g, the first copy's tasks of one (owner, lane), holds ranks
+        # lo..lo+c-1 of that copy. In the whole run, copies * lo tasks of
+        # earlier groups come before it, then m * c of its own from earlier
+        # copies: rank[k + m * size] = rank[k] + (copies - 1) * lo + m * c.
+        shift, step, spread, lo = [0] * size, [0] * size, [], 0
+        for _, group in groupby(by_rank, key=lambda k: (first[k].owner, first[k].lane)):
+            group = list(group)
+            for k in group:
+                shift[k], step[k] = (copies - 1) * lo, len(group)
+            spread += [k + m * size for m in range(copies) for k in group]
+            lo += len(group)
+        by_rank = spread
+        row = list(map(operator.add, rank, shift))
+        rank = row[:]
+        for _ in range(1, copies):
+            row = list(map(operator.add, row, step))
+            rank += row
     keys = sorted([
         begin * n + rank[k] for begin, members in zip(starts, unit_tasks) for k in members
     ])
@@ -671,9 +786,9 @@ def _timeline_order(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
 
 
 def _timeline(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
-              starts: list[int], durations: list[int]) -> tuple[TraceEvent, ...]:
+              starts: list[int], durations: list[int], copies: int = 1) -> tuple[TraceEvent, ...]:
     """One event per task of a run, in _timeline_order."""
-    order, begins = _timeline_order(tasks, unit_tasks, starts)
+    order, begins = _timeline_order(tasks, unit_tasks, starts, copies)
     ends = map(operator.add, begins, map(durations.__getitem__, order))
     return tuple(map(TraceEvent, map(tasks.__getitem__, order), begins, ends))
 

@@ -277,6 +277,21 @@ def _walk(graph: TaskGraph, topology: Topology) -> None:
                 prev, src, tid = tid, v, tid + 1
 
 
+def template_graph(topology: Topology) -> TaskGraph:
+    """The graph of topology's first micro-batch alone, with no table.
+
+    A graph of topology is num_microbatches copies of it: the walk numbers
+    tasks micro-batch by micro-batch, so task k of micro-batch m is the
+    template's task k with m times the template's size added to its id and
+    deps, and a serial topology's micro-batch m also depends on the last task
+    of micro-batch m - 1.
+    """
+    one = topology._replace(num_microbatches=1)
+    graph = TaskGraph(topology=one)
+    _walk(graph, one)
+    return graph
+
+
 def graph_topology(exp: Experiment) -> Topology:
     """The topology of exp's graph for its schedule kind; it reads no cost."""
     build = {ScheduleKind.AFPIPE: _build_afpipe, ScheduleKind.NAIVE_SEQUENTIAL: _build_naive}

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 
 from afpipe.cli import main
-from afpipe.config import SchemaViolation, load_experiment
+from afpipe.config import MAX_DOCUMENT_CHARS, SchemaViolation, load_experiment
 from afpipe.trace_io import trace_schema
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,6 +58,20 @@ def test_long_rejected_value_ends_in_one_bounded_line(value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid value for model.layers: expected an integer, got [" in err
     assert max(map(len, err.splitlines())) < 400
+
+
+def test_document_over_the_size_cap_exits_2_unparsed(tmp_path, capsys):
+    # A 200,000-element list makes a 600 KB document, which YAML took 8.9 s
+    # to parse; the cap rejects it from its length alone.
+    value = "[" + ", ".join(["0"] * 200_000) + "]"
+    bad = tmp_path / "huge.yaml"
+    bad.write_text(TOY_TEXT.replace("layers: 4\n", f"layers: {value}\n", 1))
+    size = len(bad.read_text())
+    begin = time.perf_counter()
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert time.perf_counter() - begin < 0.5
+    err = capsys.readouterr().err
+    assert f"document of {size} characters is over the {MAX_DOCUMENT_CHARS}-character limit" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,0 +1,120 @@
+"""A built graph's plan is its one-micro-batch template's plan, replicated.
+
+SchedulePlan plans a graph with a topology from template_graph and copies
+the plan once per micro-batch; a graph without one gets the general
+constructor, which is the reference here: the same graph with its topology
+dropped. The timeline order ranks the first copy's tasks and spreads the
+ranks over the copies.
+"""
+
+import logging
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from afpipe.allocator import default_allocation
+from afpipe.config import ScheduleKind, load_experiment
+from afpipe.sim import Retimer, SchedulePlan, _timeline_order, simulate
+from afpipe.taskgraph import GraphConstructionError, build_task_graph
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _graph(config, kind, microbatches):
+    base = load_experiment(str(CONFIGS / config))
+    exp = replace(base, schedule_kind=kind,
+                  workload=replace(base.workload, num_microbatches=microbatches))
+    return build_task_graph(exp, default_allocation(exp))
+
+
+def _fields(plan):
+    """Every field of plan as plain values, a queue as its index."""
+    def queues(qs):
+        return [q.index for q in qs]
+
+    return {
+        "tasks": plan.tasks,
+        "unit_tasks": plan.unit_tasks,
+        "unit_queue": queues(plan.unit_queue),
+        "remaining": plan.remaining,
+        "dependents": plan.dependents,
+        "credit": plan.credit,
+        "lane_owners": plan.lane_owners,
+        "queues": [(q.index, q.lanes, q.counters, q.units, q.sides, q.lane, q.other, q.owner,
+                    q.bwd) for q in plan.queues],
+        "owner_queues": [queues(qs) for qs in plan.owner_queues],
+        "neighbors": [queues(qs) for qs in plan.neighbors],
+        "task_lane": plan.task_lane,
+        "task_counter": plan.task_counter,
+    }
+
+
+@pytest.mark.parametrize("microbatches", [1, 2, 8, 32])
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
+def test_replicated_plan_equals_the_general_plan(config, kind, microbatches):
+    graph = _graph(config, kind, microbatches)
+    plan = SchedulePlan(graph)
+    assert plan.copies == (microbatches if microbatches > 1 else 1)
+    general = SchedulePlan(replace(graph, topology=None))
+    assert general.copies == 1
+    replicated, reference = _fields(plan), _fields(general)
+    for name in reference:  # field by field, for a readable failure
+        assert replicated[name] == reference[name], name
+
+
+def test_naive_links_each_microbatch_to_the_last_task_of_the_one_before():
+    graph = _graph("toy.yaml", ScheduleKind.NAIVE_SEQUENTIAL, 3)
+    plan = SchedulePlan(graph)
+    size, units = len(graph) // 3, len(plan.unit_tasks) // 3
+    [first] = [i for i, members in enumerate(plan.unit_tasks) if members == (0,)]
+    assert plan.remaining[first] == 0
+    for m in (1, 2):
+        assert plan.unit_tasks[first + m * units] == (m * size,)
+        assert plan.remaining[first + m * units] == 1
+        assert plan.dependents[m * size - 1] == [first + m * units]
+    assert plan.dependents[3 * size - 1] == []
+
+
+@pytest.mark.parametrize("microbatches,kinds", [
+    (32, list(ScheduleKind)),
+    (128, [ScheduleKind.AFPIPE]),
+], ids=["32", "128"])
+def test_template_rank_equals_the_three_sort_rank(microbatches, kinds):
+    for kind in kinds:
+        graph = _graph("deepseek_moe.yaml", kind, microbatches)
+        retimer = Retimer(graph)
+        tasks, unit_tasks = retimer.plan.tasks, retimer.plan.unit_tasks
+        starts, _ = retimer.plan.run(retimer.durations(retimer.ns(graph.table)))
+        assert retimer.plan.copies == microbatches
+        assert (_timeline_order(tasks, unit_tasks, starts, microbatches)
+                == _timeline_order(tasks, unit_tasks, starts)), kind
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda g: g.tasks.pop(len(g) - 1),
+    lambda g: setattr(g, "tasks", _graph("toy.yaml", ScheduleKind.AFPIPE, 2).tasks),
+], ids=["task-removed", "tasks-of-another-count"])
+def test_built_graph_whose_tasks_left_its_topology_is_rejected(tamper):
+    graph = _graph("toy.yaml", ScheduleKind.AFPIPE, 3)
+    tamper(graph)
+    message = rf"{len(graph)} tasks, not the 3 x {len(graph.keys) // 3} of the graph's topology"
+    with pytest.raises(GraphConstructionError, match=re.escape(message)):
+        SchedulePlan(graph)
+    with pytest.raises(GraphConstructionError, match=re.escape(message)):
+        simulate(graph)
+
+
+def test_replicated_plan_logs_its_template_at_debug(caplog):
+    graph = _graph("toy.yaml", ScheduleKind.AFPIPE, 4)
+    with caplog.at_level(logging.DEBUG, logger="afpipe.sim"):
+        plan = SchedulePlan(graph)
+        SchedulePlan(replace(graph, topology=None))  # a general plan logs none
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "afpipe.sim" and r.getMessage().startswith("plan: ")]
+    units = len(plan.unit_tasks)
+    assert len(lines) == 1
+    assert re.fullmatch(rf"plan: {units} units from a {units // 4}-unit template x 4 "
+                        r"micro-batches in \d+\.\d{3} ms", lines[0]), lines
