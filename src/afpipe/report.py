@@ -31,7 +31,7 @@ def run_schedule(
 ) -> tuple[ScheduleTrace, SimResult]:
     """Build the task graph for one kind, then simulate it.
 
-    With a retimer, a graph of the retimer's kept topology shares its tasks
+    With a retimer, a graph of the retimer's kept topology shares its walk
     and is re-timed on its plan, a memo hit when its durations repeat; a
     graph of another topology is planned and kept instead.
     """

@@ -53,41 +53,45 @@ Plan and run: nothing above but the start times reads a duration, and a
 task holds none: graph.keys names its entry of graph.table. So a
 SchedulePlan, built once per graph, holds the checked tasks, the units in
 tie-break order, their queues, lanes and 1F1B counters, the dependents, the
-initial dependency counts and the credits. A built graph (one with a
-topology) is its one-micro-batch template (taskgraph.template_graph)
+initial dependency counts and the graph's credits. A built graph (one with
+a topology) is its one-micro-batch template (taskgraph.Walk.template)
 repeated: the walk numbers tasks micro-batch by micro-batch and the
 tie-break order is micro-batch-major. So its plan is the template's,
 checked task by task, copied once per micro-batch with each task index
-shifted by the template's task count and each unit index by its unit
-count; the copies share the template's queues, lanes and credits, and a
-serial topology also makes each micro-batch's first unit wait for the
-last task of the one before. A graph without a topology is planned task
-by task. The timeline order ranks the template's tasks by (owner, lane,
-id) and spreads the ranks over the copies, and the Retimer counts keys
-and lanes over the template. SchedulePlan.run takes each task's duration,
-as durations_ns reads it from a table, and returns each unit's start and
-the makespan. SchedulePlan.chain_ns takes the same
-durations and returns the longest dependency chain over the units, a lower
-bound on run's makespan that ignores the lanes; the topological order it
-walks is built by its first call and kept.
+shifted by the template's task count and each unit index by its unit count;
+the copies share the template's queues, lanes and credits, and a serial
+topology also makes each micro-batch's first unit wait for the last task of
+the one before. Neither the plan nor its run reads a Task of the graph's
+own: those are walked only when graph.tasks or plan.tasks is first read. A
+graph without a topology is planned task by task. The timeline order ranks
+the template's tasks by (owner, lane, id) and spreads the ranks over the
+copies, and the Retimer counts keys and lanes over the template.
+SchedulePlan.run takes each task's duration, as durations_ns reads it from
+a table, and returns each unit's start and the makespan.
+SchedulePlan.chain_ns takes the same durations and returns the longest
+dependency chain over the units, a lower bound on run's makespan that
+ignores the lanes; the topological order it walks is built by its first
+call and kept.
 
 A Retimer keeps one graph and its plan and runs the plan under the table of
-any graph that shares the kept graph's tasks: the graphs of one topology
-(taskgraph.Topology), which differ only in table and total_flops. A table
-reaches a run only through its durations over the graph's distinct keys, so
-runs are memoized on those. simulate is a new Retimer's one run under the
-graph's table, and its metrics come straight from the run: the units of a
-queue share their lanes, so per queue their starts and durations give each
-owner's first activity and compute time and the spans whose union sets the
-exposed communication, a send/recv pair being one span. The trace it
-returns builds its timeline, one TraceEvent per task, only when its events
-are read, as by check_schedule; trace_io.write_trace formats the same order
-from the run (ScheduleTrace.timeline) and builds none, and sweep and compare
-read neither. sweep and compare run every schedule of a call on one
-Retimer, so each topology is planned once and re-timed per point; the
-metrics, which read the point's table and total_flops, are computed per
-point. The Retimer's one index of the distinct keys also gives both lower
-bounds on a makespan under ns: chain_ns, the longest dependency chain, and
+any graph that shares the kept graph's walk, or hand-built its tasks, and
+its keys: the graphs of one topology (taskgraph.Topology), which differ
+only in table and total_flops. A table reaches a run only through its
+durations over the graph's distinct keys, so runs are memoized on those.
+simulate is a new Retimer's one run under the graph's table, and its
+metrics come straight from the run: the units of a queue share their lanes,
+so per queue their starts and durations give each owner's first activity
+and compute time and the spans whose union sets the exposed communication,
+a send/recv pair being one span. The trace it returns holds the template's
+tasks and the run; it builds its timeline, one TraceEvent per task of the
+graph's tasks, only when its events are read, as by check_schedule;
+trace_io.write_trace formats the same order from the template and the run
+(ScheduleTrace.timeline) and builds none, and sweep and compare read
+neither. sweep and compare run every schedule of a call on one Retimer, so
+each topology is planned once and re-timed per point; the metrics, which
+read the point's table and total_flops, are computed per point. The
+Retimer's one index of the distinct keys also gives both lower bounds on a
+makespan under ns: chain_ns, the longest dependency chain, and
 lane_bound_ns, the largest summed duration of one (owner, lane).
 critical_path_ns, resource_bound_ns and check_schedule read them from a new
 Retimer. The allocator re-times one Retimer per experiment under each
@@ -119,7 +123,6 @@ from .costs import StageTimes, staged_layer_time
 from .placement import ATTN, FFN
 from .taskgraph import (
     COMPUTE_LANE, RECV_LANE, GraphConstructionError, Table, Task, TaskGraph, TaskKind,
-    template_graph,
 )
 
 
@@ -163,36 +166,58 @@ class ScheduleTrace:
     its makespan, iteration_ns.
 
     ScheduleTrace(events, iteration_ns) holds the events it is given. The
-    trace simulate returns holds its run instead and builds the events when
-    they are first read, then drops the run; timeline() gives the events'
-    parts in the same order without building them. Two traces are equal when
+    trace simulate returns holds its run instead: the tasks of one copy of
+    its plan (SchedulePlan.copies), the units, starts and durations of every
+    copy, and the graph. It builds the events, reading the graph's tasks,
+    when they are first read, then drops the run; timeline() gives the
+    events' parts in the same order without building them. The order is
+    sorted once, by whichever reads it first. Two traces are equal when
     their events and iteration_ns are.
     """
 
-    __slots__ = ("_events", "_run", "_copies", "iteration_ns")
+    __slots__ = ("_events", "_run", "_graph", "_order", "iteration_ns")
 
     def __init__(self, events: tuple[TraceEvent, ...], iteration_ns: int):
         self._events = events
         self._run: tuple | None = None
-        self._copies = 1
+        self._graph: TaskGraph | None = None
+        self._order: tuple[list[int], list[int]] | None = None
         self.iteration_ns = iteration_ns
 
     @classmethod
     def _of_run(cls, tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
                 starts: list[int], durations: list[int], makespan: int,
-                copies: int = 1) -> ScheduleTrace:
-        """The trace of a plan's run; copies, the plan's, lets the timeline rank one copy."""
+                graph: TaskGraph | None = None) -> ScheduleTrace:
+        """The trace of a plan's run.
+
+        tasks are one copy's tasks, and the copies number len(durations) //
+        len(tasks). The events show graph's tasks, or tasks when no graph is
+        given.
+        """
         trace = cls((), makespan)
         trace._run = (tasks, unit_tasks, starts, durations)
-        trace._copies = copies
+        trace._graph = graph
         return trace
+
+    def _run_order(self) -> tuple[list[int], list[int]]:
+        """The run's task indices in timeline order and their starts (_timeline_order)."""
+        if self._order is None:
+            tasks, unit_tasks, starts, durations = self._run
+            copies = len(durations) // len(tasks) if tasks else 1
+            self._order = _timeline_order(tasks, unit_tasks, starts, copies)
+        return self._order
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         if self._run is not None:
             begin = time.perf_counter()
-            self._events = _timeline(*self._run, self._copies)
-            self._run = None
+            tasks, _, _, durations = self._run
+            order, begins = self._run_order()
+            if self._graph is not None:
+                tasks = tuple(self._graph.tasks.values())
+            ends = map(operator.add, begins, map(durations.__getitem__, order))
+            self._events = tuple(map(TraceEvent, map(tasks.__getitem__, order), begins, ends))
+            self._run = self._graph = self._order = None
             _debug("timeline: %d events in %.3f ms",
                    len(self._events), (time.perf_counter() - begin) * 1e3)
         return self._events
@@ -200,15 +225,17 @@ class ScheduleTrace:
     def timeline(self) -> tuple[tuple[Task, ...], Sequence[int], list[int], list[int]]:
         """The events' parts, (tasks, order, starts, durations), built from the run if held.
 
-        Event i is task tasks[order[i]], starting at starts[i] and lasting
-        durations[order[i]] ns. Reading it builds no TraceEvent.
+        With size = len(tasks), event i is copy order[i] // size of task
+        tasks[order[i] % size]: that task with order[i] // size added to its
+        micro-batch and size times as much to its id. It starts at starts[i]
+        and lasts durations[order[i]] ns. Reading it builds no TraceEvent.
         """
         if self._run is None:
             events = self._events
             return (tuple(ev.task for ev in events), range(len(events)),
                     [ev.start_ns for ev in events], [ev.end_ns - ev.start_ns for ev in events])
-        tasks, unit_tasks, starts, durations = self._run
-        return (tasks, *_timeline_order(tasks, unit_tasks, starts, self._copies), durations)
+        tasks, _, _, durations = self._run
+        return (tasks, *self._run_order(), durations)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleTrace):
@@ -249,7 +276,7 @@ def durations_ns(keys: Iterable[tuple], table: Table) -> list[int]:
 
 
 def _check_keys(graph: TaskGraph) -> None:
-    if len(graph.keys) != len(graph.tasks):
+    if len(graph.keys) != len(graph):
         raise GraphConstructionError(f"{len(graph.keys)} duration keys for {len(graph)} tasks")
 
 
@@ -306,44 +333,55 @@ class SchedulePlan:
     each owner's credit. None of these reads a duration, so one plan schedules
     the graph under any durations of its tasks: run() is the scheduler loop.
 
-    A graph of two or more micro-batches with a topology is planned from its
-    template (taskgraph.template_graph): the template's plan, whose checks
+    A graph of one or more micro-batches with a topology is planned from its
+    walk's template (taskgraph.Walk): the template's plan, whose checks
     stand for every copy, copied copies times, one per micro-batch. Its tasks
     must number copies times the template's, or GraphConstructionError is
-    raised. Any other graph is planned task by task, and copies is 1.
+    raised; it counts them only once they were read (len(graph)), and
+    otherwise reads none. Any other graph is planned task by task, and
+    copies is 1. template_tasks holds one copy's tasks; tasks, every task
+    in the graph's order, is built from the graph on its first read. Every
+    plan takes each owner's credit from graph.credits.
     run() resets and reuses the plan's queues, so one plan runs one schedule
     at a time. No queue refers to another, so nothing in a plan forms a
     reference cycle: a dropped plan is freed when its last reference goes.
     """
 
     def __init__(self, graph: TaskGraph):
-        copies = 0 if graph.topology is None else graph.topology.num_microbatches
-        if copies < 2:
-            self._build(graph)
+        walked = graph.topology is not None and graph.walk is not None
+        copies = graph.topology.num_microbatches if walked else 0
+        if copies < 1:
+            self._build(graph, graph.credits)
             self.copies = 1
             return
         begin = time.perf_counter()
-        template = template_graph(graph.topology)
-        size = len(template.tasks)
-        if len(graph.tasks) != copies * size:
+        template = graph.walk.template
+        size = len(template.keys)
+        if len(graph) != copies * size:
             raise GraphConstructionError(
-                f"{len(graph.tasks)} tasks, not the {copies} x {size} of the graph's topology"
+                f"{len(graph)} tasks, not the {copies} x {size} of the graph's topology"
             )
         _check_keys(graph)
-        self._build(template)
-        self._replicate(copies, size, graph.topology.serial)
-        self.tasks = tuple(graph.tasks.values())
+        self._build(template, graph.credits)
+        if copies > 1:
+            self._replicate(copies, size, graph.topology.serial)
         self.copies = copies
+        self._graph = graph
         _debug("plan: %d units from a %d-unit template x %d micro-batches in %.3f ms",
                len(self.unit_tasks), len(self.unit_tasks) // copies, copies,
                (time.perf_counter() - begin) * 1e3)
 
-    def _build(self, graph: TaskGraph) -> None:
+    @cached_property
+    def tasks(self) -> tuple[Task, ...]:
+        """Every task of the graph, in its order; a replicated plan reads graph.tasks."""
+        return self.template_tasks if self.copies == 1 else tuple(self._graph.tasks.values())
+
+    def _build(self, graph: TaskGraph, credits: dict[str, int]) -> None:
         """Plan graph task by task, checking each task's deps and twin."""
         _check_keys(graph)
         tasks = graph.tasks
         # graph.keys names one table entry per task, in this order.
-        self.tasks = ordered = tuple(tasks.values())
+        self.template_tasks = ordered = tuple(tasks.values())
         index = dict(zip(tasks, range(len(ordered))))
         # A schedulable unit is a lone task or a send/recv pair keyed by its
         # send side; the receive side is committed together with its twin.
@@ -413,7 +451,7 @@ class SchedulePlan:
             for dep in deps:
                 dependents[index[dep]].append(i)
 
-        self.credit = [graph.credits.get(owner, 1) for owner in owner_index]
+        self.credit = [credits.get(owner, 1) for owner in owner_index]
         self.lane_owners = [owner for owner, _ in lane_index]
         self.queues = tuple(queues.values())
         lane_queues: list[list[_Queue]] = [[] for _ in lane_index]
@@ -624,8 +662,9 @@ class Retimer:
     table gives every key the durations of an earlier point's is a memo
     hit. simulate remembers its last two runs; makespan_ns remembers every
     makespan. simulate(graph) plans graph unless it shares the kept graph's
-    tasks and keys (build_task_graph(..., like=retimer.graph) builds such a
-    graph for a point of the kept topology). A graph of another topology
+    tasks (TaskGraph.shares_tasks, which reads no Task;
+    build_task_graph(..., like=retimer.graph) builds such a graph for a
+    point of the kept topology). A graph of another topology
     replaces the kept one, so at most one plan is alive. The metrics read the
     point's table, total_flops and cluster, so simulate computes them every
     call.
@@ -701,8 +740,7 @@ class Retimer:
         CycleDetected when the ready set empties with tasks unplaced.
         """
         begin = time.perf_counter()
-        built = (self.graph is None or graph.tasks is not self.graph.tasks
-                 or graph.keys is not self.graph.keys)
+        built = self.graph is None or not graph.shares_tasks(self.graph)
         if built:
             self._keep(graph)
         planned = time.perf_counter()
@@ -725,8 +763,8 @@ class Retimer:
                (planned - begin) * 1e3, "built" if built else "reused",
                (timed - planned) * 1e3, "ran" if ran else "memo hit",
                (time.perf_counter() - timed) * 1e3)
-        trace = ScheduleTrace._of_run(self.plan.tasks, self.plan.unit_tasks, starts, durations,
-                                      makespan, self.plan.copies)
+        trace = ScheduleTrace._of_run(self.plan.template_tasks, self.plan.unit_tasks, starts,
+                                      durations, makespan, graph)
         return trace, result
 
 
@@ -743,9 +781,10 @@ def _timeline_order(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
                     starts: list[int], copies: int = 1) -> tuple[list[int], list[int]]:
     """A run's task indices ordered by (start, owner, lane, id), and their starts.
 
-    With copies > 1, tasks are copies micro-batch copies of their first
-    len(tasks) // copies, as in a replicated plan (SchedulePlan.copies):
-    task k + m * size has task k's owner and lane and id k + m * size.
+    With n the run's task count, only the first size = n // copies of tasks
+    are read: as in a replicated plan (SchedulePlan.copies), task k + m * size
+    has task k's owner and lane and id k + m * size. So tasks may be the
+    run's tasks or one copy's.
     """
     # With rank[k] the rank of task k under (owner, lane, id), that order is
     # the order of the ints start * n + rank[k], which sort without a tuple
@@ -753,7 +792,7 @@ def _timeline_order(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
     # then lane, then owner cost half of one sort on (owner, lane, id) tuples.
     # They sort the first copy alone; in each (owner, lane) the ids of copy m
     # follow those of copy m - 1.
-    n = len(tasks)
+    n = sum(map(len, unit_tasks))
     size = n // copies
     first = tasks[:size]
     by_rank = sorted(range(size), key=[t.id for t in first].__getitem__)
@@ -785,14 +824,6 @@ def _timeline_order(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
             list(map(n.__rfloordiv__, keys)))
 
 
-def _timeline(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
-              starts: list[int], durations: list[int], copies: int = 1) -> tuple[TraceEvent, ...]:
-    """One event per task of a run, in _timeline_order."""
-    order, begins = _timeline_order(tasks, unit_tasks, starts, copies)
-    ends = map(operator.add, begins, map(durations.__getitem__, order))
-    return tuple(map(TraceEvent, map(tasks.__getitem__, order), begins, ends))
-
-
 def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
              durations: list[int], makespan: int) -> SimResult:
     """The run metrics of plan's run: unit starts and makespan under durations.
@@ -802,7 +833,7 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
     once. A send/recv pair is one communication span.
     """
     iteration = seconds(makespan)
-    if not plan.tasks:
+    if not plan.unit_tasks:
         return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, {})
 
     lane_owners = plan.lane_owners

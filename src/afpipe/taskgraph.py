@@ -30,17 +30,27 @@ a chunk with staged_layer_time. Event math is in integer nanoseconds.
 
 A graph's tasks, keys and credits come from its topology: the walk's own
 inputs (a Topology), which graph_topology reads from the experiment alone.
-topology_graph walks one into a graph with no table; build_task_graph adds
-the table and total_flops, and given a graph of the same topology (like=)
-shares its tasks instead of walking them again. megatron1f1b and chunked
-have one topology at every point, and seq_len, topk, ep_size and the
-GPU/NIC split change only the table and total_flops.
+Every micro-batch walks the same visits, so a graph of a topology is its
+one-micro-batch template (template_graph) repeated. topology_graph walks
+that template once into a Walk and gives the graph no table: its keys are
+the template's times the micro-batch count, and its tasks, every Task of
+every micro-batch, are walked only when first read (by check_schedule,
+tests or dataclasses.replace; the scheduler and the trace writer read the
+template). build_task_graph adds the table and total_flops, and given a
+graph of the same topology (like=) shares its Walk instead of walking
+again, so graphs of one topology share one template and one task dict.
+megatron1f1b and chunked have one topology at every point, and seq_len,
+topk, ep_size and the GPU/NIC split change only the table and total_flops.
+With AFPIPE_LOG=DEBUG, logger afpipe.taskgraph logs each build's task
+count, template tasks, whether the template was walked or shared, and wall
+time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -136,7 +146,15 @@ class Topology(NamedTuple):
 
 @dataclass
 class TaskGraph:
-    tasks: dict[int, Task] = field(default_factory=dict)
+    """A task DAG: its tasks by id, each task's table key, and the table.
+
+    tasks is a property. A hand-built graph holds the tasks it is given; a
+    built one (build_task_graph) holds its topology's Walk, which it may
+    share with the graphs of that topology, and reads the Walk's tasks,
+    walked on the first read of any of them. Its keys are the Walk's.
+    """
+
+    tasks: dict[int, Task] | None = None  # see _graph_tasks
     keys: list[tuple] = field(default_factory=list)  # each task's table key, in tasks order
     table: Table = field(default_factory=dict)  # the duration_table it was built under
     credits: dict[str, int] = field(default_factory=dict)
@@ -144,9 +162,61 @@ class TaskGraph:
     world_gpus: int = 0
     gpu_peak: float = 0.0
     topology: Topology | None = None  # what the tasks were walked from, when built
+    walk: Walk | None = field(default=None, repr=False, compare=False)  # shared when built
+
+    def __post_init__(self) -> None:
+        if self._tasks is None and self.walk is None:
+            self._tasks = {}
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        """The task count: of the tasks once read, of the keys until then."""
+        return len(self.keys) if self._tasks is None else len(self._tasks)
+
+    def shares_tasks(self, other: TaskGraph) -> bool:
+        """Whether other has this graph's keys, walk and tasks, the same objects.
+
+        It reads no Task: two graphs of one Walk share it until the tasks of
+        one of them are read or set.
+        """
+        return self.keys is other.keys and self.walk is other.walk and self._tasks is other._tasks
+
+
+def _graph_tasks(graph: TaskGraph) -> dict[int, Task]:
+    """graph's tasks by id: those it was given, or its walk's, walked on first read."""
+    if graph._tasks is None:
+        graph._tasks = graph.walk.tasks
+    return graph._tasks
+
+
+def _set_graph_tasks(graph: TaskGraph, tasks: dict[int, Task] | None) -> None:
+    graph._tasks = tasks
+
+
+TaskGraph.tasks = property(_graph_tasks, _set_graph_tasks)
+
+
+class Walk:
+    """A topology's walk, shared by the graphs built from it (build_task_graph's like=).
+
+    template, the graph of one micro-batch (template_graph), is walked when
+    the Walk is made; keys repeats its keys once per micro-batch, each
+    distinct key one object. tasks, every micro-batch's Task by id, is
+    walked on its first read.
+    """
+
+    __slots__ = ("topology", "template", "keys", "_tasks")
+
+    def __init__(self, topology: Topology):
+        self.topology = topology
+        self.template = template_graph(topology)
+        self.keys = self.template.keys * topology.num_microbatches
+        self._tasks: dict[int, Task] | None = None
+
+    @property
+    def tasks(self) -> dict[int, Task]:
+        if self._tasks is None:
+            self._tasks = _walk(self.topology)[0]
+        return self._tasks
 
 
 def _ns(seconds: float) -> int:
@@ -222,13 +292,14 @@ def duration_table(exp: Experiment, vt: StageTimes) -> Table:
     return table
 
 
-def _walk(graph: TaskGraph, topology: Topology) -> None:
-    """Add every micro-batch's forward walk over topology's visits, then the reversed walk.
+def _walk(topology: Topology) -> tuple[dict[int, Task], list[tuple]]:
+    """The tasks by id and the keys of every micro-batch's forward walk over
+    topology's visits, then of its reversed walk.
 
     Each task depends on the one before it. Consecutive visits on different
     owners are joined by a send/recv pair of the transfer kinds that carries
     the source visit's layer and virtual index and shares its deps (the
-    simulator enforces a common start). graph.keys records each task's key,
+    simulator enforces a common start). The keys name each task's key,
     (visit key or send kind, direction); each distinct key is one object,
     made once per walk. A serial topology chains each micro-batch behind the
     previous one.
@@ -236,8 +307,8 @@ def _walk(graph: TaskGraph, topology: Topology) -> None:
     Task's field order: that skips Task.__new__, a Python-level call.
     """
     visits, transfer, serial = topology.visits, topology.transfer, topology.serial
-    graph.credits = dict(topology.credits)
-    tasks, keys = graph.tasks, graph.keys
+    tasks: dict[int, Task] = {}
+    keys: list[tuple] = []
     new = tuple.__new__
     interned: dict[tuple, tuple] = {}
 
@@ -275,6 +346,7 @@ def _walk(graph: TaskGraph, topology: Topology) -> None:
                                         v.virtual_index, v.component, direction, None))
                 keys.append(key)
                 prev, src, tid = tid, v, tid + 1
+    return tasks, keys
 
 
 def template_graph(topology: Topology) -> TaskGraph:
@@ -287,9 +359,8 @@ def template_graph(topology: Topology) -> TaskGraph:
     of micro-batch m - 1.
     """
     one = topology._replace(num_microbatches=1)
-    graph = TaskGraph(topology=one)
-    _walk(graph, one)
-    return graph
+    tasks, keys = _walk(one)
+    return TaskGraph(tasks, keys, credits=dict(one.credits), topology=one)
 
 
 def graph_topology(exp: Experiment) -> Topology:
@@ -299,19 +370,18 @@ def graph_topology(exp: Experiment) -> Topology:
 
 
 def topology_graph(exp: Experiment, like: TaskGraph | None = None) -> TaskGraph:
-    """exp's graph with an empty table and no total_flops: its topology walked.
+    """exp's graph with an empty table and no total_flops: its topology's Walk.
 
     When like was built from the same topology, the graph shares like's
-    tasks, keys and credits (the same objects) instead of walking.
+    walk, keys and credits (the same objects) instead of walking.
     """
     topology = graph_topology(exp)
-    graph = TaskGraph(world_gpus=exp.cluster.total_gpus, gpu_peak=exp.cluster.gpu_peak,
-                      topology=topology)
     if like is not None and like.topology == topology:
-        graph.tasks, graph.keys, graph.credits = like.tasks, like.keys, like.credits
+        walk, credits = like.walk, like.credits
     else:
-        _walk(graph, topology)
-    return graph
+        walk, credits = Walk(topology), dict(topology.credits)
+    return TaskGraph(keys=walk.keys, credits=credits, world_gpus=exp.cluster.total_gpus,
+                     gpu_peak=exp.cluster.gpu_peak, topology=topology, walk=walk)
 
 
 def build_task_graph(exp: Experiment, alloc=None, *, like: TaskGraph | None = None) -> TaskGraph:
@@ -320,8 +390,9 @@ def build_task_graph(exp: Experiment, alloc=None, *, like: TaskGraph | None = No
     The disaggregated schedule needs an allocation; the baselines ignore it.
     Group g of each side serves layers {g, g+p, ...} (placement.assign_layers).
     num_microbatches == 0 yields an empty graph. A graph like of exp's
-    topology lends its tasks (topology_graph).
+    topology lends its walk (topology_graph).
     """
+    begin = time.perf_counter()
     lc = layer_costs(exp.model, exp.workload, exp.ep_size)
     graph = topology_graph(exp, like)
     graph.table = duration_table(exp, visit_times(exp, lc, alloc))
@@ -330,6 +401,15 @@ def build_task_graph(exp: Experiment, alloc=None, *, like: TaskGraph | None = No
         * exp.model.layers
         * exp.workload.num_microbatches
         * (1.0 + BACKWARD_MULTIPLIER)
+    )
+    # Imported here, as in sim._debug: a cold start that never logs skips it.
+    import logging
+
+    logging.getLogger("afpipe.taskgraph").debug(
+        "build: %d tasks from a %d-task template (%s) in %.3f ms",
+        len(graph), len(graph.walk.template.keys),
+        "shared" if like is not None and graph.walk is like.walk else "walked",
+        (time.perf_counter() - begin) * 1e3,
     )
     return graph
 

@@ -6,18 +6,20 @@ group, timestamps and durations in microseconds. The shipped JSON schema
 (schemas/trace_event.schema.json) pins the exact document shape.
 
 The bytes are those of json.dumps(events, indent=1, sort_keys=True), made
-from templates: a task's shape, (kind, direction, owner, lane), fixes eight
-of an event's fields, so each shape's template is filled with them once and
-an event formats only its own numbers. The document is made in pieces of
-_CHUNK events; write_trace streams them to the file and export_trace_json
-joins the same pieces. Every time is checked before the first piece, so a
-time with no float value in microseconds raises SerializationError before a
-file is opened.
-
-The pieces are formatted from ScheduleTrace.timeline(), the events' parts in
-timeline order. For the trace simulate returns, those come straight from its
-run (tasks, starts, durations), so an export builds no TraceEvent; a graph
-has a few distinct durations, and each is written once per export.
+from templates. The pieces are formatted from ScheduleTrace.timeline(), the
+events' parts in timeline order: one copy's tasks, each event's index into
+the copies, its start, and the durations. For the trace simulate returns,
+those come straight from its run, one copy being the one-micro-batch
+template of a built graph, so an export builds no TraceEvent and reads no
+Task but the template's. Every copy of a task has its fields but its
+micro-batch and id, and its duration, so each template task's text is
+filled once per export with all of them, and an event formats only its
+micro-batch, id and start. A trace built from given events is one copy of
+every event's task. The document is made in pieces of _CHUNK events;
+write_trace streams them to the file and export_trace_json joins the same
+pieces. Every time is checked before the first piece, so a time with no
+float value in microseconds raises SerializationError before a file is
+opened.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ def trace_schema() -> dict:
 # the top-level array, with strings escaped by json's ASCII encoder and
 # floats written by repr, as json.dumps does. With indent set, json.dumps
 # runs its pure-Python encoder; filling templates gives the same bytes
-# several times faster. Every slot is a %s: _shape_template fills each
-# field that a task's shape fixes, once per shape, and puts a placeholder
-# in each of the others, which _format fills per event, dur and ts with
-# the reprs of their floats.
+# several times faster. Every slot is a %s: _task_template fills each
+# field that a task's copies share, once per task, and puts a placeholder
+# in each of the others, which _format fills per event, ts with the repr of
+# its float.
 _EVENT_JSON = """\
  {
   "args": {
@@ -78,12 +80,12 @@ _EVENT_JSON = """\
 _CHUNK = 1024  # events per string handed to the file
 
 
-def _shape_template(task: Task, pid: int, has_layer: bool) -> str:
-    """_EVENT_JSON for the events of task's shape and of its owner's pid.
+def _task_template(task: Task, pid: int, duration: int) -> str:
+    """_EVENT_JSON for the events of task's copies, of its owner's pid and lasting duration ns.
 
-    The placeholders left take, in order: layer, microbatch, task,
-    virtual_index, dur, the name's microbatch and layer, ts. Without a layer
-    the two layer placeholders are absent and the layer field reads null.
+    The placeholders left take, in order: microbatch, task, the name's
+    microbatch, ts. Without a layer the layer field reads null and the name
+    has no layer.
     """
     quote = json.encoder.encode_basestring_ascii
 
@@ -91,13 +93,14 @@ def _shape_template(task: Task, pid: int, has_layer: bool) -> str:
         return quote(text).replace("%", "%%")
 
     kind = fixed(task.kind.value)
+    layer = "null" if task.layer is None else "%d" % task.layer
     # The name is kind + " mb<microbatch>" [+ " L<layer>"]: the digits need no
     # escaping, so they go inside kind's quotes.
-    name = kind[:-1] + (' mb%d L%d"' if has_layer else ' mb%d"')
+    name = kind[:-1] + (' mb%d"' if task.layer is None else f' mb%d L{layer}"')
     return _EVENT_JSON % (
-        fixed(task.direction), kind, fixed(task.lane), "%d" if has_layer else "null", "%d",
-        fixed(task.owner), fixed(task.stream.value), "%d", "%d", "%s", name, pid,
-        _LANE_TID[task.lane], "%s",
+        fixed(task.direction), kind, fixed(task.lane), layer, "%d", fixed(task.owner),
+        fixed(task.stream.value), "%d", "%d" % task.virtual_index, repr(duration / 1e3), name,
+        pid, _LANE_TID[task.lane], "%s",
     )
 
 
@@ -124,32 +127,28 @@ def _format(tasks: tuple[Task, ...], order: Sequence[int], starts: list[int],
             durations: list[int]) -> Iterator[str]:
     """The pieces of _chunks for ScheduleTrace.timeline's parts, made without checking the times.
 
-    A graph has a few distinct durations, so each is written once.
+    Event k is copy k // len(tasks) of task tasks[k % len(tasks)], which
+    lasts durations[k % len(tasks)] ns as every copy does.
     """
     if not order:
         yield "[]"
         return
+    size = len(tasks)
     pid_of = {owner: i for i, owner in enumerate(sorted({task.owner for task in tasks}))}
-    dur_text = {d: repr(d / 1e3) for d in set(durations)}
-    templates: dict[tuple, str] = {}
+    filled = [_task_template(task, pid_of[task.owner], duration)
+              for task, duration in zip(tasks, durations)]
+    ids = [task.id for task in tasks]
+    mbs = [task.microbatch for task in tasks]
     head = "[\n"
     last = ts = None  # the previous event's start and its text
     for lo in range(0, len(order), _CHUNK):
         texts = []
         for k, start in zip(order[lo:lo + _CHUNK], starts[lo:lo + _CHUNK]):
-            tid, kind, owner, lane, _, mb, layer, vi, _, direction, _ = task = tasks[k]
-            has_layer = layer is not None
-            shape = (kind, direction, owner, lane, has_layer)
-            template = templates.get(shape)
-            if template is None:
-                template = templates[shape] = _shape_template(task, pid_of[owner], has_layer)
+            copy, j = divmod(k, size)
+            mb = mbs[j] + copy
             if start != last:  # events in timeline order often share their start
                 last, ts = start, repr(start / 1e3)
-            dur = dur_text[durations[k]]
-            if has_layer:
-                texts.append(template % (layer, mb, tid, vi, dur, mb, layer, ts))
-            else:
-                texts.append(template % (mb, tid, vi, dur, mb, ts))
+            texts.append(filled[j] % (mb, ids[j] + copy * size, mb, ts))
         yield head + ",\n".join(texts)
         head = ",\n"
     yield "\n]"
