@@ -22,14 +22,14 @@ to replace an integer-programming solver. The phase-1 set size and the
 oracle's cap still count every (split, attention shape, FFN shape) triple,
 summed from shape counts without building the copies.
 
-Profiling plans once and re-times per duration table: a graph is its tasks
-plus the duration table it was built under (TaskGraph.table), and a split
-changes only the table. So one profile object (IterationProfile) per
-experiment walks one graph, one micro-batch of it (taskgraph.Walk), and
-keeps its sim.SchedulePlan in a sim.Retimer, which runs the plan once per
-distinct table. The table reads the NICs only
-through min(M_a, M_f), so the splits (M, M_a) and (M, M_tot - M_a) share
-one run. Phase 3 and brute_force_oracle both re-time through it.
+Profiling plans once and re-times per duration table: a graph is its walk
+(taskgraph.Walk: its tasks, keys and credits) plus the duration table it
+was built under (TaskGraph.table), and a split changes only the table. So
+one profile object (IterationProfile) per experiment walks one graph, one
+micro-batch of it (Walk.template), and keeps its sim.SchedulePlan in a
+sim.Retimer, which runs the plan once per distinct table. The table reads
+the NICs only through min(M_a, M_f), so the splits (M, M_a) and
+(M, M_tot - M_a) share one run. Phase 3 and brute_force_oracle both re-time through it.
 
 brute_force_oracle is exact without running every split. It prunes by two
 lower bounds on a split's makespan, each read by the profile's Retimer from

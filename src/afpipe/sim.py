@@ -51,20 +51,21 @@ build's event count and wall time.
 
 Plan and run: nothing above but the start times reads a duration, and a
 task holds none: graph.keys names its entry of graph.table. So a
-SchedulePlan, built once per graph, holds the checked tasks, the units in
-tie-break order, their queues, lanes and 1F1B counters, the dependents, the
-initial dependency counts and the graph's credits. A built graph (one with
-a topology) is its one-micro-batch template (taskgraph.Walk.template)
-repeated: the walk numbers tasks micro-batch by micro-batch and the
-tie-break order is micro-batch-major. So its plan is the template's,
-checked task by task, copied once per micro-batch with each task index
-shifted by the template's task count and each unit index by its unit count;
-the copies share the template's queues, lanes and credits, and a serial
-topology also makes each micro-batch's first unit wait for the last task of
-the one before. Neither the plan nor its run reads a Task of the graph's
-own: those are walked only when graph.tasks or plan.tasks is first read. A
-graph without a topology is planned task by task. The timeline order ranks
-the template's tasks by (owner, lane, id) and spreads the ranks over the
+SchedulePlan, built once per walk (taskgraph.Walk, the graph's tasks, keys
+and credits), holds the checked template tasks, the units in tie-break
+order, their queues, lanes and 1F1B counters, the dependents, the initial
+dependency counts and the walk's credits. A walk is its template
+(Walk.template) repeated copies times: the walk numbers tasks micro-batch
+by micro-batch and the tie-break order is micro-batch-major. So every plan
+is its template's, checked task by task, and when there are two or more
+copies it is copied once per micro-batch with each task index shifted by
+the template's task count and each unit index by its unit count; the copies
+share the template's queues, lanes and credits, and a serial topology also
+makes each micro-batch's first unit wait for the last task of the one
+before. A hand-built walk is its own template, one copy. Neither the plan
+nor its run reads a Task beyond the template's: a built walk's tasks are
+walked only when graph.tasks is first read. The timeline order ranks the
+template's tasks by (owner, lane, id) and spreads the ranks over the
 copies, and the Retimer counts keys and lanes over the template.
 SchedulePlan.run takes each task's duration, as durations_ns reads it from
 a table, and returns each unit's start and the makespan.
@@ -74,17 +75,17 @@ ignores the lanes; the topological order it walks is built by its first
 call and kept.
 
 A Retimer keeps one graph and its plan and runs the plan under the table of
-any graph that shares the kept graph's walk, or hand-built its tasks, and
-its keys: the graphs of one topology (taskgraph.Topology), which differ
-only in table and total_flops. A table reaches a run only through its
+any graph of the kept graph's walk: the graphs of one topology
+(taskgraph.Topology), which differ only in table, total_flops and cluster
+numbers. A table reaches a run only through its
 durations over the graph's distinct keys, so runs are memoized on those.
 simulate is a new Retimer's one run under the graph's table, and its
 metrics come straight from the run: the units of a queue share their lanes,
 so per queue their starts and durations give each owner's first activity
 and compute time and the spans whose union sets the exposed communication,
 a send/recv pair being one span. The trace it returns holds the template's
-tasks and the run; it builds its timeline, one TraceEvent per task of the
-graph's tasks, only when its events are read, as by check_schedule;
+tasks, the run and the walk; it builds its timeline, one TraceEvent per
+task of the walk's tasks, only when its events are read, as by check_schedule;
 trace_io.write_trace formats the same order from the template and the run
 (ScheduleTrace.timeline) and builds none, and sweep and compare read
 neither. sweep and compare run every schedule of a call on one Retimer, so
@@ -101,10 +102,11 @@ check_schedule lists what a trace breaks of the scheduler's invariants.
 
 Errors: a negative table entry raises NegativeDuration; a dependency on an
 unknown task, or tasks the ready set never reaches (a cycle), CycleDetected;
-keys that do not give every task one table entry, twins that are not one
-send and one receive side naming each other, or a built graph whose task
-count is not its topology's, GraphConstructionError; a makespan or sum of
-task times too large for a float in seconds, MakespanOverflow.
+keys that do not give every task one table entry, or twins that are not one
+send and one receive side naming each other, GraphConstructionError; a
+makespan or sum of task times too large for a float in seconds,
+MakespanOverflow. A built walk's tasks are its topology's by construction
+(its tasks, keys and credits are read-only), so only its template is checked.
 """
 
 from __future__ import annotations
@@ -116,13 +118,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import groupby
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import ScheduleKind
 from .costs import StageTimes, staged_layer_time
 from .placement import ATTN, FFN
 from .taskgraph import (
-    COMPUTE_LANE, RECV_LANE, GraphConstructionError, Table, Task, TaskGraph, TaskKind,
+    COMPUTE_LANE, RECV_LANE, GraphConstructionError, Table, Task, TaskGraph, TaskKind, Walk,
 )
 
 
@@ -168,35 +170,34 @@ class ScheduleTrace:
     ScheduleTrace(events, iteration_ns) holds the events it is given. The
     trace simulate returns holds its run instead: the tasks of one copy of
     its plan (SchedulePlan.copies), the units, starts and durations of every
-    copy, and the graph. It builds the events, reading the graph's tasks,
-    when they are first read, then drops the run; timeline() gives the
+    copy, and the graph's walk. It builds the events, reading the walk's
+    tasks, when they are first read, then drops the run; timeline() gives the
     events' parts in the same order without building them. The order is
     sorted once, by whichever reads it first. Two traces are equal when
     their events and iteration_ns are.
     """
 
-    __slots__ = ("_events", "_run", "_graph", "_order", "iteration_ns")
+    __slots__ = ("_events", "_run", "_walk", "_order", "iteration_ns")
 
     def __init__(self, events: tuple[TraceEvent, ...], iteration_ns: int):
         self._events = events
         self._run: tuple | None = None
-        self._graph: TaskGraph | None = None
+        self._walk: Walk | None = None
         self._order: tuple[list[int], list[int]] | None = None
         self.iteration_ns = iteration_ns
 
     @classmethod
     def _of_run(cls, tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
                 starts: list[int], durations: list[int], makespan: int,
-                graph: TaskGraph | None = None) -> ScheduleTrace:
-        """The trace of a plan's run.
+                walk: Walk) -> ScheduleTrace:
+        """The trace of a plan's run of walk.
 
         tasks are one copy's tasks, and the copies number len(durations) //
-        len(tasks). The events show graph's tasks, or tasks when no graph is
-        given.
+        len(tasks). The events show walk's tasks.
         """
         trace = cls((), makespan)
         trace._run = (tasks, unit_tasks, starts, durations)
-        trace._graph = graph
+        trace._walk = walk
         return trace
 
     def _run_order(self) -> tuple[list[int], list[int]]:
@@ -211,13 +212,12 @@ class ScheduleTrace:
     def events(self) -> tuple[TraceEvent, ...]:
         if self._run is not None:
             begin = time.perf_counter()
-            tasks, _, _, durations = self._run
+            durations = self._run[3]
             order, begins = self._run_order()
-            if self._graph is not None:
-                tasks = tuple(self._graph.tasks.values())
+            tasks = tuple(self._walk.tasks.values())
             ends = map(operator.add, begins, map(durations.__getitem__, order))
             self._events = tuple(map(TraceEvent, map(tasks.__getitem__, order), begins, ends))
-            self._run = self._graph = self._order = None
+            self._run = self._walk = self._order = None
             _debug("timeline: %d events in %.3f ms",
                    len(self._events), (time.perf_counter() - begin) * 1e3)
         return self._events
@@ -275,9 +275,12 @@ def durations_ns(keys: Iterable[tuple], table: Table) -> list[int]:
         raise GraphConstructionError(f"duration key {missing} is not in the table") from None
 
 
-def _check_keys(graph: TaskGraph) -> None:
-    if len(graph.keys) != len(graph):
-        raise GraphConstructionError(f"{len(graph.keys)} duration keys for {len(graph)} tasks")
+def _check_keys(graph: TaskGraph | Walk) -> None:
+    """Raise GraphConstructionError unless graph has one duration key per task."""
+    if len(graph.keys) != len(graph.tasks):
+        raise GraphConstructionError(
+            f"{len(graph.keys)} duration keys for {len(graph.tasks)} tasks"
+        )
 
 
 class _Queue:
@@ -326,61 +329,39 @@ class _Queue:
 class SchedulePlan:
     """What scheduling a graph reads, except its durations; built once per graph.
 
-    It holds the graph's checked tasks, its units in tie-break order, the
-    queue of each unit (lanes and 1F1B counters) and the units of each queue,
-    each queue's neighbours, each task's lane and counter, the owner of each
-    lane, the units that depend on each task, each unit's dependency count and
-    each owner's credit. None of these reads a duration, so one plan schedules
-    the graph under any durations of its tasks: run() is the scheduler loop.
+    It holds the units in tie-break order, the queue of each unit (lanes and
+    1F1B counters) and the units of each queue, each queue's neighbours, each
+    task's lane and counter, the owner of each lane, the units that depend
+    on each task, each unit's dependency count and each owner's credit. None
+    of these reads a duration, so one plan schedules the graph under any
+    durations of its tasks: run() is the scheduler loop.
 
-    A graph of one or more micro-batches with a topology is planned from its
-    walk's template (taskgraph.Walk): the template's plan, whose checks
-    stand for every copy, copied copies times, one per micro-batch. Its tasks
-    must number copies times the template's, or GraphConstructionError is
-    raised; it counts them only once they were read (len(graph)), and
-    otherwise reads none. Any other graph is planned task by task, and
-    copies is 1. template_tasks holds one copy's tasks; tasks, every task
-    in the graph's order, is built from the graph on its first read. Every
-    plan takes each owner's credit from graph.credits.
+    It reads graph.walk alone (taskgraph.Walk): it plans the walk's template
+    task by task, checking its keys and each task's deps and twin, under the
+    walk's credits, and when the walk has two or more copies, one per
+    micro-batch, copies that plan copies times. A hand-built walk is its own
+    template, and copies is 1. template_tasks holds the template's tasks.
     run() resets and reuses the plan's queues, so one plan runs one schedule
     at a time. No queue refers to another, so nothing in a plan forms a
     reference cycle: a dropped plan is freed when its last reference goes.
     """
 
     def __init__(self, graph: TaskGraph):
-        walked = graph.topology is not None and graph.walk is not None
-        copies = graph.topology.num_microbatches if walked else 0
-        if copies < 1:
-            self._build(graph, graph.credits)
-            self.copies = 1
-            return
         begin = time.perf_counter()
-        template = graph.walk.template
-        size = len(template.keys)
-        if len(graph) != copies * size:
-            raise GraphConstructionError(
-                f"{len(graph)} tasks, not the {copies} x {size} of the graph's topology"
-            )
-        _check_keys(graph)
-        self._build(template, graph.credits)
+        walk = graph.walk
+        self._build(walk.template, walk.credits)
+        self.copies = copies = walk.copies
         if copies > 1:
-            self._replicate(copies, size, graph.topology.serial)
-        self.copies = copies
-        self._graph = graph
-        _debug("plan: %d units from a %d-unit template x %d micro-batches in %.3f ms",
-               len(self.unit_tasks), len(self.unit_tasks) // copies, copies,
-               (time.perf_counter() - begin) * 1e3)
+            self._replicate(copies, len(walk.template.keys), walk.topology.serial)
+            _debug("plan: %d units from a %d-unit template x %d micro-batches in %.3f ms",
+                   len(self.unit_tasks), len(self.unit_tasks) // copies, copies,
+                   (time.perf_counter() - begin) * 1e3)
 
-    @cached_property
-    def tasks(self) -> tuple[Task, ...]:
-        """Every task of the graph, in its order; a replicated plan reads graph.tasks."""
-        return self.template_tasks if self.copies == 1 else tuple(self._graph.tasks.values())
-
-    def _build(self, graph: TaskGraph, credits: dict[str, int]) -> None:
-        """Plan graph task by task, checking each task's deps and twin."""
-        _check_keys(graph)
-        tasks = graph.tasks
-        # graph.keys names one table entry per task, in this order.
+    def _build(self, walk: Walk, credits: Mapping[str, int]) -> None:
+        """Plan walk task by task, checking its keys and each task's deps and twin."""
+        _check_keys(walk)
+        tasks = walk.tasks
+        # walk.keys names one table entry per task, in this order.
         self.template_tasks = ordered = tuple(tasks.values())
         index = dict(zip(tasks, range(len(ordered))))
         # A schedulable unit is a lone task or a send/recv pair keyed by its
@@ -661,10 +642,10 @@ class Retimer:
     durations over those keys, so runs are memoized on ns: a point whose
     table gives every key the durations of an earlier point's is a memo
     hit. simulate remembers its last two runs; makespan_ns remembers every
-    makespan. simulate(graph) plans graph unless it shares the kept graph's
-    tasks (TaskGraph.shares_tasks, which reads no Task;
-    build_task_graph(..., like=retimer.graph) builds such a graph for a
-    point of the kept topology). A graph of another topology
+    makespan. simulate(graph) plans graph unless graph.walk is the kept
+    graph's walk, which fixes its tasks, keys and credits
+    (build_task_graph(..., like=retimer.graph) and dataclasses.replace give
+    such a graph for a point of the kept topology). A graph of another walk
     replaces the kept one, so at most one plan is alive. The metrics read the
     point's table, total_flops and cluster, so simulate computes them every
     call.
@@ -688,9 +669,8 @@ class Retimer:
         self.graph = graph
         column: dict[tuple, int] = {}
         # Each task's distinct key, numbered in order of first use, over the
-        # plan's first copy: every copy repeats its keys.
-        keys = graph.keys[:len(graph.keys) // self.plan.copies]
-        self.columns = [column.setdefault(key, len(column)) for key in keys]
+        # template: every copy repeats its keys.
+        self.columns = [column.setdefault(key, len(column)) for key in graph.walk.template.keys]
         self.keys = tuple(column)
         self.runs: dict[tuple[int, ...], tuple[list[int | None], int]] = {}  # simulate's last two
         self.makespans: dict[tuple[int, ...], int] = {}
@@ -740,7 +720,7 @@ class Retimer:
         CycleDetected when the ready set empties with tasks unplaced.
         """
         begin = time.perf_counter()
-        built = self.graph is None or not graph.shares_tasks(self.graph)
+        built = self.graph is None or graph.walk is not self.graph.walk
         if built:
             self._keep(graph)
         planned = time.perf_counter()
@@ -764,7 +744,7 @@ class Retimer:
                (timed - planned) * 1e3, "ran" if ran else "memo hit",
                (time.perf_counter() - timed) * 1e3)
         trace = ScheduleTrace._of_run(self.plan.template_tasks, self.plan.unit_tasks, starts,
-                                      durations, makespan, graph)
+                                      durations, makespan, graph.walk)
         return trace, result
 
 

@@ -22,23 +22,29 @@ depend on each other. The families differ only in their visit lists:
 One path turns costs into durations. visit_times() derives the forward
 per-layer seconds (a StageTimes) from the cost model and the resources
 serving one group or stage, and duration_table() alone turns them into
-(duration_ns, exposed_ns) entries by duration key. A graph is its tasks,
-which hold only topology, plus TaskGraph.table, the table it was built
-under, and TaskGraph.keys names each task's entry. Backward compute takes
-BACKWARD_MULTIPLIER times its forward duration; the staged baselines price
-a chunk with staged_layer_time. Event math is in integer nanoseconds.
+(duration_ns, exposed_ns) entries by duration key. A graph is its walk
+(a Walk: its tasks, which hold only topology, each task's table key and
+each owner's 1F1B credit) plus TaskGraph.table, the table it was built
+under. Backward compute takes BACKWARD_MULTIPLIER times its forward
+duration; the staged baselines price a chunk with staged_layer_time. Event
+math is in integer nanoseconds.
 
-A graph's tasks, keys and credits come from its topology: the walk's own
-inputs (a Topology), which graph_topology reads from the experiment alone.
-Every micro-batch walks the same visits, so a graph of a topology is its
-one-micro-batch template (template_graph) repeated. topology_graph walks
-that template once into a Walk and gives the graph no table: its keys are
-the template's times the micro-batch count, and its tasks, every Task of
-every micro-batch, are walked only when first read (by check_schedule,
-tests or dataclasses.replace; the scheduler and the trace writer read the
-template). build_task_graph adds the table and total_flops, and given a
-graph of the same topology (like=) shares its Walk instead of walking
-again, so graphs of one topology share one template and one task dict.
+A built graph's walk comes from its topology: the walk's own inputs (a
+Topology), which graph_topology reads from the experiment alone. Every
+micro-batch walks the same visits, so the walk of a topology is its
+one-micro-batch template (Walk.template) repeated. Walk.of walks that
+template once: its keys are the template's times the micro-batch count, its
+credits the topology's, and its tasks, every Task of every micro-batch, are
+walked only when first read (by check_schedule, ScheduleTrace.events or
+tests; the scheduler and the trace writer read the template).
+topology_graph gives a graph its topology's walk and no table;
+build_task_graph adds the table and total_flops, and given a graph of the
+same topology (like=) shares its walk instead of walking again, so graphs
+of one topology share one template and one task mapping. A hand-built
+graph is TaskGraph(Walk(tasks, keys, credits), table): its walk has no
+topology and is its own template. A graph's tasks, keys, credits and
+topology are read-only views of its walk, so graphs that share a walk
+cannot disagree, and dataclasses.replace of a graph shares its walk.
 megatron1f1b and chunked have one topology at every point, and seq_len,
 topk, ep_size and the GPU/NIC split change only the table and total_flops.
 With AFPIPE_LOG=DEBUG, logger afpipe.taskgraph logs each build's task
@@ -52,7 +58,8 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .config import Experiment, ScheduleKind
 from .costs import BACKWARD_MULTIPLIER, LayerCosts, StageTimes, layer_costs, staged_layer_time
@@ -144,79 +151,99 @@ class Topology(NamedTuple):
     credits: tuple[tuple[str, int], ...]
 
 
-@dataclass
-class TaskGraph:
-    """A task DAG: its tasks by id, each task's table key, and the table.
+class Walk:
+    """A graph's structure: its tasks by id, each task's table key and each owner's credit.
 
-    tasks is a property. A hand-built graph holds the tasks it is given; a
-    built one (build_task_graph) holds its topology's Walk, which it may
-    share with the graphs of that topology, and reads the Walk's tasks,
-    walked on the first read of any of them. Its keys are the Walk's.
+    Walk(tasks, keys, credits) is a hand-built walk of those parts, keys in
+    tasks order; it has no topology and is its own template. Walk.of(topology)
+    is topology's walk, which the graphs built from it share (build_task_graph's
+    like=). Every micro-batch walks the same visits, so a walk of two or more
+    micro-batches is its template, the walk of the first micro-batch alone,
+    repeated copies times: task k of micro-batch m is the template's task k
+    with m times the template's size added to its id and deps, and a serial
+    topology's micro-batch m also depends on the last task of micro-batch
+    m - 1. The template is walked when the walk is made; keys repeats its
+    keys once per micro-batch, each distinct key one object; tasks, every
+    micro-batch's Task, is walked on its first read. A walk of at most one
+    micro-batch is its own template. tasks and credits are read-only
+    mappings and keys a tuple, so the graphs that share a walk agree.
     """
 
-    tasks: dict[int, Task] | None = None  # see _graph_tasks
-    keys: list[tuple] = field(default_factory=list)  # each task's table key, in tasks order
+    __slots__ = ("topology", "keys", "credits", "_tasks", "_template")
+
+    def __init__(self, tasks: Mapping[int, Task] = {}, keys: Iterable[tuple] = (),
+                 credits: Mapping[str, int] = {}):
+        self.topology: Topology | None = None
+        self._template: Walk | None = None  # None for its own template: no reference cycle
+        self.keys = tuple(keys)
+        self.credits = MappingProxyType(dict(credits))
+        self._tasks: Mapping[int, Task] | None = MappingProxyType(dict(tasks))
+
+    @classmethod
+    def of(cls, topology: Topology) -> Walk:
+        """topology's walk: its template is walked now, its other micro-batches when read."""
+        if topology.num_microbatches <= 1:
+            walk = cls(*_walk(topology), topology.credits)
+        else:
+            template = cls.of(topology._replace(num_microbatches=1))
+            walk = cls(keys=template.keys * topology.num_microbatches, credits=topology.credits)
+            walk._template, walk._tasks = template, None
+        walk.topology = topology
+        return walk
+
+    @property
+    def template(self) -> Walk:
+        return self if self._template is None else self._template
+
+    @property
+    def copies(self) -> int:
+        """How many times the template repeats: its micro-batches, or 1 for its own template."""
+        return 1 if self._template is None else self.topology.num_microbatches
+
+    @property
+    def tasks(self) -> Mapping[int, Task]:
+        if self._tasks is None:
+            self._tasks = MappingProxyType(_walk(self.topology)[0])
+        return self._tasks
+
+
+@dataclass
+class TaskGraph:
+    """A task DAG: its structure, a Walk, and the duration table it was built under.
+
+    tasks, keys, credits and topology are read-only views of the walk, which
+    the graphs of one topology share; the table, total_flops and the cluster
+    numbers that MFU reads are the graph's own. TaskGraph() is the empty
+    graph and TaskGraph(Walk(tasks, keys, credits), table) a hand-built one.
+    """
+
+    walk: Walk = field(default_factory=Walk)
     table: Table = field(default_factory=dict)  # the duration_table it was built under
-    credits: dict[str, int] = field(default_factory=dict)
     total_flops: float = 0.0
     world_gpus: int = 0
     gpu_peak: float = 0.0
-    topology: Topology | None = None  # what the tasks were walked from, when built
-    walk: Walk | None = field(default=None, repr=False, compare=False)  # shared when built
-
-    def __post_init__(self) -> None:
-        if self._tasks is None and self.walk is None:
-            self._tasks = {}
-
-    def __len__(self) -> int:
-        """The task count: of the tasks once read, of the keys until then."""
-        return len(self.keys) if self._tasks is None else len(self._tasks)
-
-    def shares_tasks(self, other: TaskGraph) -> bool:
-        """Whether other has this graph's keys, walk and tasks, the same objects.
-
-        It reads no Task: two graphs of one Walk share it until the tasks of
-        one of them are read or set.
-        """
-        return self.keys is other.keys and self.walk is other.walk and self._tasks is other._tasks
-
-
-def _graph_tasks(graph: TaskGraph) -> dict[int, Task]:
-    """graph's tasks by id: those it was given, or its walk's, walked on first read."""
-    if graph._tasks is None:
-        graph._tasks = graph.walk.tasks
-    return graph._tasks
-
-
-def _set_graph_tasks(graph: TaskGraph, tasks: dict[int, Task] | None) -> None:
-    graph._tasks = tasks
-
-
-TaskGraph.tasks = property(_graph_tasks, _set_graph_tasks)
-
-
-class Walk:
-    """A topology's walk, shared by the graphs built from it (build_task_graph's like=).
-
-    template, the graph of one micro-batch (template_graph), is walked when
-    the Walk is made; keys repeats its keys once per micro-batch, each
-    distinct key one object. tasks, every micro-batch's Task by id, is
-    walked on its first read.
-    """
-
-    __slots__ = ("topology", "template", "keys", "_tasks")
-
-    def __init__(self, topology: Topology):
-        self.topology = topology
-        self.template = template_graph(topology)
-        self.keys = self.template.keys * topology.num_microbatches
-        self._tasks: dict[int, Task] | None = None
 
     @property
-    def tasks(self) -> dict[int, Task]:
-        if self._tasks is None:
-            self._tasks = _walk(self.topology)[0]
-        return self._tasks
+    def tasks(self) -> Mapping[int, Task]:
+        return self.walk.tasks
+
+    @property
+    def keys(self) -> tuple[tuple, ...]:
+        """Each task's table key, in tasks order."""
+        return self.walk.keys
+
+    @property
+    def credits(self) -> Mapping[str, int]:
+        return self.walk.credits
+
+    @property
+    def topology(self) -> Topology | None:
+        """What the tasks were walked from; None for a hand-built graph."""
+        return self.walk.topology
+
+    def __len__(self) -> int:
+        """The task count, read from the keys; SchedulePlan checks one key per task."""
+        return len(self.walk.keys)
 
 
 def _ns(seconds: float) -> int:
@@ -292,7 +319,7 @@ def duration_table(exp: Experiment, vt: StageTimes) -> Table:
     return table
 
 
-def _walk(topology: Topology) -> tuple[dict[int, Task], list[tuple]]:
+def _walk(topology: Topology) -> tuple[dict[int, Task], tuple[tuple, ...]]:
     """The tasks by id and the keys of every micro-batch's forward walk over
     topology's visits, then of its reversed walk.
 
@@ -346,21 +373,7 @@ def _walk(topology: Topology) -> tuple[dict[int, Task], list[tuple]]:
                                         v.virtual_index, v.component, direction, None))
                 keys.append(key)
                 prev, src, tid = tid, v, tid + 1
-    return tasks, keys
-
-
-def template_graph(topology: Topology) -> TaskGraph:
-    """The graph of topology's first micro-batch alone, with no table.
-
-    A graph of topology is num_microbatches copies of it: the walk numbers
-    tasks micro-batch by micro-batch, so task k of micro-batch m is the
-    template's task k with m times the template's size added to its id and
-    deps, and a serial topology's micro-batch m also depends on the last task
-    of micro-batch m - 1.
-    """
-    one = topology._replace(num_microbatches=1)
-    tasks, keys = _walk(one)
-    return TaskGraph(tasks, keys, credits=dict(one.credits), topology=one)
+    return tasks, tuple(keys)
 
 
 def graph_topology(exp: Experiment) -> Topology:
@@ -373,15 +386,11 @@ def topology_graph(exp: Experiment, like: TaskGraph | None = None) -> TaskGraph:
     """exp's graph with an empty table and no total_flops: its topology's Walk.
 
     When like was built from the same topology, the graph shares like's
-    walk, keys and credits (the same objects) instead of walking.
+    walk instead of walking.
     """
     topology = graph_topology(exp)
-    if like is not None and like.topology == topology:
-        walk, credits = like.walk, like.credits
-    else:
-        walk, credits = Walk(topology), dict(topology.credits)
-    return TaskGraph(keys=walk.keys, credits=credits, world_gpus=exp.cluster.total_gpus,
-                     gpu_peak=exp.cluster.gpu_peak, topology=topology, walk=walk)
+    walk = like.walk if like is not None and like.topology == topology else Walk.of(topology)
+    return TaskGraph(walk, world_gpus=exp.cluster.total_gpus, gpu_peak=exp.cluster.gpu_peak)
 
 
 def build_task_graph(exp: Experiment, alloc=None, *, like: TaskGraph | None = None) -> TaskGraph:

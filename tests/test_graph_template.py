@@ -3,8 +3,10 @@
 build_task_graph walks one micro-batch (taskgraph.Walk); simulate and
 write_trace read that template and the micro-batch count, and a built
 graph's tasks, every micro-batch's Task, are walked only when first read.
-The references here are the full walk (taskgraph._walk over every
-micro-batch) and the eager trace of the built events.
+The walk is the graph's one structure: its tasks, keys, credits and
+topology are read-only views of it. The references here are the full walk
+(taskgraph._walk over every micro-batch), the eager trace of the built
+events and hand-built copies (hand_built).
 """
 
 import logging
@@ -13,12 +15,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hand_built import hand_built
 
 from afpipe import sim, taskgraph
 from afpipe.allocator import default_allocation
 from afpipe.config import ScheduleKind, load_experiment
 from afpipe.sim import Retimer, SchedulePlan, ScheduleTrace, simulate
-from afpipe.taskgraph import GraphConstructionError, build_task_graph
+from afpipe.taskgraph import Walk, build_task_graph
 from afpipe.trace_io import export_trace_json, write_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -35,25 +38,41 @@ def _graph(kind, microbatches, config="deepseek_moe.yaml"):
     return build_task_graph(exp, default_allocation(exp))
 
 
-def test_simulate_and_write_read_only_the_template(monkeypatch, tmp_path):
+def _count_walks(monkeypatch):
+    """The micro-batch count of every taskgraph._walk call from now on, and the unpatched _walk."""
     walked = []
     walk = taskgraph._walk
     monkeypatch.setattr(taskgraph, "_walk", lambda topology: (
         walked.append(topology.num_microbatches) or walk(topology)))
+    return walked, walk
+
+
+def test_simulate_and_write_read_only_the_template(monkeypatch, tmp_path):
+    walked, walk = _count_walks(monkeypatch)
     graph = _graph(ScheduleKind.AFPIPE, 32)
     retimer = Retimer()
     trace, _ = retimer.simulate(graph)
     write_trace(trace, str(tmp_path / "trace.json"))
     assert len(graph) == len(graph.keys) == 32 * len(graph.walk.template.keys)
     assert walked == [1]
-    assert graph._tasks is None and graph.walk._tasks is None
-    assert "tasks" not in vars(retimer.plan)  # the plan's every-task tuple is not built
+    assert graph.walk._tasks is None
     # Read now, the tasks and the keys are those of a walk of every micro-batch.
     tasks, keys = walk(graph.topology)
     assert graph.tasks == tasks and list(graph.tasks) == list(tasks)
     assert graph.keys == keys
     assert walked == [1, 32]
-    assert retimer.plan.tasks == tuple(tasks.values())
+
+
+def test_replace_shares_the_walk_and_its_plan(monkeypatch):
+    walked, _ = _count_walks(monkeypatch)
+    graph = _graph(ScheduleKind.AFPIPE, 32)
+    retimer = Retimer(graph)
+    table = {key: (duration + 1, exposed) for key, (duration, exposed) in graph.table.items()}
+    point = replace(graph, table=table)
+    assert point.walk is graph.walk and walked == [1]
+    trace, _ = retimer.simulate(point)
+    assert retimer.counts["plans"] == 1 and walked == [1]
+    assert trace.iteration_ns == simulate(point)[0].iteration_ns != simulate(graph)[0].iteration_ns
 
 
 @pytest.mark.parametrize("microbatches", [1, 2, 32])
@@ -81,13 +100,16 @@ def test_every_plan_reads_the_graph_credits(microbatches):
     trace, _ = simulate(graph)
     assert graph.credits == dict(graph.topology.credits)
     assert any(credit > 1 for credit in graph.credits.values())
-    graph.credits = dict.fromkeys(graph.credits, 1)
-    assert SchedulePlan(graph).credit == [1] * len(graph.credits)
-    strict, _ = simulate(graph)
+    ones = dict.fromkeys(graph.credits, 1)
+    copy = hand_built(graph, ones)
+    assert SchedulePlan(copy).credit == [1] * len(graph.credits)
+    strict, _ = simulate(copy)
     # One micro-batch never has a forward and a backward unit ready on one
     # owner at once, so no credit can change its schedule.
     assert (strict.events != trace.events) == (microbatches > 1)
-    assert strict.events == simulate(replace(graph, topology=None))[0].events
+    # The replicated plan of a topology of those credits schedules the same.
+    walk = Walk.of(graph.topology._replace(credits=tuple(ones.items())))
+    assert strict.events == simulate(replace(graph, walk=walk))[0].events
 
 
 def test_build_logs_its_tasks_template_and_walk_at_debug(caplog):
@@ -114,12 +136,31 @@ def test_retimer_reuses_its_plan_for_the_walk_it_kept_and_no_other():
     kept = build_task_graph(exp, alloc)
     retimer = Retimer(kept)
     retimer.simulate(build_task_graph(exp, alloc, like=kept))
-    assert retimer.counts["plans"] == 1 and kept._tasks is None
-    # A graph of the kept walk whose tasks were set is planned on its own.
-    tampered = build_task_graph(exp, alloc, like=kept)
-    tampered.tasks = _graph(ScheduleKind.AFPIPE, 2, "toy.yaml").tasks
-    with pytest.raises(GraphConstructionError, match="tasks, not the 3 x"):
-        retimer.simulate(tampered)
+    assert retimer.counts["plans"] == 1 and kept.walk._tasks is None
+    # A hand-built copy is another walk, planned on its own under its credits.
+    copy = hand_built(kept, dict.fromkeys(kept.credits, 1))
+    trace, _ = retimer.simulate(copy)
+    assert retimer.counts["plans"] == 2
+    assert trace.events == simulate(copy)[0].events != simulate(kept)[0].events
+
+
+@pytest.mark.parametrize("name", ["tasks", "keys", "credits", "topology"])
+def test_a_graph_views_its_walk_read_only(name):
+    graph = _graph(ScheduleKind.AFPIPE, 3, "toy.yaml")
+    with pytest.raises(AttributeError):
+        setattr(graph, name, getattr(graph, name))
+
+
+def test_graphs_of_one_walk_cannot_change_each_others_credits_or_tasks():
+    exp = _experiment(ScheduleKind.AFPIPE, 3, "toy.yaml")
+    kept = build_task_graph(exp, default_allocation(exp))
+    graph = build_task_graph(exp, default_allocation(exp), like=kept)
+    assert graph.walk is kept.walk
+    with pytest.raises(TypeError):
+        graph.credits["A0"] = 1
+    with pytest.raises(AttributeError):
+        graph.tasks.pop(len(graph) - 1)
+    assert kept.credits == dict(kept.topology.credits) and len(kept.tasks) == len(kept)
 
 
 def test_a_trace_sorts_its_timeline_once(monkeypatch, tmp_path):

@@ -11,6 +11,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hand_built import hand_built
 from scan_scheduler import _aggregate, simulate_scan
 from test_acceptance import _build as build_small
 from test_acceptance import criterion_5_experiments
@@ -75,16 +76,6 @@ def _task(tid, kind, owner, duration, deps=(), mb=0, lane=COMPUTE_LANE, twin=Non
                 deps=tuple(deps), microbatch=mb, twin=twin), duration
 
 
-def _graph(pairs, credits):
-    """A graph of (task, duration) pairs; each task's table key is its id."""
-    graph = TaskGraph()
-    graph.tasks = {t.id: t for t, _ in pairs}
-    graph.keys = [t.id for t, _ in pairs]
-    graph.table = {t.id: (duration, 0) for t, duration in pairs}
-    graph.credits = credits
-    return graph
-
-
 def test_1f1b_preference_flips_while_forward_and_backward_are_ready():
     # A0 has credit 1. Its forwards f0 (mb 0) and f1 (mb 1) and its backward
     # b (mb 5) are all ready at 0. f0 goes first (forward preferred, lowest
@@ -92,7 +83,7 @@ def test_1f1b_preference_flips_while_forward_and_backward_are_ready():
     # to backward and b, despite its higher micro-batch, beats f1; b's start
     # empties it again and f1 goes last. A stale rank would run f1 before b.
     fwd, bwd = TaskKind.FWD_COMPUTE, TaskKind.BWD_COMPUTE
-    graph = _graph([
+    graph = hand_built([
         _task(0, fwd, "A0", 10, mb=0),
         _task(1, fwd, "A0", 10, mb=1),
         _task(2, bwd, "A0", 10, mb=5),
@@ -131,7 +122,7 @@ def _random_graph(rng):
                                lane=SEND_LANE, twin=tid + 1))
             tasks.append(_task(tid + 1, TaskKind.M2N_RECV, rng.choice(owners), duration,
                                deps, mb, lane=RECV_LANE, twin=tid))
-    return _graph(tasks, credits={o: rng.randint(1, 3) for o in owners})
+    return hand_built(tasks, credits={o: rng.randint(1, 3) for o in owners})
 
 
 def test_random_graphs_match_the_scan():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from task_critical_path import critical_path_tasks
 from task_lane_bound import lane_bound_tasks
+from hand_built import hand_built
 from test_scheduler_reference import _assert_same_schedule, _random_graph, _random_tables
 from timed_graph import UNIFORM, timed_graph
 
@@ -39,23 +40,13 @@ from afpipe.taskgraph import (
     RECV_LANE,
     SEND_LANE,
     Task,
-    TaskGraph,
     TaskKind,
+    Walk,
     build_task_graph,
 )
 from afpipe.trace_io import export_trace_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-def _graph(pairs):
-    """A graph of (task, duration_ns) pairs; each task's table key is its id."""
-    g = TaskGraph()
-    g.tasks = {t.id: t for t, _ in pairs}
-    g.keys = [t.id for t, _ in pairs]
-    g.table = {t.id: (ns, 0) for t, ns in pairs}
-    g.credits = {t.owner: 1 for t in g.tasks.values()}
-    return g
 
 
 def _compute(tid, owner, dur_ns, deps=(), kind=TaskKind.FWD_COMPUTE, mb=0):
@@ -81,14 +72,14 @@ def _build(kind, layers, depth, stages, microbatches=4):
 
 
 def test_single_task():
-    trace, result = simulate(_graph([_compute(0, "A0", 5_000)]))
+    trace, result = simulate(hand_built([_compute(0, "A0", 5_000)]))
     assert result.iteration_time == 5e-6
     assert result.bubble_fraction == 0.0
     assert trace.events[0].start_ns == 0
 
 
 def test_two_independent_tasks_serialize_on_one_engine():
-    g = _graph([_compute(0, "A0", 3_000), _compute(1, "A0", 4_000)])
+    g = hand_built([_compute(0, "A0", 3_000), _compute(1, "A0", 4_000)])
     trace, result = simulate(g)
     assert result.iteration_time == 7e-6
     spans = sorted((e.start_ns, e.end_ns) for e in trace.events)
@@ -96,7 +87,7 @@ def test_two_independent_tasks_serialize_on_one_engine():
 
 
 def test_forward_and_backward_share_the_engine():
-    g = _graph([
+    g = hand_built([
         _compute(0, "A0", 2_000),
         _compute(1, "A0", 2_000, kind=TaskKind.BWD_COMPUTE),
     ])
@@ -105,25 +96,25 @@ def test_forward_and_backward_share_the_engine():
 
 
 def test_empty_graph():
-    trace, result = simulate(_graph([]))
+    trace, result = simulate(hand_built([]))
     assert trace.events == ()
     assert result.iteration_time == 0.0
 
 
 def test_negative_duration_rejected():
     with pytest.raises(NegativeDuration):
-        simulate(_graph([_compute(0, "A0", -1)]))
+        simulate(hand_built([_compute(0, "A0", -1)]))
 
 
 def test_fewer_keys_than_tasks_rejected():
-    g = _graph([_compute(0, "A0", 1), _compute(1, "A0", 1)])
-    g.keys = g.keys[:1]
+    g = hand_built([_compute(0, "A0", 1), _compute(1, "A0", 1)])
+    g = replace(g, walk=Walk(g.tasks, g.keys[:1], g.credits))
     with pytest.raises(GraphConstructionError, match="1 duration keys for 2 tasks"):
         simulate(g)
 
 
 def test_key_missing_from_table_rejected():
-    g = _graph([_compute(0, "A0", 1), _compute(1, "A0", 1)])
+    g = hand_built([_compute(0, "A0", 1), _compute(1, "A0", 1)])
     del g.table[1]
     with pytest.raises(GraphConstructionError, match="duration key 1 is not in the table"):
         simulate(g)
@@ -133,21 +124,21 @@ def test_cycle_rejected():
     a = _compute(0, "A0", 1, deps=(1,))
     b = _compute(1, "A0", 1, deps=(0,))
     with pytest.raises(CycleDetected):
-        simulate(_graph([a, b]))
+        simulate(hand_built([a, b]))
 
 
 def test_unknown_dependency_rejected_by_simulate():
     with pytest.raises(CycleDetected, match="unknown task 7"):
-        simulate(_graph([_compute(0, "A0", 1, deps=(7,))]))
+        simulate(hand_built([_compute(0, "A0", 1, deps=(7,))]))
 
 
 def test_unknown_dependency_rejected_by_critical_path():
     with pytest.raises(CycleDetected, match="unknown task 7"):
-        critical_path_ns(_graph([_compute(0, "A0", 1), _compute(1, "A0", 1, deps=(0, 7))]))
+        critical_path_ns(hand_built([_compute(0, "A0", 1), _compute(1, "A0", 1, deps=(0, 7))]))
 
 
 def test_two_task_cycle_rejected_by_critical_path():
-    g = _graph([_compute(0, "A0", 1, deps=(1,)), _compute(1, "A0", 1, deps=(0,))])
+    g = hand_built([_compute(0, "A0", 1, deps=(1,)), _compute(1, "A0", 1, deps=(0,))])
     with pytest.raises(CycleDetected, match="cycle"):
         critical_path_ns(g)
 
@@ -163,20 +154,20 @@ def _transfer_pair(base_id, src, dst, dur_ns, deps=(), recv_ns=None, mb=0):
 
 def test_transfer_pair_occupies_both_lanes_simultaneously():
     send, recv = _transfer_pair(0, "A0", "F0", 2_000)
-    trace, _ = simulate(_graph([send, recv]))
+    trace, _ = simulate(hand_built([send, recv]))
     spans = {(e.task.owner, e.task.lane): (e.start_ns, e.end_ns) for e in trace.events}
     assert spans[("A0", SEND_LANE)] == spans[("F0", RECV_LANE)] == (0, 2_000)
 
 
 def test_exposed_comm_of_lone_transfer_is_its_duration():
     send, recv = _transfer_pair(0, "A0", "F0", 2_000)
-    trace, result = simulate(_graph([send, recv]))
+    trace, result = simulate(hand_built([send, recv]))
     assert exposed_comm(trace) == 2e-6
     assert result.exposed_comm == 2e-6
 
 
 def test_exposed_comm_zero_without_comm_tasks():
-    trace, result = simulate(_graph([_compute(0, "A0", 1_000)]))
+    trace, result = simulate(hand_built([_compute(0, "A0", 1_000)]))
     assert exposed_comm(trace) == 0.0
     assert result.exposed_comm == 0.0
 
@@ -184,14 +175,14 @@ def test_exposed_comm_zero_without_comm_tasks():
 def test_exposed_comm_fully_overlapped_contributes_nothing():
     send, recv = _transfer_pair(1, "A0", "F0", 2_000)
     cover = _compute(0, "B0", 5_000)
-    trace, _ = simulate(_graph([cover, send, recv]))
+    trace, _ = simulate(hand_built([cover, send, recv]))
     assert exposed_comm(trace) == 0.0
 
 
 def test_exposed_comm_counts_partial_overlap():
     send, recv = _transfer_pair(1, "A0", "F0", 4_000)
     cover = _compute(0, "B0", 1_000)
-    trace, _ = simulate(_graph([cover, send, recv]))
+    trace, _ = simulate(hand_built([cover, send, recv]))
     assert exposed_comm(trace) == pytest.approx(3e-6)
 
 
@@ -255,7 +246,7 @@ def test_plan_chain_starts_a_pair_after_both_sides_deps():
                 deps=(0,), microbatch=0, twin=2)
     recv = Task(id=2, kind=TaskKind.M2N_RECV, owner="F0", lane=RECV_LANE,
                 deps=(3,), microbatch=0, twin=1)
-    g = _graph([_compute(0, "A0", 1_000), (send, 2_000), (recv, 2_000),
+    g = hand_built([_compute(0, "A0", 1_000), (send, 2_000), (recv, 2_000),
                 _compute(3, "F0", 5_000), _compute(4, "A0", 1_000, deps=(1,))])
     assert critical_path_tasks(g) == 7_000
     assert critical_path_ns(g) == simulate(g)[0].iteration_ns == 8_000
@@ -450,7 +441,7 @@ def _pair_schedule():
     # Task 0 on A0, then the pair 1/2 from A0 to F0, then task 3 on F0; task
     # 4 shares A0's engine with task 0.
     send, recv = _transfer_pair(1, "A0", "F0", 2_000, deps=(0,))
-    g = _graph([_compute(0, "A0", 1_000), send, recv, _compute(3, "F0", 1_000, deps=(2,)),
+    g = hand_built([_compute(0, "A0", 1_000), send, recv, _compute(3, "F0", 1_000, deps=(2,)),
                 _compute(4, "A0", 3_000)])
     trace, _ = simulate(g)
     assert check_schedule(g, trace) == []
@@ -567,7 +558,7 @@ def test_pair_sides_free_their_lanes_apart_and_a_pair_waits_on_its_second_lane()
     # 10. Pair 2/3 (G0 -> G1) is ready at 0 with G0's send lane free, but
     # waits for G1's receive lane, its second, until 10. Pair 8/9, readied at
     # 5 by task 4, waits on that lane again, until pair 2/3 frees it at 16.
-    g = _graph([
+    g = hand_built([
         *_transfer_pair(0, "G2", "G1", 3, recv_ns=10),
         *_transfer_pair(2, "G0", "G1", 4, recv_ns=6, mb=1),
         _compute(4, "G2", 2, deps=(0,)),
@@ -610,7 +601,7 @@ def test_malformed_twins_rejected(recv_lane, recv_twin):
         tasks.append((Task(id=1, kind=TaskKind.M2N_RECV, owner="F0", lane=recv_lane,
                            deps=(), microbatch=0, twin=recv_twin), 1))
     with pytest.raises(GraphConstructionError, match="not a send/recv pair"):
-        simulate(_graph(tasks))
+        simulate(hand_built(tasks))
 
 
 def _simulate(exp):

@@ -1,10 +1,10 @@
 """A built graph's plan is its one-micro-batch template's plan, replicated.
 
-SchedulePlan plans a graph with a topology from template_graph and copies
-the plan once per micro-batch; a graph without one gets the general
-constructor, which is the reference here: the same graph with its topology
-dropped. The timeline order ranks the first copy's tasks and spreads the
-ranks over the copies.
+SchedulePlan plans a built graph's template (taskgraph.Walk.template) and
+copies the plan once per micro-batch; a hand-built graph is its own
+template, planned task by task, which is the reference here: the same
+graph's tasks, keys and credits hand-built (hand_built). The timeline order
+ranks the first copy's tasks and spreads the ranks over the copies.
 """
 
 import logging
@@ -13,11 +13,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hand_built import hand_built
 
 from afpipe.allocator import default_allocation
 from afpipe.config import ScheduleKind, load_experiment
-from afpipe.sim import Retimer, SchedulePlan, _timeline_order, simulate
-from afpipe.taskgraph import GraphConstructionError, build_task_graph
+from afpipe.sim import Retimer, SchedulePlan, _timeline_order
+from afpipe.taskgraph import build_task_graph
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,7 +36,6 @@ def _fields(plan):
         return [q.index for q in qs]
 
     return {
-        "tasks": plan.tasks,
         "unit_tasks": plan.unit_tasks,
         "unit_queue": queues(plan.unit_queue),
         "remaining": plan.remaining,
@@ -58,7 +58,7 @@ def test_replicated_plan_equals_the_general_plan(config, kind, microbatches):
     graph = _graph(config, kind, microbatches)
     plan = SchedulePlan(graph)
     assert plan.copies == (microbatches if microbatches > 1 else 1)
-    general = SchedulePlan(replace(graph, topology=None))
+    general = SchedulePlan(hand_built(graph))
     assert general.copies == 1
     replicated, reference = _fields(plan), _fields(general)
     for name in reference:  # field by field, for a readable failure
@@ -86,32 +86,18 @@ def test_template_rank_equals_the_three_sort_rank(microbatches, kinds):
     for kind in kinds:
         graph = _graph("deepseek_moe.yaml", kind, microbatches)
         retimer = Retimer(graph)
-        tasks, unit_tasks = retimer.plan.tasks, retimer.plan.unit_tasks
+        tasks, unit_tasks = tuple(graph.tasks.values()), retimer.plan.unit_tasks
         starts, _ = retimer.plan.run(retimer.durations(retimer.ns(graph.table)))
         assert retimer.plan.copies == microbatches
         assert (_timeline_order(tasks, unit_tasks, starts, microbatches)
                 == _timeline_order(tasks, unit_tasks, starts)), kind
 
 
-@pytest.mark.parametrize("tamper", [
-    lambda g: g.tasks.pop(len(g) - 1),
-    lambda g: setattr(g, "tasks", _graph("toy.yaml", ScheduleKind.AFPIPE, 2).tasks),
-], ids=["task-removed", "tasks-of-another-count"])
-def test_built_graph_whose_tasks_left_its_topology_is_rejected(tamper):
-    graph = _graph("toy.yaml", ScheduleKind.AFPIPE, 3)
-    tamper(graph)
-    message = rf"{len(graph)} tasks, not the 3 x {len(graph.keys) // 3} of the graph's topology"
-    with pytest.raises(GraphConstructionError, match=re.escape(message)):
-        SchedulePlan(graph)
-    with pytest.raises(GraphConstructionError, match=re.escape(message)):
-        simulate(graph)
-
-
 def test_replicated_plan_logs_its_template_at_debug(caplog):
     graph = _graph("toy.yaml", ScheduleKind.AFPIPE, 4)
     with caplog.at_level(logging.DEBUG, logger="afpipe.sim"):
         plan = SchedulePlan(graph)
-        SchedulePlan(replace(graph, topology=None))  # a general plan logs none
+        SchedulePlan(hand_built(graph))  # a general plan logs none
     lines = [r.getMessage() for r in caplog.records
              if r.name == "afpipe.sim" and r.getMessage().startswith("plan: ")]
     units = len(plan.unit_tasks)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hand_built import hand_built
 
 from afpipe import cli, sim, trace_io
 from afpipe.allocator import canonical_allocation, default_allocation
@@ -24,7 +25,6 @@ from afpipe.taskgraph import (
     COMPUTE_LANE,
     RECV_LANE,
     Task,
-    TaskGraph,
     TaskKind,
     build_task_graph,
 )
@@ -67,14 +67,10 @@ def test_empty_trace_exports_empty_array():
 
 
 def test_single_task_microsecond_conversion():
-    g = TaskGraph()
     duration_s = 1.5e-3
-    g.tasks = {0: Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0",
-                       lane=COMPUTE_LANE, deps=(), microbatch=0)}
-    g.keys = [0]
-    g.table = {0: (int(duration_s * 1e9), 0)}
-    g.credits = {"A0": 1}
-    trace, _ = simulate(g)
+    task = Task(id=0, kind=TaskKind.FWD_COMPUTE, owner="A0", lane=COMPUTE_LANE, deps=(),
+                microbatch=0)
+    trace, _ = simulate(hand_built([(task, int(duration_s * 1e9))]))
     assert export_trace(trace) == [{
         "name": "FwdCompute mb0",
         "ph": "X",
@@ -297,8 +293,10 @@ def test_lazy_trace_writes_the_bytes_of_its_eager_trace(config, kind, tmp_path):
 
 
 def test_lazy_time_without_a_float_value_is_a_serialization_error(tmp_path):
-    tasks, unit_tasks, starts, durations = _af_trace()._run
-    lazy = ScheduleTrace._of_run(tasks, unit_tasks, [10**400, *starts[1:]], durations, 10**400)
+    trace = _af_trace()
+    tasks, unit_tasks, starts, durations = trace._run
+    lazy = ScheduleTrace._of_run(tasks, unit_tasks, [10**400, *starts[1:]], durations, 10**400,
+                                 trace._walk)
     with pytest.raises(SerializationError, match="no float value"):
         export_trace_json(lazy)
     path = tmp_path / "trace.json"
