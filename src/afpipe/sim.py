@@ -64,9 +64,10 @@ share the template's queues, lanes and credits, and a serial topology also
 makes each micro-batch's first unit wait for the last task of the one
 before. A hand-built walk is its own template, one copy. Neither the plan
 nor its run reads a Task beyond the template's: a built walk's tasks are
-walked only when graph.tasks is first read. The timeline order ranks the
-template's tasks by (owner, lane, id) and spreads the ranks over the
-copies, and the Retimer counts keys and lanes over the template.
+walked only when graph.tasks is first read. The timeline order ranks each
+task by its plan lane, (owner, lane), and then its id, the template's ids
+extended over the copies, and the Retimer counts keys and lanes over the
+template.
 SchedulePlan.run takes each task's duration, as durations_ns reads it from
 a table, and returns each unit's start and the makespan.
 SchedulePlan.chain_ns takes the same durations and returns the longest
@@ -83,9 +84,10 @@ simulate is a new Retimer's one run under the graph's table, and its
 metrics come straight from the run: the units of a queue share their lanes,
 so per queue their starts and durations give each owner's first activity
 and compute time and the spans whose union sets the exposed communication,
-a send/recv pair being one span. The trace it returns holds the template's
-tasks, the run and the walk; it builds its timeline, one TraceEvent per
-task of the walk's tasks, only when its events are read, as by check_schedule;
+a send/recv pair being one span. The trace it returns holds the walk, the
+run and the plan's lanes and units; it builds its timeline, one TraceEvent
+per task of the walk's tasks, only when its events are read, as by
+check_schedule;
 trace_io.write_trace formats the same order from the template and the run
 (ScheduleTrace.timeline) and builds none, and sweep and compare read
 neither. sweep and compare run every schedule of a call on one Retimer, so
@@ -117,7 +119,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import ScheduleKind
@@ -168,51 +169,45 @@ class ScheduleTrace:
     its makespan, iteration_ns.
 
     ScheduleTrace(events, iteration_ns) holds the events it is given. The
-    trace simulate returns holds its run instead: the tasks of one copy of
-    its plan (SchedulePlan.copies), the units, starts and durations of every
-    copy, and the graph's walk. It builds the events, reading the walk's
-    tasks, when they are first read, then drops the run; timeline() gives the
-    events' parts in the same order without building them. The order is
-    sorted once, by whichever reads it first. Two traces are equal when
-    their events and iteration_ns are.
+    trace simulate returns holds its run instead: the graph's walk, the
+    plan's lanes, task lanes and units (what _timeline_order reads of it;
+    the rest of the plan is not kept), each unit's start and each task's
+    duration. It builds the events, reading the walk's tasks, when they are
+    first read, then drops the run; timeline() gives the events' parts in
+    the same order without building them. The order is sorted once, by
+    whichever reads it first. Two traces are equal when their events and
+    iteration_ns are.
     """
 
     __slots__ = ("_events", "_run", "_walk", "_order", "iteration_ns")
 
     def __init__(self, events: tuple[TraceEvent, ...], iteration_ns: int):
         self._events = events
-        self._run: tuple | None = None
+        self._run: tuple | None = None  # _timeline_order's arguments after the walk, durations
         self._walk: Walk | None = None
         self._order: tuple[list[int], list[int]] | None = None
         self.iteration_ns = iteration_ns
 
     @classmethod
-    def _of_run(cls, tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
-                starts: list[int], durations: list[int], makespan: int,
-                walk: Walk) -> ScheduleTrace:
-        """The trace of a plan's run of walk.
-
-        tasks are one copy's tasks, and the copies number len(durations) //
-        len(tasks). The events show walk's tasks.
-        """
+    def _of_run(cls, plan: SchedulePlan, starts: list[int], durations: list[int],
+                makespan: int, walk: Walk) -> ScheduleTrace:
+        """The trace of plan's run of walk: its unit starts and makespan under durations."""
         trace = cls((), makespan)
-        trace._run = (tasks, unit_tasks, starts, durations)
+        trace._run = (plan.lanes, plan.task_lane, plan.unit_tasks, starts, durations)
         trace._walk = walk
         return trace
 
     def _run_order(self) -> tuple[list[int], list[int]]:
         """The run's task indices in timeline order and their starts (_timeline_order)."""
         if self._order is None:
-            tasks, unit_tasks, starts, durations = self._run
-            copies = len(durations) // len(tasks) if tasks else 1
-            self._order = _timeline_order(tasks, unit_tasks, starts, copies)
+            self._order = _timeline_order(self._walk, *self._run[:-1])
         return self._order
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         if self._run is not None:
             begin = time.perf_counter()
-            durations = self._run[3]
+            durations = self._run[-1]
             order, begins = self._run_order()
             tasks = tuple(self._walk.tasks.values())
             ends = map(operator.add, begins, map(durations.__getitem__, order))
@@ -225,17 +220,18 @@ class ScheduleTrace:
     def timeline(self) -> tuple[tuple[Task, ...], Sequence[int], list[int], list[int]]:
         """The events' parts, (tasks, order, starts, durations), built from the run if held.
 
-        With size = len(tasks), event i is copy order[i] // size of task
-        tasks[order[i] % size]: that task with order[i] // size added to its
+        tasks are the walk's template tasks, and with size = len(tasks),
+        event i is task order[i] of the run: copy order[i] // size of task
+        tasks[order[i] % size], that task with order[i] // size added to its
         micro-batch and size times as much to its id. It starts at starts[i]
-        and lasts durations[order[i]] ns. Reading it builds no TraceEvent.
+        and lasts durations[order[i]] ns. A trace of given events is its own
+        template, one copy. Reading it builds no TraceEvent.
         """
         if self._run is None:
             events = self._events
             return (tuple(ev.task for ev in events), range(len(events)),
                     [ev.start_ns for ev in events], [ev.end_ns - ev.start_ns for ev in events])
-        tasks, _, _, durations = self._run
-        return (tasks, *self._run_order(), durations)
+        return (tuple(self._walk.template.tasks.values()), *self._run_order(), self._run[-1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleTrace):
@@ -331,16 +327,16 @@ class SchedulePlan:
 
     It holds the units in tie-break order, the queue of each unit (lanes and
     1F1B counters) and the units of each queue, each queue's neighbours, each
-    task's lane and counter, the owner of each lane, the units that depend
-    on each task, each unit's dependency count and each owner's credit. None
-    of these reads a duration, so one plan schedules the graph under any
-    durations of its tasks: run() is the scheduler loop.
+    task's lane and counter, the (owner, lane) of each lane, the units that
+    depend on each task, each unit's dependency count and each owner's
+    credit. None of these reads a duration, so one plan schedules the graph
+    under any durations of its tasks: run() is the scheduler loop.
 
     It reads graph.walk alone (taskgraph.Walk): it plans the walk's template
     task by task, checking its keys and each task's deps and twin, under the
     walk's credits, and when the walk has two or more copies, one per
     micro-batch, copies that plan copies times. A hand-built walk is its own
-    template, and copies is 1. template_tasks holds the template's tasks.
+    template, and copies is 1.
     run() resets and reuses the plan's queues, so one plan runs one schedule
     at a time. No queue refers to another, so nothing in a plan forms a
     reference cycle: a dropped plan is freed when its last reference goes.
@@ -362,7 +358,7 @@ class SchedulePlan:
         _check_keys(walk)
         tasks = walk.tasks
         # walk.keys names one table entry per task, in this order.
-        self.template_tasks = ordered = tuple(tasks.values())
+        ordered = tuple(tasks.values())
         index = dict(zip(tasks, range(len(ordered))))
         # A schedulable unit is a lone task or a send/recv pair keyed by its
         # send side; the receive side is committed together with its twin.
@@ -433,7 +429,7 @@ class SchedulePlan:
                 dependents[index[dep]].append(i)
 
         self.credit = [credits.get(owner, 1) for owner in owner_index]
-        self.lane_owners = [owner for owner, _ in lane_index]
+        self.lanes = list(lane_index)  # (owner, lane) per lane index
         self.queues = tuple(queues.values())
         lane_queues: list[list[_Queue]] = [[] for _ in lane_index]
         self.owner_queues: list[list[_Queue]] = [[] for _ in owner_index]
@@ -512,7 +508,7 @@ class SchedulePlan:
         # Whether each owner prefers backward: once its in-flight forward count,
         # none yet, reaches its credit. The last slot is rank 0's (_Queue.owner).
         prefer = [c <= 0 for c in credit] + [False]
-        lane_free = [0] * len(self.lane_owners)
+        lane_free = [0] * len(self.lanes)
         ready_ns = [0] * len(unit_tasks)  # latest end among a unit's committed dependencies
         unit_start: list[int | None] = [None] * len(unit_tasks)
         heap: list[tuple[int, int, int, int, _Queue]] = []
@@ -708,7 +704,7 @@ class Retimer:
         """
         if self._lane_rows is None:
             copies = self.plan.copies
-            self._lane_rows = [[0] * len(self.keys) for _ in self.plan.lane_owners]
+            self._lane_rows = [[0] * len(self.keys) for _ in self.plan.lanes]
             for lane, column in zip(self.plan.task_lane, self.columns):
                 self._lane_rows[lane][column] += copies
         return max((sum(map(operator.mul, ns, row)) for row in self._lane_rows), default=0)
@@ -743,8 +739,7 @@ class Retimer:
                (planned - begin) * 1e3, "built" if built else "reused",
                (timed - planned) * 1e3, "ran" if ran else "memo hit",
                (time.perf_counter() - timed) * 1e3)
-        trace = ScheduleTrace._of_run(self.plan.template_tasks, self.plan.unit_tasks, starts,
-                                      durations, makespan, graph.walk)
+        trace = ScheduleTrace._of_run(self.plan, starts, durations, makespan, graph.walk)
         return trace, result
 
 
@@ -757,51 +752,34 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     return Retimer().simulate(graph)
 
 
-def _timeline_order(tasks: tuple[Task, ...], unit_tasks: list[tuple[int, ...]],
-                    starts: list[int], copies: int = 1) -> tuple[list[int], list[int]]:
-    """A run's task indices ordered by (start, owner, lane, id), and their starts.
+def _timeline_order(walk: Walk, lanes: list[tuple[str, str]], task_lane: list[int],
+                    unit_tasks: list[tuple[int, ...]],
+                    starts: list[int]) -> tuple[list[int], list[int]]:
+    """The task indices of a run of walk ordered by (start, owner, lane, id), and their starts.
 
-    With n the run's task count, only the first size = n // copies of tasks
-    are read: as in a replicated plan (SchedulePlan.copies), task k + m * size
-    has task k's owner and lane and id k + m * size. So tasks may be the
-    run's tasks or one copy's.
+    lanes, task_lane and unit_tasks are the plan's (SchedulePlan), starts
+    the run's unit starts. The ids are the walk's: its template's, extended
+    over its copies (taskgraph.Walk).
     """
-    # With rank[k] the rank of task k under (owner, lane, id), that order is
-    # the order of the ints start * n + rank[k], which sort without a tuple
-    # per task. by_rank lists the task indices by rank: stable sorts on id,
-    # then lane, then owner cost half of one sort on (owner, lane, id) tuples.
-    # They sort the first copy alone; in each (owner, lane) the ids of copy m
-    # follow those of copy m - 1.
-    n = sum(map(len, unit_tasks))
-    size = n // copies
-    first = tasks[:size]
-    by_rank = sorted(range(size), key=[t.id for t in first].__getitem__)
-    by_rank.sort(key=[t.lane for t in first].__getitem__)
-    by_rank.sort(key=[t.owner for t in first].__getitem__)
-    rank = sorted(range(size), key=by_rank.__getitem__)  # the inverse permutation
-    if copies > 1:
-        # Group g, the first copy's tasks of one (owner, lane), holds ranks
-        # lo..lo+c-1 of that copy. In the whole run, copies * lo tasks of
-        # earlier groups come before it, then m * c of its own from earlier
-        # copies: rank[k + m * size] = rank[k] + (copies - 1) * lo + m * c.
-        shift, step, spread, lo = [0] * size, [0] * size, [], 0
-        for _, group in groupby(by_rank, key=lambda k: (first[k].owner, first[k].lane)):
-            group = list(group)
-            for k in group:
-                shift[k], step[k] = (copies - 1) * lo, len(group)
-            spread += [k + m * size for m in range(copies) for k in group]
-            lo += len(group)
-        by_rank = spread
-        row = list(map(operator.add, rank, shift))
-        rank = row[:]
-        for _ in range(1, copies):
-            row = list(map(operator.add, row, step))
-            rank += row
+    # A task's rank under (owner, lane, id) is its lane's rank times n plus
+    # its id's rank, so that order is the order of the ints start * width +
+    # rank[k], which sort without a tuple per task and decode by % and //.
+    # A built walk's ids ascend with the task index, so its id order sorts
+    # in one pass.
+    ids, copies = list(walk.template.tasks), walk.copies  # the template's ids, in task order
+    n, size = len(task_lane), len(ids)
+    by_id = sorted(range(n), key=[i + m * size for m in range(copies) for i in ids].__getitem__)
+    by_lane = sorted(range(len(lanes)), key=lanes.__getitem__)
+    # Each lane's rank (the inverse of by_lane) times n.
+    lane_base = [r * n for r in sorted(range(len(lanes)), key=by_lane.__getitem__)]
+    rank = list(map(operator.add, map(lane_base.__getitem__, task_lane),
+                    sorted(range(n), key=by_id.__getitem__)))  # the inverse of by_id
+    width = len(lanes) * n
     keys = sorted([
-        begin * n + rank[k] for begin, members in zip(starts, unit_tasks) for k in members
+        begin * width + rank[k] for begin, members in zip(starts, unit_tasks) for k in members
     ])
-    return (list(map(by_rank.__getitem__, map(n.__rmod__, keys))),
-            list(map(n.__rfloordiv__, keys)))
+    return (list(map(by_id.__getitem__, map(n.__rmod__, keys))),
+            list(map(width.__rfloordiv__, keys)))
 
 
 def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
@@ -816,7 +794,7 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
     if not plan.unit_tasks:
         return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, {})
 
-    lane_owners = plan.lane_owners
+    lanes = plan.lanes
     first_activity: dict[str, int] = {}
     busy: dict[str, int] = {}
     comm_spans: list[tuple[int, int]] = []
@@ -828,7 +806,7 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
         sides = [list(map(durations.__getitem__, side)) for side in q.sides]
         comm_sides = []
         for lane, counter, side in zip(q.lanes, q.counters, sides):
-            owner = lane_owners[lane]
+            owner = lanes[lane][0]
             earliest = first_activity.get(owner)
             if earliest is None or first < earliest:
                 first_activity[owner] = first

@@ -7,19 +7,19 @@ group, timestamps and durations in microseconds. The shipped JSON schema
 
 The bytes are those of json.dumps(events, indent=1, sort_keys=True), made
 from templates. The pieces are formatted from ScheduleTrace.timeline(), the
-events' parts in timeline order: one copy's tasks, each event's index into
-the copies, its start, and the durations. For the trace simulate returns,
-those come straight from its run, one copy being the one-micro-batch
-template of a built graph, so an export builds no TraceEvent and reads no
-Task but the template's. Every copy of a task has its fields but its
-micro-batch and id, and its duration, so each template task's text is
-filled once per export with all of them, and an event formats only its
-micro-batch, id and start. A trace built from given events is one copy of
-every event's task. The document is made in pieces of _CHUNK events;
-write_trace streams them to the file and export_trace_json joins the same
-pieces. Every time is checked before the first piece, so a time with no
-float value in microseconds raises SerializationError before a file is
-opened.
+events' parts in timeline order: the template's tasks, each event's task
+index, its start, and the durations. For the trace simulate returns, those
+come straight from its plan and run, the template being a built graph's
+one micro-batch, so an export builds no TraceEvent and reads no Task but
+the template's. Task index k is copy k // size of template task k % size;
+every copy of a task has its fields but its micro-batch and id, and its
+duration, so each template task's text is filled once per export with all
+of them, and an event formats only its micro-batch, id and start. A trace
+built from given events is its own template, one copy. The document is
+made in pieces of _CHUNK events; write_trace streams them to the file and
+export_trace_json joins the same pieces. Every time is checked before the
+first piece, so a time with no float value in microseconds raises
+SerializationError before a file is opened.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _format(tasks: tuple[Task, ...], order: Sequence[int], starts: list[int],
             durations: list[int]) -> Iterator[str]:
     """The pieces of _chunks for ScheduleTrace.timeline's parts, made without checking the times.
 
-    Event k is copy k // len(tasks) of task tasks[k % len(tasks)], which
+    Task index k is copy k // len(tasks) of task tasks[k % len(tasks)], which
     lasts durations[k % len(tasks)] ns as every copy does.
     """
     if not order:

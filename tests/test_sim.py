@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from task_critical_path import critical_path_tasks
 from task_lane_bound import lane_bound_tasks
+from task_timeline import timeline_of, timeline_tasks
 from hand_built import hand_built
 from test_scheduler_reference import _assert_same_schedule, _random_graph, _random_tables
 from timed_graph import UNIFORM, timed_graph
@@ -273,6 +274,34 @@ def test_lane_bound_equals_task_level_lane_sums_on_random_graphs():
             expected = lane_bound_tasks(retimed)
             assert retimer.lane_bound_ns(retimer.ns(retimed.table)) == expected
             assert resource_bound_ns(retimed) == expected
+
+
+def _relisted(rng, graph):
+    """graph's tasks in a random listing order under new, non-contiguous ids,
+    about half of them (both sides of a pair alike) taking 0 ns."""
+    ids = dict(zip(graph.tasks, rng.sample(range(10 * len(graph)), len(graph))))
+    zero = {tid for tid in graph.tasks if rng.random() < 0.5}
+
+    def ns(task):
+        pair = task.id if task.twin is None else min(task.id, task.twin)
+        return 0 if pair in zero else graph.table[task.id][0]
+
+    return hand_built([
+        (task._replace(id=ids[task.id], deps=tuple(ids[d] for d in task.deps),
+                       twin=None if task.twin is None else ids[task.twin]), ns(task))
+        for task in rng.sample(list(graph.tasks.values()), len(graph))
+    ], credits=graph.credits)
+
+
+def test_timeline_order_breaks_ties_by_id_on_random_graphs():
+    rng = random.Random(14)
+    ties = 0  # tasks that share their start and lane with another
+    for _ in range(200):
+        graph = _relisted(rng, _random_graph(rng))
+        trace, expected = timeline_tasks(graph)
+        assert timeline_of(graph, trace) == expected
+        ties += len(expected) - len({event[:3] for event in expected})
+    assert ties > 200
 
 
 def test_only_the_lane_bound_counts_tasks_per_lane():

@@ -4,7 +4,7 @@ SchedulePlan plans a built graph's template (taskgraph.Walk.template) and
 copies the plan once per micro-batch; a hand-built graph is its own
 template, planned task by task, which is the reference here: the same
 graph's tasks, keys and credits hand-built (hand_built). The timeline order
-ranks the first copy's tasks and spreads the ranks over the copies.
+of a replicated plan's run is the task-level sort of task_timeline.
 """
 
 import logging
@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 from hand_built import hand_built
+from task_timeline import timeline_of, timeline_tasks
 
 from afpipe.allocator import default_allocation
 from afpipe.config import ScheduleKind, load_experiment
-from afpipe.sim import Retimer, SchedulePlan, _timeline_order
+from afpipe.sim import SchedulePlan
 from afpipe.taskgraph import build_task_graph
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -41,7 +42,7 @@ def _fields(plan):
         "remaining": plan.remaining,
         "dependents": plan.dependents,
         "credit": plan.credit,
-        "lane_owners": plan.lane_owners,
+        "lanes": plan.lanes,
         "queues": [(q.index, q.lanes, q.counters, q.units, q.sides, q.lane, q.other, q.owner,
                     q.bwd) for q in plan.queues],
         "owner_queues": [queues(qs) for qs in plan.owner_queues],
@@ -78,19 +79,14 @@ def test_naive_links_each_microbatch_to_the_last_task_of_the_one_before():
     assert plan.dependents[3 * size - 1] == []
 
 
-@pytest.mark.parametrize("microbatches,kinds", [
-    (32, list(ScheduleKind)),
-    (128, [ScheduleKind.AFPIPE]),
-], ids=["32", "128"])
-def test_template_rank_equals_the_three_sort_rank(microbatches, kinds):
-    for kind in kinds:
-        graph = _graph("deepseek_moe.yaml", kind, microbatches)
-        retimer = Retimer(graph)
-        tasks, unit_tasks = tuple(graph.tasks.values()), retimer.plan.unit_tasks
-        starts, _ = retimer.plan.run(retimer.durations(retimer.ns(graph.table)))
-        assert retimer.plan.copies == microbatches
-        assert (_timeline_order(tasks, unit_tasks, starts, microbatches)
-                == _timeline_order(tasks, unit_tasks, starts)), kind
+@pytest.mark.parametrize("microbatches,kind", [
+    *((m, kind) for m in (1, 2, 32) for kind in ScheduleKind),
+    (128, ScheduleKind.AFPIPE),
+], ids=lambda v: getattr(v, "value", v))
+def test_timeline_order_equals_the_task_level_sort(microbatches, kind):
+    graph = _graph("deepseek_moe.yaml", kind, microbatches)
+    trace, expected = timeline_tasks(graph)
+    assert timeline_of(graph, trace) == expected
 
 
 def test_replicated_plan_logs_its_template_at_debug(caplog):

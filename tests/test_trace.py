@@ -20,7 +20,7 @@ from afpipe.config import (
     Workload,
     load_experiment,
 )
-from afpipe.sim import ScheduleTrace, TraceEvent, check_schedule, simulate
+from afpipe.sim import Retimer, ScheduleTrace, TraceEvent, check_schedule, simulate
 from afpipe.taskgraph import (
     COMPUTE_LANE,
     RECV_LANE,
@@ -293,10 +293,13 @@ def test_lazy_trace_writes_the_bytes_of_its_eager_trace(config, kind, tmp_path):
 
 
 def test_lazy_time_without_a_float_value_is_a_serialization_error(tmp_path):
-    trace = _af_trace()
-    tasks, unit_tasks, starts, durations = trace._run
-    lazy = ScheduleTrace._of_run(tasks, unit_tasks, [10**400, *starts[1:]], durations, 10**400,
-                                 trace._walk)
+    exp = _experiment(3)
+    graph = build_task_graph(exp, canonical_allocation(exp.cluster, 1, 1))
+    retimer = Retimer(graph)
+    trace, _ = retimer.simulate(graph)
+    *_, starts, durations = trace._run
+    lazy = ScheduleTrace._of_run(retimer.plan, [10**400, *starts[1:]], durations, 10**400,
+                                 graph.walk)
     with pytest.raises(SerializationError, match="no float value"):
         export_trace_json(lazy)
     path = tmp_path / "trace.json"
