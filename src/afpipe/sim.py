@@ -45,35 +45,39 @@ costs a few heap operations, one per queue it touches, instead of a scan of
 every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each run's
 units, commits, heap pushes, stale pops and peak heap size; each simulate's
 wall time of plan, run and metrics, with whether the plan was built or
-reused and whether the run ran or hit the memo; each replicated plan's
-units, template units, micro-batches and wall time; and each timeline
-build's event count and wall time.
+reused and whether the run ran or hit the memo; for each plan of two or
+more copies, its units, template units, micro-batches and wall time; and
+each timeline build's event count and wall time.
 
 Plan and run: nothing above but the start times reads a duration, and a
 task holds none: graph.keys names its entry of graph.table. So a
 SchedulePlan, built once per walk (taskgraph.Walk, the graph's tasks, keys
-and credits), holds the checked template tasks, the units in tie-break
-order, their queues, lanes and 1F1B counters, the dependents, the initial
-dependency counts and the walk's credits. A walk is its template
+and credits), holds the template's units in tie-break order, their
+queues, lanes and 1F1B counters, the dependents, the initial dependency
+counts and the walk's credits. A walk is its template
 (Walk.template) repeated copies times: the walk numbers tasks micro-batch
-by micro-batch and the tie-break order is micro-batch-major. So every plan
-is its template's, checked task by task, and when there are two or more
-copies it is copied once per micro-batch with each task index shifted by
-the template's task count and each unit index by its unit count; the copies
-share the template's queues, lanes and credits, and a serial topology also
-makes each micro-batch's first unit wait for the last task of the one
-before. A hand-built walk is its own template, one copy. Neither the plan
-nor its run reads a Task beyond the template's: a built walk's tasks are
-walked only when graph.tasks is first read. The timeline order ranks each
-task by its plan lane, (owner, lane), and then its id, the template's ids
-extended over the copies, and the Retimer counts keys and lanes over the
+by micro-batch and the tie-break order is micro-batch-major. So a plan is
+its template's, checked task by task, and a copy count, the way a modulo
+schedule repeats one kernel over its iterations: task m * size + k is
+copy m of template task k, and unit m * units + u copy m of template unit
+u. A serial topology also makes each micro-batch's first unit wait for
+the last task of the one before: that task's dependent one copy on, the
+plan's link. A hand-built walk is its own template, one copy. No plan
+array grows with the copies, and neither the plan nor its run reads a
+Task beyond the template's: a built walk's tasks are walked only when
+graph.tasks is first read. The timeline order ranks each task by its plan
+lane, (owner, lane), and then its id, copy m of a template id's rank being
+m * size plus that rank, and the Retimer counts keys and lanes over the
 template.
-SchedulePlan.run takes each task's duration, as durations_ns reads it from
-a table, and returns each unit's start and the makespan.
+SchedulePlan.run takes each template task's duration, as durations_ns
+reads it from a table and every copy repeats, and returns each unit's
+start and the makespan; only the counts, ready times and starts it
+writes span every copy.
 SchedulePlan.chain_ns takes the same durations and returns the longest
 dependency chain over the units, a lower bound on run's makespan that
-ignores the lanes; the topological order it walks is built by its first
-call and kept.
+ignores the lanes. It walks the template, in a topological order built by
+its first call and kept, and multiplies the template's chain by the copies
+when the link chains them.
 
 A Retimer keeps one graph and its plan and runs the plan under the table of
 any graph of the kept graph's walk: the graphs of one topology
@@ -119,6 +123,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import ScheduleKind
@@ -171,12 +176,12 @@ class ScheduleTrace:
     ScheduleTrace(events, iteration_ns) holds the events it is given. The
     trace simulate returns holds its run instead: the graph's walk, the
     plan's lanes, task lanes and units (what _timeline_order reads of it;
-    the rest of the plan is not kept), each unit's start and each task's
-    duration. It builds the events, reading the walk's tasks, when they are
-    first read, then drops the run; timeline() gives the events' parts in
-    the same order without building them. The order is sorted once, by
-    whichever reads it first. Two traces are equal when their events and
-    iteration_ns are.
+    the rest of the plan is not kept), each unit's start and each template
+    task's duration. It builds the events, reading the walk's tasks, when
+    they are first read, then drops the run; timeline() gives the events'
+    parts in the same order without building them. The order is sorted
+    once, by whichever reads it first. Two traces are equal when their
+    events and iteration_ns are.
     """
 
     __slots__ = ("_events", "_run", "_walk", "_order", "iteration_ns")
@@ -210,7 +215,8 @@ class ScheduleTrace:
             durations = self._run[-1]
             order, begins = self._run_order()
             tasks = tuple(self._walk.tasks.values())
-            ends = map(operator.add, begins, map(durations.__getitem__, order))
+            size = len(durations)  # the template's: task k lasts durations[k % size]
+            ends = map(operator.add, begins, map(durations.__getitem__, map(size.__rmod__, order)))
             self._events = tuple(map(TraceEvent, map(tasks.__getitem__, order), begins, ends))
             self._run = self._walk = self._order = None
             _debug("timeline: %d events in %.3f ms",
@@ -220,12 +226,13 @@ class ScheduleTrace:
     def timeline(self) -> tuple[tuple[Task, ...], Sequence[int], list[int], list[int]]:
         """The events' parts, (tasks, order, starts, durations), built from the run if held.
 
-        tasks are the walk's template tasks, and with size = len(tasks),
-        event i is task order[i] of the run: copy order[i] // size of task
-        tasks[order[i] % size], that task with order[i] // size added to its
-        micro-batch and size times as much to its id. It starts at starts[i]
-        and lasts durations[order[i]] ns. A trace of given events is its own
-        template, one copy. Reading it builds no TraceEvent.
+        tasks are the walk's template tasks and durations theirs, and with
+        size = len(tasks), event i is task order[i] of the run: copy
+        order[i] // size of task tasks[order[i] % size], that task with
+        order[i] // size added to its micro-batch and size times as much to
+        its id. It starts at starts[i] and lasts durations[order[i] % size]
+        ns, as every copy of its task does. A trace of given events is its
+        own template, one copy. Reading it builds no TraceEvent.
         """
         if self._run is None:
             events = self._events
@@ -325,18 +332,23 @@ class _Queue:
 class SchedulePlan:
     """What scheduling a graph reads, except its durations; built once per graph.
 
-    It holds the units in tie-break order, the queue of each unit (lanes and
-    1F1B counters) and the units of each queue, each queue's neighbours, each
-    task's lane and counter, the (owner, lane) of each lane, the units that
-    depend on each task, each unit's dependency count and each owner's
-    credit. None of these reads a duration, so one plan schedules the graph
-    under any durations of its tasks: run() is the scheduler loop.
+    It holds the template's units in tie-break order, the queue of each unit
+    (lanes and 1F1B counters) and the units of each queue, each queue's
+    neighbours, each task's lane and counter, the (owner, lane) of each
+    lane, the units that depend on each task, each unit's dependency count,
+    each owner's credit, copies and link. None of these reads a duration, so
+    one plan schedules the graph under any durations of its tasks: run() is
+    the scheduler loop.
 
     It reads graph.walk alone (taskgraph.Walk): it plans the walk's template
     task by task, checking its keys and each task's deps and twin, under the
-    walk's credits, and when the walk has two or more copies, one per
-    micro-batch, copies that plan copies times. A hand-built walk is its own
-    template, and copies is 1.
+    walk's credits. copies is the walk's micro-batch count, which run and
+    chain_ns repeat the template over; a hand-built walk is its own
+    template, and copies is 1. Every array is the template's, so none grows
+    with copies. link is None unless the walk's topology is serial and has
+    two or more copies; then it is units plus the unit of task 0, the last
+    task's one dependent, which readies copy m + 1's first unit when copy
+    m's last task ends.
     run() resets and reuses the plan's queues, so one plan runs one schedule
     at a time. No queue refers to another, so nothing in a plan forms a
     reference cycle: a dropped plan is freed when its last reference goes.
@@ -347,11 +359,16 @@ class SchedulePlan:
         walk = graph.walk
         self._build(walk.template, walk.credits)
         self.copies = copies = walk.copies
+        self.link: int | None = None  # the serial link's unit, one copy on
         if copies > 1:
-            self._replicate(copies, len(walk.template.keys), walk.topology.serial)
+            units = len(self.unit_tasks)
+            if walk.topology.serial:
+                # Each micro-batch's first task also waits for the last task of
+                # the one before: the last task's dependent one copy on.
+                self.link = units + [members[0] for members in self.unit_tasks].index(0)
+                self.dependents[-1].append(self.link)
             _debug("plan: %d units from a %d-unit template x %d micro-batches in %.3f ms",
-                   len(self.unit_tasks), len(self.unit_tasks) // copies, copies,
-                   (time.perf_counter() - begin) * 1e3)
+                   units * copies, units, copies, (time.perf_counter() - begin) * 1e3)
 
     def _build(self, walk: Walk, credits: Mapping[str, int]) -> None:
         """Plan walk task by task, checking its keys and each task's deps and twin."""
@@ -455,62 +472,37 @@ class SchedulePlan:
                     task_lane[k] = lane
                     task_counter[k] = counter
 
-    def _replicate(self, copies: int, size: int, serial: bool) -> None:
-        """Turn the plan of one micro-batch's size tasks into the plan of copies micro-batches.
-
-        Copy m is the template with m * size added to each task index and
-        m * len(units) to each unit index; it shares the template's queues,
-        lanes, counters and credits. A serial topology also makes the first
-        unit of copy m depend on the last task of copy m - 1.
-        """
-        units = len(self.unit_tasks)
-        task_offsets = range(0, copies * size, size)
-        unit_offsets = range(0, copies * units, units)
-        # A walked unit is one task or a pair, and a walked task has at most
-        # one dependent unit: each task depends on the one before it, and the
-        # two sides of a pair on the same task. So each copy is one flat
-        # comprehension, a third of the cost of a nested one, which makes a
-        # call per task on Python 3.11.
-        assert all(len(d) <= 1 for d in self.dependents)
-        sides = [(u[0], u[1] if len(u) == 2 else None) for u in self.unit_tasks]
-        dependent = [d[0] if d else None for d in self.dependents]
-        self.unit_tasks = unit_tasks = []
-        self.dependents = dependents = []
-        for t, u in zip(task_offsets, unit_offsets):
-            unit_tasks += [(a + t,) if b is None else (a + t, b + t) for a, b in sides]
-            dependents += [[] if d is None else [d + u] for d in dependent]
-        self.unit_queue *= copies
-        self.remaining *= copies
-        self.task_lane *= copies
-        self.task_counter *= copies
-        if serial:
-            first = next(i for i, (a, _) in enumerate(sides) if a == 0)
-            for t, u in zip(task_offsets[1:], unit_offsets[1:]):
-                dependents[t - 1].append(first + u)
-                self.remaining[first + u] += 1
-        for q in self.queues:
-            q.units = [i + u for u in unit_offsets for i in q.units]
-            q.sides = tuple(tuple([k + t for t in task_offsets for k in side]) for side in q.sides)
-
     def run(self, durations: list[int]) -> tuple[list[int | None], int]:
-        """Schedule every unit when its tasks take durations (ns, in tasks order).
+        """Schedule every unit of every copy when its tasks take durations (ns).
 
+        durations holds the template's tasks, in tasks order, which every
+        copy repeats. Unit i is copy i // units of template unit i % units.
         Returns each unit's start and the makespan. Raises CycleDetected when
         the ready set empties with tasks unplaced.
         """
-        unit_tasks, unit_queue, dependents = self.unit_tasks, self.unit_queue, self.dependents
+        unit_tasks, dependents = self.unit_tasks, self.dependents
+        # A dependent lies in the committed unit's copy or, for a serial link,
+        # one copy on, so it indexes a template unit's queue twice over.
+        unit_queue = self.unit_queue * 2
         credit, owner_queues, neighbors = self.credit, self.owner_queues, self.neighbors
         task_lane, task_counter = self.task_lane, self.task_counter
         for q in self.queues:
             q.clear()
-        remaining = self.remaining[:]
+        units, copies = len(unit_tasks), self.copies
+        # Each copy's dependency counts, and one padded copy past the end,
+        # where the last copy's serial link lands: its counts start below 0,
+        # so none of its units is ever ready.
+        remaining = self.remaining * copies + [-1] * units
+        if self.link is not None:  # every copy but the first waits for the one before
+            for i in range(self.link, copies * units, units):
+                remaining[i] += 1
         started = [0] * (2 * len(credit))  # forward, backward compute starts per owner
         # Whether each owner prefers backward: once its in-flight forward count,
         # none yet, reaches its credit. The last slot is rank 0's (_Queue.owner).
         prefer = [c <= 0 for c in credit] + [False]
         lane_free = [0] * len(self.lanes)
-        ready_ns = [0] * len(unit_tasks)  # latest end among a unit's committed dependencies
-        unit_start: list[int | None] = [None] * len(unit_tasks)
+        ready_ns = [0] * len(remaining)  # latest end among a unit's committed dependencies
+        unit_start: list[int | None] = [None] * (copies * units)
         heap: list[tuple[int, int, int, int, _Queue]] = []
         pushes = stale = peak = 0
 
@@ -518,7 +510,7 @@ class SchedulePlan:
         # they are taken in unit order, so each parked list is already a heap.
         for i, n in enumerate(remaining):
             if n == 0:
-                unit_queue[i].parked.append(i)
+                unit_queue[i % units].parked.append(i)
         touched: Iterable[_Queue] = self.queues
         while True:
             # Give the heap the head of each non-empty touched queue under its
@@ -555,7 +547,9 @@ class SchedulePlan:
             # Besides q's neighbours, the commit touches the owner's queues when
             # it flips the owner's preference and the queues of units it readies.
             touched = [*neighbors[q.index]]
-            for k in unit_tasks[i]:
+            u = i % units
+            offset = i - u  # of unit i's copy; its tasks and dependents are the template's
+            for k in unit_tasks[u]:
                 lane_free[task_lane[k]] = finish = at + durations[k]
                 counter = task_counter[k]
                 if counter >= 0:
@@ -565,7 +559,8 @@ class SchedulePlan:
                     if bwd != prefer[owner]:  # the owner's queues change rank
                         prefer[owner] = bwd
                         touched += owner_queues[owner]
-                for j in dependents[k]:
+                for d in dependents[k]:
+                    j = d + offset
                     if finish > ready_ns[j]:
                         ready_ns[j] = finish
                     remaining[j] -= 1
@@ -573,7 +568,7 @@ class SchedulePlan:
                         # Pending if ready after its lanes' free times so far; when
                         # a later side of this commit frees them later, the refresh
                         # parks it.
-                        p = unit_queue[j]
+                        p = unit_queue[d]
                         ready = ready_ns[j]
                         if ready <= lane_free[p.lane] or ready <= lane_free[p.other]:
                             heappush(p.parked, j)
@@ -582,7 +577,7 @@ class SchedulePlan:
                         touched.append(p)
 
         _debug("simulate: %d units, %d commits, %d heap pushes, %d stale pops, peak heap %d",
-               len(unit_tasks), pushes - stale, pushes, stale, peak)
+               len(unit_start), pushes - stale, pushes, stale, peak)
         if None in unit_start:
             raise CycleDetected("dependency graph contains a cycle")
         # A lane is free from the end of its last task, so the latest is the makespan.
@@ -590,9 +585,12 @@ class SchedulePlan:
 
     @cached_property
     def _topological_order(self) -> list[int]:
-        """The units, each after every unit it depends on; short when some lie on a cycle."""
+        """The template's units, each after every unit it depends on; short on a cycle.
+
+        The link lands in a padded copy whose counts start below 0, so it readies none.
+        """
         unit_tasks, dependents = self.unit_tasks, self.dependents
-        remaining = self.remaining[:]
+        remaining = self.remaining + [-1] * len(unit_tasks)
         order = [i for i, n in enumerate(remaining) if n == 0]
         for i in order:  # the loop reaches the units appended while it runs
             for k in unit_tasks[i]:
@@ -603,20 +601,25 @@ class SchedulePlan:
         return order
 
     def chain_ns(self, durations: list[int]) -> int:
-        """The longest dependency chain when tasks take durations (ns, in tasks order).
+        """The longest dependency chain when tasks take durations (ns, as run's).
 
         Lanes are ignored, so it is a lower bound on run's makespan. A
         send/recv pair is one unit that starts after the union of its two
         sides' dependencies, as run starts it; so when the twins' deps differ
-        the chain can exceed a task-by-task longest path. The topological
-        order is built by the first call and kept. Raises CycleDetected when
-        some unit lies on a cycle.
+        the chain can exceed a task-by-task longest path. It walks the
+        template: the copies share no dependency unless the link chains each
+        behind the one before, and a serial template is one chain from its
+        first unit to its last task, so the chain is the template's, times
+        copies when they are linked. The topological order is built by the
+        first call and kept. Raises CycleDetected when some unit lies on a
+        cycle.
         """
         unit_tasks, dependents = self.unit_tasks, self.dependents
         order = self._topological_order
         if len(order) < len(unit_tasks):
             raise CycleDetected("dependency graph contains a cycle")
-        ready = [0] * len(unit_tasks)  # the longest chain ending before each unit
+        # The longest chain ending before each unit, and a serial link's one copy on.
+        ready = [0] * (2 * len(unit_tasks))
         longest = 0
         for i in order:
             at = ready[i]
@@ -627,7 +630,7 @@ class SchedulePlan:
                 for j in dependents[k]:
                     if end > ready[j]:
                         ready[j] = end
-        return longest
+        return longest if self.link is None else longest * self.copies
 
 
 class Retimer:
@@ -679,8 +682,11 @@ class Retimer:
         return tuple(durations_ns(self.keys, table))
 
     def durations(self, ns: tuple[int, ...]) -> list[int]:
-        """Each task's duration (ns, in tasks order) when its distinct key takes ns."""
-        return list(map(ns.__getitem__, self.columns)) * self.plan.copies
+        """Each template task's duration (ns, in tasks order) when its distinct key takes ns.
+
+        Every copy of a task lasts as long: task k of the walk takes entry k % size.
+        """
+        return list(map(ns.__getitem__, self.columns))
 
     def makespan_ns(self, ns: tuple[int, ...]) -> int:
         """The makespan of the plan's run under ns: one plan run per distinct ns."""
@@ -700,7 +706,7 @@ class Retimer:
         """The largest summed duration of one (owner, lane) under ns: a lower bound.
 
         The first call counts each lane's tasks per distinct key (task_lane,
-        columns) over the plan's first copy, each task once per copy.
+        columns) over the template, each task once per copy.
         """
         if self._lane_rows is None:
             copies = self.plan.copies
@@ -758,27 +764,31 @@ def _timeline_order(walk: Walk, lanes: list[tuple[str, str]], task_lane: list[in
     """The task indices of a run of walk ordered by (start, owner, lane, id), and their starts.
 
     lanes, task_lane and unit_tasks are the plan's (SchedulePlan), starts
-    the run's unit starts. The ids are the walk's: its template's, extended
-    over its copies (taskgraph.Walk).
+    the run's unit starts. Task m * size + k is copy m of template task k,
+    whose id is the template's plus m * size (taskgraph.Walk).
     """
     # A task's rank under (owner, lane, id) is its lane's rank times n plus
-    # its id's rank, so that order is the order of the ints start * width +
-    # rank[k], which sort without a tuple per task and decode by % and //.
-    # A built walk's ids ascend with the task index, so its id order sorts
-    # in one pass.
+    # its id's rank, m * size plus its template id's rank; so that order is
+    # the order of the ints start * width + rank, which sort without a tuple
+    # per task and decode by % and //.
     ids, copies = list(walk.template.tasks), walk.copies  # the template's ids, in task order
-    n, size = len(task_lane), len(ids)
-    by_id = sorted(range(n), key=[i + m * size for m in range(copies) for i in ids].__getitem__)
+    size, units = len(ids), len(unit_tasks)
+    n = copies * size
     by_lane = sorted(range(len(lanes)), key=lanes.__getitem__)
     # Each lane's rank (the inverse of by_lane) times n.
     lane_base = [r * n for r in sorted(range(len(lanes)), key=by_lane.__getitem__)]
-    rank = list(map(operator.add, map(lane_base.__getitem__, task_lane),
-                    sorted(range(n), key=by_id.__getitem__)))  # the inverse of by_id
+    by_id = sorted(range(size), key=ids.__getitem__)
+    rank = [0] * size  # of each template task in copy 0
+    for r, k in enumerate(by_id):
+        rank[k] = lane_base[task_lane[k]] + r
     width = len(lanes) * n
-    keys = sorted([
-        begin * width + rank[k] for begin, members in zip(starts, unit_tasks) for k in members
-    ])
-    return (list(map(by_id.__getitem__, map(n.__rmod__, keys))),
+    keys = sorted([begin * width + m * size + rank[k] for m in range(copies)
+                   for begin, members in zip(starts[m * units:(m + 1) * units], unit_tasks)
+                   for k in members])
+    # A key's id rank, m * size + r, is task m * size + by_id[r].
+    ranks = list(map(n.__rmod__, keys))
+    moved = [k - r for r, k in enumerate(by_id)]
+    return (list(map(operator.add, ranks, map(moved.__getitem__, map(size.__rmod__, ranks)))),
             list(map(width.__rfloordiv__, keys)))
 
 
@@ -787,23 +797,26 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
     """The run metrics of plan's run: unit starts and makespan under durations.
 
     Units of one queue share their lanes, so each queue's first start,
-    compute time and spans come from its units' starts and durations at
-    once. A send/recv pair is one communication span.
+    compute time and spans come from its units' starts, copy by copy, and
+    its template tasks' durations at once. A send/recv pair is one
+    communication span.
     """
     iteration = seconds(makespan)
     if not plan.unit_tasks:
         return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, {})
 
-    lanes = plan.lanes
+    lanes, units = plan.lanes, len(plan.unit_tasks)
+    # Each copy's unit starts: copy m's template unit u starts at row m's entry u.
+    rows = [starts[i:i + units] for i in range(0, len(starts), units)]
     first_activity: dict[str, int] = {}
     busy: dict[str, int] = {}
     comm_spans: list[tuple[int, int]] = []
     compute_spans: list[tuple[int, int]] = []
     for q in plan.queues:
-        begins = list(map(starts.__getitem__, q.units))
+        begins = list(chain.from_iterable(map(row.__getitem__, q.units) for row in rows))
         first = min(begins)
-        # Per task of the units: its durations, in q.units order.
-        sides = [list(map(durations.__getitem__, side)) for side in q.sides]
+        # Per task of the units: its durations, in begins order.
+        sides = [list(map(durations.__getitem__, side)) * plan.copies for side in q.sides]
         comm_sides = []
         for lane, counter, side in zip(q.lanes, q.counters, sides):
             owner = lanes[lane][0]
@@ -952,7 +965,7 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
     retimer = Retimer(graph)  # one plan for both bounds and the durations
     ns = retimer.ns(graph.table)
     bound = max(retimer.chain_ns(ns), retimer.lane_bound_ns(ns))
-    duration = dict(zip(graph.tasks, retimer.durations(ns)))
+    duration = dict(zip(graph.tasks, retimer.durations(ns) * retimer.plan.copies))
     problems = []
     span: dict[int, tuple[int, int]] = {}
     by_lane: dict[tuple[str, str], list[tuple[int, int, int]]] = {}

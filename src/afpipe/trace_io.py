@@ -8,13 +8,14 @@ group, timestamps and durations in microseconds. The shipped JSON schema
 The bytes are those of json.dumps(events, indent=1, sort_keys=True), made
 from templates. The pieces are formatted from ScheduleTrace.timeline(), the
 events' parts in timeline order: the template's tasks, each event's task
-index, its start, and the durations. For the trace simulate returns, those
-come straight from its plan and run, the template being a built graph's
-one micro-batch, so an export builds no TraceEvent and reads no Task but
-the template's. Task index k is copy k // size of template task k % size;
-every copy of a task has its fields but its micro-batch and id, and its
-duration, so each template task's text is filled once per export with all
-of them, and an event formats only its micro-batch, id and start. A trace
+index, its start, and the template tasks' durations. For the trace
+simulate returns, those come straight from its plan and run, the template
+being a built graph's one micro-batch, so an export builds no TraceEvent
+and reads no Task or duration but the template's. Task index k is copy
+k // size of template task k % size; every copy of a task has its fields
+but its micro-batch and id, and its duration, so each template task's text
+is filled once per export with all of them, and an event formats only its
+micro-batch, id and start. A trace
 built from given events is its own template, one copy. The document is
 made in pieces of _CHUNK events; write_trace streams them to the file and
 export_trace_json joins the same pieces. Every time is checked before the
@@ -114,7 +115,9 @@ def _chunks(trace: ScheduleTrace) -> tuple[int, Iterator[str]]:
     """
     tasks, order, starts, durations = trace.timeline()
     if starts:
-        ends = list(map(operator.add, starts, map(durations.__getitem__, order)))
+        size = len(tasks)  # task k lasts durations[k % size]
+        lasts = map(durations.__getitem__, map(size.__rmod__, order))
+        ends = list(map(operator.add, starts, lasts))
         width = max(0, max(starts), max(ends)) - min(0, min(starts), min(ends))
         try:
             width / 1e3

@@ -1,26 +1,28 @@
 """Reference timeline order: every task sorted by (start, owner, lane, id).
 
 It reads each task's owner, lane and id straight from graph.tasks and its
-start from the run's unit starts, with no plan lanes, no ranks and no
-template, so it lives here only as the gate that ScheduleTrace.timeline's
-order must match.
+start from the run of the general plan of graph hand-built (hand_built),
+task by task, with no plan lanes, no ranks and no template, so it lives
+here only as the gate that ScheduleTrace.timeline's order must match.
 """
 
 from __future__ import annotations
 
-from afpipe.sim import Retimer, ScheduleTrace
+from hand_built import hand_built
+
+from afpipe.sim import SchedulePlan, ScheduleTrace, durations_ns, simulate
 from afpipe.taskgraph import TaskGraph
 
 
 def timeline_tasks(graph: TaskGraph) -> tuple[ScheduleTrace, list[tuple[int, str, str, int]]]:
     """graph's trace and its timeline as (start, owner, lane, id) per task, sorted."""
-    retimer = Retimer(graph)
-    trace, _ = retimer.simulate(graph)
-    [(starts, _)] = retimer.runs.values()
+    trace, _ = simulate(graph)
+    general = SchedulePlan(hand_built(graph))
+    starts, _ = general.run(durations_ns(graph.keys, graph.table))
     tasks = tuple(graph.tasks.values())
     return trace, sorted(
         (begin, tasks[k].owner, tasks[k].lane, tasks[k].id)
-        for begin, members in zip(starts, retimer.plan.unit_tasks) for k in members
+        for begin, members in zip(starts, general.unit_tasks) for k in members
     )
 
 

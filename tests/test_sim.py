@@ -222,10 +222,11 @@ def test_plan_chain_equals_task_level_longest_path(config, kind):
     assert critical_path_ns(graph) == critical_path_tasks(graph) > 0
 
 
-def test_plan_chain_is_at_most_the_makespan_under_random_tables():
+@pytest.mark.parametrize("microbatches", [1, 4, 32])
+def test_plan_chain_is_at_most_the_makespan_under_random_tables(microbatches):
     rng = random.Random(11)
     for kind in ScheduleKind:
-        g = _build(kind, layers=4, depth=2, stages=2, microbatches=4)
+        g = _build(kind, layers=4, depth=2, stages=2, microbatches=microbatches)
         plan = SchedulePlan(g)
         plan.run(durations_ns(g.keys, g.table))
         assert "_topological_order" not in vars(plan)  # only chain_ns builds it

@@ -1,10 +1,12 @@
-"""A built graph's plan is its one-micro-batch template's plan, replicated.
+"""A built graph's plan is its one-micro-batch template's plan and a copy count.
 
 SchedulePlan plans a built graph's template (taskgraph.Walk.template) and
-copies the plan once per micro-batch; a hand-built graph is its own
-template, planned task by task, which is the reference here: the same
-graph's tasks, keys and credits hand-built (hand_built). The timeline order
-of a replicated plan's run is the task-level sort of task_timeline.
+runs it once per micro-batch; a hand-built graph is its own template,
+planned task by task, which is the reference here: the same graph's tasks,
+keys and credits hand-built (hand_built). The template plan must equal the
+general plan of the hand-built template, and its runs and bounds those of
+the general plan of the whole hand-built graph. The timeline order of its
+run is the task-level sort of task_timeline.
 """
 
 import logging
@@ -18,7 +20,7 @@ from task_timeline import timeline_of, timeline_tasks
 
 from afpipe.allocator import default_allocation
 from afpipe.config import ScheduleKind, load_experiment
-from afpipe.sim import SchedulePlan
+from afpipe.sim import Retimer, SchedulePlan, durations_ns
 from afpipe.taskgraph import build_task_graph
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -52,31 +54,68 @@ def _fields(plan):
     }
 
 
+def _template(graph):
+    """graph's template hand-built, under graph's credits and table."""
+    return hand_built(replace(graph, walk=graph.walk.template), credits=graph.credits)
+
+
 @pytest.mark.parametrize("microbatches", [1, 2, 8, 32])
 @pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
 def test_replicated_plan_equals_the_general_plan(config, kind, microbatches):
     graph = _graph(config, kind, microbatches)
     plan = SchedulePlan(graph)
-    assert plan.copies == (microbatches if microbatches > 1 else 1)
-    general = SchedulePlan(hand_built(graph))
-    assert general.copies == 1
-    replicated, reference = _fields(plan), _fields(general)
+    assert plan.copies == microbatches
+    general = SchedulePlan(_template(graph))
+    assert general.copies == 1 and general.link is None
+    fields, reference = _fields(plan), _fields(general)
+    if plan.link is not None:  # the serial link: the last task's dependent one copy on
+        assert kind is ScheduleKind.NAIVE_SEQUENTIAL and microbatches > 1
+        reference["dependents"][-1] = [*reference["dependents"][-1], plan.link]
     for name in reference:  # field by field, for a readable failure
-        assert replicated[name] == reference[name], name
+        assert fields[name] == reference[name], name
+
+    # The copies run as the general plan of the whole graph runs, and bound alike.
+    whole = hand_built(graph)
+    full = SchedulePlan(whole)
+    durations = durations_ns(graph.keys, graph.table)
+    assert plan.run(durations[:len(general.task_lane)]) == full.run(durations)
+    assert plan.chain_ns(durations) == full.chain_ns(durations)
+    retimer, reference = Retimer(graph), Retimer(whole)
+    ns = retimer.ns(graph.table)
+    assert retimer.lane_bound_ns(ns) == reference.lane_bound_ns(reference.ns(graph.table))
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
+def test_no_plan_array_grows_with_the_microbatch_count(kind):
+    graph = _graph("deepseek_moe.yaml", kind, 32)
+    plan, template = SchedulePlan(graph), SchedulePlan(_template(graph))
+    units, size = len(template.unit_tasks), len(graph.walk.template.keys)
+    assert plan.copies == 32
+    assert len(plan.unit_tasks) == len(plan.unit_queue) == len(plan.remaining) == units
+    assert len(plan.dependents) == len(plan.task_lane) == len(plan.task_counter) == size
+    assert [len(q.units) for q in plan.queues] == [len(q.units) for q in template.queues]
+    assert sum(len(q.units) for q in plan.queues) == units
+    assert all(len(side) == len(q.units) for q in plan.queues for side in q.sides)
 
 
 def test_naive_links_each_microbatch_to_the_last_task_of_the_one_before():
     graph = _graph("toy.yaml", ScheduleKind.NAIVE_SEQUENTIAL, 3)
     plan = SchedulePlan(graph)
-    size, units = len(graph) // 3, len(plan.unit_tasks) // 3
+    size, units = len(graph.walk.template.keys), len(plan.unit_tasks)
     [first] = [i for i, members in enumerate(plan.unit_tasks) if members == (0,)]
+    [last] = [i for i, members in enumerate(plan.unit_tasks) if members == (size - 1,)]
+    # The template holds one link: its last task's dependent, its first unit one copy on.
     assert plan.remaining[first] == 0
-    for m in (1, 2):
-        assert plan.unit_tasks[first + m * units] == (m * size,)
-        assert plan.remaining[first + m * units] == 1
-        assert plan.dependents[m * size - 1] == [first + m * units]
-    assert plan.dependents[3 * size - 1] == []
+    assert plan.link == first + units
+    assert plan.dependents[size - 1] == [first + units]
+    assert SchedulePlan(_graph("toy.yaml", ScheduleKind.NAIVE_SEQUENTIAL, 1)).link is None
+    durations = Retimer(graph).durations(Retimer(graph).ns(graph.table))
+    starts, makespan = plan.run(durations)
+    assert starts[first] == 0
+    for m in (1, 2):  # micro-batch m starts when the last task of m - 1 ends
+        assert starts[first + m * units] == starts[last + (m - 1) * units] + durations[size - 1]
+    assert makespan == starts[last + 2 * units] + durations[size - 1]
 
 
 @pytest.mark.parametrize("microbatches,kind", [
@@ -96,7 +135,7 @@ def test_replicated_plan_logs_its_template_at_debug(caplog):
         SchedulePlan(hand_built(graph))  # a general plan logs none
     lines = [r.getMessage() for r in caplog.records
              if r.name == "afpipe.sim" and r.getMessage().startswith("plan: ")]
-    units = len(plan.unit_tasks)
+    units = len(plan.unit_tasks)  # the template's
     assert len(lines) == 1
-    assert re.fullmatch(rf"plan: {units} units from a {units // 4}-unit template x 4 "
+    assert re.fullmatch(rf"plan: {4 * units} units from a {units}-unit template x 4 "
                         r"micro-batches in \d+\.\d{3} ms", lines[0]), lines
