@@ -24,37 +24,45 @@ identical graphs always produce identical traces.
 Heap order: ready units wait in queues, one per shape (the owner, lane and
 kind of each of a unit's tasks, which fix the lanes it occupies and its 1F1B
 rank class). One heap holds the head of every non-empty queue under the
-order above. Its keys are exact although no unit is re-keyed as time passes:
+order above, keyed (start, rank, unit). A queue's key can fall only when a
+unit is added to it, when its owner's preference flips or when its own head
+is committed:
   * a unit starts no earlier than each of its lanes is free, so lane free
     times only grow. A unit that was ready by the time its lanes were free
-    stays so: it starts exactly when they are next free, and within its queue
-    its tie-break alone orders it. A unit ready later is ordered by (ready
-    time, tie-break) until its lanes' free time reaches it;
+    stays so (parked): it starts exactly when they are next free, and within
+    its queue its tie-break alone orders it. A unit ready later (pending) is
+    ordered by (ready time, tie-break) until its lanes' free time reaches it,
+    and keeps its key then. So a commit on a lane a queue shares can only
+    raise the queue's key;
   * a ready unit's dependencies have all ended, so its ready time is fixed;
   * the 1F1B rank changes only when the group commits compute.
-So a commit moves only the heads of the queues on the lanes it occupies, of
-the group whose preference it flips and of the queues it adds ready units to.
-The first are the committed queue's neighbours, listed once per plan. The
-loop refreshes each touched queue inline: it re-keys the queue's head and
-pushes it when the key has changed. Superseded heap entries are skipped when
-popped. A queue may be touched twice in one commit, and the touched queues
-come in no set order; neither matters. A second refresh finds the key it
-just pushed and pushes nothing. Live keys (start, rank, unit) are unique, so
-the order of the pushes cannot change which unit the heap yields. A commit
-costs a few heap operations, one per queue it touches, instead of a scan of
-every ready unit. With AFPIPE_LOG=DEBUG, logger afpipe.sim logs each run's
-units, commits, heap pushes, stale pops and peak heap size; each simulate's
-wall time of plan, run and metrics, with whether the plan was built or
-reused and whether the run ran or hit the memo; for each plan of two or
-more copies, its units, template units, micro-batches and wall time; and
-each timeline build's event count and wall time.
+So a commit re-keys the committed queue, the queues of the group whose
+preference it flips and the non-empty queues it adds ready units to; a unit
+it readies into an empty queue is that queue's head, keyed and pushed at
+once. Every other key stays, at most its queue's true key, as in the lazy
+greedy of Minoux (1978): an entry of a queue's last push is current when it
+is popped if both of the queue's lanes are free by its start, and is
+otherwise re-keyed and the heap popped again. One refresh loop re-keys: it
+keys each touched queue's head and pushes it when the key has changed.
+Superseded entries are skipped when popped; they and the re-keyed entries
+are the stale pops, so the pushes are the commits plus the stale pops. A
+queue may be touched twice in one commit, and the touched queues come in no
+set order; neither matters. A second refresh finds the key it just pushed
+and pushes nothing. Live keys are unique, so the order of the pushes cannot
+change which unit the heap yields. A commit costs a few heap operations
+instead of a scan of every ready unit. With AFPIPE_LOG=DEBUG, logger
+afpipe.sim logs each run's units, commits, heap pushes, stale pops and peak
+heap size; each simulate's wall time of plan, run and metrics, with whether
+the plan was built or reused and whether the run ran or hit the memo; for
+each plan of two or more copies, its units, template units, micro-batches
+and wall time; and each timeline build's event count and wall time.
 
 Plan and run: nothing above but the start times reads a duration, and a
 task holds none: graph.keys names its entry of graph.table. So a
 SchedulePlan, built once per walk (taskgraph.Walk, the graph's tasks, keys
 and credits), holds the template's units in tie-break order, their
 queues, lanes and 1F1B counters, the dependents, the initial dependency
-counts and the walk's credits. A walk is its template
+counts, a commit record per unit and the walk's credits. A walk is its template
 (Walk.template) repeated copies times: the walk numbers tasks micro-batch
 by micro-batch and the tie-break order is micro-batch-major. So a plan is
 its template's, checked task by task, and a copy count, the way a modulo
@@ -292,16 +300,16 @@ class _Queue:
     So they occupy the same lanes and share a 1F1B rank class. Parked units
     were ready by the time all those lanes are free, so each can start exactly
     then and they are ordered by ordinal alone; pending units are ready later
-    and are ordered by (ready_ns, ordinal). A commit from this queue frees its
-    lanes, so it re-keys its neighbours, the queues that share one of them;
-    the plan lists those by the queue's index, so a queue refers to no other.
+    and are ordered by (ready_ns, ordinal). A commit from another queue that
+    shares a lane can only raise this queue's key, so it leaves the key to be
+    re-checked when popped (SchedulePlan.run). No queue refers to another.
     """
 
     __slots__ = ("index", "lanes", "counters", "units", "sides", "lane", "other", "owner", "bwd",
                  "parked", "pending", "key", "stamp")
 
     def __init__(self, index: int, lanes: tuple[int, ...], counters: tuple[int, ...]):
-        self.index = index  # its position in the plan's queues and neighbour lists
+        self.index = index  # its position in the plan's queues
         # Per task of a unit: the lane it occupies and the compute counter it
         # bumps, 2 * owner + 1 for backward compute, 2 * owner for forward,
         # -1 for none. The first task's counter is the units' rank class: the
@@ -332,11 +340,14 @@ class _Queue:
 class SchedulePlan:
     """What scheduling a graph reads, except its durations; built once per graph.
 
-    It holds the template's units in tie-break order, the queue of each unit
-    (lanes and 1F1B counters) and the units of each queue, each queue's
-    neighbours, each task's lane and counter, the (owner, lane) of each
-    lane, the units that depend on each task, each unit's dependency count,
-    each owner's credit, copies and link. None of these reads a duration, so
+    It holds the template's units in tie-break order, its queues (lanes and
+    1F1B counters) and the units of each, each owner's queues, each task's
+    lane, the (owner, lane) of each lane, the units that depend on each
+    task, each unit's dependency count and commit record, each owner's
+    credit, copies and link. A unit's commit record holds, per task, the
+    task index, lane and compute counter and its dependents, each as (unit,
+    queue, whether the task is its one dependency in every copy), so a
+    commit reads no other array by task. None of these reads a duration, so
     one plan schedules the graph under any durations of its tasks: run() is
     the scheduler loop.
 
@@ -357,21 +368,18 @@ class SchedulePlan:
     def __init__(self, graph: TaskGraph):
         begin = time.perf_counter()
         walk = graph.walk
-        self._build(walk.template, walk.credits)
         self.copies = copies = walk.copies
-        self.link: int | None = None  # the serial link's unit, one copy on
+        self._build(walk.template, walk.credits, copies > 1 and walk.topology.serial)
         if copies > 1:
             units = len(self.unit_tasks)
-            if walk.topology.serial:
-                # Each micro-batch's first task also waits for the last task of
-                # the one before: the last task's dependent one copy on.
-                self.link = units + [members[0] for members in self.unit_tasks].index(0)
-                self.dependents[-1].append(self.link)
             _debug("plan: %d units from a %d-unit template x %d micro-batches in %.3f ms",
                    units * copies, units, copies, (time.perf_counter() - begin) * 1e3)
 
-    def _build(self, walk: Walk, credits: Mapping[str, int]) -> None:
-        """Plan walk task by task, checking its keys and each task's deps and twin."""
+    def _build(self, walk: Walk, credits: Mapping[str, int], linked: bool) -> None:
+        """Plan walk task by task, checking its keys and each task's deps and twin.
+
+        linked: whether each copy of walk waits for the last task of the one before.
+        """
         _check_keys(walk)
         tasks = walk.tasks
         # walk.keys names one table entry per task, in this order.
@@ -408,7 +416,7 @@ class SchedulePlan:
         owner_index: dict[str, int] = {}
         queues: dict[tuple, _Queue] = {}  # by the (owner, lane, kind) of a unit's tasks
         self.unit_tasks = unit_tasks = []  # task indices of each unit
-        self.unit_queue = unit_queue = []
+        unit_queue = []
         self.remaining = remaining = []  # dependency count of each unit
         # The units that depend on each task, by task index.
         self.dependents = dependents = [[] for _ in ordered]
@@ -448,29 +456,40 @@ class SchedulePlan:
         self.credit = [credits.get(owner, 1) for owner in owner_index]
         self.lanes = list(lane_index)  # (owner, lane) per lane index
         self.queues = tuple(queues.values())
-        lane_queues: list[list[_Queue]] = [[] for _ in lane_index]
         self.owner_queues: list[list[_Queue]] = [[] for _ in owner_index]
         for q in self.queues:
-            for lane in q.lanes:
-                lane_queues[lane].append(q)
             if q.owner >= 0:
                 self.owner_queues[q.owner].append(q)
-        # Per task, the lane and the compute counter of its side of its queue:
-        # a commit reads them by task, with no zip over the queue's sides.
+        # Per task, the lane and the compute counter of its side of its queue.
         self.task_lane = task_lane = [0] * len(ordered)
-        self.task_counter = task_counter = [0] * len(ordered)
-        # By queue index, the distinct queues that share a lane with it, itself
-        # first. The plan holds them, so no queue refers to another.
-        self.neighbors = [
-            tuple(dict.fromkeys([q, *(p for lane in q.lanes for p in lane_queues[lane])]))
-            for q in self.queues
-        ]
+        task_counter = [0] * len(ordered)
         for q in self.queues:
             q.sides = tuple(zip(*map(unit_tasks.__getitem__, q.units)))
             for side, lane, counter in zip(q.sides, q.lanes, q.counters):
                 for k in side:
                     task_lane[k] = lane
                     task_counter[k] = counter
+
+        units = len(unit_tasks)
+        # A dependent is a unit of the committed unit's copy or, for the link,
+        # one copy on. It is ready when this task ends if the task is its one
+        # dependency in every copy: not for the link, nor for the link's unit
+        # past the first copy.
+        queue_of = unit_queue * 2
+        single = [n == 1 for n in remaining] + [False] * units
+        self.link: int | None = None  # the serial link's unit, one copy on
+        if linked:
+            # Each micro-batch's first task also waits for the last task of
+            # the one before: the last task's dependent one copy on.
+            self.link = units + [members[0] for members in unit_tasks].index(0)
+            dependents[-1].append(self.link)
+            single[self.link - units] = False
+        # Per unit, per task: what a commit reads of it.
+        self.records = [
+            tuple((k, task_lane[k], task_counter[k],
+                   tuple((d, queue_of[d], single[d]) for d in dependents[k])) for k in members)
+            for members in unit_tasks
+        ]
 
     def run(self, durations: list[int]) -> tuple[list[int | None], int]:
         """Schedule every unit of every copy when its tasks take durations (ns).
@@ -480,15 +499,8 @@ class SchedulePlan:
         Returns each unit's start and the makespan. Raises CycleDetected when
         the ready set empties with tasks unplaced.
         """
-        unit_tasks, dependents = self.unit_tasks, self.dependents
-        # A dependent lies in the committed unit's copy or, for a serial link,
-        # one copy on, so it indexes a template unit's queue twice over.
-        unit_queue = self.unit_queue * 2
-        credit, owner_queues, neighbors = self.credit, self.owner_queues, self.neighbors
-        task_lane, task_counter = self.task_lane, self.task_counter
-        for q in self.queues:
-            q.clear()
-        units, copies = len(unit_tasks), self.copies
+        records, credit, owner_queues = self.records, self.credit, self.owner_queues
+        units, copies = len(records), self.copies
         # Each copy's dependency counts, and one padded copy past the end,
         # where the last copy's serial link lands: its counts start below 0,
         # so none of its units is ever ready.
@@ -508,13 +520,15 @@ class SchedulePlan:
 
         # Units with no dependencies are ready at 0, when every lane is free;
         # they are taken in unit order, so each parked list is already a heap.
-        for i, n in enumerate(remaining):
-            if n == 0:
-                unit_queue[i % units].parked.append(i)
+        for q in self.queues:
+            q.clear()
+            q.parked = [m + u for m in range(0, copies * units, units) for u in q.units
+                        if remaining[m + u] == 0]
         touched: Iterable[_Queue] = self.queues
         while True:
             # Give the heap the head of each non-empty touched queue under its
             # current key; a queue whose key has not changed pushes nothing.
+            # This is the one loop that re-keys a queue.
             for r in touched:
                 parked, pending = r.parked, r.pending
                 if not (parked or pending):
@@ -541,17 +555,22 @@ class SchedulePlan:
                 stale += 1
             else:
                 break
+            if lane_free[q.lane] > at or lane_free[q.other] > at:
+                # A commit on one of q's lanes has raised its key since the
+                # push: re-key q and pop again.
+                stale += 1
+                touched = (q,)
+                continue
             heappop(q.parked if q.parked else q.pending)
             q.key = None
             unit_start[i] = at
-            # Besides q's neighbours, the commit touches the owner's queues when
-            # it flips the owner's preference and the queues of units it readies.
-            touched = [*neighbors[q.index]]
+            # The commit touches q, the owner's queues when it flips the owner's
+            # preference, and the non-empty queues it adds ready units to.
+            touched = [q]
             u = i % units
             offset = i - u  # of unit i's copy; its tasks and dependents are the template's
-            for k in unit_tasks[u]:
-                lane_free[task_lane[k]] = finish = at + durations[k]
-                counter = task_counter[k]
+            for k, lane, counter, deps in records[u]:
+                lane_free[lane] = finish = at + durations[k]
                 if counter >= 0:
                     started[counter] += 1
                     owner = counter >> 1
@@ -559,22 +578,40 @@ class SchedulePlan:
                     if bwd != prefer[owner]:  # the owner's queues change rank
                         prefer[owner] = bwd
                         touched += owner_queues[owner]
-                for d in dependents[k]:
+                for d, p, single in deps:
                     j = d + offset
-                    if finish > ready_ns[j]:
-                        ready_ns[j] = finish
-                    remaining[j] -= 1
-                    if remaining[j] == 0:
-                        # Pending if ready after its lanes' free times so far; when
-                        # a later side of this commit frees them later, the refresh
-                        # parks it.
-                        p = unit_queue[d]
+                    if single:
+                        ready = finish
+                    else:
+                        if finish > ready_ns[j]:
+                            ready_ns[j] = finish
+                        remaining[j] -= 1
+                        if remaining[j]:
+                            continue
                         ready = ready_ns[j]
-                        if ready <= lane_free[p.lane] or ready <= lane_free[p.other]:
+                    # Pending if ready after its lanes' free times so far; when
+                    # a later side of this commit frees them later, a refresh
+                    # parks it.
+                    free, other = lane_free[p.lane], lane_free[p.other]
+                    if other > free:
+                        free = other
+                    if p.parked or p.pending:
+                        if ready <= free:
                             heappush(p.parked, j)
                         else:
                             heappush(p.pending, (ready, j))
                         touched.append(p)
+                        continue
+                    # The one unit of an empty queue is its head: key it here.
+                    if ready <= free:
+                        p.parked.append(j)
+                    else:
+                        p.pending.append((ready, j))
+                        free = ready
+                    rank = prefer[p.owner] != p.bwd
+                    pushes += 1
+                    p.key, p.stamp = (free, rank, j), pushes
+                    heappush(heap, (free, rank, j, pushes, p))
 
         _debug("simulate: %d units, %d commits, %d heap pushes, %d stale pops, peak heap %d",
                len(unit_start), pushes - stale, pushes, stale, peak)

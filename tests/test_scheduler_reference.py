@@ -17,9 +17,9 @@ from test_acceptance import _build as build_small
 from test_acceptance import criterion_5_experiments
 from test_taskgraph import GRAPH_PINS
 
-from afpipe.allocator import default_allocation
+from afpipe.allocator import default_allocation, enumerate_feasible
 from afpipe.config import ScheduleKind, load_experiment
-from afpipe.sim import simulate
+from afpipe.sim import Retimer, simulate
 from afpipe.taskgraph import (
     COMPUTE_LANE,
     RECV_LANE,
@@ -166,3 +166,21 @@ def test_run_metrics_equal_the_event_aggregate_on_random_graphs():
     for _ in range(100):
         for retimed in _random_tables(rng, _random_graph(rng), count=2):
             _assert_same_metrics(retimed)
+
+
+def test_one_retimer_matches_the_scan_under_many_split_tables():
+    # One Retimer of deepseek afpipe at 4 micro-batches re-times its plan under
+    # the table of every 16th feasible split; each run must schedule as the
+    # scan of the graph built for that split.
+    base = load_experiment(str(CONFIGS / "deepseek_moe.yaml"))
+    exp = dataclasses.replace(base, schedule_kind=ScheduleKind.AFPIPE,
+                              workload=dataclasses.replace(base.workload, num_microbatches=4))
+    retimer = Retimer(build_task_graph(exp, default_allocation(exp)))
+    for alloc in enumerate_feasible(exp.cluster)[::16]:
+        graph = build_task_graph(exp, alloc, like=retimer.graph)
+        trace, _ = retimer.simulate(graph)
+        reference, _ = simulate_scan(build_task_graph(exp, alloc))
+        assert trace == reference, alloc
+        assert retimer.makespan_ns(retimer.ns(graph.table)) == reference.iteration_ns
+    assert retimer.counts["plans"] == 1
+    assert len(retimer.makespans) >= 12  # distinct split tables

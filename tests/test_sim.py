@@ -582,6 +582,54 @@ def test_heap_work_is_pinned(caplog, config, kind):
     assert tuple(map(counts.__getitem__, fields)) == HEAP_WORK_PINS[(config, kind)]
 
 
+def test_a_commit_on_a_shared_lane_outdates_a_key_that_the_pop_re_keys(caplog):
+    # Pairs 0/1 (A0 -> F0) and 2/3 (B0 -> F0) share F0's receive lane, the
+    # second lane of each, and both are keyed at 0. Pair 0/1 goes first (its
+    # micro-batch is lower) and holds that lane until 10, so pair 2/3's entry
+    # at 0 is live but outdated: its pop re-keys it to 10, one stale pop.
+    g = hand_built([*_transfer_pair(0, "A0", "F0", 10), *_transfer_pair(2, "B0", "F0", 5, mb=1)])
+    counts = _scheduler_counts(caplog, g)
+    assert counts == {"units": 2, "commits": 2, "heap pushes": 3, "stale pops": 1,
+                      "peak heap": 2}
+    assert counts["heap pushes"] == counts["commits"] + counts["stale pops"]
+    spans = {ev.task.id: (ev.start_ns, ev.end_ns) for ev in simulate(g)[0].events}
+    assert spans == {0: (0, 10), 1: (0, 10), 2: (10, 15), 3: (10, 15)}
+    _assert_same_schedule(g)
+
+
+def test_a_unit_readied_into_an_empty_queue_is_keyed_pending_or_parked():
+    # B0's forward queue is empty both times a unit is readied into it. Task
+    # 1 is ready at 5 with B0's engine free since 0: pending, it starts at 5.
+    # Task 3 is ready at 6 with the engine busy with task 1 until 25: parked,
+    # it starts at 25.
+    g = hand_built([
+        _compute(0, "A0", 5),
+        _compute(1, "B0", 20, deps=(0,)),
+        _compute(2, "A0", 1, mb=1),
+        _compute(3, "B0", 3, deps=(2,), mb=1),
+    ])
+    spans = {ev.task.id: (ev.start_ns, ev.end_ns) for ev in simulate(g)[0].events}
+    assert spans == {0: (0, 5), 1: (5, 25), 2: (5, 6), 3: (25, 28)}
+    _assert_same_schedule(g)
+
+
+def test_a_preference_flip_re_keys_the_owners_queues_at_once():
+    # G0's task 0 readies G1's backward 1 at 10, ranked 1 while G1 prefers
+    # forward. G1's forward 2 then fills G1's credit, so G1 prefers backward:
+    # at 10, backward 1 outranks forward 3 despite its higher micro-batch.
+    # Its lane is free by 10, so only the flip itself can re-key it.
+    fwd, bwd = TaskKind.FWD_COMPUTE, TaskKind.BWD_COMPUTE
+    g = hand_built([
+        _compute(0, "G0", 10),
+        _compute(1, "G1", 5, deps=(0,), kind=bwd, mb=5),
+        _compute(2, "G1", 10, kind=fwd),
+        _compute(3, "G1", 5, kind=fwd, mb=1),
+    ])
+    spans = {ev.task.id: (ev.start_ns, ev.end_ns) for ev in simulate(g)[0].events}
+    assert spans == {0: (0, 10), 1: (10, 15), 2: (0, 10), 3: (15, 20)}
+    _assert_same_schedule(g)
+
+
 def test_pair_sides_free_their_lanes_apart_and_a_pair_waits_on_its_second_lane():
     # Pair 0/1 (G2 -> G1) sends for 3 ns and receives for 10, so task 4,
     # after the send side, starts at 3 and task 5, after the receive side, at

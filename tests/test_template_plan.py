@@ -40,7 +40,6 @@ def _fields(plan):
 
     return {
         "unit_tasks": plan.unit_tasks,
-        "unit_queue": queues(plan.unit_queue),
         "remaining": plan.remaining,
         "dependents": plan.dependents,
         "credit": plan.credit,
@@ -48,9 +47,9 @@ def _fields(plan):
         "queues": [(q.index, q.lanes, q.counters, q.units, q.sides, q.lane, q.other, q.owner,
                     q.bwd) for q in plan.queues],
         "owner_queues": [queues(qs) for qs in plan.owner_queues],
-        "neighbors": [queues(qs) for qs in plan.neighbors],
         "task_lane": plan.task_lane,
-        "task_counter": plan.task_counter,
+        "records": [[(k, lane, counter, [(d, q.index, single) for d, q, single in deps])
+                     for k, lane, counter, deps in record] for record in plan.records],
     }
 
 
@@ -72,6 +71,13 @@ def test_replicated_plan_equals_the_general_plan(config, kind, microbatches):
     if plan.link is not None:  # the serial link: the last task's dependent one copy on
         assert kind is ScheduleKind.NAIVE_SEQUENTIAL and microbatches > 1
         reference["dependents"][-1] = [*reference["dependents"][-1], plan.link]
+        last = len(general.task_lane) - 1
+        [(u, side)] = [(u, members.index(last)) for u, members in enumerate(general.unit_tasks)
+                       if last in members]
+        first = plan.link - len(general.unit_tasks)
+        [linked] = [q.index for q in general.queues if first in q.units]
+        k, lane, counter, deps = reference["records"][u][side]
+        reference["records"][u][side] = (k, lane, counter, [*deps, (plan.link, linked, False)])
     for name in reference:  # field by field, for a readable failure
         assert fields[name] == reference[name], name
 
@@ -92,8 +98,9 @@ def test_no_plan_array_grows_with_the_microbatch_count(kind):
     plan, template = SchedulePlan(graph), SchedulePlan(_template(graph))
     units, size = len(template.unit_tasks), len(graph.walk.template.keys)
     assert plan.copies == 32
-    assert len(plan.unit_tasks) == len(plan.unit_queue) == len(plan.remaining) == units
-    assert len(plan.dependents) == len(plan.task_lane) == len(plan.task_counter) == size
+    assert len(plan.unit_tasks) == len(plan.records) == len(plan.remaining) == units
+    assert len(plan.dependents) == len(plan.task_lane) == size
+    assert sum(len(record) for record in plan.records) == size
     assert [len(q.units) for q in plan.queues] == [len(q.units) for q in template.queues]
     assert sum(len(q.units) for q in plan.queues) == units
     assert all(len(side) == len(q.units) for q in plan.queues for side in q.sides)
