@@ -62,8 +62,8 @@ task holds none: graph.keys names its entry of graph.table. So a
 SchedulePlan, built once per walk (taskgraph.Walk, the graph's tasks, keys
 and credits), holds the template's units in tie-break order, their
 queues, lanes and 1F1B counters, the dependents, the initial dependency
-counts, a commit record per unit and the walk's credits. A walk is its template
-(Walk.template) repeated copies times: the walk numbers tasks micro-batch
+counts, a commit record per unit and the walk's credits. A walk is its
+template (Walk.template) repeated copies times: the walk numbers tasks micro-batch
 by micro-batch and the tie-break order is micro-batch-major. So a plan is
 its template's, checked task by task, and a copy count, the way a modulo
 schedule repeats one kernel over its iterations: task m * size + k is
@@ -305,8 +305,8 @@ class _Queue:
     re-checked when popped (SchedulePlan.run). No queue refers to another.
     """
 
-    __slots__ = ("index", "lanes", "counters", "units", "sides", "lane", "other", "owner", "bwd",
-                 "parked", "pending", "key", "stamp")
+    __slots__ = ("index", "lanes", "counters", "units", "sides", "roots", "lane", "other", "owner",
+                 "bwd", "parked", "pending", "key", "stamp")
 
     def __init__(self, index: int, lanes: tuple[int, ...], counters: tuple[int, ...]):
         self.index = index  # its position in the plan's queues
@@ -320,6 +320,9 @@ class _Queue:
         # Per task of a unit, the task indices of that side of every unit, in
         # units order: set by the plan once every unit is queued.
         self.sides: tuple[tuple[int, ...], ...] = ()
+        # Its units with no dependency in the template, which alone can be
+        # ready at 0 in some copy: set by the plan with the sides.
+        self.roots: list[int] = []
         # What run reads of them. A unit is one task or a send/recv pair, so
         # lane and other are its two lanes, or its one lane twice. Then the
         # rank class's owner, -1 for rank 0 (run's last preference slot, which
@@ -341,13 +344,13 @@ class SchedulePlan:
     """What scheduling a graph reads, except its durations; built once per graph.
 
     It holds the template's units in tie-break order, its queues (lanes and
-    1F1B counters) and the units of each, each owner's queues, each task's
-    lane, the (owner, lane) of each lane, the units that depend on each
-    task, each unit's dependency count and commit record, each owner's
-    credit, copies and link. A unit's commit record holds, per task, the
-    task index, lane and compute counter and its dependents, each as (unit,
-    queue, whether the task is its one dependency in every copy), so a
-    commit reads no other array by task. None of these reads a duration, so
+    1F1B counters) and the units and roots of each, each owner's queues,
+    each task's lane, the (owner, lane) of each lane, the units that depend
+    on each task, each unit's dependency count and commit record, each
+    owner's credit, copies and link. A unit's commit record holds, per task,
+    the task index, lane and compute counter and its dependents, each as
+    (unit, queue, whether the task is its one dependency in every copy), so
+    a commit reads no other array by task. None of these reads a duration, so
     one plan schedules the graph under any durations of its tasks: run() is
     the scheduler loop.
 
@@ -412,14 +415,22 @@ class SchedulePlan:
                 (mb, vi, _COMPONENT_RANK.get(component, 2), owner, lane, tid, k, kind, deps, twin)
             )
         order.sort()
+        units = len(order)
+        # The serial link's unit, one copy on: each micro-batch's first task
+        # also waits for the last task of the one before. An order entry's
+        # task index is its unit's first task.
+        self.link = link = units + [entry[6] for entry in order].index(0) if linked else None
         lane_index: dict[tuple[str, str], int] = {}
         owner_index: dict[str, int] = {}
         queues: dict[tuple, _Queue] = {}  # by the (owner, lane, kind) of a unit's tasks
         self.unit_tasks = unit_tasks = []  # task indices of each unit
-        unit_queue = []
+        unit_queue = []  # the queue of each unit
         self.remaining = remaining = []  # dependency count of each unit
-        # The units that depend on each task, by task index.
+        # The units that depend on each task, by task index, and what a commit
+        # of the task reads of each: (unit, queue, whether the task is its one
+        # dependency in every copy, which the link's unit is not past the first).
         self.dependents = dependents = [[] for _ in ordered]
+        targets = [[] for _ in ordered]
         for i, (_, _, _, owner, lane, _, k, kind, deps, twin) in enumerate(order):
             if twin is None:
                 members = (k,)
@@ -450,46 +461,33 @@ class SchedulePlan:
             unit_tasks.append(members)
             unit_queue.append(q)
             remaining.append(len(deps))
+            target = (i, q, len(deps) == 1 and i + units != link)
             for dep in deps:
-                dependents[index[dep]].append(i)
+                t = index[dep]
+                dependents[t].append(i)
+                targets[t].append(target)
+        if link is not None:  # the last task's dependent one copy on
+            dependents[-1].append(link)
+            targets[-1].append((link, unit_queue[link - units], False))
 
         self.credit = [credits.get(owner, 1) for owner in owner_index]
         self.lanes = list(lane_index)  # (owner, lane) per lane index
         self.queues = tuple(queues.values())
         self.owner_queues: list[list[_Queue]] = [[] for _ in owner_index]
+        # Per task, the lane of its side of its queue, and what a commit reads
+        # of it: its index, lane, compute counter and dependents.
+        self.task_lane = task_lane = [0] * len(ordered)
+        record = [()] * len(ordered)
         for q in self.queues:
             if q.owner >= 0:
                 self.owner_queues[q.owner].append(q)
-        # Per task, the lane and the compute counter of its side of its queue.
-        self.task_lane = task_lane = [0] * len(ordered)
-        task_counter = [0] * len(ordered)
-        for q in self.queues:
             q.sides = tuple(zip(*map(unit_tasks.__getitem__, q.units)))
+            q.roots = [u for u in q.units if remaining[u] == 0]
             for side, lane, counter in zip(q.sides, q.lanes, q.counters):
                 for k in side:
                     task_lane[k] = lane
-                    task_counter[k] = counter
-
-        units = len(unit_tasks)
-        # A dependent is a unit of the committed unit's copy or, for the link,
-        # one copy on. It is ready when this task ends if the task is its one
-        # dependency in every copy: not for the link, nor for the link's unit
-        # past the first copy.
-        queue_of = unit_queue * 2
-        single = [n == 1 for n in remaining] + [False] * units
-        self.link: int | None = None  # the serial link's unit, one copy on
-        if linked:
-            # Each micro-batch's first task also waits for the last task of
-            # the one before: the last task's dependent one copy on.
-            self.link = units + [members[0] for members in unit_tasks].index(0)
-            dependents[-1].append(self.link)
-            single[self.link - units] = False
-        # Per unit, per task: what a commit reads of it.
-        self.records = [
-            tuple((k, task_lane[k], task_counter[k],
-                   tuple((d, queue_of[d], single[d]) for d in dependents[k])) for k in members)
-            for members in unit_tasks
-        ]
+                    record[k] = (k, lane, counter, targets[k])
+        self.records = [tuple(map(record.__getitem__, members)) for members in unit_tasks]
 
     def run(self, durations: list[int]) -> tuple[list[int | None], int]:
         """Schedule every unit of every copy when its tasks take durations (ns).
@@ -518,11 +516,12 @@ class SchedulePlan:
         heap: list[tuple[int, int, int, int, _Queue]] = []
         pushes = stale = peak = 0
 
-        # Units with no dependencies are ready at 0, when every lane is free;
-        # they are taken in unit order, so each parked list is already a heap.
+        # Units with no dependencies are ready at 0, when every lane is free:
+        # the queues' roots, but the link's unit past the first copy. They are
+        # taken in unit order, so each parked list is already a heap.
         for q in self.queues:
             q.clear()
-            q.parked = [m + u for m in range(0, copies * units, units) for u in q.units
+            q.parked = [m + u for m in range(0, copies * units, units) for u in q.roots
                         if remaining[m + u] == 0]
         touched: Iterable[_Queue] = self.queues
         while True:
