@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 
 from . import allocator as alloc_mod
@@ -46,9 +47,9 @@ EXIT_IO = 5
 _SCHEDULE_CHOICES = [k.value for k in ScheduleKind]
 _SWEEP_AXES = ("seq_len", "topk", "ep_size", "virtual_stages", "attn_gpu_share")
 _SIMULATION_ERRORS = (GraphConstructionError, CycleDetected, NegativeDuration, MakespanOverflow)
-# The schedule families in the order sweep runs them, each over every point:
-# a family keeps one topology from point to point unless the axis moves it,
-# and megatron1f1b and chunked share theirs at every point.
+# The schedule families, one Retimer each in a sweep: a family keeps one
+# topology from point to point unless the axis moves it, and megatron1f1b
+# and chunked share theirs at every point.
 _FAMILIES = (
     (ScheduleKind.AFPIPE,),
     (ScheduleKind.MEGATRON_1F1B, ScheduleKind.CHUNKED_OVERLAP),
@@ -207,22 +208,6 @@ def _apply_axis(exp: Experiment, axis: str, raw: str) -> tuple[Experiment, float
     return exp, value, forced_gpus
 
 
-def _sweep_point(exp: Experiment, args, raw: str, candidates) -> tuple:
-    """(experiment, value, allocation, attention FLOPs, FFN FLOPs, OOM flag) of one value."""
-    point, value, forced_gpus = _apply_axis(exp, args.axis, raw)
-    if forced_gpus is not None:
-        alloc = canonical_allocation(
-            point.cluster, forced_gpus, point.cluster.total_nics // 2, args.equal_nics
-        )
-    else:
-        _, band = alloc_mod.phase1_min_bottleneck(candidates(), point, AllocatorParams().epsilon)
-        alloc = alloc_mod.phase2_tiebreak(band, point)
-    c_a = float(attention_flops(point.model, point.workload))
-    c_f = float(ffn_flops(point.model, point.workload))
-    oom = estimate_oom(point, alloc, args.mem_cap)
-    return point, value, alloc, c_a, c_f, oom
-
-
 def _log_retimer(verb: str, points: int, counts) -> None:
     log.debug("%s: %d points, %d plans built, %d runs, %d memo hits",
               verb, points, counts["plans"], counts["retimed"], counts["calls"] - counts["retimed"])
@@ -231,48 +216,23 @@ def _log_retimer(verb: str, points: int, counts) -> None:
 def cmd_sweep(args) -> int:
     """One CSV row per (point, schedule), point by point.
 
-    The simulations run family by family (_FAMILIES) on one Retimer, so each
-    topology is planned once and only one plan is alive at a time. A point's
-    error and a simulation's error are raised once every step before them,
-    in point-by-point order, has run, so the first failing step sets the
-    exit code as if the points ran in that order.
+    Each point is set up and runs its four schedules before the next is set
+    up, so the first failing step in point order sets the exit code. Each
+    family of _FAMILIES keeps its own Retimer across the points, so each
+    topology is planned once and at most one plan per family is alive.
     """
     exp = _load(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise _CliError(EXIT_CONFIG, "no sweep values given")
 
-    # The first failure in point-by-point order: its (point, kind index),
-    # where -1 is the point's own set-up, and the exception.
-    failure: tuple[tuple[int, int], Exception] | None = None
     # No axis changes the cluster, so the points share one list of feasible
     # splits, enumerated when the first point needs it.
     candidates = functools.cache(lambda: alloc_mod.enumerate_feasible(exp.cluster, args.equal_nics))
-    points = []
-    for i, raw in enumerate(values):
-        try:
-            points.append(_sweep_point(exp, args, raw, candidates))
-        except (_CliError, ConfigError, NoFeasible) as exc:  # raised after earlier points
-            failure = ((i, -1), exc)
-            break
-
-    kinds = list(ScheduleKind)
-    results: list[dict] = [{} for _ in points]
-    retimer = Retimer()
+    counts = Counter()
+    retimers = {}
     for family in _FAMILIES:
-        for i, (point, _, alloc, *_) in enumerate(points):
-            for kind in family:
-                at = (i, kinds.index(kind))
-                if failure is not None and at > failure[0]:
-                    break
-                try:
-                    _, results[i][kind] = run_schedule(point, kind, alloc, retimer)
-                except _SIMULATION_ERRORS as exc:  # earlier than any failure so far
-                    failure = (at, exc)
-    _log_retimer("sweep", len(points), retimer.counts)
-    if failure is not None:
-        raise failure[1]
-
+        retimers.update(dict.fromkeys(family, Retimer(counts=counts)))
     fieldnames = [
         "schedule", "axis", "value", "iteration_time_s", "bubble_fraction",
         "exposed_comm_s", "mfu", "speedup_vs_megatron", "attn_flops_share",
@@ -281,23 +241,41 @@ def cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
-    for (point, value, _, c_a, c_f, oom), by_kind in zip(points, results):
-        base = by_kind[ScheduleKind.MEGATRON_1F1B]
-        for kind in ScheduleKind:
-            result = by_kind[kind]
-            writer.writerow({
-                "schedule": kind.value,
-                "axis": args.axis,
-                "value": value,
-                "iteration_time_s": repr(result.iteration_time),
-                "bubble_fraction": repr(result.bubble_fraction),
-                "exposed_comm_s": repr(result.exposed_comm),
-                "mfu": repr(result.mfu),
-                "speedup_vs_megatron": repr(speedup(base, result)),
-                "attn_flops_share": repr(c_a / (c_a + c_f)),
-                "m2n_bytes": m2n_comm_bytes(point.model, point.workload),
-                "oom_flag": oom,
-            })
+    points = 0
+    try:
+        for raw in values:
+            point, value, forced_gpus = _apply_axis(exp, args.axis, raw)
+            if forced_gpus is not None:
+                alloc = canonical_allocation(
+                    point.cluster, forced_gpus, point.cluster.total_nics // 2, args.equal_nics
+                )
+            else:
+                _, band = alloc_mod.phase1_min_bottleneck(
+                    candidates(), point, AllocatorParams().epsilon)
+                alloc = alloc_mod.phase2_tiebreak(band, point)
+            c_a = float(attention_flops(point.model, point.workload))
+            c_f = float(ffn_flops(point.model, point.workload))
+            oom = estimate_oom(point, alloc, args.mem_cap)
+            points += 1
+            results = {kind: run_schedule(point, kind, alloc, retimers[kind])[1]
+                       for kind in ScheduleKind}
+            base = results[ScheduleKind.MEGATRON_1F1B]
+            for kind, result in results.items():
+                writer.writerow({
+                    "schedule": kind.value,
+                    "axis": args.axis,
+                    "value": value,
+                    "iteration_time_s": repr(result.iteration_time),
+                    "bubble_fraction": repr(result.bubble_fraction),
+                    "exposed_comm_s": repr(result.exposed_comm),
+                    "mfu": repr(result.mfu),
+                    "speedup_vs_megatron": repr(speedup(base, result)),
+                    "attn_flops_share": repr(c_a / (c_a + c_f)),
+                    "m2n_bytes": m2n_comm_bytes(point.model, point.workload),
+                    "oom_flag": oom,
+                })
+    finally:
+        _log_retimer("sweep", points, counts)
 
     text = buf.getvalue()
     if args.out:

@@ -102,9 +102,10 @@ per task of the walk's tasks, only when its events are read, as by
 check_schedule;
 trace_io.write_trace formats the same order from the template and the run
 (ScheduleTrace.timeline) and builds none, and sweep and compare read
-neither. sweep and compare run every schedule of a call on one Retimer, so
-each topology is planned once and re-timed per point; the metrics, which
-read the point's table and total_flops, are computed per point. The
+neither. compare runs its four schedules on one Retimer and sweep keeps one
+per schedule family across its points, so each topology is planned once and
+re-timed per point; the metrics, which read the point's table and
+total_flops, are computed per point. The
 Retimer's one index of the distinct keys also gives both lower bounds on a
 makespan under ns: chain_ns, the longest dependency chain, and
 lane_bound_ns, the largest summed duration of one (owner, lane).
@@ -305,11 +306,10 @@ class _Queue:
     re-checked when popped (SchedulePlan.run). No queue refers to another.
     """
 
-    __slots__ = ("index", "lanes", "counters", "units", "sides", "roots", "lane", "other", "owner",
+    __slots__ = ("lanes", "counters", "units", "sides", "roots", "lane", "other", "owner",
                  "bwd", "parked", "pending", "key", "stamp")
 
-    def __init__(self, index: int, lanes: tuple[int, ...], counters: tuple[int, ...]):
-        self.index = index  # its position in the plan's queues
+    def __init__(self, lanes: tuple[int, ...], counters: tuple[int, ...]):
         # Per task of a unit: the lane it occupies and the compute counter it
         # bumps, 2 * owner + 1 for backward compute, 2 * owner for forward,
         # -1 for none. The first task's counter is the units' rank class: the
@@ -456,7 +456,7 @@ class SchedulePlan:
                         group = owner_index.setdefault(member.owner, len(owner_index))
                         counter = 2 * group + (member.kind is TaskKind.BWD_COMPUTE)
                     counters.append(counter)
-                q = queues[shape] = _Queue(len(queues), tuple(lanes), tuple(counters))
+                q = queues[shape] = _Queue(tuple(lanes), tuple(counters))
             q.units.append(i)
             unit_tasks.append(members)
             unit_queue.append(q)

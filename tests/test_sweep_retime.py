@@ -1,13 +1,15 @@
 """sweep and compare re-time one kept schedule plan per topology.
 
 A point of a sweep changes only a graph's table and total_flops unless the
-axis moves its topology, so sweep plans each topology once and re-times it
-(sim.Retimer). These tests hold the CSV to fresh per-point simulations, pin
-how many plans and runs a sweep does, and pin that failures keep the exit
-code of running the points in order.
+axis moves its topology, so sweep keeps one Retimer per schedule family
+across its points and plans each topology once. These tests hold the CSV to
+fresh per-point simulations, pin how many plans and runs a sweep does and
+how many plans are alive, and pin that sweep runs its points in order, so
+the first failing step sets the exit code.
 """
 
 import contextlib
+import gc
 import io
 import logging
 import os
@@ -21,7 +23,7 @@ from afpipe.allocator import default_allocation, enumerate_feasible
 from afpipe.config import ScheduleKind, load_experiment
 from afpipe.costs import BACKWARD_MULTIPLIER, layer_costs
 from afpipe.report import run_schedule
-from afpipe.sim import Retimer
+from afpipe.sim import Retimer, SchedulePlan
 from afpipe.taskgraph import GraphConstructionError, build_task_graph, graph_topology
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -235,3 +237,55 @@ def test_one_sweep_enumerates_the_candidates_once(axis, per_sweep, monkeypatch):
     for sweeps in (1, 2):
         assert _sweep(*argv)[0] == 0
         assert len(enumerated) == sweeps * per_sweep
+
+
+def test_each_point_runs_its_schedules_before_the_next_is_set_up(monkeypatch):
+    steps = []
+    set_up = cli._apply_axis
+
+    def apply_axis(exp, axis, raw):
+        steps.append(("set up", raw))
+        return set_up(exp, axis, raw)
+
+    def run(exp, kind, alloc, retimer=None):
+        steps.append(("run", str(exp.virtual_stages), kind))
+        return run_schedule(exp, kind, alloc, retimer)
+
+    monkeypatch.setattr(cli, "_apply_axis", apply_axis)
+    monkeypatch.setattr(cli, "run_schedule", run)
+    assert _sweep("--config", TOY, "--axis", "virtual_stages", "--values", "1,2,4")[0] == 0
+    assert steps == [step for raw in ("1", "2", "4")
+                     for step in [("set up", raw), *(("run", raw, k) for k in ScheduleKind)]]
+
+
+def test_an_unpatched_failing_sweep_exits_3_and_logs_its_points(tmp_path, caplog):
+    # At this peak the first point's durations fit the nanosecond clock and
+    # the second point's do not.
+    text = open(TOY, encoding="utf-8").read()
+    config = tmp_path / "slow.yaml"
+    config.write_text(text.replace("gpu_peak: 1.0e12", "gpu_peak: 1.0e-285"))
+    out = tmp_path / "sweep.csv"
+    argv = ["--config", str(config), "--axis", "seq_len", "--out", str(out)]
+    with caplog.at_level(logging.DEBUG, logger="afpipe"):
+        code, stdout, stderr = _sweep(*argv, "--values", "128,1048576")
+    assert code == 3 and stdout == "" and not out.exists()
+    assert re.fullmatch(r"error: simulation failed: duration \S+ s has no finite nanosecond "
+                        r"value\n", stderr), stderr
+    assert _counts(caplog, "sweep")[0] == 2
+    assert _sweep(*argv, "--values", "128")[0] == 0  # the first point alone times
+
+
+def test_a_sweep_keeps_at_most_three_plans_alive(monkeypatch):
+    # One Retimer per family: afpipe, the staged pair and naive. Every
+    # virtual_stages point moves the afpipe and staged topologies.
+    alive = []
+
+    def run(exp, kind, alloc, retimer=None):
+        returned = run_schedule(exp, kind, alloc, retimer)
+        gc.collect()
+        alive.append(sum(isinstance(o, SchedulePlan) for o in gc.get_objects()))
+        return returned
+
+    monkeypatch.setattr(cli, "run_schedule", run)
+    assert _sweep("--config", TOY, "--axis", "virtual_stages", "--values", "1,2,4")[0] == 0
+    assert len(alive) == 12 and max(alive) <= 3

@@ -34,9 +34,9 @@ def _graph(config, kind, microbatches):
 
 
 def _fields(plan):
-    """Every field of plan as plain values, a queue as its index."""
-    def queues(qs):
-        return [q.index for q in qs]
+    """Every field of plan as plain values, a queue as its position in plan.queues."""
+    def queue(q):
+        return plan.queues.index(q)
 
     return {
         "unit_tasks": plan.unit_tasks,
@@ -44,11 +44,11 @@ def _fields(plan):
         "dependents": plan.dependents,
         "credit": plan.credit,
         "lanes": plan.lanes,
-        "queues": [(q.index, q.lanes, q.counters, q.units, q.sides, q.lane, q.other, q.owner,
+        "queues": [(q.lanes, q.counters, q.units, q.sides, q.lane, q.other, q.owner,
                     q.bwd) for q in plan.queues],
-        "owner_queues": [queues(qs) for qs in plan.owner_queues],
+        "owner_queues": [list(map(queue, qs)) for qs in plan.owner_queues],
         "task_lane": plan.task_lane,
-        "records": [[(k, lane, counter, [(d, q.index, single) for d, q, single in deps])
+        "records": [[(k, lane, counter, [(d, queue(q), single) for d, q, single in deps])
                      for k, lane, counter, deps in record] for record in plan.records],
     }
 
@@ -75,7 +75,7 @@ def test_replicated_plan_equals_the_general_plan(config, kind, microbatches):
         [(u, side)] = [(u, members.index(last)) for u, members in enumerate(general.unit_tasks)
                        if last in members]
         first = plan.link - len(general.unit_tasks)
-        [linked] = [q.index for q in general.queues if first in q.units]
+        [linked] = [i for i, q in enumerate(general.queues) if first in q.units]
         k, lane, counter, deps = reference["records"][u][side]
         reference["records"][u][side] = (k, lane, counter, [*deps, (plan.link, linked, False)])
     for name in reference:  # field by field, for a readable failure
