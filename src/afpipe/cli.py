@@ -47,9 +47,9 @@ EXIT_IO = 5
 _SCHEDULE_CHOICES = [k.value for k in ScheduleKind]
 _SWEEP_AXES = ("seq_len", "topk", "ep_size", "virtual_stages", "attn_gpu_share")
 _SIMULATION_ERRORS = (GraphConstructionError, CycleDetected, NegativeDuration, MakespanOverflow)
-# The schedule families, one Retimer each in a sweep: a family keeps one
-# topology from point to point unless the axis moves it, and megatron1f1b
-# and chunked share theirs at every point.
+# The schedule families, one Retimer each in compare and sweep: a family
+# keeps one topology from point to point unless the axis moves it, and
+# megatron1f1b and chunked share theirs at every point.
 _FAMILIES = (
     (ScheduleKind.AFPIPE,),
     (ScheduleKind.MEGATRON_1F1B, ScheduleKind.CHUNKED_OVERLAP),
@@ -99,6 +99,13 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _csv(rows: list[tuple]) -> str:
+    """rows, a header tuple and then one tuple per row, as CSV text."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _print_result_table(rows: list[tuple]) -> None:
@@ -164,12 +171,10 @@ def cmd_allocate(args) -> int:
     if args.out:
         _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True))
     if args.trace_csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["attn_gpus", "ffn_gpus", "attn_nics", "ffn_nics", "profiled_time_s"])
-        for cand, t in report.objective_trace:
-            writer.writerow([cand.attn_gpus, cand.ffn_gpus, cand.attn_nics, cand.ffn_nics, repr(t)])
-        _write_output(args.trace_csv, buf.getvalue())
+        rows = [("attn_gpus", "ffn_gpus", "attn_nics", "ffn_nics", "profiled_time_s")]
+        rows += [(cand.attn_gpus, cand.ffn_gpus, cand.attn_nics, cand.ffn_nics, repr(t))
+                 for cand, t in report.objective_trace]
+        _write_output(args.trace_csv, _csv(rows))
     return EXIT_OK
 
 
@@ -213,6 +218,14 @@ def _log_retimer(verb: str, points: int, counts) -> None:
               verb, points, counts["plans"], counts["retimed"], counts["calls"] - counts["retimed"])
 
 
+def _retimers(counts: Counter) -> dict[ScheduleKind, Retimer]:
+    """One Retimer per family of _FAMILIES, keyed by each of its kinds, all counting into counts."""
+    retimers = {}
+    for family in _FAMILIES:
+        retimers.update(dict.fromkeys(family, Retimer(counts=counts)))
+    return retimers
+
+
 def cmd_sweep(args) -> int:
     """One CSV row per (point, schedule), point by point.
 
@@ -230,17 +243,9 @@ def cmd_sweep(args) -> int:
     # splits, enumerated when the first point needs it.
     candidates = functools.cache(lambda: alloc_mod.enumerate_feasible(exp.cluster, args.equal_nics))
     counts = Counter()
-    retimers = {}
-    for family in _FAMILIES:
-        retimers.update(dict.fromkeys(family, Retimer(counts=counts)))
-    fieldnames = [
-        "schedule", "axis", "value", "iteration_time_s", "bubble_fraction",
-        "exposed_comm_s", "mfu", "speedup_vs_megatron", "attn_flops_share",
-        "m2n_bytes", "oom_flag",
-    ]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames)
-    writer.writeheader()
+    retimers = _retimers(counts)
+    rows = [("schedule", "axis", "value", "iteration_time_s", "bubble_fraction", "exposed_comm_s",
+             "mfu", "speedup_vs_megatron", "attn_flops_share", "m2n_bytes", "oom_flag")]
     points = 0
     try:
         for raw in values:
@@ -260,24 +265,15 @@ def cmd_sweep(args) -> int:
             results = {kind: run_schedule(point, kind, alloc, retimers[kind])[1]
                        for kind in ScheduleKind}
             base = results[ScheduleKind.MEGATRON_1F1B]
-            for kind, result in results.items():
-                writer.writerow({
-                    "schedule": kind.value,
-                    "axis": args.axis,
-                    "value": value,
-                    "iteration_time_s": repr(result.iteration_time),
-                    "bubble_fraction": repr(result.bubble_fraction),
-                    "exposed_comm_s": repr(result.exposed_comm),
-                    "mfu": repr(result.mfu),
-                    "speedup_vs_megatron": repr(speedup(base, result)),
-                    "attn_flops_share": repr(c_a / (c_a + c_f)),
-                    "m2n_bytes": m2n_comm_bytes(point.model, point.workload),
-                    "oom_flag": oom,
-                })
+            rows += [(kind.value, args.axis, value, repr(result.iteration_time),
+                      repr(result.bubble_fraction), repr(result.exposed_comm), repr(result.mfu),
+                      repr(speedup(base, result)), repr(c_a / (c_a + c_f)),
+                      m2n_comm_bytes(point.model, point.workload), oom)
+                     for kind, result in results.items()]
     finally:
         _log_retimer("sweep", points, counts)
 
-    text = buf.getvalue()
+    text = _csv(rows)
     if args.out:
         _write_output(args.out, text)
     else:
@@ -288,11 +284,10 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     exp = _load(args.config)
     alloc = _resolve_allocation(exp, args)
-    results = {}
-    retimer = Retimer()  # megatron1f1b and chunked, adjacent, share one plan
-    for kind in ScheduleKind:
-        _, results[kind] = run_schedule(exp, kind, alloc, retimer)
-    _log_retimer("compare", 1, retimer.counts)
+    counts = Counter()
+    retimers = _retimers(counts)
+    results = {kind: run_schedule(exp, kind, alloc, retimers[kind])[1] for kind in ScheduleKind}
+    _log_retimer("compare", 1, counts)
     _print_result_table([_result_row(kind, results[kind]) for kind in ScheduleKind])
     af = results[ScheduleKind.AFPIPE]
     print()

@@ -57,26 +57,25 @@ the plan was built or reused and whether the run ran or hit the memo; for
 each plan of two or more copies, its units, template units, micro-batches
 and wall time; and each timeline build's event count and wall time.
 
-Plan and run: nothing above but the start times reads a duration, and a
-task holds none: graph.keys names its entry of graph.table. So a
-SchedulePlan, built once per walk (taskgraph.Walk, the graph's tasks, keys
-and credits), holds the template's units in tie-break order, their
-queues, lanes and 1F1B counters, the dependents, the initial dependency
-counts, a commit record per unit and the walk's credits. A walk is its
-template (Walk.template) repeated copies times: the walk numbers tasks micro-batch
-by micro-batch and the tie-break order is micro-batch-major. So a plan is
-its template's, checked task by task, and a copy count, the way a modulo
-schedule repeats one kernel over its iterations: task m * size + k is
-copy m of template task k, and unit m * units + u copy m of template unit
-u. A serial topology also makes each micro-batch's first unit wait for
-the last task of the one before: that task's dependent one copy on, the
-plan's link. A hand-built walk is its own template, one copy. No plan
-array grows with the copies, and neither the plan nor its run reads a
-Task beyond the template's: a built walk's tasks are walked only when
-graph.tasks is first read. The timeline order ranks each task by its plan
-lane, (owner, lane), and then its id, copy m of a template id's rank being
-m * size plus that rank, and the Retimer counts keys and lanes over the
-template.
+Plan and run: nothing above but the start times reads a duration, and a task
+holds none: graph.keys names its entry of graph.table. So a SchedulePlan,
+built once per walk (taskgraph.Walk, the graph's tasks, keys and credits),
+holds the template's units in tie-break order, their queues, lanes and 1F1B
+counters, the initial dependency counts, a commit record per unit (each of
+its tasks' lane, counter and dependents) and the walk's credits. A walk is
+its template (Walk.template) repeated copies times: the walk numbers tasks
+micro-batch by micro-batch and the tie-break order is micro-batch-major. So
+a plan is its template's, checked task by task, and a copy count, the way a
+modulo schedule repeats one kernel over its iterations: task m * size + k is
+copy m of template task k, and unit m * units + u copy m of template unit u.
+A serial topology also makes each micro-batch's first unit wait for the last
+task of the one before: that task's dependent one copy on, the plan's link.
+A hand-built walk is its own template, one copy. No plan array grows with
+the copies, and neither the plan nor its run reads a Task beyond the
+template's: a built walk's tasks are walked only when graph.tasks is first
+read. The timeline order ranks each task by its plan lane, (owner, lane),
+and then its id, copy m of a template id's rank being m * size plus that
+rank, and the Retimer counts keys and lanes over the template.
 SchedulePlan.run takes each template task's duration, as durations_ns
 reads it from a table and every copy repeats, and returns each unit's
 start and the makespan; only the counts, ready times and starts it
@@ -102,12 +101,11 @@ per task of the walk's tasks, only when its events are read, as by
 check_schedule;
 trace_io.write_trace formats the same order from the template and the run
 (ScheduleTrace.timeline) and builds none, and sweep and compare read
-neither. compare runs its four schedules on one Retimer and sweep keeps one
-per schedule family across its points, so each topology is planned once and
-re-timed per point; the metrics, which read the point's table and
-total_flops, are computed per point. The
-Retimer's one index of the distinct keys also gives both lower bounds on a
-makespan under ns: chain_ns, the longest dependency chain, and
+neither. compare and sweep keep one Retimer per schedule family, sweep's
+across its points, so each topology is planned once and re-timed per point;
+the metrics, which read the point's table and total_flops, are computed per
+point. The Retimer's one index of the distinct keys also gives both lower
+bounds on a makespan under ns: chain_ns, the longest dependency chain, and
 lane_bound_ns, the largest summed duration of one (owner, lane).
 critical_path_ns, resource_bound_ns and check_schedule read them from a new
 Retimer. The allocator re-times one Retimer per experiment under each
@@ -345,14 +343,14 @@ class SchedulePlan:
 
     It holds the template's units in tie-break order, its queues (lanes and
     1F1B counters) and the units and roots of each, each owner's queues,
-    each task's lane, the (owner, lane) of each lane, the units that depend
-    on each task, each unit's dependency count and commit record, each
-    owner's credit, copies and link. A unit's commit record holds, per task,
-    the task index, lane and compute counter and its dependents, each as
-    (unit, queue, whether the task is its one dependency in every copy), so
-    a commit reads no other array by task. None of these reads a duration, so
-    one plan schedules the graph under any durations of its tasks: run() is
-    the scheduler loop.
+    each task's lane, the (owner, lane) of each lane, each unit's
+    dependency count and commit record, each owner's credit, copies and
+    link. A unit's commit record holds, per task, the task index, lane and
+    compute counter and its dependents, each as (unit, queue, whether the
+    task is its one dependency in every copy), so a commit reads no other
+    array by task; chain_ns reads the dependents there too. None of these
+    reads a duration, so one plan schedules the graph under any durations
+    of its tasks: run() is the scheduler loop.
 
     It reads graph.walk alone (taskgraph.Walk): it plans the walk's template
     task by task, checking its keys and each task's deps and twin, under the
@@ -429,7 +427,6 @@ class SchedulePlan:
         # The units that depend on each task, by task index, and what a commit
         # of the task reads of each: (unit, queue, whether the task is its one
         # dependency in every copy, which the link's unit is not past the first).
-        self.dependents = dependents = [[] for _ in ordered]
         targets = [[] for _ in ordered]
         for i, (_, _, _, owner, lane, _, k, kind, deps, twin) in enumerate(order):
             if twin is None:
@@ -463,11 +460,8 @@ class SchedulePlan:
             remaining.append(len(deps))
             target = (i, q, len(deps) == 1 and i + units != link)
             for dep in deps:
-                t = index[dep]
-                dependents[t].append(i)
-                targets[t].append(target)
+                targets[index[dep]].append(target)
         if link is not None:  # the last task's dependent one copy on
-            dependents[-1].append(link)
             targets[-1].append((link, unit_queue[link - units], False))
 
         self.credit = [credits.get(owner, 1) for owner in owner_index]
@@ -625,12 +619,12 @@ class SchedulePlan:
 
         The link lands in a padded copy whose counts start below 0, so it readies none.
         """
-        unit_tasks, dependents = self.unit_tasks, self.dependents
-        remaining = self.remaining + [-1] * len(unit_tasks)
+        records = self.records
+        remaining = self.remaining + [-1] * len(records)
         order = [i for i, n in enumerate(remaining) if n == 0]
         for i in order:  # the loop reaches the units appended while it runs
-            for k in unit_tasks[i]:
-                for j in dependents[k]:
+            for _, _, _, targets in records[i]:
+                for j, _, _ in targets:
                     remaining[j] -= 1
                     if remaining[j] == 0:
                         order.append(j)
@@ -650,20 +644,20 @@ class SchedulePlan:
         first call and kept. Raises CycleDetected when some unit lies on a
         cycle.
         """
-        unit_tasks, dependents = self.unit_tasks, self.dependents
+        records = self.records
         order = self._topological_order
-        if len(order) < len(unit_tasks):
+        if len(order) < len(records):
             raise CycleDetected("dependency graph contains a cycle")
         # The longest chain ending before each unit, and a serial link's one copy on.
-        ready = [0] * (2 * len(unit_tasks))
+        ready = [0] * (2 * len(records))
         longest = 0
         for i in order:
             at = ready[i]
-            for k in unit_tasks[i]:
+            for k, _, _, targets in records[i]:
                 end = at + durations[k]
                 if end > longest:
                     longest = end
-                for j in dependents[k]:
+                for j, _, _ in targets:
                     if end > ready[j]:
                         ready[j] = end
         return longest if self.link is None else longest * self.copies

@@ -2,10 +2,12 @@
 
 A point of a sweep changes only a graph's table and total_flops unless the
 axis moves its topology, so sweep keeps one Retimer per schedule family
-across its points and plans each topology once. These tests hold the CSV to
-fresh per-point simulations, pin how many plans and runs a sweep does and
-how many plans are alive, and pin that sweep runs its points in order, so
-the first failing step sets the exit code.
+(cli._FAMILIES) across its points and plans each topology once; compare
+runs its four schedules on the same families. These tests hold the CSV to
+fresh per-point simulations, pin how many plans and runs a sweep or compare
+does, which Retimer each of compare's schedules runs on and how many plans
+are alive, and pin that sweep runs its points in order, so the first failing
+step sets the exit code.
 """
 
 import contextlib
@@ -105,6 +107,27 @@ def test_compare_plans_three_topologies_for_four_schedules(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="afpipe"):
         assert cli.main(["compare", "--config", TOY]) == 0
     assert _counts(caplog, "compare") == (1, 3, 4, 0)
+
+
+def test_compare_runs_each_schedule_family_on_its_own_retimer(monkeypatch, capsys):
+    ran_on = {}
+
+    def run(exp, kind, alloc, retimer=None):
+        ran_on[kind] = retimer
+        return run_schedule(exp, kind, alloc, retimer)
+
+    monkeypatch.setattr(cli, "run_schedule", run)
+    assert cli.main(["compare", "--config", TOY]) == 0
+    assert ran_on[ScheduleKind.MEGATRON_1F1B] is ran_on[ScheduleKind.CHUNKED_OVERLAP]
+    assert len(set(map(id, ran_on.values()))) == 3
+    assert None not in ran_on.values()
+
+
+def test_the_families_name_every_schedule_once():
+    # compare and sweep index their Retimers by kind, so a kind outside every
+    # family would end in a KeyError there.
+    kinds = [kind for family in cli._FAMILIES for kind in family]
+    assert sorted(kinds) == sorted(ScheduleKind)
 
 
 def test_back_to_back_sweeps_share_no_plan(caplog):

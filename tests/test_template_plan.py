@@ -41,7 +41,6 @@ def _fields(plan):
     return {
         "unit_tasks": plan.unit_tasks,
         "remaining": plan.remaining,
-        "dependents": plan.dependents,
         "credit": plan.credit,
         "lanes": plan.lanes,
         "queues": [(q.lanes, q.counters, q.units, q.sides, q.lane, q.other, q.owner,
@@ -70,7 +69,6 @@ def test_replicated_plan_equals_the_general_plan(config, kind, microbatches):
     fields, reference = _fields(plan), _fields(general)
     if plan.link is not None:  # the serial link: the last task's dependent one copy on
         assert kind is ScheduleKind.NAIVE_SEQUENTIAL and microbatches > 1
-        reference["dependents"][-1] = [*reference["dependents"][-1], plan.link]
         last = len(general.task_lane) - 1
         [(u, side)] = [(u, members.index(last)) for u, members in enumerate(general.unit_tasks)
                        if last in members]
@@ -99,7 +97,7 @@ def test_no_plan_array_grows_with_the_microbatch_count(kind):
     units, size = len(template.unit_tasks), len(graph.walk.template.keys)
     assert plan.copies == 32
     assert len(plan.unit_tasks) == len(plan.records) == len(plan.remaining) == units
-    assert len(plan.dependents) == len(plan.task_lane) == size
+    assert len(plan.task_lane) == size
     assert sum(len(record) for record in plan.records) == size
     assert [len(q.units) for q in plan.queues] == [len(q.units) for q in template.queues]
     assert sum(len(q.units) for q in plan.queues) == units
@@ -115,7 +113,9 @@ def test_naive_links_each_microbatch_to_the_last_task_of_the_one_before():
     # The template holds one link: its last task's dependent, its first unit one copy on.
     assert plan.remaining[first] == 0
     assert plan.link == first + units
-    assert plan.dependents[size - 1] == [first + units]
+    [(_, _, _, targets)] = plan.records[last]  # the last task's
+    [queue] = [q for q in plan.queues if first in q.units]
+    assert targets == [(first + units, queue, False)]
     assert SchedulePlan(_graph("toy.yaml", ScheduleKind.NAIVE_SEQUENTIAL, 1)).link is None
     durations = Retimer(graph).durations(Retimer(graph).ns(graph.table))
     starts, makespan = plan.run(durations)
