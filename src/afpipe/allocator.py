@@ -20,16 +20,18 @@ densest shape on each side (canonical_allocation). The search space is then
 GPU splits x NIC splits, small enough at cluster scale for exact enumeration
 to replace an integer-programming solver. The phase-1 set size and the
 oracle's cap still count every (split, attention shape, FFN shape) triple,
-summed from shape counts without building the copies.
+summed from shape counts without building the copies. One generator,
+_node_shapes, lists a side's shapes densest first for both.
 
 Profiling plans once and re-times per duration table: a graph is its walk
 (taskgraph.Walk: its tasks, keys and credits) plus the duration table it
 was built under (TaskGraph.table), and a split changes only the table. So
-one profile object (IterationProfile) per experiment walks one graph, one
-micro-batch of it (Walk.template), and keeps its sim.SchedulePlan in a
-sim.Retimer, which runs the plan once per distinct table. The table reads
-the NICs only through min(M_a, M_f), so the splits (M, M_a) and
-(M, M_tot - M_a) share one run. Phase 3 and brute_force_oracle both re-time through it.
+one profile object (IterationProfile) per experiment walks its topology
+once (Walk.of), one micro-batch of it (Walk.template), and keeps the walk's
+sim.SchedulePlan in a sim.Retimer, which runs the plan once per distinct
+table. The table reads the NICs only through min(M_a, M_f), so the splits
+(M, M_a) and (M, M_tot - M_a) share one run. Phase 3 and brute_force_oracle
+both re-time through it.
 
 brute_force_oracle is exact without running every split. It prunes by two
 lower bounds on a split's makespan, each read by the profile's Retimer from
@@ -57,13 +59,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from .config import ClusterConfig, Experiment, ScheduleKind
 from .costs import (
     LayerCosts, arithmetic_intensities, layer_costs, roofline_attainable, stage_times,
 )
 from .sim import Retimer, seconds
-from .taskgraph import duration_table, topology_graph, visit_times
+from .taskgraph import Walk, duration_table, graph_topology, visit_times
 # Unused here, but bench/tracing.py patches allocator.assign_layers,
 # allocator.simulate and allocator.build_task_graph.
 from .placement import assign_layers  # noqa: F401
@@ -119,25 +122,23 @@ class AllocationReport:
     objective_trace: list[tuple[Allocation, float]] = field(default_factory=list)
 
 
-def _shape_count(count: int, gpus_per_node: int) -> int:
-    """How many (nodes, gpus_per_node) pairs with at most gpus_per_node per node hold count GPUs."""
-    return sum(1 for gpn in range(1, min(count, gpus_per_node) + 1) if count % gpn == 0)
+def _node_shapes(count: int, gpus_per_node: int) -> Iterator[tuple[int, int]]:
+    """Each (nodes, GPUs per node) holding count GPUs, at most gpus_per_node a node, densest first.
+
+    The one list of node shapes: canonical_allocation takes the first and
+    _shaped_size counts them.
+    """
+    for gpn in range(min(count, gpus_per_node), 0, -1):
+        if count % gpn == 0:
+            yield count // gpn, gpn
 
 
 def _shaped_size(cands: list[Allocation], gpus_per_node: int) -> int:
     """How many (split, attention shape, FFN shape) triples the splits in cands stand for."""
-    return sum(
-        _shape_count(c.attn_gpus, gpus_per_node) * _shape_count(c.ffn_gpus, gpus_per_node)
-        for c in cands
-    )
+    def shapes(gpus: int) -> int:
+        return len([*_node_shapes(gpus, gpus_per_node)])
 
-
-def largest_node_shape(count: int, gpus_per_node: int) -> tuple[int, int]:
-    """Canonical shape: the densest packing, i.e. the largest feasible mu."""
-    for gpn in range(min(count, gpus_per_node), 0, -1):
-        if count % gpn == 0:
-            return count // gpn, gpn
-    raise ValueError(f"no node shape for {count} GPUs")
+    return sum(shapes(c.attn_gpus) * shapes(c.ffn_gpus) for c in cands)
 
 
 def split_ranges(cluster: ClusterConfig, equal_nics: bool = False) -> tuple[range, range]:
@@ -173,8 +174,8 @@ def canonical_allocation(
         raise NoFeasible(f"equal NIC split gives each side {nics[0]} NICs, got {attn_nics}")
     if attn_nics not in nics:
         raise NoFeasible(f"attention NIC count {attn_nics} leaves no split")
-    m, mu = largest_node_shape(attn_gpus, cluster.gpus_per_node)
-    n, nu = largest_node_shape(cluster.total_gpus - attn_gpus, cluster.gpus_per_node)
+    m, mu = next(_node_shapes(attn_gpus, cluster.gpus_per_node))
+    n, nu = next(_node_shapes(cluster.total_gpus - attn_gpus, cluster.gpus_per_node))
     return Allocation(
         attn_gpus=attn_gpus,
         ffn_gpus=cluster.total_gpus - attn_gpus,
@@ -278,11 +279,11 @@ def phase3_refine(
 class IterationProfile:
     """Simulated afpipe iteration time of each split of one experiment's cluster.
 
-    Creating one walks the experiment's afpipe topology (topology_graph)
-    and keeps its plan in a Retimer (retimer): a split changes only the
+    Creating one walks the experiment's afpipe topology (Walk.of) and
+    keeps the walk's plan in a Retimer (retimer): a split changes only the
     graph's table. durations(alloc) builds the split's table from the one
     LayerCosts through visit_times and duration_table, as build_task_graph
-    does, and reads its durations over the graph's distinct keys
+    does, and reads its durations over the walk's distinct keys
     (Retimer.ns). That tuple is all that the retimer reads of a split: the
     lane bound (lane_bound_ns), the dependency chain (chain_ns) and the plan
     run (makespan_ns). It memoizes the chain and the run on the tuple, so
@@ -297,10 +298,10 @@ class IterationProfile:
     def __init__(self, exp: Experiment, counts: Counter | None = None):
         self.exp = replace(exp, schedule_kind=ScheduleKind.AFPIPE)
         self.costs = layer_costs(self.exp.model, self.exp.workload, self.exp.ep_size)
-        self.retimer = Retimer(topology_graph(self.exp), counts)
+        self.retimer = Retimer(Walk.of(graph_topology(self.exp)), counts)
 
     def durations(self, alloc: Allocation) -> tuple[int, ...]:
-        """The durations (ns) of the graph's distinct keys under alloc's table."""
+        """The durations (ns) of the walk's distinct keys under alloc's table."""
         return self.retimer.ns(duration_table(self.exp, visit_times(self.exp, self.costs, alloc)))
 
     def __call__(self, alloc: Allocation) -> float:

@@ -377,8 +377,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _CliError as exc:
         code, message = exc.code, str(exc)
-    except ConfigError as exc:
-        code, message = EXIT_CONFIG, str(exc)
     except _SIMULATION_ERRORS as exc:
         code, message = EXIT_SIMULATION, f"simulation failed: {exc}"
     except NoFeasible as exc:

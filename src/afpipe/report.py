@@ -38,7 +38,7 @@ def run_schedule(
     exp = replace(exp, schedule_kind=kind)
     if retimer is None:
         return simulate(build_task_graph(exp, alloc))
-    return retimer.simulate(build_task_graph(exp, alloc, like=retimer.graph))
+    return retimer.simulate(build_task_graph(exp, alloc, walk=retimer.walk))
 
 
 def memory_report(exp: Experiment, alloc: Allocation, capacity_bytes: float) -> dict[str, dict]:

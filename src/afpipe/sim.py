@@ -58,47 +58,47 @@ each plan of two or more copies, its units, template units, micro-batches
 and wall time; and each timeline build's event count and wall time.
 
 Plan and run: nothing above but the start times reads a duration, and a task
-holds none: graph.keys names its entry of graph.table. So a SchedulePlan,
-built once per walk (taskgraph.Walk, the graph's tasks, keys and credits),
-holds the template's units in tie-break order, their queues, lanes and 1F1B
-counters, the initial dependency counts, a commit record per unit (each of
-its tasks' lane, counter and dependents) and the walk's credits. A walk is
-its template (Walk.template) repeated copies times: the walk numbers tasks
-micro-batch by micro-batch and the tie-break order is micro-batch-major. So
-a plan is its template's, checked task by task, and a copy count, the way a
-modulo schedule repeats one kernel over its iterations: task m * size + k is
-copy m of template task k, and unit m * units + u copy m of template unit u.
-A serial topology also makes each micro-batch's first unit wait for the last
-task of the one before: that task's dependent one copy on, the plan's link.
-A hand-built walk is its own template, one copy. No plan array grows with
-the copies, and neither the plan nor its run reads a Task beyond the
-template's: a built walk's tasks are walked only when graph.tasks is first
-read. The timeline order ranks each task by its plan lane, (owner, lane),
-and then its id, copy m of a template id's rank being m * size plus that
-rank, and the Retimer counts keys and lanes over the template.
-SchedulePlan.run takes each template task's duration, as durations_ns
-reads it from a table and every copy repeats, and returns each unit's
-start and the makespan; only the counts, ready times and starts it
-writes span every copy.
-SchedulePlan.chain_ns takes the same durations and returns the longest
-dependency chain over the units, a lower bound on run's makespan that
-ignores the lanes. It walks the template, in a topological order built by
-its first call and kept, and multiplies the template's chain by the copies
-when the link chains them.
+holds none: graph.keys names its entry of graph.table. So a SchedulePlan is
+built once per walk (taskgraph.Walk, the graph's tasks, keys and credits)
+and keeps it. It holds the template's units in tie-break order, their
+queues, lanes and 1F1B counters, the initial dependency counts, a commit
+record per unit (each of its tasks' lane, counter and dependents) and the
+walk's credits. A walk is its template (Walk.template) repeated copies
+times: the walk numbers tasks micro-batch by micro-batch and the tie-break
+order is micro-batch-major. So a plan is its template's, checked task by
+task, run walk.copies times, the way a modulo schedule repeats one kernel
+over its iterations: task m * size + k is copy m of template task k, and unit
+m * units + u copy m of template unit u. A serial topology also makes each
+micro-batch's first unit wait for the last task of the one before: that
+task's dependent one copy on, the plan's link. A hand-built walk is its own
+template, one copy. No plan array grows with the copies, and neither the
+plan nor its run reads a Task beyond the template's: a built walk's tasks
+are walked only when graph.tasks is first read. The timeline order ranks
+each task by its plan lane, (owner, lane), and then its id, copy m of a
+template id's rank being m * size plus that rank, and the Retimer counts
+keys and lanes over the template. SchedulePlan.run takes each template
+task's duration, as durations_ns reads it from a table and every copy
+repeats, and returns each unit's start and the makespan; only the counts,
+ready times and starts it writes span every copy. SchedulePlan.chain_ns
+takes the same durations and returns the longest dependency chain over the
+units, a lower bound on run's makespan that ignores the lanes. It walks the
+template, in a topological order built by its first call and kept, and
+multiplies the template's chain by the copies when the link chains them.
 
-A Retimer keeps one graph and its plan and runs the plan under the table of
-any graph of the kept graph's walk: the graphs of one topology
-(taskgraph.Topology), which differ only in table, total_flops and cluster
-numbers. A table reaches a run only through its
-durations over the graph's distinct keys, so runs are memoized on those.
-simulate is a new Retimer's one run under the graph's table, and its
-metrics come straight from the run: the units of a queue share their lanes,
-so per queue their starts and durations give each owner's first activity
-and compute time and the spans whose union sets the exposed communication,
-a send/recv pair being one span. The trace it returns holds the walk, the
-run and the plan's lanes and units; it builds its timeline, one TraceEvent
-per task of the walk's tasks, only when its events are read, as by
-check_schedule;
+Ownership runs one way: a plan keeps its walk, and a Retimer and the traces
+of its runs keep the plan, so each fact of a walk is kept in one place. A
+Retimer keeps one plan and runs it under the table of any graph of the
+plan's walk: the graphs of one topology (taskgraph.Topology), which differ
+only in table, total_flops and cluster numbers. A table reaches a run only
+through its durations over the walk's distinct keys, so runs are memoized
+on those. simulate is a new Retimer's one run under the graph's table, and
+its metrics come straight from the run: the units of a queue share their
+lanes, so per queue their starts and durations give each owner's first
+activity and compute time and the spans whose union sets the exposed
+communication, a send/recv pair being one span. The trace it returns holds
+the plan, the unit starts and the template's durations; it builds its
+timeline, one TraceEvent per task of the plan's walk, only when its events
+are read, as by check_schedule;
 trace_io.write_trace formats the same order from the template and the run
 (ScheduleTrace.timeline) and builds none, and sweep and compare read
 neither. compare and sweep keep one Retimer per schedule family, sweep's
@@ -131,7 +131,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import ScheduleKind
 from .costs import StageTimes, staged_layer_time
@@ -181,51 +181,49 @@ class ScheduleTrace:
     its makespan, iteration_ns.
 
     ScheduleTrace(events, iteration_ns) holds the events it is given. The
-    trace simulate returns holds its run instead: the graph's walk, the
-    plan's lanes, task lanes and units (what _timeline_order reads of it;
-    the rest of the plan is not kept), each unit's start and each template
-    task's duration. It builds the events, reading the walk's tasks, when
-    they are first read, then drops the run; timeline() gives the events'
-    parts in the same order without building them. The order is sorted
-    once, by whichever reads it first. Two traces are equal when their
-    events and iteration_ns are.
+    trace simulate returns holds its run instead: the plan that ran
+    (SchedulePlan, whose walk, lanes, task lanes and units _timeline_order
+    reads), each unit's start and each template task's duration. It builds
+    the events, reading the plan's walk's tasks, when they are first read,
+    then drops the run; timeline() gives the events' parts in the same
+    order without building them. The order is sorted once, by whichever
+    reads it first. Two traces are equal when their events and iteration_ns
+    are.
     """
 
-    __slots__ = ("_events", "_run", "_walk", "_order", "iteration_ns")
+    __slots__ = ("_events", "_run", "_order", "iteration_ns")
 
     def __init__(self, events: tuple[TraceEvent, ...], iteration_ns: int):
         self._events = events
-        self._run: tuple | None = None  # _timeline_order's arguments after the walk, durations
-        self._walk: Walk | None = None
+        self._run: tuple[SchedulePlan, list[int], list[int]] | None = None  # plan, starts, ns
         self._order: tuple[list[int], list[int]] | None = None
         self.iteration_ns = iteration_ns
 
     @classmethod
     def _of_run(cls, plan: SchedulePlan, starts: list[int], durations: list[int],
-                makespan: int, walk: Walk) -> ScheduleTrace:
-        """The trace of plan's run of walk: its unit starts and makespan under durations."""
+                makespan: int) -> ScheduleTrace:
+        """The trace of plan's run: its unit starts and makespan under durations."""
         trace = cls((), makespan)
-        trace._run = (plan.lanes, plan.task_lane, plan.unit_tasks, starts, durations)
-        trace._walk = walk
+        trace._run = (plan, starts, durations)
         return trace
 
     def _run_order(self) -> tuple[list[int], list[int]]:
         """The run's task indices in timeline order and their starts (_timeline_order)."""
         if self._order is None:
-            self._order = _timeline_order(self._walk, *self._run[:-1])
+            self._order = _timeline_order(*self._run[:2])
         return self._order
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         if self._run is not None:
             begin = time.perf_counter()
-            durations = self._run[-1]
+            plan, _, durations = self._run
             order, begins = self._run_order()
-            tasks = tuple(self._walk.tasks.values())
+            tasks = tuple(plan.walk.tasks.values())
             size = len(durations)  # the template's: task k lasts durations[k % size]
             ends = map(operator.add, begins, map(durations.__getitem__, map(size.__rmod__, order)))
             self._events = tuple(map(TraceEvent, map(tasks.__getitem__, order), begins, ends))
-            self._run = self._walk = self._order = None
+            self._run = self._order = None
             _debug("timeline: %d events in %.3f ms",
                    len(self._events), (time.perf_counter() - begin) * 1e3)
         return self._events
@@ -233,8 +231,8 @@ class ScheduleTrace:
     def timeline(self) -> tuple[tuple[Task, ...], Sequence[int], list[int], list[int]]:
         """The events' parts, (tasks, order, starts, durations), built from the run if held.
 
-        tasks are the walk's template tasks and durations theirs, and with
-        size = len(tasks), event i is task order[i] of the run: copy
+        tasks are the plan's walk's template tasks and durations theirs, and
+        with size = len(tasks), event i is task order[i] of the run: copy
         order[i] // size of task tasks[order[i] % size], that task with
         order[i] // size added to its micro-batch and size times as much to
         its id. It starts at starts[i] and lasts durations[order[i] % size]
@@ -245,7 +243,8 @@ class ScheduleTrace:
             events = self._events
             return (tuple(ev.task for ev in events), range(len(events)),
                     [ev.start_ns for ev in events], [ev.end_ns - ev.start_ns for ev in events])
-        return (tuple(self._walk.template.tasks.values()), *self._run_order(), self._run[-1])
+        plan, _, durations = self._run
+        return (tuple(plan.walk.template.tasks.values()), *self._run_order(), durations)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleTrace):
@@ -339,51 +338,40 @@ class _Queue:
 
 
 class SchedulePlan:
-    """What scheduling a graph reads, except its durations; built once per graph.
+    """What scheduling a walk reads, except its durations; built once per walk.
 
-    It holds the template's units in tie-break order, its queues (lanes and
-    1F1B counters) and the units and roots of each, each owner's queues,
-    each task's lane, the (owner, lane) of each lane, each unit's
-    dependency count and commit record, each owner's credit, copies and
-    link. A unit's commit record holds, per task, the task index, lane and
+    It holds the walk, the template's units in tie-break order, its queues
+    (lanes and 1F1B counters) and the units and roots of each, each owner's
+    queues, each task's lane, the (owner, lane) of each lane, each unit's
+    dependency count and commit record, each owner's credit and the link.
+    A unit's commit record holds, per task, the task index, lane and
     compute counter and its dependents, each as (unit, queue, whether the
     task is its one dependency in every copy), so a commit reads no other
     array by task; chain_ns reads the dependents there too. None of these
-    reads a duration, so one plan schedules the graph under any durations
+    reads a duration, so one plan schedules the walk under any durations
     of its tasks: run() is the scheduler loop.
 
-    It reads graph.walk alone (taskgraph.Walk): it plans the walk's template
-    task by task, checking its keys and each task's deps and twin, under the
-    walk's credits. copies is the walk's micro-batch count, which run and
-    chain_ns repeat the template over; a hand-built walk is its own
-    template, and copies is 1. Every array is the template's, so none grows
-    with copies. link is None unless the walk's topology is serial and has
-    two or more copies; then it is units plus the unit of task 0, the last
-    task's one dependent, which readies copy m + 1's first unit when copy
-    m's last task ends.
+    SchedulePlan(walk) plans walk (taskgraph.Walk) and keeps it: it plans
+    the walk's template task by task, checking its keys and each task's
+    deps and twin, under the walk's credits. run and chain_ns repeat the
+    template over walk.copies, the walk's micro-batch count; a hand-built
+    walk is its own template, one copy. Every array is the template's, so
+    none grows with the copies. link is None unless the walk's topology is
+    serial and has two or more copies; then it is units plus the unit of
+    task 0, the last task's one dependent, which readies copy m + 1's first
+    unit when copy m's last task ends.
     run() resets and reuses the plan's queues, so one plan runs one schedule
     at a time. No queue refers to another, so nothing in a plan forms a
     reference cycle: a dropped plan is freed when its last reference goes.
     """
 
-    def __init__(self, graph: TaskGraph):
+    def __init__(self, walk: Walk):
         begin = time.perf_counter()
-        walk = graph.walk
-        self.copies = copies = walk.copies
-        self._build(walk.template, walk.credits, copies > 1 and walk.topology.serial)
-        if copies > 1:
-            units = len(self.unit_tasks)
-            _debug("plan: %d units from a %d-unit template x %d micro-batches in %.3f ms",
-                   units * copies, units, copies, (time.perf_counter() - begin) * 1e3)
-
-    def _build(self, walk: Walk, credits: Mapping[str, int], linked: bool) -> None:
-        """Plan walk task by task, checking its keys and each task's deps and twin.
-
-        linked: whether each copy of walk waits for the last task of the one before.
-        """
-        _check_keys(walk)
-        tasks = walk.tasks
-        # walk.keys names one table entry per task, in this order.
+        self.walk = walk
+        template = walk.template
+        _check_keys(template)
+        tasks = template.tasks
+        # template.keys names one table entry per task, in this order.
         ordered = tuple(tasks.values())
         index = dict(zip(tasks, range(len(ordered))))
         # A schedulable unit is a lone task or a send/recv pair keyed by its
@@ -417,6 +405,7 @@ class SchedulePlan:
         # The serial link's unit, one copy on: each micro-batch's first task
         # also waits for the last task of the one before. An order entry's
         # task index is its unit's first task.
+        linked = walk.copies > 1 and walk.topology.serial
         self.link = link = units + [entry[6] for entry in order].index(0) if linked else None
         lane_index: dict[tuple[str, str], int] = {}
         owner_index: dict[str, int] = {}
@@ -464,7 +453,7 @@ class SchedulePlan:
         if link is not None:  # the last task's dependent one copy on
             targets[-1].append((link, unit_queue[link - units], False))
 
-        self.credit = [credits.get(owner, 1) for owner in owner_index]
+        self.credit = [walk.credits.get(owner, 1) for owner in owner_index]
         self.lanes = list(lane_index)  # (owner, lane) per lane index
         self.queues = tuple(queues.values())
         self.owner_queues: list[list[_Queue]] = [[] for _ in owner_index]
@@ -482,6 +471,9 @@ class SchedulePlan:
                     task_lane[k] = lane
                     record[k] = (k, lane, counter, targets[k])
         self.records = [tuple(map(record.__getitem__, members)) for members in unit_tasks]
+        if walk.copies > 1:
+            _debug("plan: %d units from a %d-unit template x %d micro-batches in %.3f ms",
+                   units * walk.copies, units, walk.copies, (time.perf_counter() - begin) * 1e3)
 
     def run(self, durations: list[int]) -> tuple[list[int | None], int]:
         """Schedule every unit of every copy when its tasks take durations (ns).
@@ -492,7 +484,7 @@ class SchedulePlan:
         the ready set empties with tasks unplaced.
         """
         records, credit, owner_queues = self.records, self.credit, self.owner_queues
-        units, copies = len(records), self.copies
+        units, copies = len(records), self.walk.copies
         # Each copy's dependency counts, and one padded copy past the end,
         # where the last copy's serial link lands: its counts start below 0,
         # so none of its units is ever ready.
@@ -660,25 +652,26 @@ class SchedulePlan:
                 for j, _, _ in targets:
                     if end > ready[j]:
                         ready[j] = end
-        return longest if self.link is None else longest * self.copies
+        return longest if self.link is None else longest * self.walk.copies
 
 
 class Retimer:
-    """Schedules the graphs of one topology on one kept SchedulePlan.
+    """Schedules the graphs of one walk on one kept SchedulePlan.
 
-    It keeps one graph, its plan and its distinct duration keys. A point of
-    that topology reaches a run only through ns(table), its table's
-    durations over those keys, so runs are memoized on ns: a point whose
-    table gives every key the durations of an earlier point's is a memo
-    hit. simulate remembers its last two runs; makespan_ns remembers every
-    makespan. simulate(graph) plans graph unless graph.walk is the kept
-    graph's walk, which fixes its tasks, keys and credits
-    (build_task_graph(..., like=retimer.graph) and dataclasses.replace give
-    such a graph for a point of the kept topology). A graph of another walk
-    replaces the kept one, so at most one plan is alive. The metrics read the
-    point's table, total_flops and cluster, so simulate computes them every
-    call.
-    makespan_ns, chain_ns and lane_bound_ns time or bound the kept graph
+    It keeps one plan, which keeps its walk (walk, None before the first
+    plan), and the walk's distinct duration keys. A point of that walk's
+    topology reaches a run only through ns(table), its table's durations
+    over those keys, so runs are memoized on ns: a point whose table gives
+    every key the durations of an earlier point's is a memo hit. simulate
+    remembers its last two runs; makespan_ns remembers every makespan.
+    simulate(graph) plans graph.walk unless it is the kept walk, which fixes
+    its tasks, keys and credits (build_task_graph(..., walk=retimer.walk)
+    and dataclasses.replace give such a graph for a point of the kept
+    topology). A graph of another walk replaces the kept plan, so the
+    Retimer keeps at most one plan alive; a trace it returned keeps its own.
+    The metrics read the point's table, total_flops and cluster, so simulate
+    computes them every call.
+    makespan_ns, chain_ns and lane_bound_ns time or bound the kept walk
     under ns alone, for the allocator and the bound checks; they keep no
     starts.
 
@@ -686,20 +679,24 @@ class Retimer:
     "retimed" (plan runs; the other calls hit the memo).
     """
 
-    def __init__(self, graph: TaskGraph | None = None, counts: Counter | None = None):
+    def __init__(self, walk: Walk | None = None, counts: Counter | None = None):
         self.counts = Counter() if counts is None else counts
-        self.graph: TaskGraph | None = None
-        if graph is not None:
-            self._keep(graph)
+        self.plan: SchedulePlan | None = None
+        if walk is not None:
+            self._keep(walk)
 
-    def _keep(self, graph: TaskGraph) -> None:
-        self.graph = self.plan = None  # the kept plan goes before the next is built
-        self.plan = SchedulePlan(graph)
-        self.graph = graph
+    @property
+    def walk(self) -> Walk | None:
+        """The kept plan's walk; None before the first plan."""
+        return None if self.plan is None else self.plan.walk
+
+    def _keep(self, walk: Walk) -> None:
+        self.plan = None  # the kept plan goes before the next is built
+        self.plan = SchedulePlan(walk)
         column: dict[tuple, int] = {}
         # Each task's distinct key, numbered in order of first use, over the
         # template: every copy repeats its keys.
-        self.columns = [column.setdefault(key, len(column)) for key in graph.walk.template.keys]
+        self.columns = [column.setdefault(key, len(column)) for key in walk.template.keys]
         self.keys = tuple(column)
         self.runs: dict[tuple[int, ...], tuple[list[int | None], int]] = {}  # simulate's last two
         self.makespans: dict[tuple[int, ...], int] = {}
@@ -708,7 +705,7 @@ class Retimer:
         self.counts["plans"] += 1
 
     def ns(self, table: Table) -> tuple[int, ...]:
-        """The durations (ns) that table gives the kept graph's distinct keys."""
+        """The durations (ns) that table gives the kept walk's distinct keys."""
         return tuple(durations_ns(self.keys, table))
 
     def durations(self, ns: tuple[int, ...]) -> list[int]:
@@ -739,7 +736,7 @@ class Retimer:
         columns) over the template, each task once per copy.
         """
         if self._lane_rows is None:
-            copies = self.plan.copies
+            copies = self.plan.walk.copies
             self._lane_rows = [[0] * len(self.keys) for _ in self.plan.lanes]
             for lane, column in zip(self.plan.task_lane, self.columns):
                 self._lane_rows[lane][column] += copies
@@ -752,9 +749,9 @@ class Retimer:
         CycleDetected when the ready set empties with tasks unplaced.
         """
         begin = time.perf_counter()
-        built = self.graph is None or graph.walk is not self.graph.walk
+        built = graph.walk is not self.walk
         if built:
-            self._keep(graph)
+            self._keep(graph.walk)
         planned = time.perf_counter()
         ns = self.ns(graph.table)
         durations = self.durations(ns)
@@ -775,8 +772,7 @@ class Retimer:
                (planned - begin) * 1e3, "built" if built else "reused",
                (timed - planned) * 1e3, "ran" if ran else "memo hit",
                (time.perf_counter() - timed) * 1e3)
-        trace = ScheduleTrace._of_run(self.plan, starts, durations, makespan, graph.walk)
-        return trace, result
+        return ScheduleTrace._of_run(self.plan, starts, durations, makespan), result
 
 
 def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
@@ -788,19 +784,18 @@ def simulate(graph: TaskGraph) -> tuple[ScheduleTrace, SimResult]:
     return Retimer().simulate(graph)
 
 
-def _timeline_order(walk: Walk, lanes: list[tuple[str, str]], task_lane: list[int],
-                    unit_tasks: list[tuple[int, ...]],
-                    starts: list[int]) -> tuple[list[int], list[int]]:
-    """The task indices of a run of walk ordered by (start, owner, lane, id), and their starts.
+def _timeline_order(plan: SchedulePlan, starts: list[int]) -> tuple[list[int], list[int]]:
+    """The task indices of plan's run ordered by (start, owner, lane, id), and their starts.
 
-    lanes, task_lane and unit_tasks are the plan's (SchedulePlan), starts
-    the run's unit starts. Task m * size + k is copy m of template task k,
-    whose id is the template's plus m * size (taskgraph.Walk).
+    starts are the run's unit starts. Task m * size + k is copy m of
+    template task k, whose id is the template's plus m * size
+    (taskgraph.Walk).
     """
     # A task's rank under (owner, lane, id) is its lane's rank times n plus
     # its id's rank, m * size plus its template id's rank; so that order is
     # the order of the ints start * width + rank, which sort without a tuple
     # per task and decode by % and //.
+    lanes, task_lane, unit_tasks, walk = plan.lanes, plan.task_lane, plan.unit_tasks, plan.walk
     ids, copies = list(walk.template.tasks), walk.copies  # the template's ids, in task order
     size, units = len(ids), len(unit_tasks)
     n = copies * size
@@ -846,7 +841,7 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
         begins = list(chain.from_iterable(map(row.__getitem__, q.units) for row in rows))
         first = min(begins)
         # Per task of the units: its durations, in begins order.
-        sides = [list(map(durations.__getitem__, side)) * plan.copies for side in q.sides]
+        sides = [list(map(durations.__getitem__, side)) * plan.walk.copies for side in q.sides]
         comm_sides = []
         for lane, counter, side in zip(q.lanes, q.counters, sides):
             owner = lanes[lane][0]
@@ -970,7 +965,7 @@ def critical_path_ns(graph: TaskGraph) -> int:
     A new Retimer's chain_ns under the graph's table: a send/recv pair counts
     the union of its two sides' dependencies.
     """
-    retimer = Retimer(graph)
+    retimer = Retimer(graph.walk)
     return retimer.chain_ns(retimer.ns(graph.table))
 
 
@@ -980,7 +975,7 @@ def resource_bound_ns(graph: TaskGraph) -> int:
     A new Retimer's lane_bound_ns under the graph's table. It builds a plan,
     so a malformed graph raises the plan's errors.
     """
-    retimer = Retimer(graph)
+    retimer = Retimer(graph.walk)
     return retimer.lane_bound_ns(retimer.ns(graph.table))
 
 
@@ -992,10 +987,10 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
     twins start and end together; iteration_ns is the last end and is at
     least both lower bounds, critical_path_ns and resource_bound_ns.
     """
-    retimer = Retimer(graph)  # one plan for both bounds and the durations
+    retimer = Retimer(graph.walk)  # one plan for both bounds and the durations
     ns = retimer.ns(graph.table)
     bound = max(retimer.chain_ns(ns), retimer.lane_bound_ns(ns))
-    duration = dict(zip(graph.tasks, retimer.durations(ns) * retimer.plan.copies))
+    duration = dict(zip(graph.tasks, retimer.durations(ns) * retimer.walk.copies))
     problems = []
     span: dict[int, tuple[int, int]] = {}
     by_lane: dict[tuple[str, str], list[tuple[int, int, int]]] = {}

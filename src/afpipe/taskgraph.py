@@ -37,12 +37,12 @@ template once: its keys are the template's times the micro-batch count, its
 credits the topology's, and its tasks, every Task of every micro-batch, are
 walked only when first read (by check_schedule, ScheduleTrace.events or
 tests; the scheduler and the trace writer read the template).
-topology_graph gives a graph its topology's walk and no table;
-build_task_graph adds the table and total_flops, and given a graph of the
-same topology (like=) shares its walk instead of walking again, so graphs
-of one topology share one template and one task mapping. A hand-built
-graph is TaskGraph(Walk(tasks, keys, credits), table): its walk has no
-topology and is its own template. A graph's tasks, keys, credits and
+build_task_graph gives a graph its topology's walk, its table and
+total_flops; given a walk of the same topology (walk=, such as a Retimer's)
+it shares that walk instead of walking again, so graphs of one topology
+share one template and one task mapping. A hand-built graph is
+TaskGraph(Walk(tasks, keys, credits), table): its walk has no topology and
+is its own template. A graph's tasks, keys, credits and
 topology are read-only views of its walk, so graphs that share a walk
 cannot disagree, and dataclasses.replace of a graph shares its walk.
 megatron1f1b and chunked have one topology at every point, and seq_len,
@@ -157,16 +157,17 @@ class Walk:
     Walk(tasks, keys, credits) is a hand-built walk of those parts, keys in
     tasks order; it has no topology and is its own template. Walk.of(topology)
     is topology's walk, which the graphs built from it share (build_task_graph's
-    like=). Every micro-batch walks the same visits, so a walk of two or more
-    micro-batches is its template, the walk of the first micro-batch alone,
-    repeated copies times: task k of micro-batch m is the template's task k
-    with m times the template's size added to its id and deps, and a serial
-    topology's micro-batch m also depends on the last task of micro-batch
-    m - 1. The template is walked when the walk is made; keys repeats its
-    keys once per micro-batch, each distinct key one object; tasks, every
-    micro-batch's Task, is walked on its first read. A walk of at most one
-    micro-batch is its own template. tasks and credits are read-only
-    mappings and keys a tuple, so the graphs that share a walk agree.
+    walk=) and its SchedulePlan keeps. Every micro-batch walks the same
+    visits, so a walk of two or more micro-batches is its template, the walk
+    of the first micro-batch alone, repeated copies times: task k of
+    micro-batch m is the template's task k with m times the template's size
+    added to its id and deps, and a serial topology's micro-batch m also
+    depends on the last task of micro-batch m - 1. The template is walked
+    when the walk is made; keys repeats its keys once per micro-batch, each
+    distinct key one object; tasks, every micro-batch's Task, is walked on
+    its first read. A walk of at most one micro-batch is its own template.
+    tasks and credits are read-only mappings and keys a tuple, so the graphs
+    that share a walk agree.
     """
 
     __slots__ = ("topology", "keys", "credits", "_tasks", "_template")
@@ -382,42 +383,30 @@ def graph_topology(exp: Experiment) -> Topology:
     return build.get(exp.schedule_kind, _build_staged)(exp)
 
 
-def topology_graph(exp: Experiment, like: TaskGraph | None = None) -> TaskGraph:
-    """exp's graph with an empty table and no total_flops: its topology's Walk.
-
-    When like was built from the same topology, the graph shares like's
-    walk instead of walking.
-    """
-    topology = graph_topology(exp)
-    walk = like.walk if like is not None and like.topology == topology else Walk.of(topology)
-    return TaskGraph(walk, world_gpus=exp.cluster.total_gpus, gpu_peak=exp.cluster.gpu_peak)
-
-
-def build_task_graph(exp: Experiment, alloc=None, *, like: TaskGraph | None = None) -> TaskGraph:
+def build_task_graph(exp: Experiment, alloc=None, *, walk: Walk | None = None) -> TaskGraph:
     """Build the task DAG for exp's schedule kind.
 
     The disaggregated schedule needs an allocation; the baselines ignore it.
     Group g of each side serves layers {g, g+p, ...} (placement.assign_layers).
-    num_microbatches == 0 yields an empty graph. A graph like of exp's
-    topology lends its walk (topology_graph).
+    num_microbatches == 0 yields an empty graph. A walk of exp's topology
+    (a Retimer's, say) is shared, not walked again; given any other walk,
+    the topology is walked anew.
     """
     begin = time.perf_counter()
     lc = layer_costs(exp.model, exp.workload, exp.ep_size)
-    graph = topology_graph(exp, like)
-    graph.table = duration_table(exp, visit_times(exp, lc, alloc))
-    graph.total_flops = (
-        (float(lc.attn_flops) + float(lc.ffn_flops))
-        * exp.model.layers
-        * exp.workload.num_microbatches
-        * (1.0 + BACKWARD_MULTIPLIER)
-    )
+    topology = graph_topology(exp)
+    shared = walk is not None and walk.topology == topology
+    graph = TaskGraph(walk if shared else Walk.of(topology),
+                      duration_table(exp, visit_times(exp, lc, alloc)),
+                      (float(lc.attn_flops) + float(lc.ffn_flops)) * exp.model.layers
+                      * exp.workload.num_microbatches * (1.0 + BACKWARD_MULTIPLIER),
+                      exp.cluster.total_gpus, exp.cluster.gpu_peak)
     # Imported here, as in sim._debug: a cold start that never logs skips it.
     import logging
 
     logging.getLogger("afpipe.taskgraph").debug(
         "build: %d tasks from a %d-task template (%s) in %.3f ms",
-        len(graph), len(graph.walk.template.keys),
-        "shared" if like is not None and graph.walk is like.walk else "walked",
+        len(graph), len(graph.walk.template.keys), "shared" if shared else "walked",
         (time.perf_counter() - begin) * 1e3,
     )
     return graph

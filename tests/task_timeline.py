@@ -17,7 +17,7 @@ from afpipe.taskgraph import TaskGraph
 def timeline_tasks(graph: TaskGraph) -> tuple[ScheduleTrace, list[tuple[int, str, str, int]]]:
     """graph's trace and its timeline as (start, owner, lane, id) per task, sorted."""
     trace, _ = simulate(graph)
-    general = SchedulePlan(hand_built(graph))
+    general = SchedulePlan(hand_built(graph).walk)
     starts, _ = general.run(durations_ns(graph.keys, graph.table))
     tasks = tuple(graph.tasks.values())
     return trace, sorted(

@@ -66,7 +66,7 @@ def test_simulate_and_write_read_only_the_template(monkeypatch, tmp_path):
 def test_replace_shares_the_walk_and_its_plan(monkeypatch):
     walked, _ = _count_walks(monkeypatch)
     graph = _graph(ScheduleKind.AFPIPE, 32)
-    retimer = Retimer(graph)
+    retimer = Retimer(graph.walk)
     table = {key: (duration + 1, exposed) for key, (duration, exposed) in graph.table.items()}
     point = replace(graph, table=table)
     assert point.walk is graph.walk and walked == [1]
@@ -102,7 +102,7 @@ def test_every_plan_reads_the_graph_credits(microbatches):
     assert any(credit > 1 for credit in graph.credits.values())
     ones = dict.fromkeys(graph.credits, 1)
     copy = hand_built(graph, ones)
-    assert SchedulePlan(copy).credit == [1] * len(graph.credits)
+    assert SchedulePlan(copy.walk).credit == [1] * len(graph.credits)
     strict, _ = simulate(copy)
     # One micro-batch never has a forward and a backward unit ready on one
     # owner at once, so no credit can change its schedule.
@@ -118,9 +118,9 @@ def test_build_logs_its_tasks_template_and_walk_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="afpipe.taskgraph"):
         kept = build_task_graph(exp, alloc)
         build_task_graph(replace(exp, schedule_kind=ScheduleKind.CHUNKED_OVERLAP), alloc,
-                         like=kept)
+                         walk=kept.walk)
         build_task_graph(replace(exp, workload=replace(exp.workload, num_microbatches=5)),
-                         alloc, like=kept)
+                         alloc, walk=kept.walk)
     lines = [r.getMessage() for r in caplog.records if r.name == "afpipe.taskgraph"]
     size = len(kept.walk.template.keys)
     assert [re.sub(r"in \d+\.\d{3} ms$", "in T ms", line) for line in lines] == [
@@ -134,8 +134,8 @@ def test_retimer_reuses_its_plan_for_the_walk_it_kept_and_no_other():
     exp = _experiment(ScheduleKind.AFPIPE, 3, "toy.yaml")
     alloc = default_allocation(exp)
     kept = build_task_graph(exp, alloc)
-    retimer = Retimer(kept)
-    retimer.simulate(build_task_graph(exp, alloc, like=kept))
+    retimer = Retimer(kept.walk)
+    retimer.simulate(build_task_graph(exp, alloc, walk=kept.walk))
     assert retimer.counts["plans"] == 1 and kept.walk._tasks is None
     # A hand-built copy is another walk, planned on its own under its credits.
     copy = hand_built(kept, dict.fromkeys(kept.credits, 1))
@@ -154,7 +154,7 @@ def test_a_graph_views_its_walk_read_only(name):
 def test_graphs_of_one_walk_cannot_change_each_others_credits_or_tasks():
     exp = _experiment(ScheduleKind.AFPIPE, 3, "toy.yaml")
     kept = build_task_graph(exp, default_allocation(exp))
-    graph = build_task_graph(exp, default_allocation(exp), like=kept)
+    graph = build_task_graph(exp, default_allocation(exp), walk=kept.walk)
     assert graph.walk is kept.walk
     with pytest.raises(TypeError):
         graph.credits["A0"] = 1

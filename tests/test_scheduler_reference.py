@@ -175,9 +175,9 @@ def test_one_retimer_matches_the_scan_under_many_split_tables():
     base = load_experiment(str(CONFIGS / "deepseek_moe.yaml"))
     exp = dataclasses.replace(base, schedule_kind=ScheduleKind.AFPIPE,
                               workload=dataclasses.replace(base.workload, num_microbatches=4))
-    retimer = Retimer(build_task_graph(exp, default_allocation(exp)))
+    retimer = Retimer(build_task_graph(exp, default_allocation(exp)).walk)
     for alloc in enumerate_feasible(exp.cluster)[::16]:
-        graph = build_task_graph(exp, alloc, like=retimer.graph)
+        graph = build_task_graph(exp, alloc, walk=retimer.walk)
         trace, _ = retimer.simulate(graph)
         reference, _ = simulate_scan(build_task_graph(exp, alloc))
         assert trace == reference, alloc

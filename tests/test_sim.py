@@ -227,7 +227,7 @@ def test_plan_chain_is_at_most_the_makespan_under_random_tables(microbatches):
     rng = random.Random(11)
     for kind in ScheduleKind:
         g = _build(kind, layers=4, depth=2, stages=2, microbatches=microbatches)
-        plan = SchedulePlan(g)
+        plan = SchedulePlan(g.walk)
         plan.run(durations_ns(g.keys, g.table))
         assert "_topological_order" not in vars(plan)  # only chain_ns builds it
         for _ in range(10):
@@ -270,7 +270,7 @@ def test_lane_bound_equals_task_level_lane_sums_on_random_graphs():
     rng = random.Random(13)
     for _ in range(200):
         graph = _random_graph(rng)
-        retimer = Retimer(graph)
+        retimer = Retimer(graph.walk)
         for retimed in [graph, *_random_tables(rng, graph)]:
             expected = lane_bound_tasks(retimed)
             assert retimer.lane_bound_ns(retimer.ns(retimed.table)) == expected
@@ -330,13 +330,13 @@ def test_check_schedule_builds_one_plan(monkeypatch):
     plans = []
 
     class CountedPlan(SchedulePlan):
-        def __init__(self, graph):
-            plans.append(graph)
-            super().__init__(graph)
+        def __init__(self, walk):
+            plans.append(walk)
+            super().__init__(walk)
 
     monkeypatch.setattr("afpipe.sim.SchedulePlan", CountedPlan)
     assert check_schedule(g, trace) == []
-    assert plans == [g]
+    assert plans == [g.walk]
 
 
 def test_determinism_byte_identical_traces():
@@ -490,13 +490,15 @@ def _moved(trace, tid, shift, stretch=0):
 @pytest.mark.parametrize("tamper,message", [
     (lambda t: ScheduleTrace(t.events[1:], t.iteration_ns), "missing from the trace"),
     (lambda t: ScheduleTrace(t.events + t.events[-1:], t.iteration_ns), "scheduled twice"),
+    (lambda t: ScheduleTrace(t.events + (t.events[-1]._replace(task=t.events[-1].task._replace(
+        id=9)),), t.iteration_ns), "task 9 is not in the graph"),
     (lambda t: _moved(t, 3, -500), "before dependency 2 ends"),
     (lambda t: _moved(t, 4, -1_000), "overlap on A0 compute"),
     (lambda t: _moved(t, 2, 100), "twins 1 and 2 do not start and end together"),
     (lambda t: _moved(t, 3, 0, stretch=1), "runs 1001 ns, not its 1000 ns"),
     (lambda t: ScheduleTrace(t.events, t.iteration_ns - 1), "is below the lower bound"),
     (lambda t: ScheduleTrace(t.events, t.iteration_ns + 1), "is not the last end"),
-], ids=["missing", "twice", "dependency", "overlap", "twins", "duration", "bound", "last-end"])
+], ids=["missing", "twice", "unknown", "dependency", "overlap", "twins", "duration", "bound", "last-end"])
 def test_check_schedule_reports_each_violation(tamper, message):
     g, trace = _pair_schedule()
     problems = check_schedule(g, tamper(trace))

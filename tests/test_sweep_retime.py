@@ -169,14 +169,14 @@ def test_graph_of_the_kept_topology_shares_its_tasks():
     alloc = default_allocation(exp)
     kept = build_task_graph(exp, alloc)
     chunked = build_task_graph(replace(exp, schedule_kind=ScheduleKind.CHUNKED_OVERLAP),
-                               alloc, like=kept)
+                               alloc, walk=kept.walk)
     assert chunked.tasks is kept.tasks and chunked.keys is kept.keys
     assert chunked.table != kept.table
     # Another depth or micro-batch count is another topology: its own walk.
     deeper = replace(exp, pipeline_depth=4, virtual_stages=1)
     longer = replace(exp, workload=replace(exp.workload, num_microbatches=5))
     for other in (deeper, longer):
-        walked = build_task_graph(other, alloc, like=kept)
+        walked = build_task_graph(other, alloc, walk=kept.walk)
         assert walked.tasks is not kept.tasks
         assert walked.tasks == build_task_graph(other, alloc).tasks
 
@@ -204,7 +204,7 @@ def test_a_new_topology_replaces_the_kept_plan():
     retimer = Retimer()
     for kind in (ScheduleKind.AFPIPE, ScheduleKind.MEGATRON_1F1B, ScheduleKind.AFPIPE):
         run_schedule(exp, kind, alloc, retimer)
-        assert retimer.graph.topology == graph_topology(replace(exp, schedule_kind=kind))
+        assert retimer.walk.topology == graph_topology(replace(exp, schedule_kind=kind))
     assert retimer.counts == {"plans": 3, "calls": 3, "retimed": 3}
 
 

@@ -261,7 +261,7 @@ def test_one_plan_retimes_every_point_of_its_topology(kind, config, virtual_stag
                               virtual_stages=virtual_stages or exp.virtual_stages)
     alloc = default_allocation(exp)
     graph = build_task_graph(exp, alloc)
-    plan = SchedulePlan(graph)
+    plan = SchedulePlan(graph.walk)
     makespans = set()
     for point in _points_of_one_topology(exp):
         assert validate(point) == []

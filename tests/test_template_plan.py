@@ -62,10 +62,10 @@ def _template(graph):
 @pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
 def test_replicated_plan_equals_the_general_plan(config, kind, microbatches):
     graph = _graph(config, kind, microbatches)
-    plan = SchedulePlan(graph)
-    assert plan.copies == microbatches
-    general = SchedulePlan(_template(graph))
-    assert general.copies == 1 and general.link is None
+    plan = SchedulePlan(graph.walk)
+    assert plan.walk is graph.walk and plan.walk.copies == microbatches
+    general = SchedulePlan(_template(graph).walk)
+    assert general.walk.copies == 1 and general.link is None
     fields, reference = _fields(plan), _fields(general)
     if plan.link is not None:  # the serial link: the last task's dependent one copy on
         assert kind is ScheduleKind.NAIVE_SEQUENTIAL and microbatches > 1
@@ -81,11 +81,11 @@ def test_replicated_plan_equals_the_general_plan(config, kind, microbatches):
 
     # The copies run as the general plan of the whole graph runs, and bound alike.
     whole = hand_built(graph)
-    full = SchedulePlan(whole)
+    full = SchedulePlan(whole.walk)
     durations = durations_ns(graph.keys, graph.table)
     assert plan.run(durations[:len(general.task_lane)]) == full.run(durations)
     assert plan.chain_ns(durations) == full.chain_ns(durations)
-    retimer, reference = Retimer(graph), Retimer(whole)
+    retimer, reference = Retimer(graph.walk), Retimer(whole.walk)
     ns = retimer.ns(graph.table)
     assert retimer.lane_bound_ns(ns) == reference.lane_bound_ns(reference.ns(graph.table))
 
@@ -93,9 +93,9 @@ def test_replicated_plan_equals_the_general_plan(config, kind, microbatches):
 @pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
 def test_no_plan_array_grows_with_the_microbatch_count(kind):
     graph = _graph("deepseek_moe.yaml", kind, 32)
-    plan, template = SchedulePlan(graph), SchedulePlan(_template(graph))
+    plan, template = SchedulePlan(graph.walk), SchedulePlan(_template(graph).walk)
     units, size = len(template.unit_tasks), len(graph.walk.template.keys)
-    assert plan.copies == 32
+    assert plan.walk.copies == 32
     assert len(plan.unit_tasks) == len(plan.records) == len(plan.remaining) == units
     assert len(plan.task_lane) == size
     assert sum(len(record) for record in plan.records) == size
@@ -106,7 +106,7 @@ def test_no_plan_array_grows_with_the_microbatch_count(kind):
 
 def test_naive_links_each_microbatch_to_the_last_task_of_the_one_before():
     graph = _graph("toy.yaml", ScheduleKind.NAIVE_SEQUENTIAL, 3)
-    plan = SchedulePlan(graph)
+    plan = SchedulePlan(graph.walk)
     size, units = len(graph.walk.template.keys), len(plan.unit_tasks)
     [first] = [i for i, members in enumerate(plan.unit_tasks) if members == (0,)]
     [last] = [i for i, members in enumerate(plan.unit_tasks) if members == (size - 1,)]
@@ -116,8 +116,8 @@ def test_naive_links_each_microbatch_to_the_last_task_of_the_one_before():
     [(_, _, _, targets)] = plan.records[last]  # the last task's
     [queue] = [q for q in plan.queues if first in q.units]
     assert targets == [(first + units, queue, False)]
-    assert SchedulePlan(_graph("toy.yaml", ScheduleKind.NAIVE_SEQUENTIAL, 1)).link is None
-    durations = Retimer(graph).durations(Retimer(graph).ns(graph.table))
+    assert SchedulePlan(_graph("toy.yaml", ScheduleKind.NAIVE_SEQUENTIAL, 1).walk).link is None
+    durations = Retimer(graph.walk).durations(Retimer(graph.walk).ns(graph.table))
     starts, makespan = plan.run(durations)
     assert starts[first] == 0
     for m in (1, 2):  # micro-batch m starts when the last task of m - 1 ends
@@ -138,8 +138,8 @@ def test_timeline_order_equals_the_task_level_sort(microbatches, kind):
 def test_replicated_plan_logs_its_template_at_debug(caplog):
     graph = _graph("toy.yaml", ScheduleKind.AFPIPE, 4)
     with caplog.at_level(logging.DEBUG, logger="afpipe.sim"):
-        plan = SchedulePlan(graph)
-        SchedulePlan(hand_built(graph))  # a general plan logs none
+        plan = SchedulePlan(graph.walk)
+        SchedulePlan(hand_built(graph).walk)  # a general plan logs none
     lines = [r.getMessage() for r in caplog.records
              if r.name == "afpipe.sim" and r.getMessage().startswith("plan: ")]
     units = len(plan.unit_tasks)  # the template's

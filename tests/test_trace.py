@@ -295,11 +295,10 @@ def test_lazy_trace_writes_the_bytes_of_its_eager_trace(config, kind, tmp_path):
 def test_lazy_time_without_a_float_value_is_a_serialization_error(tmp_path):
     exp = _experiment(3)
     graph = build_task_graph(exp, canonical_allocation(exp.cluster, 1, 1))
-    retimer = Retimer(graph)
+    retimer = Retimer(graph.walk)
     trace, _ = retimer.simulate(graph)
     *_, starts, durations = trace._run
-    lazy = ScheduleTrace._of_run(retimer.plan, [10**400, *starts[1:]], durations, 10**400,
-                                 graph.walk)
+    lazy = ScheduleTrace._of_run(retimer.plan, [10**400, *starts[1:]], durations, 10**400)
     with pytest.raises(SerializationError, match="no float value"):
         export_trace_json(lazy)
     path = tmp_path / "trace.json"

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from afpipe.config import Experiment
 from afpipe.costs import StageTimes
-from afpipe.taskgraph import TaskGraph, duration_table, topology_graph
+from afpipe.taskgraph import TaskGraph, Walk, duration_table, graph_topology
 
 UNIFORM = StageTimes(t_attn=1e-3, t_ffn=1e-3, t_a2a=1e-3, t_m2n=1e-3, t_p2p=0.0)
 
 
 def timed_graph(exp: Experiment, times: StageTimes = UNIFORM) -> TaskGraph:
-    graph = topology_graph(exp)
-    graph.table = duration_table(exp, times)
-    return graph
+    return TaskGraph(Walk.of(graph_topology(exp)), duration_table(exp, times),
+                     world_gpus=exp.cluster.total_gpus, gpu_peak=exp.cluster.gpu_peak)
