@@ -61,7 +61,6 @@ from .sim import (
     ScheduleTrace,
     SimResult,
     check_schedule,
-    exposed_comm,
     simulate,
     warmup_bubble_analytic,
 )

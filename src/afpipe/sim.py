@@ -95,16 +95,17 @@ on those. simulate is a new Retimer's one run under the graph's table, and
 its metrics come straight from the run: the units of a queue share their
 lanes, so per queue their starts and durations give each owner's first
 activity and compute time and the spans whose union sets the exposed
-communication, a send/recv pair being one span. The trace it returns holds
-the plan, the unit starts and the template's durations; it builds its
-timeline, one TraceEvent per task of the plan's walk, only when its events
-are read, as by check_schedule;
-trace_io.write_trace formats the same order from the template and the run
-(ScheduleTrace.timeline) and builds none, and sweep and compare read
-neither. compare and sweep keep one Retimer per schedule family, sweep's
-across its points, so each topology is planned once and re-timed per point;
-the metrics, which read the point's table and total_flops, are computed per
-point. The Retimer's one index of the distinct keys also gives both lower
+communication, a send/recv pair being one span. exposed_comm, the one
+definition of exposed communication, takes those spans and the table's
+exposure inside task durations. The trace it returns holds the plan, the
+unit starts and the template's durations; it builds its timeline, one
+TraceEvent per task of the plan's walk, only when its events are read.
+trace_io.write_trace and check_schedule read the same order from the
+template and the run (ScheduleTrace.timeline) and build none, and sweep
+and compare read neither. compare and sweep keep one Retimer per schedule
+family, sweep's across its points, so each topology is planned once and
+re-timed per point; the metrics, which read the point's table and
+total_flops, are computed per point. The Retimer's one index of the distinct keys also gives both lower
 bounds on a makespan under ns: chain_ns, the longest dependency chain, and
 lane_bound_ns, the largest summed duration of one (owner, lane).
 critical_path_ns, resource_bound_ns and check_schedule read them from a new
@@ -186,9 +187,9 @@ class ScheduleTrace:
     reads), each unit's start and each template task's duration. It builds
     the events, reading the plan's walk's tasks, when they are first read,
     then drops the run; timeline() gives the events' parts in the same
-    order without building them. The order is sorted once, by whichever
-    reads it first. Two traces are equal when their events and iteration_ns
-    are.
+    order without building them, and is what trace_io and check_schedule
+    read. The order is sorted once, by whichever reads it first. Two traces
+    are equal when their events and iteration_ns are.
     """
 
     __slots__ = ("_events", "_run", "_order", "iteration_ns")
@@ -824,7 +825,8 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
     Units of one queue share their lanes, so each queue's first start,
     compute time and spans come from its units' starts, copy by copy, and
     its template tasks' durations at once. A send/recv pair is one
-    communication span.
+    communication span. exposed_comm unites the spans and adds the table's
+    exposure inside task durations over graph.keys.
     """
     iteration = seconds(makespan)
     if not plan.unit_tasks:
@@ -880,7 +882,9 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
         iteration_time=iteration,
         bubble_warmup=bubble_warmup,
         bubble_fraction=fraction,
-        exposed_comm=_exposed_ns(comm_spans, compute_spans) / 1e9 + seconds(embedded_ns),
+        # Looked up as the module global on each call, because
+        # bench/tracing.py times exposed communication by patching it.
+        exposed_comm=exposed_comm(comm_spans, compute_spans, embedded_ns),
         mfu=mfu,
         per_group_busy={o: busy.get(o, 0) / 1e9 for o in sorted(first_activity)},
     )
@@ -900,11 +904,14 @@ def _merge(intervals: Iterable[tuple[int, int]]) -> list[list[int]]:
     return merged
 
 
-def _exposed_ns(comm_spans: Iterable[tuple[int, int]],
-                compute_spans: Iterable[tuple[int, int]]) -> int:
-    """How long some comm span runs while no compute span does (ns).
+def exposed_comm(comm_spans: Iterable[tuple[int, int]],
+                 compute_spans: Iterable[tuple[int, int]], embedded_ns: int) -> float:
+    """Exposed communication (s): how long some comm span runs while no
+    compute span does, plus embedded_ns, the exposure inside task durations.
 
-    A zero-length span adds nothing to either union, so none is filtered out.
+    The one definition of the reported SimResult.exposed_comm. Spans are
+    (start, end) in ns; a zero-length span adds nothing to either union, so
+    none is filtered out.
     """
     comm, compute = _merge(comm_spans), _merge(compute_spans)
     exposed = 0
@@ -921,16 +928,7 @@ def _exposed_ns(comm_spans: Iterable[tuple[int, int]],
             if cs > cursor:
                 exposed += cs - cursor
             cursor = min(ce, e)
-    return exposed
-
-
-def exposed_comm(trace: ScheduleTrace) -> float:
-    """Seconds during which communication runs while every compute engine idles."""
-    comm_spans: list[tuple[int, int]] = []
-    compute_spans: list[tuple[int, int]] = []
-    for task, start, end in trace.events:
-        (compute_spans if task.lane == COMPUTE_LANE else comm_spans).append((start, end))
-    return _exposed_ns(comm_spans, compute_spans) / 1e9
+    return exposed / 1e9 + seconds(embedded_ns)
 
 
 def warmup_bubble_analytic(
@@ -986,22 +984,31 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
     each dependency ends; no two tasks overlap on one (owner, lane); send/recv
     twins start and end together; iteration_ns is the last end and is at
     least both lower bounds, critical_path_ns and resource_bound_ns.
+
+    It reads the trace's timeline() and so builds no TraceEvent; the
+    dependencies, twins and durations it checks against are graph's.
     """
     retimer = Retimer(graph.walk)  # one plan for both bounds and the durations
     ns = retimer.ns(graph.table)
     bound = max(retimer.chain_ns(ns), retimer.lane_bound_ns(ns))
     duration = dict(zip(graph.tasks, retimer.durations(ns) * retimer.walk.copies))
+    tasks, order, starts, durations = trace.timeline()
+    size = len(tasks)
     problems = []
     span: dict[int, tuple[int, int]] = {}
     by_lane: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
-    for ev in trace.events:
-        tid = ev.task.id
+    ends = []
+    for k, start in zip(order, starts):
+        # This event is copy k // size of template task k % size (ScheduleTrace.timeline).
+        task = tasks[k % size]
+        tid, end = task.id + k // size * size, start + durations[k % size]
         if tid in span:
             problems.append(f"task {tid} is scheduled twice")
         elif tid not in graph.tasks:
             problems.append(f"task {tid} is not in the graph")
-        span[tid] = (ev.start_ns, ev.end_ns)
-        by_lane.setdefault((ev.task.owner, ev.task.lane), []).append((ev.start_ns, ev.end_ns, tid))
+        span[tid] = (start, end)
+        by_lane.setdefault((task.owner, task.lane), []).append((start, end, tid))
+        ends.append(end)
 
     for tid, task in sorted(graph.tasks.items()):
         if tid not in span:
@@ -1026,7 +1033,7 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
             if start1 < end0:
                 problems.append(f"tasks {first} and {second} overlap on {owner} {lane}")
 
-    last_end = max((ev.end_ns for ev in trace.events), default=0)
+    last_end = max(ends, default=0)
     if trace.iteration_ns != last_end:
         problems.append(f"iteration_ns {trace.iteration_ns} is not the last end, {last_end}")
     if trace.iteration_ns < bound:

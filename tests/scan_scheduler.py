@@ -8,6 +8,9 @@ gate that the heap scheduler in afpipe.sim must match trace for trace.
 
 _aggregate computes a SimResult from a trace's events, as simulate did before
 it read the metrics straight from the run; simulate must match it exactly.
+It splits the events into communication and compute spans, one span per
+event, and passes them to sim.exposed_comm, the definition simulate's
+metrics use on one span per send/recv pair.
 """
 
 from __future__ import annotations
@@ -155,6 +158,8 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
 
     first_activity: dict[str, int] = {}
     busy: dict[str, int] = {}
+    comm_spans: list[tuple[int, int]] = []
+    compute_spans: list[tuple[int, int]] = []
     for task, start, end in trace.events:
         owner = task.owner
         cur = first_activity.get(owner)
@@ -162,6 +167,7 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
             first_activity[owner] = start
         if task.lane == COMPUTE_LANE:
             busy[owner] = busy.get(owner, 0) + (end - start)
+        (compute_spans if task.lane == COMPUTE_LANE else comm_spans).append((start, end))
     embedded_ns = sum(graph.table[key][1] for key in graph.keys)  # inside task durations
 
     # Warmup bubble: the longest any group waits before its first activity.
@@ -176,8 +182,6 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
     else:
         fraction = 0.0
 
-    exposed = exposed_comm(trace) + seconds(embedded_ns)
-
     mfu = 0.0
     if graph.total_flops > 0 and iteration > 0 and graph.world_gpus > 0 and graph.gpu_peak > 0:
         mfu = graph.total_flops / (iteration * graph.world_gpus * graph.gpu_peak)
@@ -187,7 +191,7 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
         iteration_time=iteration,
         bubble_warmup=bubble_warmup,
         bubble_fraction=fraction,
-        exposed_comm=exposed,
+        exposed_comm=exposed_comm(comm_spans, compute_spans, embedded_ns),
         mfu=mfu,
         per_group_busy={o: busy.get(o, 0) / 1e9 for o in sorted(first_activity)},
     )

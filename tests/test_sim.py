@@ -13,6 +13,7 @@ from hand_built import hand_built
 from test_scheduler_reference import _assert_same_schedule, _random_graph, _random_tables
 from timed_graph import UNIFORM, timed_graph
 
+from afpipe import sim
 from afpipe.allocator import (
     AllocatorParams, allocate, brute_force_oracle, canonical_allocation, default_allocation,
 )
@@ -30,7 +31,6 @@ from afpipe.sim import (
     check_schedule,
     critical_path_ns,
     durations_ns,
-    exposed_comm,
     resource_bound_ns,
     simulate,
     warmup_bubble_analytic,
@@ -162,29 +162,50 @@ def test_transfer_pair_occupies_both_lanes_simultaneously():
 
 def test_exposed_comm_of_lone_transfer_is_its_duration():
     send, recv = _transfer_pair(0, "A0", "F0", 2_000)
-    trace, result = simulate(hand_built([send, recv]))
-    assert exposed_comm(trace) == 2e-6
+    _, result = simulate(hand_built([send, recv]))
     assert result.exposed_comm == 2e-6
 
 
 def test_exposed_comm_zero_without_comm_tasks():
-    trace, result = simulate(hand_built([_compute(0, "A0", 1_000)]))
-    assert exposed_comm(trace) == 0.0
+    _, result = simulate(hand_built([_compute(0, "A0", 1_000)]))
     assert result.exposed_comm == 0.0
 
 
 def test_exposed_comm_fully_overlapped_contributes_nothing():
     send, recv = _transfer_pair(1, "A0", "F0", 2_000)
     cover = _compute(0, "B0", 5_000)
-    trace, _ = simulate(hand_built([cover, send, recv]))
-    assert exposed_comm(trace) == 0.0
+    _, result = simulate(hand_built([cover, send, recv]))
+    assert result.exposed_comm == 0.0
 
 
 def test_exposed_comm_counts_partial_overlap():
     send, recv = _transfer_pair(1, "A0", "F0", 4_000)
     cover = _compute(0, "B0", 1_000)
-    trace, _ = simulate(hand_built([cover, send, recv]))
-    assert exposed_comm(trace) == pytest.approx(3e-6)
+    _, result = simulate(hand_built([cover, send, recv]))
+    assert result.exposed_comm == pytest.approx(3e-6)
+
+
+def test_every_simulate_counts_exposed_communication_through_sim_exposed_comm(monkeypatch):
+    # One definition: each simulate's metrics call sim.exposed_comm once, a
+    # memo hit too, through the module attribute that can be patched.
+    calls = []
+    original = sim.exposed_comm
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sim, "exposed_comm", counting)
+    g = _build(ScheduleKind.MEGATRON_1F1B, layers=4, depth=2, stages=2, microbatches=3)
+    _, result = simulate(g)
+    assert len(calls) == 1
+    assert result.exposed_comm == original(*calls[0]) > 0
+    retimer = Retimer()
+    retimer.simulate(g)
+    _, hit = retimer.simulate(g)
+    assert retimer.counts["calls"] == 2 and retimer.counts["retimed"] == 1
+    assert len(calls) == 3
+    assert hit == result
 
 
 def test_dependency_order_and_exactly_once():

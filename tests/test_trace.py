@@ -256,9 +256,25 @@ def test_simulate_trace_builds_no_events(monkeypatch, tmp_path, capsys):
     assert len(json.loads(path.read_text())) > 0
 
 
-def _graph(config, kind):
+def _graph(config, kind, microbatches=None):
     exp = dataclasses.replace(load_experiment(str(CONFIGS / config)), schedule_kind=kind)
+    if microbatches is not None:
+        exp = dataclasses.replace(
+            exp, workload=dataclasses.replace(exp.workload, num_microbatches=microbatches))
     return build_task_graph(exp, default_allocation(exp) if kind is ScheduleKind.AFPIPE else None)
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda kind: kind.value)
+def test_check_schedule_reads_the_timeline_and_builds_no_events(kind, monkeypatch):
+    graph = _graph("deepseek_moe.yaml", kind, microbatches=4)
+    trace, _ = simulate(graph)
+    made = _count_events(monkeypatch)
+    assert check_schedule(graph, trace) == []
+    assert made == []
+    assert trace._run is not None  # the run is kept, as no events were read
+    empty = hand_built([])
+    assert check_schedule(empty, simulate(empty)[0]) == []
+    assert made == []
 
 
 def _tables(graph, seed):
