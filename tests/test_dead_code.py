@@ -1,18 +1,21 @@
 """Every module-level function and class of afpipe is used somewhere.
 
 A check with ast, like test_imports. A definition counts as used when an
-afpipe module reads its name (as a name or an attribute), afpipe/__init__.py
-exports it, the benchmark's tracer patches it (bench/tracing.py), or it is
-one of the helpers that only tests and users call (TEST_FACING).
+afpipe module reads its name (as a name or an attribute), the package
+exports it (afpipe.__all__), the benchmark's tracer patches it
+(bench/tracing.py), it is one of the helpers that only tests and users call
+(TEST_FACING), or the interpreter calls it (the package's PEP 562 hooks).
 """
 
 import ast
 from pathlib import Path
 
+import afpipe
 from test_bench_hooks import HOOKS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "afpipe"
 TEST_FACING = {"critical_path_ns", "resource_bound_ns", "trace_schema", "parse_trace_events"}
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def _names_read(tree: ast.AST) -> set[str]:
@@ -38,12 +41,6 @@ def unused_definitions(sources: dict[str, str], exempt: set[str]) -> list[str]:
     ]
 
 
-def _exported() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
-            for a in node.names}
-
-
 def test_the_check_sees_an_unused_definition():
     sources = {
         "a": "def used():\n    pass\n\n\ndef unused():\n    used()\n\n\nclass Kept:\n    pass\n",
@@ -55,5 +52,5 @@ def test_the_check_sees_an_unused_definition():
 
 def test_every_definition_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    exempt = _exported() | {attr for _, attr in HOOKS} | TEST_FACING
+    exempt = set(afpipe.__all__) | {attr for _, attr in HOOKS} | TEST_FACING | MODULE_HOOKS
     assert unused_definitions(sources, exempt) == []
