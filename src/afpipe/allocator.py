@@ -20,8 +20,8 @@ densest shape on each side (canonical_allocation). The search space is then
 GPU splits x NIC splits, small enough at cluster scale for exact enumeration
 to replace an integer-programming solver. The phase-1 set size and the
 oracle's cap still count every (split, attention shape, FFN shape) triple,
-summed from shape counts without building the copies. One generator,
-_node_shapes, lists a side's shapes densest first for both.
+summed from shape counts without building the copies. One cached tuple
+per GPU count, _node_shapes, lists a side's shapes densest first for both.
 
 Profiling plans once and re-times per duration table: a graph is its walk
 (taskgraph.Walk: its tasks, keys and credits) plus the duration table it
@@ -59,7 +59,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from functools import cache
 
 from .config import ClusterConfig, Experiment, ScheduleKind
 from .costs import (
@@ -122,23 +122,21 @@ class AllocationReport:
     objective_trace: list[tuple[Allocation, float]] = field(default_factory=list)
 
 
-def _node_shapes(count: int, gpus_per_node: int) -> Iterator[tuple[int, int]]:
+@cache
+def _node_shapes(count: int, gpus_per_node: int) -> tuple[tuple[int, int], ...]:
     """Each (nodes, GPUs per node) holding count GPUs, at most gpus_per_node a node, densest first.
 
-    The one list of node shapes: canonical_allocation takes the first and
-    _shaped_size counts them.
+    The one list of node shapes, made once per GPU count: canonical_allocation
+    takes the first and _shaped_size counts them.
     """
-    for gpn in range(min(count, gpus_per_node), 0, -1):
-        if count % gpn == 0:
-            yield count // gpn, gpn
+    return tuple((count // gpn, gpn) for gpn in range(min(count, gpus_per_node), 0, -1)
+                 if count % gpn == 0)
 
 
 def _shaped_size(cands: list[Allocation], gpus_per_node: int) -> int:
     """How many (split, attention shape, FFN shape) triples the splits in cands stand for."""
-    def shapes(gpus: int) -> int:
-        return len([*_node_shapes(gpus, gpus_per_node)])
-
-    return sum(shapes(c.attn_gpus) * shapes(c.ffn_gpus) for c in cands)
+    return sum(len(_node_shapes(c.attn_gpus, gpus_per_node))
+               * len(_node_shapes(c.ffn_gpus, gpus_per_node)) for c in cands)
 
 
 def split_ranges(cluster: ClusterConfig, equal_nics: bool = False) -> tuple[range, range]:
@@ -174,8 +172,8 @@ def canonical_allocation(
         raise NoFeasible(f"equal NIC split gives each side {nics[0]} NICs, got {attn_nics}")
     if attn_nics not in nics:
         raise NoFeasible(f"attention NIC count {attn_nics} leaves no split")
-    m, mu = next(_node_shapes(attn_gpus, cluster.gpus_per_node))
-    n, nu = next(_node_shapes(cluster.total_gpus - attn_gpus, cluster.gpus_per_node))
+    m, mu = _node_shapes(attn_gpus, cluster.gpus_per_node)[0]
+    n, nu = _node_shapes(cluster.total_gpus - attn_gpus, cluster.gpus_per_node)[0]
     return Allocation(
         attn_gpus=attn_gpus,
         ffn_gpus=cluster.total_gpus - attn_gpus,
@@ -308,13 +306,9 @@ class IterationProfile:
         return seconds(self.retimer.makespan_ns(self.durations(alloc)))
 
 
-def af_iteration_profile(exp: Experiment, counts: Counter | None = None):
-    """Deterministic profile function: exp's IterationProfile, called on a split.
-
-    allocate profiles through this module attribute, which the benchmark's
-    tracer (bench/tracing.py) wraps to count profile calls.
-    """
-    return IterationProfile(exp, counts)
+# allocate profiles through this module attribute, which the benchmark's
+# tracer (bench/tracing.py) wraps to count profile calls.
+af_iteration_profile = IterationProfile
 
 
 def _log_profile(verb: str, counts: Counter) -> None:

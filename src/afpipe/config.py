@@ -7,17 +7,20 @@ without a default is a required key, and each value is coerced to its field's
 type. Unknown sections or keys are rejected so that hand-edited files fail
 loudly instead of being silently ignored.
 
-validate() also bounds what a document can make the program build: every
-integer field is at most MAX_INT, layers * num_microbatches (the task count
-is linear in it) at most MAX_LAYER_MICROBATCHES, and total_gpus * total_nics
-(about the number of splits the allocator enumerates) at most MAX_GPUS_X_NICS.
-parse_experiment rejects a document longer than MAX_DOCUMENT_CHARS before
-parsing it, since the YAML parser's time grows with the text.
+A field's valid range is stated once, on the field: its metadata holds the
+rule (a predicate and its phrase, such as "must be >= 1") that validate()
+checks. validate() also bounds what a document can make the program build:
+every integer field is at most MAX_INT, layers * num_microbatches (the task
+count is linear in it) at most MAX_LAYER_MICROBATCHES, and total_gpus *
+total_nics (about the number of splits the allocator enumerates) at most
+MAX_GPUS_X_NICS. parse_experiment rejects a document longer than
+MAX_DOCUMENT_CHARS before parsing it, since the YAML parser's time grows
+with the text.
 """
 
 import enum
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import yaml
 
@@ -66,24 +69,33 @@ class ScheduleKind(str, enum.Enum):
     NAIVE_SEQUENTIAL = "naive"
 
 
+def _rule(keeps, text: str, **kw):
+    """A dataclass field (field(**kw)) whose value v must satisfy keeps(v), which text states."""
+    return field(metadata={"keeps": keeps, "rule": text}, **kw)
+
+
+def _at_least(low: int, **kw):
+    return _rule(lambda value: value >= low, f"must be >= {low}", **kw)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Transformer shape: L layers, hidden H, E experts with top-k routing."""
 
-    layers: int
-    hidden: int
-    experts: int
-    topk: int
-    moe_hidden: int
-    gqa_group: int = 1
-    bytes_per_element: int = 2
+    layers: int = _at_least(1)
+    hidden: int = _at_least(1)
+    experts: int = _at_least(1)
+    topk: int = _at_least(1)
+    moe_hidden: int = _at_least(1)
+    gqa_group: int = _at_least(1, default=1)
+    bytes_per_element: int = _rule((1, 2, 4).__contains__, "must be one of 1, 2, 4", default=2)
 
 
 @dataclass(frozen=True)
 class Workload:
-    seq_len: int
-    micro_batch: int
-    num_microbatches: int
+    seq_len: int = _at_least(1)
+    micro_batch: int = _at_least(1)
+    num_microbatches: int = _at_least(1)
 
 
 @dataclass(frozen=True)
@@ -94,12 +106,12 @@ class ClusterConfig:
     treats intra-node transfers as free, so it never enters any formula.
     """
 
-    total_gpus: int
-    gpus_per_node: int
-    total_nics: int
-    gpu_peak: float
-    ib_bw: float
-    nvlink_bw: float = 0.0
+    total_gpus: int = _at_least(2)
+    gpus_per_node: int = _rule(lambda n: 1 <= n <= 8, "must be in [1, 8]")
+    total_nics: int = _at_least(2)
+    gpu_peak: float = _rule(lambda x: 0 < x < math.inf, "must be finite and > 0")
+    ib_bw: float = _rule(lambda x: 0 < x < math.inf, "must be finite and > 0")
+    nvlink_bw: float = _rule(lambda x: 0 <= x < math.inf, "must be finite and >= 0", default=0.0)
 
 
 @dataclass(frozen=True)
@@ -108,9 +120,9 @@ class Experiment:
     workload: Workload
     cluster: ClusterConfig
     schedule_kind: ScheduleKind = ScheduleKind.AFPIPE
-    pipeline_depth: int = 1
-    virtual_stages: int = 1
-    ep_size: int = 1
+    pipeline_depth: int = _at_least(1, default=1)
+    virtual_stages: int = _at_least(1, default=1)
+    ep_size: int = _at_least(1, default=1)
 
 
 # The schedule section holds the Experiment fields after the three sections.
@@ -214,73 +226,40 @@ def parse_experiment(text: str) -> Experiment:
 
 
 def validate(exp: Experiment) -> list[str]:
-    """Return every invariant violation as "field: rule" strings (empty = valid)."""
+    """Return every invariant violation as "field: rule" strings (empty = valid).
+
+    Field by field in schema order, each field's MAX_INT bound (integers)
+    and then its own rule; after them the rules that relate two fields.
+    """
     v: list[str] = []
-    m, w, c = exp.model, exp.workload, exp.cluster
     for section, schema in _SECTION_FIELDS.items():
         holder = exp if section == "schedule" else getattr(exp, section)
         for f in schema:
-            if f.type is int and getattr(holder, f.name) > MAX_INT:
+            value = getattr(holder, f.name)
+            if f.type is int and value > MAX_INT:
                 v.append(f"{f.name}: must be <= 2**53")
-    if m.layers < 1:
-        v.append(f"layers: must be >= 1 (got {m.layers})")
-    if m.hidden < 1:
-        v.append(f"hidden: must be >= 1 (got {m.hidden})")
-    if m.experts < 1:
-        v.append(f"experts: must be >= 1 (got {m.experts})")
-    if m.topk < 1:
-        v.append(f"topk: must be >= 1 (got {m.topk})")
-    elif m.topk > m.experts:
+            if "keeps" in f.metadata and not f.metadata["keeps"](value):
+                v.append(f"{f.name}: {f.metadata['rule']} (got {value})")
+    m, w, c = exp.model, exp.workload, exp.cluster
+    # Each guard skips a relation whose field already broke its lower bound above.
+    if 1 <= m.topk and m.topk > m.experts:
         v.append(f"topk: k exceeds E (topk={m.topk}, experts={m.experts})")
-    if m.moe_hidden < 1:
-        v.append(f"moe_hidden: must be >= 1 (got {m.moe_hidden})")
-    if m.gqa_group < 1:
-        v.append(f"gqa_group: must be >= 1 (got {m.gqa_group})")
-    if m.bytes_per_element not in (1, 2, 4):
-        v.append(f"bytes_per_element: must be one of 1, 2, 4 (got {m.bytes_per_element})")
-    if w.seq_len < 1:
-        v.append(f"seq_len: must be >= 1 (got {w.seq_len})")
-    if w.micro_batch < 1:
-        v.append(f"micro_batch: must be >= 1 (got {w.micro_batch})")
-    if w.num_microbatches < 1:
-        v.append(f"num_microbatches: must be >= 1 (got {w.num_microbatches})")
-    elif m.layers * w.num_microbatches > MAX_LAYER_MICROBATCHES:
+    if 1 <= w.num_microbatches and m.layers * w.num_microbatches > MAX_LAYER_MICROBATCHES:
         v.append(
             f"num_microbatches: layers*num_microbatches must be <= {MAX_LAYER_MICROBATCHES} "
             f"({m.layers}*{w.num_microbatches})"
         )
-    if c.total_gpus < 2:
-        v.append(f"total_gpus: must be >= 2 (got {c.total_gpus})")
-    if c.total_nics < 2:
-        v.append(f"total_nics: must be >= 2 (got {c.total_nics})")
-    elif c.total_gpus * c.total_nics > MAX_GPUS_X_NICS:
+    if 2 <= c.total_nics and c.total_gpus * c.total_nics > MAX_GPUS_X_NICS:
         v.append(
             f"total_gpus: total_gpus*total_nics must be <= {MAX_GPUS_X_NICS} "
             f"({c.total_gpus}*{c.total_nics})"
         )
-    if not 0 < c.gpu_peak < math.inf:
-        v.append(f"gpu_peak: must be finite and > 0 (got {c.gpu_peak})")
-    if not 0 < c.ib_bw < math.inf:
-        v.append(f"ib_bw: must be finite and > 0 (got {c.ib_bw})")
-    if not 0 <= c.nvlink_bw < math.inf:
-        v.append(f"nvlink_bw: must be finite and >= 0 (got {c.nvlink_bw})")
-    if not 1 <= c.gpus_per_node <= 8:
-        v.append(f"gpus_per_node: must be in [1, 8] (got {c.gpus_per_node})")
-    if exp.pipeline_depth < 1:
-        v.append(f"pipeline_depth: must be >= 1 (got {exp.pipeline_depth})")
-    if exp.virtual_stages < 1:
-        v.append(f"virtual_stages: must be >= 1 (got {exp.virtual_stages})")
-    if (
-        exp.pipeline_depth >= 1
-        and exp.virtual_stages >= 1
-        and exp.pipeline_depth * exp.virtual_stages > m.layers
-    ):
+    depth, stages = exp.pipeline_depth, exp.virtual_stages
+    if 1 <= depth and 1 <= stages and depth * stages > m.layers:
         v.append(
             "pipeline_depth: pipeline_depth*virtual_stages must be <= layers "
-            f"({exp.pipeline_depth}*{exp.virtual_stages} > {m.layers})"
+            f"({depth}*{stages} > {m.layers})"
         )
-    if exp.ep_size < 1:
-        v.append(f"ep_size: must be >= 1 (got {exp.ep_size})")
     return v
 
 

@@ -98,15 +98,17 @@ activity and compute time and the spans whose union sets the exposed
 communication, a send/recv pair being one span. exposed_comm, the one
 definition of exposed communication, takes those spans and the table's
 exposure inside task durations. The trace it returns holds the plan, the
-unit starts and the template's durations; it builds its timeline, one
-TraceEvent per task of the plan's walk, only when its events are read.
-trace_io.write_trace and check_schedule read the same order from the
-template and the run (ScheduleTrace.timeline) and build none, and sweep
-and compare read neither. compare and sweep keep one Retimer per schedule
-family, sweep's across its points, so each topology is planned once and
-re-timed per point; the metrics, which read the point's table and
-total_flops, are computed per point. The Retimer's one index of the distinct keys also gives both lower
-bounds on a makespan under ns: chain_ns, the longest dependency chain, and
+unit starts and the template's durations, and keeps them: its timeline
+(ScheduleTrace.timeline) is ordered once from the template and the run,
+and trace_io.write_trace and check_schedule read it and build no
+TraceEvent. Its events, one TraceEvent per task of the plan's walk, are a
+cache built from that timeline only when they are read, and reading them
+keeps the run. sweep and compare read neither. compare and sweep keep
+one Retimer per schedule family, sweep's across its points, so each
+topology is planned once and re-timed per point; the metrics, which read
+the point's table and total_flops, are computed per point. The Retimer's
+one index of the distinct keys also gives both lower bounds on a makespan
+under ns: chain_ns, the longest dependency chain, and
 lane_bound_ns, the largest summed duration of one (owner, lane).
 critical_path_ns, resource_bound_ns and check_schedule read them from a new
 Retimer. The allocator re-times one Retimer per experiment under each
@@ -182,55 +184,49 @@ class ScheduleTrace:
     its makespan, iteration_ns.
 
     ScheduleTrace(events, iteration_ns) holds the events it is given. The
-    trace simulate returns holds its run instead: the plan that ran
-    (SchedulePlan, whose walk, lanes, task lanes and units _timeline_order
-    reads), each unit's start and each template task's duration. It builds
-    the events, reading the plan's walk's tasks, when they are first read,
-    then drops the run; timeline() gives the events' parts in the same
-    order without building them, and is what trace_io and check_schedule
-    read. The order is sorted once, by whichever reads it first. Two traces
-    are equal when their events and iteration_ns are.
+    trace simulate returns holds its run instead, and keeps it: the plan
+    that ran (SchedulePlan, whose walk, lanes, task lanes and units
+    _timeline_order reads), each unit's start and each template task's
+    duration. timeline() gives the events' parts without building them, and
+    is what trace_io and check_schedule read; it is built once, by whichever
+    reads it first, from the run or from the given events. events is a
+    cache: a run's trace builds them from its timeline, reading the plan's
+    walk's tasks, when they are first read, and still reads the timeline
+    from the run. Two traces are equal when their events and iteration_ns
+    are.
     """
 
-    __slots__ = ("_events", "_run", "_order", "iteration_ns")
+    __slots__ = ("_events", "_run", "_timeline", "iteration_ns")
 
-    def __init__(self, events: tuple[TraceEvent, ...], iteration_ns: int):
-        self._events = events
+    def __init__(self, events: tuple[TraceEvent, ...] | None, iteration_ns: int):
+        self._events = events  # None until a run's events are read
         self._run: tuple[SchedulePlan, list[int], list[int]] | None = None  # plan, starts, ns
-        self._order: tuple[list[int], list[int]] | None = None
+        self._timeline: tuple[tuple[Task, ...], Sequence[int], list[int], list[int]] | None = None
         self.iteration_ns = iteration_ns
 
     @classmethod
     def _of_run(cls, plan: SchedulePlan, starts: list[int], durations: list[int],
                 makespan: int) -> ScheduleTrace:
         """The trace of plan's run: its unit starts and makespan under durations."""
-        trace = cls((), makespan)
+        trace = cls(None, makespan)
         trace._run = (plan, starts, durations)
         return trace
 
-    def _run_order(self) -> tuple[list[int], list[int]]:
-        """The run's task indices in timeline order and their starts (_timeline_order)."""
-        if self._order is None:
-            self._order = _timeline_order(*self._run[:2])
-        return self._order
-
     @property
     def events(self) -> tuple[TraceEvent, ...]:
-        if self._run is not None:
+        if self._events is None:
             begin = time.perf_counter()
-            plan, _, durations = self._run
-            order, begins = self._run_order()
-            tasks = tuple(plan.walk.tasks.values())
+            _, order, begins, durations = self.timeline()
+            tasks = tuple(self._run[0].walk.tasks.values())
             size = len(durations)  # the template's: task k lasts durations[k % size]
             ends = map(operator.add, begins, map(durations.__getitem__, map(size.__rmod__, order)))
             self._events = tuple(map(TraceEvent, map(tasks.__getitem__, order), begins, ends))
-            self._run = self._order = None
             _debug("timeline: %d events in %.3f ms",
                    len(self._events), (time.perf_counter() - begin) * 1e3)
         return self._events
 
     def timeline(self) -> tuple[tuple[Task, ...], Sequence[int], list[int], list[int]]:
-        """The events' parts, (tasks, order, starts, durations), built from the run if held.
+        """The events' parts, (tasks, order, starts, durations), built on the first call.
 
         tasks are the plan's walk's template tasks and durations theirs, and
         with size = len(tasks), event i is task order[i] of the run: copy
@@ -240,12 +236,17 @@ class ScheduleTrace:
         ns, as every copy of its task does. A trace of given events is its
         own template, one copy. Reading it builds no TraceEvent.
         """
-        if self._run is None:
-            events = self._events
-            return (tuple(ev.task for ev in events), range(len(events)),
+        if self._timeline is None:
+            if self._run is None:
+                events = self._events
+                self._timeline = (
+                    tuple(ev.task for ev in events), range(len(events)),
                     [ev.start_ns for ev in events], [ev.end_ns - ev.start_ns for ev in events])
-        plan, _, durations = self._run
-        return (tuple(plan.walk.template.tasks.values()), *self._run_order(), durations)
+            else:
+                plan, starts, durations = self._run
+                self._timeline = (tuple(plan.walk.template.tasks.values()),
+                                  *_timeline_order(plan, starts), durations)
+        return self._timeline
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleTrace):

@@ -270,3 +270,88 @@ def test_size_caps_admit_28_layers_by_1024_microbatches_and_256_by_256():
         cluster=replace(exp.cluster, total_gpus=256, total_nics=256),
     )
     assert validate(big) == []
+
+
+def _edited(values):
+    """DEEPSEEK_DOC with each "section.field" of values set to its value."""
+    doc = yaml.safe_load(DEEPSEEK_DOC)
+    for key, value in values.items():
+        section, field = key.split(".")
+        doc[section][field] = value
+    return yaml.safe_dump(doc)
+
+
+# One document per rule validate states, with the name and reason of the
+# InvalidValue it raises: the 19 single-field rules, MAX_INT (alone, and
+# with the field's own rule) and the four cross-field rules. layers < 1 and
+# experts < 1 also break a cross-field rule, which is listed after them.
+RULE_MESSAGES = [
+    ({"model.layers": 0}, "layers", "layers: must be >= 1 (got 0); "
+     "pipeline_depth: pipeline_depth*virtual_stages must be <= layers (2*14 > 0)"),
+    ({"model.hidden": 0}, "hidden", "hidden: must be >= 1 (got 0)"),
+    ({"model.experts": 0}, "experts",
+     "experts: must be >= 1 (got 0); topk: k exceeds E (topk=4, experts=0)"),
+    ({"model.topk": 0}, "topk", "topk: must be >= 1 (got 0)"),
+    ({"model.moe_hidden": 0}, "moe_hidden", "moe_hidden: must be >= 1 (got 0)"),
+    ({"model.gqa_group": 0}, "gqa_group", "gqa_group: must be >= 1 (got 0)"),
+    ({"model.bytes_per_element": 3}, "bytes_per_element",
+     "bytes_per_element: must be one of 1, 2, 4 (got 3)"),
+    ({"workload.seq_len": 0}, "seq_len", "seq_len: must be >= 1 (got 0)"),
+    ({"workload.micro_batch": 0}, "micro_batch", "micro_batch: must be >= 1 (got 0)"),
+    ({"workload.num_microbatches": 0}, "num_microbatches",
+     "num_microbatches: must be >= 1 (got 0)"),
+    ({"cluster.total_gpus": 1}, "total_gpus", "total_gpus: must be >= 2 (got 1)"),
+    ({"cluster.gpus_per_node": 9}, "gpus_per_node", "gpus_per_node: must be in [1, 8] (got 9)"),
+    ({"cluster.total_nics": 1}, "total_nics", "total_nics: must be >= 2 (got 1)"),
+    ({"cluster.gpu_peak": 0.0}, "gpu_peak", "gpu_peak: must be finite and > 0 (got 0.0)"),
+    ({"cluster.ib_bw": -1.0}, "ib_bw", "ib_bw: must be finite and > 0 (got -1.0)"),
+    ({"cluster.nvlink_bw": -5}, "nvlink_bw", "nvlink_bw: must be finite and >= 0 (got -5.0)"),
+    ({"schedule.pipeline_depth": 0}, "pipeline_depth", "pipeline_depth: must be >= 1 (got 0)"),
+    ({"schedule.virtual_stages": 0}, "virtual_stages", "virtual_stages: must be >= 1 (got 0)"),
+    ({"schedule.ep_size": 0}, "ep_size", "ep_size: must be >= 1 (got 0)"),
+    ({"model.hidden": MAX_INT + 1}, "hidden", "hidden: must be <= 2**53"),
+    ({"cluster.gpus_per_node": MAX_INT + 1}, "gpus_per_node", "gpus_per_node: must be <= 2**53; "
+     "gpus_per_node: must be in [1, 8] (got 9007199254740993)"),
+    ({"model.bytes_per_element": MAX_INT + 1}, "bytes_per_element",
+     "bytes_per_element: must be <= 2**53; "
+     "bytes_per_element: must be one of 1, 2, 4 (got 9007199254740993)"),
+    ({"model.topk": 8, "model.experts": 4}, "topk", "topk: k exceeds E (topk=8, experts=4)"),
+    ({"workload.num_microbatches": 10**9}, "num_microbatches",
+     "num_microbatches: layers*num_microbatches must be <= 32768 (28*1000000000)"),
+    ({"cluster.total_gpus": 100_000, "cluster.total_nics": 100_000}, "total_gpus",
+     "total_gpus: total_gpus*total_nics must be <= 131072 (100000*100000)"),
+    ({"schedule.virtual_stages": 16}, "pipeline_depth",
+     "pipeline_depth: pipeline_depth*virtual_stages must be <= layers (2*16 > 28)"),
+]
+
+
+@pytest.mark.parametrize("values, name, reason", RULE_MESSAGES,
+                         ids=[",".join(f"{k}={v}" for k, v in r[0].items()) for r in RULE_MESSAGES])
+def test_each_rule_has_its_pinned_message(values, name, reason):
+    with pytest.raises(InvalidValue) as exc:
+        parse_experiment(_edited(values))
+    assert exc.value.name == name
+    assert str(exc.value) == f"invalid value for {name}: {reason}"
+
+
+def test_several_broken_rules_are_listed_field_by_field_then_cross_field():
+    broken = [{"model.topk": 8, "model.experts": 4}, {"cluster.gpus_per_node": 9},
+              {"cluster.total_nics": 1}, {"cluster.ib_bw": 0.0}, {"schedule.ep_size": 0}]
+    with pytest.raises(InvalidValue) as exc:
+        parse_experiment(_edited({k: v for values in broken for k, v in values.items()}))
+    assert exc.value.name == "gpus_per_node"
+    messages = exc.value.reason.split("; ")
+    assert messages == [
+        "gpus_per_node: must be in [1, 8] (got 9)",
+        "total_nics: must be >= 2 (got 1)",
+        "ib_bw: must be finite and > 0 (got 0.0)",
+        "ep_size: must be >= 1 (got 0)",
+        "topk: k exceeds E (topk=8, experts=4)",
+    ]
+    # Each message is the one its rule gives when broken alone.
+    alone = []
+    for values in broken:
+        with pytest.raises(InvalidValue) as exc:
+            parse_experiment(_edited(values))
+        alone.append(exc.value.reason)
+    assert sorted(messages) == sorted(alone)

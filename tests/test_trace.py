@@ -334,13 +334,39 @@ def test_write_trace_logs_events_bytes_and_wall_time_at_debug(caplog, tmp_path):
     assert not [r for r in caplog.records if r.name == "afpipe.sim"]  # no timeline built
 
 
-def test_events_are_built_once_then_the_run_is_dropped(monkeypatch):
+def test_events_are_built_once_and_the_run_is_kept(monkeypatch):
     trace = _af_trace()
+    run = trace._run
     made = _count_events(monkeypatch)
     events = trace.events
-    assert trace._run is None
+    assert trace._run is run
     assert trace.events is events
     assert len(made) == len(events) > 0
+
+
+def test_a_trace_whose_events_were_read_still_exports_from_its_template(monkeypatch, tmp_path):
+    fresh, read = _af_trace(8), _af_trace(8)
+    assert read.events
+    filled = []
+    template = trace_io._task_template
+
+    def counting(*args):
+        filled.append(args)
+        return template(*args)
+
+    monkeypatch.setattr(trace_io, "_task_template", counting)
+    paths = tmp_path / "fresh.json", tmp_path / "read.json"
+    for trace, path in zip((fresh, read), paths):
+        del filled[:]
+        write_trace(trace, str(path))
+        assert len(filled) == len(trace._run[0].walk.template.tasks) < len(read.events)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_a_trace_of_given_events_builds_its_timeline_once():
+    built = _af_trace()
+    given = ScheduleTrace(built.events, built.iteration_ns)
+    assert given.timeline() is given.timeline()
 
 
 def test_lazy_trace_equals_the_eager_trace_of_its_events():
