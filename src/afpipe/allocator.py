@@ -226,20 +226,16 @@ def phase2_tiebreak(band: list[Allocation], exp: Experiment) -> Allocation:
 
     Each side attains min(P * gpus, I * nics * B_IB); shifting a NIC to the
     side still below its compute roof raises the sum, which is the MFU
-    numerator once the bottleneck time is fixed. Ties keep canonical order.
+    numerator once the bottleneck time is fixed. Ties keep canonical order:
+    max returns the first maximal candidate of band.
     """
     if not band:
         raise NoFeasible("empty tie-break set")
     i_attn, i_ffn = arithmetic_intensities(exp.model, exp.workload)
     peak, ib = exp.cluster.gpu_peak, exp.cluster.ib_bw
-    best = None
-    best_obj = None
-    for cand in band:
-        obj = roofline_attainable(i_attn, peak * cand.attn_gpus, cand.attn_nics * ib)
-        obj += roofline_attainable(i_ffn, peak * cand.ffn_gpus, cand.ffn_nics * ib)
-        if best_obj is None or obj > best_obj:
-            best, best_obj = cand, obj
-    return best
+    return max(band, key=lambda cand: (
+        roofline_attainable(i_attn, peak * cand.attn_gpus, cand.attn_nics * ib)
+        + roofline_attainable(i_ffn, peak * cand.ffn_gpus, cand.ffn_nics * ib)))
 
 
 def phase3_refine(

@@ -71,19 +71,21 @@ over its iterations: task m * size + k is copy m of template task k, and unit
 m * units + u copy m of template unit u. A serial topology also makes each
 micro-batch's first unit wait for the last task of the one before: that
 task's dependent one copy on, the plan's link. A hand-built walk is its own
-template, one copy. No plan array grows with the copies, and neither the
-plan nor its run reads a Task beyond the template's: a built walk's tasks
-are walked only when graph.tasks is first read. The timeline order ranks
-each task by its plan lane, (owner, lane), and then its id, copy m of a
-template id's rank being m * size plus that rank, and the Retimer counts
-keys and lanes over the template. SchedulePlan.run takes each template
-task's duration, as durations_ns reads it from a table and every copy
-repeats, and returns each unit's start and the makespan; only the counts,
-ready times and starts it writes span every copy. SchedulePlan.chain_ns
-takes the same durations and returns the longest dependency chain over the
-units, a lower bound on run's makespan that ignores the lanes. It walks the
-template, in a topological order built by its first call and kept, and
-multiplies the template's chain by the copies when the link chains them.
+template, one copy. No plan array grows with the copies, and no part of
+plan, run or metrics reads a Task or key beyond the template's: a built
+walk's tasks are walked only when graph.tasks is first read, and the
+metrics take the exposure inside task durations as the copies times the
+template keys' sum. The timeline order ranks each task by its plan lane,
+(owner, lane), and then its id, copy m of a template id's rank being
+m * size plus that rank, and the Retimer counts keys and lanes over the
+template. SchedulePlan.run takes each template task's duration, as
+durations_ns reads it from a table and every copy repeats, and returns
+each unit's start and the makespan; only the counts, ready times and
+starts it writes span every copy. SchedulePlan.chain_ns takes the same
+durations and returns the longest dependency chain over the units, a lower
+bound on run's makespan that ignores the lanes. It walks the template, in a
+topological order built by its first call and kept, and multiplies the
+template's chain by the copies when the link chains them.
 
 Ownership runs one way: a plan keeps its walk, and a Retimer and the traces
 of its runs keep the plan, so each fact of a walk is kept in one place. A
@@ -97,10 +99,11 @@ lanes, so per queue their starts and durations give each owner's first
 activity and compute time and the spans whose union sets the exposed
 communication, a send/recv pair being one span. exposed_comm, the one
 definition of exposed communication, takes those spans and the table's
-exposure inside task durations. The trace it returns holds the plan, the
-unit starts and the template's durations, and keeps them: its timeline
-(ScheduleTrace.timeline) is ordered once from the template and the run,
-and trace_io.write_trace and check_schedule read it and build no
+exposure inside task durations, and counts the time comm covers beyond
+compute as |comm ∪ compute| - |compute|. The trace it returns holds the
+plan, the unit starts and the template's durations, and keeps them: its
+timeline (ScheduleTrace.timeline) is ordered once from the template and the
+run, and trace_io.write_trace and check_schedule read it and build no
 TraceEvent. Its events, one TraceEvent per task of the plan's walk, are a
 cache built from that timeline only when they are read, and reading them
 keeps the run. sweep and compare read neither. compare and sweep keep
@@ -827,13 +830,14 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
     compute time and spans come from its units' starts, copy by copy, and
     its template tasks' durations at once. A send/recv pair is one
     communication span. exposed_comm unites the spans and adds the table's
-    exposure inside task durations over graph.keys.
+    exposure inside task durations: walk.copies times the template keys'
+    sum.
     """
     iteration = seconds(makespan)
     if not plan.unit_tasks:
         return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, {})
 
-    lanes, units = plan.lanes, len(plan.unit_tasks)
+    lanes, units, walk = plan.lanes, len(plan.unit_tasks), plan.walk
     # Each copy's unit starts: copy m's template unit u starts at row m's entry u.
     rows = [starts[i:i + units] for i in range(0, len(starts), units)]
     first_activity: dict[str, int] = {}
@@ -844,13 +848,11 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
         begins = list(chain.from_iterable(map(row.__getitem__, q.units) for row in rows))
         first = min(begins)
         # Per task of the units: its durations, in begins order.
-        sides = [list(map(durations.__getitem__, side)) * plan.walk.copies for side in q.sides]
+        sides = [list(map(durations.__getitem__, side)) * walk.copies for side in q.sides]
         comm_sides = []
         for lane, counter, side in zip(q.lanes, q.counters, sides):
             owner = lanes[lane][0]
-            earliest = first_activity.get(owner)
-            if earliest is None or first < earliest:
-                first_activity[owner] = first
+            first_activity[owner] = min(first, first_activity.get(owner, first))
             if counter >= 0:
                 busy[owner] = busy.get(owner, 0) + sum(side)
                 compute_spans += zip(begins, map(operator.add, begins, side))
@@ -859,10 +861,11 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
         if comm_sides:
             longest = comm_sides[0] if len(comm_sides) == 1 else map(max, *comm_sides)
             comm_spans += zip(begins, map(operator.add, begins, longest))
-    # Exposure inside task durations; no afpipe or naive table has any, so a
-    # table of zeros skips the per-task sum.
+    # Exposure inside task durations, each copy repeating the template's keys;
+    # no afpipe or naive table has any, so a table of zeros skips the sum.
     embedded = {key: exposed_ns for key, (_, exposed_ns) in graph.table.items()}
-    embedded_ns = sum(map(embedded.__getitem__, graph.keys)) if any(embedded.values()) else 0
+    embedded_ns = (walk.copies * sum(map(embedded.__getitem__, walk.template.keys))
+                   if any(embedded.values()) else 0)
 
     # Warmup bubble: the longest any group waits before its first activity.
     bubble_warmup = max(first_activity.values()) / 1e9
@@ -892,10 +895,14 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
 
 
 def _merge(intervals: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """The union of intervals as disjoint [start, end] pairs, in order."""
+    """The union of intervals as disjoint [start, end] pairs, in order.
+
+    Sorted by start alone, which the union needs and ints compare fast, so
+    tuple and list intervals mix.
+    """
     merged: list[list[int]] = []
     last = None
-    for s, e in sorted(intervals):
+    for s, e in sorted(intervals, key=operator.itemgetter(0)):
         if last is not None and s <= last[1]:
             if e > last[1]:
                 last[1] = e
@@ -908,27 +915,16 @@ def _merge(intervals: Iterable[tuple[int, int]]) -> list[list[int]]:
 def exposed_comm(comm_spans: Iterable[tuple[int, int]],
                  compute_spans: Iterable[tuple[int, int]], embedded_ns: int) -> float:
     """Exposed communication (s): how long some comm span runs while no
-    compute span does, plus embedded_ns, the exposure inside task durations.
+    compute span does, |comm ∪ compute| - |compute|, plus embedded_ns, the
+    exposure inside task durations.
 
     The one definition of the reported SimResult.exposed_comm. Spans are
-    (start, end) in ns; a zero-length span adds nothing to either union, so
-    none is filtered out.
+    (start, end) in ns, each iterable read once; a zero-length span adds
+    nothing to either union, so none is filtered out.
     """
-    comm, compute = _merge(comm_spans), _merge(compute_spans)
-    exposed = 0
-    ci = 0
-    for s, e in comm:
-        cursor = s
-        while cursor < e:
-            while ci < len(compute) and compute[ci][1] <= cursor:
-                ci += 1
-            if ci == len(compute) or compute[ci][0] >= e:
-                exposed += e - cursor
-                break
-            cs, ce = compute[ci]
-            if cs > cursor:
-                exposed += cs - cursor
-            cursor = min(ce, e)
+    compute = _merge(compute_spans)
+    covered = _merge(chain(comm_spans, compute))
+    exposed = sum(e - s for s, e in covered) - sum(e - s for s, e in compute)
     return exposed / 1e9 + seconds(embedded_ns)
 
 

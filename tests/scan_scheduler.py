@@ -9,8 +9,9 @@ gate that the heap scheduler in afpipe.sim must match trace for trace.
 _aggregate computes a SimResult from a trace's events, as simulate did before
 it read the metrics straight from the run; simulate must match it exactly.
 It splits the events into communication and compute spans, one span per
-event, and passes them to sim.exposed_comm, the definition simulate's
-metrics use on one span per send/recv pair.
+event, and measures their exposed communication with its own sweep over the
+span ends (exposed_ns), not through sim.exposed_comm, whose union identity
+|comm ∪ compute| - |compute| it thereby checks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from afpipe.sim import (
     SimResult,
     TraceEvent,
     _check_keys,
-    exposed_comm,
     seconds,
 )
 from afpipe.taskgraph import (
@@ -191,7 +191,31 @@ def _aggregate(graph: TaskGraph, trace: ScheduleTrace) -> SimResult:
         iteration_time=iteration,
         bubble_warmup=bubble_warmup,
         bubble_fraction=fraction,
-        exposed_comm=exposed_comm(comm_spans, compute_spans, embedded_ns),
+        exposed_comm=exposed_ns(comm_spans, compute_spans) / 1e9 + seconds(embedded_ns),
         mfu=mfu,
         per_group_busy={o: busy.get(o, 0) / 1e9 for o in sorted(first_activity)},
     )
+
+
+def exposed_ns(comm_spans, compute_spans) -> int:
+    """How long some comm span and no compute span is active (ns).
+
+    A sweep over the span ends: each time point adds +1 for every span that
+    starts there and -1 for every span that ends there, per side, and the
+    gap up to the next point counts when the comm count is positive and the
+    compute count zero. Each iterable is read once.
+    """
+    steps: dict[int, list[int]] = {}
+    for side, spans in enumerate((comm_spans, compute_spans)):
+        for start, end in spans:
+            steps.setdefault(start, [0, 0])[side] += 1
+            steps.setdefault(end, [0, 0])[side] -= 1
+    exposed = comm = compute = 0
+    last = None
+    for t in sorted(steps):
+        if comm > 0 and compute == 0:
+            exposed += t - last
+        comm += steps[t][0]
+        compute += steps[t][1]
+        last = t
+    return exposed

@@ -5,11 +5,15 @@ Workload, ClusterConfig and the schedule fields of Experiment) by its type
 from a small pool, so a field added to the schema is drawn too, and keeps
 the draws that validate accepts. Under each schedule kind the simulated
 trace must pass check_schedule, end no earlier than either lower bound,
-equal the scan scheduler's trace, and write the same bytes before and after
-its events are read. Under afpipe, on clusters of at most 8 GPUs and 8
-NICs, the allocator's re-timed profile must equal simulate's iteration
-time. A failing case prints its experiment document (serialize_experiment),
-which parse_experiment reads back to replay it.
+equal the scan scheduler's trace and its metrics equal the scan's, write
+the same bytes before and after its events are read, and parse back from
+its written JSON to each event's (start, end, owner). Under afpipe, on
+clusters of at most 8 GPUs and 8 NICs, the exact oracle's time must be at
+most the allocator's t_star, and the allocator's re-timed profile must
+equal simulate's iteration time on three splits, the oracle's among them,
+and the oracle's time on its split. A failing case prints its experiment
+document (serialize_experiment), which parse_experiment reads back to
+replay it.
 """
 
 import dataclasses
@@ -18,7 +22,14 @@ import random
 import pytest
 from scan_scheduler import simulate_scan
 
-from afpipe.allocator import IterationProfile, default_allocation, enumerate_feasible
+from afpipe.allocator import (
+    AllocatorParams,
+    IterationProfile,
+    allocate,
+    brute_force_oracle,
+    default_allocation,
+    enumerate_feasible,
+)
 from afpipe.config import (
     ClusterConfig,
     Experiment,
@@ -31,7 +42,7 @@ from afpipe.config import (
 )
 from afpipe.sim import check_schedule, critical_path_ns, resource_bound_ns, simulate
 from afpipe.taskgraph import build_task_graph
-from afpipe.trace_io import write_trace
+from afpipe.trace_io import parse_trace_events, write_trace
 
 SEED = 4
 COUNT = 100
@@ -71,19 +82,26 @@ def test_random_valid_experiment_meets_every_reference(exp, tmp_path):
     for kind in ScheduleKind:
         point = dataclasses.replace(exp, schedule_kind=kind)
         graph = build_task_graph(point, default_allocation(point))
-        trace, _ = simulate(graph)
+        trace, result = simulate(graph)
         assert check_schedule(graph, trace) == [], kind
         assert trace.iteration_ns >= critical_path_ns(graph), kind
         assert trace.iteration_ns >= resource_bound_ns(graph), kind
         write_trace(trace, str(before))
-        assert trace == simulate_scan(graph)[0], kind  # reads the trace's events
+        assert (trace, result) == simulate_scan(graph), kind  # reads the trace's events
         write_trace(trace, str(after))
         assert before.read_bytes() == after.read_bytes(), kind
+        # The file holds export_trace_json(trace), as test_trace pins.
+        assert parse_trace_events(after.read_text()) == [
+            (e.start_ns, e.end_ns, e.task.owner) for e in trace.events], kind
     cluster = exp.cluster
     if cluster.total_gpus <= 8 and cluster.total_nics <= 8:
         afpipe = dataclasses.replace(exp, schedule_kind=ScheduleKind.AFPIPE)
         profile = IterationProfile(afpipe)
-        # The analytic seed, and the split that gives attention the most GPUs and NICs.
-        for alloc in default_allocation(afpipe), enumerate_feasible(cluster)[-1]:
+        best, best_time = brute_force_oracle(afpipe)
+        assert best_time <= allocate(afpipe, AllocatorParams(trials=16)).t_star
+        assert profile(best) == best_time, best
+        # The analytic seed, the split that gives attention the most GPUs and
+        # NICs, and the oracle's split.
+        for alloc in default_allocation(afpipe), enumerate_feasible(cluster)[-1], best:
             _, result = simulate(build_task_graph(afpipe, alloc))
             assert profile(alloc) == result.iteration_time, alloc

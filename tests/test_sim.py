@@ -10,6 +10,7 @@ from task_critical_path import critical_path_tasks
 from task_lane_bound import lane_bound_tasks
 from task_timeline import timeline_of, timeline_tasks
 from hand_built import hand_built
+from scan_scheduler import exposed_ns
 from test_scheduler_reference import _assert_same_schedule, _random_graph, _random_tables
 from timed_graph import UNIFORM, timed_graph
 
@@ -183,6 +184,35 @@ def test_exposed_comm_counts_partial_overlap():
     cover = _compute(0, "B0", 1_000)
     _, result = simulate(hand_built([cover, send, recv]))
     assert result.exposed_comm == pytest.approx(3e-6)
+
+
+# (comm spans, compute spans, exposed ns by hand, embedded ns)
+EXPOSED_COMM_CASES = {
+    "touching": ([(0, 3), (3, 6)], [(6, 9), (9, 10)], 6, 1),
+    "touching_compute_inside": ([(0, 10)], [(2, 4), (4, 6)], 6, 2),
+    "zero_length": ([(5, 5), (1, 3)], [(2, 2), (8, 8)], 2, 3),
+    "comm_nested_in_compute": ([(3, 5)], [(0, 10)], 0, 4),
+    "compute_nested_in_comm": ([(0, 10)], [(3, 5)], 8, 5),
+    "duplicated": ([(0, 4), (0, 4), (2, 6)], [(1, 2), (1, 2)], 5, 6),
+    "unsorted": ([(8, 12), (0, 3)], [(10, 20), (2, 4)], 4, 7),
+    "empty": ([], [], 0, 8),
+    "empty_compute": ([(0, 5), (7, 9)], [], 7, 9),
+    "empty_comm": ([], [(0, 5)], 0, 10),
+}
+
+
+def _once(spans):
+    """spans as a generator, which a second read finds empty."""
+    yield from spans
+
+
+@pytest.mark.parametrize("case", EXPOSED_COMM_CASES)
+@pytest.mark.parametrize("make", [list, _once], ids=["lists", "generators"])
+def test_exposed_comm_edge_cases_equal_the_hand_value_and_the_reference_sweep(case, make):
+    comm, compute, exposed, embedded_ns = EXPOSED_COMM_CASES[case]
+    expected = exposed / 1e9 + sim.seconds(embedded_ns)
+    assert sim.exposed_comm(make(comm), make(compute), embedded_ns) == expected
+    assert exposed_ns(make(comm), make(compute)) == exposed
 
 
 def test_every_simulate_counts_exposed_communication_through_sim_exposed_comm(monkeypatch):
