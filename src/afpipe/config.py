@@ -198,6 +198,11 @@ def parse_experiment(text: str) -> Experiment:
         raise SchemaViolation(
             f"document of {len(text)} characters is over the {MAX_DOCUMENT_CHARS}-character limit"
         )
+    # The pure-Python loader, not libyaml's CSafeLoader, although it is about
+    # 7x slower: with PyYAML 6.0.3, CSafeLoader crashes the process (SIGSEGV)
+    # on "model: " plus 30,000 "[" and 30,000 "]", a 60 KB document under
+    # MAX_DOCUMENT_CHARS, and accepts the 5,000-deep nesting that this loader
+    # rejects with RecursionError.
     try:
         doc = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # 4301 digits, deep nesting

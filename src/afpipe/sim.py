@@ -818,8 +818,9 @@ def _timeline_order(plan: SchedulePlan, starts: list[int]) -> tuple[list[int], l
     # A key's id rank, m * size + r, is task m * size + by_id[r].
     ranks = list(map(n.__rmod__, keys))
     moved = [k - r for r, k in enumerate(by_id)]
-    return (list(map(operator.add, ranks, map(moved.__getitem__, map(size.__rmod__, ranks)))),
-            list(map(width.__rfloordiv__, keys)))
+    if any(moved):  # a built walk's ids are its task indices, so only a hand-built one moves
+        ranks = list(map(operator.add, ranks, map(moved.__getitem__, map(size.__rmod__, ranks))))
+    return ranks, list(map(width.__rfloordiv__, keys))
 
 
 def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
@@ -977,10 +978,11 @@ def resource_bound_ns(graph: TaskGraph) -> int:
 def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
     """The scheduler invariants that trace breaks on graph; empty when it keeps them all.
 
-    Every task runs exactly once, for its duration, starting no earlier than
-    each dependency ends; no two tasks overlap on one (owner, lane); send/recv
-    twins start and end together; iteration_ns is the last end and is at
-    least both lower bounds, critical_path_ns and resource_bound_ns.
+    Every task runs exactly once, for its duration, starting at 0 or later
+    and no earlier than each dependency ends; no two tasks overlap on one
+    (owner, lane); send/recv twins start and end together; iteration_ns is
+    the last end and is at least both lower bounds, critical_path_ns and
+    resource_bound_ns.
 
     It reads the trace's timeline() and so builds no TraceEvent; the
     dependencies, twins and durations it checks against are graph's.
@@ -1012,6 +1014,8 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
             problems.append(f"task {tid} is missing from the trace")
             continue
         start, end = span[tid]
+        if start < 0:
+            problems.append(f"task {tid} starts at {start} ns, before 0")
         if end - start != duration[tid]:
             problems.append(f"task {tid} runs {end - start} ns, not its {duration[tid]} ns")
         for dep in task.deps:

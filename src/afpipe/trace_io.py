@@ -6,21 +6,25 @@ group, timestamps and durations in microseconds. The shipped JSON schema
 (schemas/trace_event.schema.json) pins the exact document shape.
 
 The bytes are those of json.dumps(events, indent=1, sort_keys=True), made
-from templates. The pieces are formatted from ScheduleTrace.timeline(), the
-events' parts in timeline order: the template's tasks, each event's task
-index, its start, and the template tasks' durations. For the trace
-simulate returns, those come straight from its plan and run, the template
-being a built graph's one micro-batch, so an export builds no TraceEvent
-and reads no Task or duration but the template's. Task index k is copy
-k // size of template task k % size; every copy of a task has its fields
-but its micro-batch and id, and its duration, so each template task's text
-is filled once per export with all of them, and an event formats only its
-micro-batch, id and start. A trace
-built from given events is its own template, one copy. The document is
-made in pieces of _CHUNK events; write_trace streams them to the file and
-export_trace_json joins the same pieces. Every time is checked before the
-first piece, so a time with no float value in microseconds raises
-SerializationError before a file is opened.
+from templates. They are made from ScheduleTrace.timeline(), the events'
+parts in timeline order: the template's tasks, each event's task index,
+its start, and the template tasks' durations. For the trace simulate
+returns, those come straight from its plan and run, the template being a
+built graph's one micro-batch, so an export builds no TraceEvent and reads
+no Task or duration but the template's. Task index k is copy k // size of
+template task k % size; every copy of a task has its fields but its
+micro-batch and id, and its duration, so each template task's text is
+filled once per export and cut into the five fixed pieces around an
+event's four variable slots: its micro-batch (twice), id and start. An
+event's text is its task's pieces with those four between them, and no
+event applies a template: each chunk of _CHUNK events extends one list
+with their texts and joins it once. A trace built from given events is its
+own template, one copy. write_trace streams the chunks to the file and
+export_trace_json joins them. Every time is checked before the first
+chunk, so a time with no float value in microseconds raises
+SerializationError before a file is opened. A run's trace checks its
+iteration_ns, the last end of a run that starts at 0, which bounds every
+time it holds; a trace of given events checks its every start and end.
 """
 
 from __future__ import annotations
@@ -52,11 +56,12 @@ def trace_schema() -> dict:
 # One event as json.dumps(..., indent=1, sort_keys=True) lays it out inside
 # the top-level array, with strings escaped by json's ASCII encoder and
 # floats written by repr, as json.dumps does. With indent set, json.dumps
-# runs its pure-Python encoder; filling templates gives the same bytes
-# several times faster. Every slot is a %s: _task_template fills each
-# field that a task's copies share, once per task, and puts a placeholder
-# in each of the others, which _format fills per event, ts with the repr of
-# its float.
+# runs its pure-Python encoder; joining fixed pieces gives the same bytes
+# several times faster. Every slot is a %s: _task_template fills each field
+# that a task's copies share, once per task, puts _SLOT in each of the
+# others and cuts the text there into five pieces; _format joins them around
+# each event's micro-batch, id, micro-batch again and ts, the repr of its
+# float, with no % per event.
 _EVENT_JSON = """\
  {
   "args": {
@@ -79,46 +84,48 @@ _EVENT_JSON = """\
  }"""
 
 _CHUNK = 1024  # events per string handed to the file
+_SLOT = "\0"  # marks a variable slot: no field's ASCII-escaped text holds it
 
 
-def _task_template(task: Task, pid: int, duration: int) -> str:
-    """_EVENT_JSON for the events of task's copies, of its owner's pid and lasting duration ns.
+def _task_template(task: Task, pid: int, duration: int) -> tuple[str, str, str, str, str]:
+    """The five fixed pieces of the text of task's copies' events, of pid, lasting duration ns.
 
-    The placeholders left take, in order: microbatch, task, the name's
-    microbatch, ts. Without a layer the layer field reads null and the name
-    has no layer.
+    An event's text is the pieces joined around its four variable slots, in
+    order: microbatch, task, the name's microbatch, ts. Without a layer the
+    layer field reads null and the name has no layer.
     """
-    quote = json.encoder.encode_basestring_ascii
-
-    def fixed(text: str) -> str:
-        return quote(text).replace("%", "%%")
-
+    fixed = json.encoder.encode_basestring_ascii
     kind = fixed(task.kind.value)
     layer = "null" if task.layer is None else "%d" % task.layer
     # The name is kind + " mb<microbatch>" [+ " L<layer>"]: the digits need no
     # escaping, so they go inside kind's quotes.
-    name = kind[:-1] + (' mb%d"' if task.layer is None else f' mb%d L{layer}"')
-    return _EVENT_JSON % (
-        fixed(task.direction), kind, fixed(task.lane), layer, "%d", fixed(task.owner),
-        fixed(task.stream.value), "%d", "%d" % task.virtual_index, repr(duration / 1e3), name,
-        pid, _LANE_TID[task.lane], "%s",
+    text = _EVENT_JSON % (
+        fixed(task.direction), kind, fixed(task.lane), layer, _SLOT, fixed(task.owner),
+        fixed(task.stream.value), _SLOT, "%d" % task.virtual_index, repr(duration / 1e3),
+        kind[:-1] + " mb" + _SLOT + ('"' if task.layer is None else f' L{layer}"'),
+        pid, _LANE_TID[task.lane], _SLOT,
     )
+    return tuple(text.split(_SLOT))
 
 
 def _chunks(trace: ScheduleTrace) -> tuple[int, Iterator[str]]:
-    """The event count and export_trace_json's document in pieces of up to _CHUNK events.
+    """The event count and export_trace_json's document in chunks of up to _CHUNK events.
 
-    The times are checked here, before any piece is made. No start, end or
+    The times are checked here, before any chunk is made. No start, end or
     duration exceeds in magnitude the width of [min(0, lowest time),
     max(0, highest time)], so if that width converts to a float in
-    microseconds, they all do.
+    microseconds, they all do. A run's starts and durations are at least 0
+    and its iteration_ns is its last end, as sim.check_schedule checks, so
+    its width is its iteration_ns and no end is computed. A trace of given
+    events may hold any times; each event is its own template task, so its
+    durations are the events', in order.
     """
     tasks, order, starts, durations = trace.timeline()
     if starts:
-        size = len(tasks)  # task k lasts durations[k % size]
-        lasts = map(durations.__getitem__, map(size.__rmod__, order))
-        ends = list(map(operator.add, starts, lasts))
-        width = max(0, max(starts), max(ends)) - min(0, min(starts), min(ends))
+        width = trace.iteration_ns
+        if trace._run is None:
+            ends = list(map(operator.add, starts, durations))
+            width = max(0, max(starts), max(ends)) - min(0, min(starts), min(ends))
         try:
             width / 1e3
         except OverflowError:
@@ -128,7 +135,7 @@ def _chunks(trace: ScheduleTrace) -> tuple[int, Iterator[str]]:
 
 def _format(tasks: tuple[Task, ...], order: Sequence[int], starts: list[int],
             durations: list[int]) -> Iterator[str]:
-    """The pieces of _chunks for ScheduleTrace.timeline's parts, made without checking the times.
+    """The chunks of _chunks for ScheduleTrace.timeline's parts, made without checking the times.
 
     Task index k is copy k // len(tasks) of task tasks[k % len(tasks)], which
     lasts durations[k % len(tasks)] ns as every copy does.
@@ -138,7 +145,7 @@ def _format(tasks: tuple[Task, ...], order: Sequence[int], starts: list[int],
         return
     size = len(tasks)
     pid_of = {owner: i for i, owner in enumerate(sorted({task.owner for task in tasks}))}
-    filled = [_task_template(task, pid_of[task.owner], duration)
+    pieces = [_task_template(task, pid_of[task.owner], duration)
               for task, duration in zip(tasks, durations)]
     ids = [task.id for task in tasks]
     mbs = [task.microbatch for task in tasks]
@@ -146,13 +153,16 @@ def _format(tasks: tuple[Task, ...], order: Sequence[int], starts: list[int],
     last = ts = None  # the previous event's start and its text
     for lo in range(0, len(order), _CHUNK):
         texts = []
+        extend = texts.extend
         for k, start in zip(order[lo:lo + _CHUNK], starts[lo:lo + _CHUNK]):
             copy, j = divmod(k, size)
-            mb = mbs[j] + copy
+            mb = str(mbs[j] + copy)
             if start != last:  # events in timeline order often share their start
                 last, ts = start, repr(start / 1e3)
-            texts.append(filled[j] % (mb, ids[j] + copy * size, mb, ts))
-        yield head + ",\n".join(texts)
+            p0, p1, p2, p3, p4 = pieces[j]
+            extend((p0, mb, p1, str(ids[j] + copy * size), p2, mb, p3, ts, p4, ",\n"))
+        texts.pop()  # the separator after the chunk's last event
+        yield head + "".join(texts)
         head = ",\n"
     yield "\n]"
 
@@ -172,7 +182,7 @@ def export_trace(trace: ScheduleTrace) -> list[dict]:
 
 
 def write_trace(trace: ScheduleTrace, path: str) -> None:
-    """Write export_trace_json(trace) to path, streamed in pieces of _CHUNK
+    """Write export_trace_json(trace) to path, streamed in chunks of _CHUNK
     events. A SerializationError is raised before path is opened.
 
     With AFPIPE_LOG=DEBUG, logger afpipe.trace_io logs the events, bytes and

@@ -544,12 +544,14 @@ def _moved(trace, tid, shift, stretch=0):
     (lambda t: ScheduleTrace(t.events + (t.events[-1]._replace(task=t.events[-1].task._replace(
         id=9)),), t.iteration_ns), "task 9 is not in the graph"),
     (lambda t: _moved(t, 3, -500), "before dependency 2 ends"),
+    (lambda t: _moved(t, 0, -5), "task 0 starts at -5 ns, before 0"),
     (lambda t: _moved(t, 4, -1_000), "overlap on A0 compute"),
     (lambda t: _moved(t, 2, 100), "twins 1 and 2 do not start and end together"),
     (lambda t: _moved(t, 3, 0, stretch=1), "runs 1001 ns, not its 1000 ns"),
     (lambda t: ScheduleTrace(t.events, t.iteration_ns - 1), "is below the lower bound"),
     (lambda t: ScheduleTrace(t.events, t.iteration_ns + 1), "is not the last end"),
-], ids=["missing", "twice", "unknown", "dependency", "overlap", "twins", "duration", "bound", "last-end"])
+], ids=["missing", "twice", "unknown", "dependency", "negative-start", "overlap", "twins",
+        "duration", "bound", "last-end"])
 def test_check_schedule_reports_each_violation(tamper, message):
     g, trace = _pair_schedule()
     problems = check_schedule(g, tamper(trace))

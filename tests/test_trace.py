@@ -24,6 +24,7 @@ from afpipe.sim import Retimer, ScheduleTrace, TraceEvent, check_schedule, simul
 from afpipe.taskgraph import (
     COMPUTE_LANE,
     RECV_LANE,
+    SEND_LANE,
     Task,
     TaskKind,
     build_task_graph,
@@ -176,6 +177,73 @@ def test_trace_json_matches_json_dumps(make_trace):
     assert export_trace_json(trace) == expected
 
 
+def _reference_json(trace):
+    """trace's document as json.dumps writes the schema's layout of its TraceEvents' fields."""
+    pids = {owner: pid for pid, owner in enumerate(sorted({ev.task.owner for ev in trace.events}))}
+    tids = {COMPUTE_LANE: 0, SEND_LANE: 1, RECV_LANE: 2}
+    return json.dumps([{
+        "name": f"{task.kind.value} mb{task.microbatch}"
+                + ("" if task.layer is None else f" L{task.layer}"),
+        "ph": "X",
+        "ts": ev.start_ns / 1e3,
+        "dur": (ev.end_ns - ev.start_ns) / 1e3,
+        "pid": pids[task.owner],
+        "tid": tids[task.lane],
+        "args": {
+            "owner": task.owner,
+            "stream": task.stream.value,
+            "lane": task.lane,
+            "kind": task.kind.value,
+            "microbatch": task.microbatch,
+            "layer": task.layer,
+            "virtual_index": task.virtual_index,
+            "direction": task.direction,
+            "task": task.id,
+        },
+    } for ev in trace.events for task in [ev.task]], indent=1, sort_keys=True)
+
+
+def _escaped_owner_trace():
+    # Owners that JSON or a %-template would mangle if copied unescaped, and
+    # ids listed out of their sorted order, so the timeline remaps its ranks.
+    sender, receiver, other = 'A%d "0"', "F\\1 \u00fc\u20ac", "%s%%"
+    trace, _ = simulate(hand_built([
+        (Task(id=5, kind=TaskKind.FWD_COMPUTE, owner=sender, lane=COMPUTE_LANE, deps=(),
+              microbatch=0, layer=3), 1_234),
+        (Task(id=2, kind=TaskKind.M2N_SEND, owner=sender, lane=SEND_LANE, deps=(5,),
+              microbatch=0, twin=9), 2_000),
+        (Task(id=9, kind=TaskKind.M2N_RECV, owner=receiver, lane=RECV_LANE, deps=(5,),
+              microbatch=0, twin=2), 2_000),
+        (Task(id=7, kind=TaskKind.BWD_COMPUTE, owner=receiver, lane=COMPUTE_LANE, deps=(9,),
+              microbatch=1, virtual_index=2, direction="bwd"), 999),
+        (Task(id=0, kind=TaskKind.FWD_COMPUTE, owner=other, lane=COMPUTE_LANE, deps=(),
+              microbatch=4), 3_234),
+    ]))
+    assert list(trace._run[0].walk.template.tasks) == [5, 2, 9, 7, 0]
+    # In (start, owner, lane, id) order: "%" sorts before "A", and "A" before "F".
+    assert [(ev.task.id, ev.start_ns) for ev in trace.events] == [
+        (0, 0), (5, 0), (2, 1_234), (9, 1_234), (7, 3_234)]
+    return trace
+
+
+@pytest.mark.parametrize("make_trace", [
+    lambda: ScheduleTrace(events=(), iteration_ns=0),
+    _escaped_owner_trace,
+    _staged_trace,
+    _af_trace,
+    lambda: _af_trace(60),
+], ids=["empty", "escaped-owners", "staged", "afpipe", "afpipe-two-chunks"])
+def test_trace_json_matches_a_reference_built_from_the_events(make_trace, tmp_path):
+    run = make_trace()
+    exported = export_trace_json(run)  # from the run, before its events are built
+    given = ScheduleTrace(run.events, run.iteration_ns)
+    expected = _reference_json(run)
+    assert exported == export_trace_json(given) == expected
+    for trace, path in ((run, tmp_path / "run.json"), (given, tmp_path / "given.json")):
+        write_trace(trace, str(path))
+        assert path.read_bytes() == expected.encode()
+
+
 def _deepseek_trace():
     exp = load_experiment(str(CONFIGS / "deepseek_moe.yaml"))  # afpipe, 8 micro-batches
     trace, _ = simulate(build_task_graph(exp, default_allocation(exp)))
@@ -216,6 +284,19 @@ def test_time_without_a_float_value_is_a_serialization_error(events, tmp_path):
     # rather than returning inf, so the check is made before any event is
     # formatted, and a written trace is never left half done.
     trace = _trace_starting_at(10**400, events)
+    with pytest.raises(SerializationError, match="no float value"):
+        export_trace_json(trace)
+    path = tmp_path / "trace.json"
+    with pytest.raises(SerializationError, match="no float value"):
+        write_trace(trace, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("start_ns", [10**400, -10**400], ids=["late", "early"])
+def test_given_events_are_checked_by_their_times_not_their_iteration_ns(start_ns, tmp_path):
+    # Only a run's trace is bounded by its iteration_ns; given events may
+    # start before 0 or end after it, so each of their times is checked.
+    trace = ScheduleTrace(_trace_starting_at(start_ns, 2).events, iteration_ns=1)
     with pytest.raises(SerializationError, match="no float value"):
         export_trace_json(trace)
     path = tmp_path / "trace.json"
