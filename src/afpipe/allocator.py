@@ -33,25 +33,32 @@ table. The table reads the NICs only through min(M_a, M_f), so the splits
 (M, M_a) and (M, M_tot - M_a) share one run. Phase 3 and brute_force_oracle
 both re-time through it.
 
-brute_force_oracle is exact without running every split. It prunes by two
-lower bounds on a split's makespan, each read by the profile's Retimer from
-the split's durations over the graph's distinct keys:
+brute_force_oracle is exact without running every split. It goes
+best-first (Land and Doig's branch and bound) over a ladder of lower bounds
+on a split's makespan, each read by the profile's Retimer from the split's
+durations over the graph's distinct keys; a split's key is the largest
+price read so far, so each rung can only tighten it:
   * the lane bound (Retimer.lane_bound_ns). The graph fixes how many tasks
     of each distinct key sit on each (owner, lane), and no two tasks on one
-    lane overlap, so each lane's summed duration bounds the makespan. The
-    oracle visits splits in this bound's order and stops at the first whose
-    bound exceeds the best time found;
-  * the dependency chain (Retimer.chain_ns), which pipeline fill sets
-    at few micro-batches, where it is close to the makespan and the lane
-    bound is not. It costs a small part of a plan run, and the oracle skips
-    a split whose chain exceeds the best time found before running it.
-Every split skipped takes longer than a time already found, so the argmin
-and its canonical tie-break are those of the exhaustive search.
+    lane overlap, so each lane's summed duration bounds the makespan;
+  * the dependency chain (Retimer.chain_ns), which pipeline fill sets at
+    few micro-batches, where the lane bound is far below the makespan;
+  * the head-tail bound (Retimer.head_tail_ns, after Carlier's heads and
+    tails): a unit's copies each start after its head, queue on its lanes
+    for its longest task each, and the last still has its tail to run;
+  * the makespan itself (Retimer.makespan_ns), one plan run.
+One heap holds a split's best price so far, keyed with its canonical
+index. The least is popped: a time is the answer, and a bound is replaced
+by the larger of it and the next rung's price. Every split left in the heap
+takes at least its key, so the argmin and its canonical tie-break are those
+of the exhaustive search.
 
 With AFPIPE_LOG=DEBUG, logger afpipe.allocator logs each allocate and
 brute_force_oracle run's profile calls, splits re-timed (plan runs, one per
-distinct table; the other calls hit the memo), splits pruned (skipped by
-either of the oracle's bounds) and plan builds.
+distinct table; the other calls hit the memo), splits pruned (never timed
+by the oracle) and plan builds. The oracle adds a second line: how many
+splits the lane bound, the chain and the head-tail bound each priced last,
+and how many were timed.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
+from heapq import heapify, heappop, heappush
 
 from .config import ClusterConfig, Experiment, ScheduleKind
 from .costs import (
@@ -279,8 +287,9 @@ class IterationProfile:
     LayerCosts through visit_times and duration_table, as build_task_graph
     does, and reads its durations over the walk's distinct keys
     (Retimer.ns). That tuple is all that the retimer reads of a split: the
-    lane bound (lane_bound_ns), the dependency chain (chain_ns) and the plan
-    run (makespan_ns). It memoizes the chain and the run on the tuple, so
+    lane bound (lane_bound_ns), the dependency chain (chain_ns), the
+    head-tail bound (head_tail_ns) and the plan run (makespan_ns). It
+    memoizes the chain, the head-tail bound and the run on the tuple, so
     mirrored NIC splits share one of each. A call is the run's makespan in
     seconds, so it equals the iteration_time of
     simulate(build_task_graph(exp, alloc)) exactly.
@@ -307,15 +316,18 @@ class IterationProfile:
 af_iteration_profile = IterationProfile
 
 
-def _log_profile(verb: str, counts: Counter) -> None:
+def _debug(message: str, *args) -> None:
+    """Log message % args at DEBUG on logger afpipe.allocator."""
     # Imported here, as in sim._debug: a cold start that never
     # logs would otherwise pay for importing logging.
     import logging
 
-    logging.getLogger("afpipe.allocator").debug(
-        "%s: %d profile calls, %d splits re-timed, %d splits pruned, %d plan builds",
-        verb, counts["calls"], counts["retimed"], counts["pruned"], counts["plans"],
-    )
+    logging.getLogger("afpipe.allocator").debug(message, *args)
+
+
+def _log_profile(verb: str, counts: Counter) -> None:
+    _debug("%s: %d profile calls, %d splits re-timed, %d splits pruned, %d plan builds",
+           verb, counts["calls"], counts["retimed"], counts["pruned"], counts["plans"])
 
 
 def allocate(
@@ -352,13 +364,20 @@ def brute_force_oracle(
     """Exact argmin of the profiled time over every feasible split, canonical tie-break.
 
     cap bounds the (split, attention shape, FFN shape) count. Each split's
-    durations are read once. Splits are visited by ascending lane bound,
-    canonical order among equal bounds, and the visit stops at the first
-    whose bound exceeds the best time so far. A visited split whose
-    dependency chain exceeds the best time is skipped; the plan runs for the
-    others. Every split skipped takes longer than the best, so the result
-    is that of profiling every split. Times and bounds are compared in
-    seconds, ns / 1e9, as the profile returns times.
+    durations are read once. The search is best-first over a ladder of
+    prices of a split: its lane bound, its dependency chain, its head-tail
+    bound and, last, its time. One heap holds an entry per split, keyed
+    (price, canonical index), the price being the largest read so far and
+    the index following Allocation.sort_key, as enumerate_feasible does.
+    The least entry is popped. If its price is the split's time, that split
+    is the answer: every other split takes at least its own key, which is at
+    least that time, and at an equal time its index is later. Otherwise the
+    split's next rung is priced and the split pushed back under the larger
+    of its key and that price. The head-tail rung is skipped when
+    chain + (copies - 1) * max(ns) is at most the key, since then the
+    head-tail bound cannot raise it. So the result is that of profiling
+    every split. Times and bounds are compared in seconds, ns / 1e9, as the
+    profile returns times.
     """
     cands = enumerate_feasible(exp.cluster, equal_nics)
     size = _shaped_size(cands, exp.cluster.gpus_per_node)
@@ -366,23 +385,30 @@ def brute_force_oracle(
         raise SearchSpaceTooLarge(f"{size} candidates exceed the cap of {cap}")
     profile = IterationProfile(exp)
     retimer = profile.retimer
-    keyed = ((profile.durations(c), c) for c in cands)  # one table per split
-    # Stable: equal bounds keep the canonical order of cands.
-    bounded = sorted(
-        ((seconds(retimer.lane_bound_ns(ns)), ns, c) for ns, c in keyed), key=lambda e: e[0]
-    )
-    best, best_time = None, float("inf")
-    for bound, ns, cand in bounded:
-        if bound > best_time:
+    copies = retimer.walk.copies
+    # Each rung a lower bound on a split's makespan, but the last, which is its makespan.
+    ladder = (retimer.lane_bound_ns, retimer.chain_ns, retimer.head_tail_ns, retimer.makespan_ns)
+    head_tail, timed = 2, 3
+    heap = []
+    for index, cand in enumerate(cands):
+        ns = profile.durations(cand)
+        heap.append((seconds(retimer.lane_bound_ns(ns)), index, 0, ns))
+    heapify(heap)
+    while True:
+        key, index, level, ns = heappop(heap)
+        if level == timed:
             break
-        if seconds(retimer.chain_ns(ns)) > best_time:
-            continue
-        t = seconds(retimer.makespan_ns(ns))
-        if best is None or (t, cand.sort_key()) < (best_time, best.sort_key()):
-            best, best_time = cand, t
+        level += 1
+        if (level == head_tail
+                and seconds(retimer.chain_ns(ns) + (copies - 1) * max(ns, default=0)) <= key):
+            level += 1
+        heappush(heap, (max(key, seconds(ladder[level](ns))), index, level, ns))
     retimer.counts["pruned"] = len(cands) - retimer.counts["calls"]
     _log_profile("brute_force_oracle", retimer.counts)
-    return best, best_time
+    last = Counter(entry[2] for entry in heap)
+    _debug("brute_force_oracle: %d splits last priced by the lane bound, %d by the chain, "
+           "%d by the head-tail bound, %d timed", last[0], last[1], last[2], last[timed] + 1)
+    return cands[index], key
 
 
 def default_allocation(exp: Experiment, equal_nics: bool = False) -> Allocation:

@@ -58,11 +58,17 @@ def assign_layers(num_layers: int, depth: int, component: str) -> PlacementPlan:
 
 
 def credit(num_layers: int, group: int, component: str) -> int:
-    """1F1B credit of a group: how many micro-batches it may hold in flight.
+    """1F1B credit of a group: the forward visits at or after its first one.
 
-    It counts the forward visits at or after the group's first one in the
-    chain A0 F0 A1 F1 ... (2L visits; group g of attention first appears at
-    2g, of FFN at 2g + 1), and is at least one.
+    It counts them in the chain A0 F0 A1 F1 ... (2L visits; group g of
+    attention first appears at 2g, of FFN at 2g + 1), and is at least one.
+    Its two readers count in different units. The scheduler counts forward
+    visits and treats the credit as a preference, not a cap: a group
+    prefers backward work once its forward compute starts minus its
+    backward ones reach the credit, and starts forward work when no
+    backward work is ready. memory_estimate counts micro-batches: it holds
+    min(num_microbatches, credit) of them in flight, one activation per
+    layer of the group.
     """
     return max(1, 2 * num_layers - (2 * group + (0 if component == ATTN else 1)))
 

@@ -86,6 +86,12 @@ durations and returns the longest dependency chain over the units, a lower
 bound on run's makespan that ignores the lanes. It walks the template, in a
 topological order built by its first call and kept, and multiplies the
 template's chain by the copies when the link chains them.
+SchedulePlan.head_tail_ns adds what the chain misses when the copies are
+not linked (Carlier's heads and tails): every copy of a template unit starts
+after the unit's head, the copies queue on the unit's lanes for its longest
+task each, and the last still has the unit's tail to run. So the largest
+head + (copies - 1) * side + tail over the template's units bounds the
+makespan too; at one copy, or when linked, it is the chain.
 
 Ownership runs one way: a plan keeps its walk, and a Retimer and the traces
 of its runs keep the plan, so each fact of a walk is kept in one place. A
@@ -110,12 +116,13 @@ keeps the run. sweep and compare read neither. compare and sweep keep
 one Retimer per schedule family, sweep's across its points, so each
 topology is planned once and re-timed per point; the metrics, which read
 the point's table and total_flops, are computed per point. The Retimer's
-one index of the distinct keys also gives both lower bounds on a makespan
-under ns: chain_ns, the longest dependency chain, and
-lane_bound_ns, the largest summed duration of one (owner, lane).
-critical_path_ns, resource_bound_ns and check_schedule read them from a new
-Retimer. The allocator re-times one Retimer per experiment under each
-split's table, and its exact oracle prunes splits by both bounds.
+one index of the distinct keys also gives three lower bounds on a makespan
+under ns: chain_ns, the longest dependency chain; head_tail_ns, the chain
+with a unit's copies queued on its lanes; and lane_bound_ns, the largest
+summed duration of one (owner, lane). critical_path_ns, resource_bound_ns
+and check_schedule read them from a new Retimer. The allocator re-times
+one Retimer per experiment under each split's table, and its exact oracle
+goes best-first over the three bounds and the makespan.
 
 check_schedule lists what a trace breaks of the scheduler's invariants.
 
@@ -627,25 +634,20 @@ class SchedulePlan:
                         order.append(j)
         return order
 
-    def chain_ns(self, durations: list[int]) -> int:
-        """The longest dependency chain when tasks take durations (ns, as run's).
+    def _heads(self, durations: list[int]) -> tuple[list[int], int]:
+        """Each template unit's head, and the template's longest chain, when
+        tasks take durations (ns, as run's).
 
-        Lanes are ignored, so it is a lower bound on run's makespan. A
-        send/recv pair is one unit that starts after the union of its two
-        sides' dependencies, as run starts it; so when the twins' deps differ
-        the chain can exceed a task-by-task longest path. It walks the
-        template: the copies share no dependency unless the link chains each
-        behind the one before, and a serial template is one chain from its
-        first unit to its last task, so the chain is the template's, times
-        copies when they are linked. The topological order is built by the
-        first call and kept. Raises CycleDetected when some unit lies on a
-        cycle.
+        A unit's head is the longest dependency chain ending at its start, the
+        latest end among its dependencies; the list also holds a serial
+        link's unit, one copy on. It walks the template in a topological
+        order built by the first call and kept. Raises CycleDetected when
+        some unit lies on a cycle.
         """
         records = self.records
         order = self._topological_order
         if len(order) < len(records):
             raise CycleDetected("dependency graph contains a cycle")
-        # The longest chain ending before each unit, and a serial link's one copy on.
         ready = [0] * (2 * len(records))
         longest = 0
         for i in order:
@@ -657,7 +659,62 @@ class SchedulePlan:
                 for j, _, _ in targets:
                     if end > ready[j]:
                         ready[j] = end
+        return ready, longest
+
+    def chain_ns(self, durations: list[int]) -> int:
+        """The longest dependency chain when tasks take durations (ns, as run's).
+
+        Lanes are ignored, so it is a lower bound on run's makespan. A
+        send/recv pair is one unit that starts after the union of its two
+        sides' dependencies, as run starts it; so when the twins' deps differ
+        the chain can exceed a task-by-task longest path. It walks the
+        template (_heads): the copies share no dependency unless the link
+        chains each behind the one before, and a serial template is one
+        chain from its first unit to its last task, so the chain is the
+        template's, times copies when they are linked. Raises CycleDetected
+        when some unit lies on a cycle.
+        """
+        longest = self._heads(durations)[1]
         return longest if self.link is None else longest * self.walk.copies
+
+    def head_tail_ns(self, durations: list[int]) -> int:
+        """A lower bound on run's makespan that sees a unit's copies queue on its lanes.
+
+        For template unit u, head(u) is the longest chain ending at its start
+        (_heads, chain_ns's forward pass), tail(u) the longest chain from its
+        start to the end, u's longest side included (one reverse pass), and
+        side(u) its longest task. The bound is the largest
+        head(u) + (copies - 1) * side(u) + tail(u). Each copy of u starts
+        after head(u); the copies occupy the same lanes, each at least
+        side(u) on its longest task's lane, and cannot overlap there; so the
+        last of them starts (copies - 1) * side(u) later at the earliest,
+        and it still has tail(u) to run. At one copy it equals chain_ns.
+        A linked (serial) plan returns chain_ns, which already chains every
+        copy. Raises CycleDetected when some unit lies on a cycle.
+        """
+        if self.link is not None:
+            return self.chain_ns(durations)
+        copies = self.walk.copies
+        heads = self._heads(durations)[0]
+        records = self.records
+        tails = [0] * len(records)
+        bound = 0
+        for i in reversed(self._topological_order):
+            side = tail = 0
+            for k, _, _, targets in records[i]:
+                duration = end = durations[k]
+                if duration > side:
+                    side = duration
+                for j, _, _ in targets:
+                    if duration + tails[j] > end:
+                        end = duration + tails[j]
+                if end > tail:
+                    tail = end
+            tails[i] = tail
+            at = heads[i] + (copies - 1) * side + tail
+            if at > bound:
+                bound = at
+        return bound
 
 
 class Retimer:
@@ -676,9 +733,9 @@ class Retimer:
     Retimer keeps at most one plan alive; a trace it returned keeps its own.
     The metrics read the point's table, total_flops and cluster, so simulate
     computes them every call.
-    makespan_ns, chain_ns and lane_bound_ns time or bound the kept walk
-    under ns alone, for the allocator and the bound checks; they keep no
-    starts.
+    makespan_ns, chain_ns, head_tail_ns and lane_bound_ns time or bound
+    the kept walk under ns alone, for the allocator and the bound checks;
+    they keep no starts.
 
     counts gathers "plans" (plans built), "calls" (runs asked for) and
     "retimed" (plan runs; the other calls hit the memo).
@@ -706,6 +763,7 @@ class Retimer:
         self.runs: dict[tuple[int, ...], tuple[list[int | None], int]] = {}  # simulate's last two
         self.makespans: dict[tuple[int, ...], int] = {}
         self.chains: dict[tuple[int, ...], int] = {}
+        self.head_tails: dict[tuple[int, ...], int] = {}
         self._lane_rows: list[list[int]] | None = None  # per lane, its tasks of each key
         self.counts["plans"] += 1
 
@@ -733,6 +791,12 @@ class Retimer:
         if ns not in self.chains:
             self.chains[ns] = self.plan.chain_ns(self.durations(ns))
         return self.chains[ns]
+
+    def head_tail_ns(self, ns: tuple[int, ...]) -> int:
+        """The head-tail bound under ns (SchedulePlan.head_tail_ns), memoized on ns."""
+        if ns not in self.head_tails:
+            self.head_tails[ns] = self.plan.head_tail_ns(self.durations(ns))
+        return self.head_tails[ns]
 
     def lane_bound_ns(self, ns: tuple[int, ...]) -> int:
         """The largest summed duration of one (owner, lane) under ns: a lower bound.
@@ -981,15 +1045,16 @@ def check_schedule(graph: TaskGraph, trace: ScheduleTrace) -> list[str]:
     Every task runs exactly once, for its duration, starting at 0 or later
     and no earlier than each dependency ends; no two tasks overlap on one
     (owner, lane); send/recv twins start and end together; iteration_ns is
-    the last end and is at least both lower bounds, critical_path_ns and
-    resource_bound_ns.
+    the last end and is at least each lower bound: the dependency chain
+    (critical_path_ns), the lane bound (resource_bound_ns) and the head-tail
+    bound (SchedulePlan.head_tail_ns).
 
     It reads the trace's timeline() and so builds no TraceEvent; the
     dependencies, twins and durations it checks against are graph's.
     """
-    retimer = Retimer(graph.walk)  # one plan for both bounds and the durations
+    retimer = Retimer(graph.walk)  # one plan for the bounds and the durations
     ns = retimer.ns(graph.table)
-    bound = max(retimer.chain_ns(ns), retimer.lane_bound_ns(ns))
+    bound = max(retimer.chain_ns(ns), retimer.lane_bound_ns(ns), retimer.head_tail_ns(ns))
     duration = dict(zip(graph.tasks, retimer.durations(ns) * retimer.walk.copies))
     tasks, order, starts, durations = trace.timeline()
     size = len(tasks)

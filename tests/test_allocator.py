@@ -451,16 +451,41 @@ def test_allocate_and_oracle_log_profile_counts_at_debug(caplog):
     assert (verb, counts) == ("allocate", (params.trials + 1, retimed, 0, 1))
 
     caplog.clear()
-    (_, best_time), verb, counts = _profile_log(caplog, lambda: brute_force_oracle(exp))
+    with caplog.at_level(logging.DEBUG, logger="afpipe.allocator"):
+        best, best_time = brute_force_oracle(exp)
+    lines = [r.getMessage() for r in caplog.records if r.name == "afpipe.allocator"]
     cands = enumerate_feasible(exp.cluster)
-    # The oracle prunes by both lower bounds: the lane bound and the dependency chain.
-    graphs = [build_task_graph(exp, c) for c in cands]
-    bounds = [max(resource_bound_ns(g), critical_path_ns(g)) / 1e9 for g in graphs]
-    called = [c for c, bound in zip(cands, bounds) if bound <= best_time]
-    retimed = _distinct_tables(exp, called)
-    assert 0 < retimed < len(called) < len(cands)
-    assert (verb, counts) == ("brute_force_oracle",
-                              (len(called), retimed, len(cands) - len(called), 1))
+    # Best-first over the ladder lane bound, chain, head-tail bound, time: a
+    # split's next rung is priced while (key, canonical index, rung) is below
+    # the answer's (time, index, 3), the key being the largest price so far.
+    # The head-tail rung is skipped when chain + (copies - 1) * max(ns) cannot
+    # raise the key.
+    answer = (best_time, cands.index(best), 3)
+    profile = IterationProfile(exp)
+    copies = profile.retimer.walk.copies
+    last, timed = Counter(), []
+    for index, alloc in enumerate(cands):
+        graph = build_task_graph(exp, alloc)
+        ns = profile.durations(alloc)
+        chain = critical_path_ns(graph)
+        prices = (resource_bound_ns(graph), chain, profile.retimer.head_tail_ns(ns),
+                  simulate(graph)[0].iteration_ns)
+        key, rung = prices[0] / 1e9, 0
+        while (key, index, rung) < answer:
+            rung += 1
+            if rung == 2 and (chain + (copies - 1) * max(ns)) / 1e9 <= key:
+                rung += 1
+            key = max(key, prices[rung] / 1e9)
+        last[rung] += 1
+        if rung == 3:
+            timed.append(alloc)
+    assert last[0] and last[2] and last[0] + last[1] + last[2] + last[3] == len(cands)
+    assert lines == [
+        f"brute_force_oracle: {len(timed)} profile calls, {_distinct_tables(exp, timed)} "
+        f"splits re-timed, {len(cands) - len(timed)} splits pruned, 1 plan builds",
+        f"brute_force_oracle: {last[0]} splits last priced by the lane bound, {last[1]} by "
+        f"the chain, {last[2]} by the head-tail bound, {last[3]} timed",
+    ]
 
 
 def _sized(config, total, depth=None, **workload):
@@ -508,6 +533,23 @@ def test_pruned_oracle_equals_exhaustive_reference(config):
         for equal_nics in (False, True):
             best = min(_expanded(exp, equal_nics), key=reference)  # the first of the minima
             assert brute_force_oracle(exp, equal_nics=equal_nics) == (best, reference(best)), seq
+
+
+def test_oracle_times_one_split_on_the_benchmark_pool(caplog):
+    # Deepseek at 8/8 GPUs/NICs and 4 micro-batches: best-first over the
+    # lane bound, the chain and the head-tail bound prices every losing
+    # split below its time, so only the answer is run.
+    for seq in SEQ_LENS:
+        exp = _sized("deepseek_moe.yaml", 8, seq_len=seq, num_microbatches=4)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="afpipe.allocator"):
+            result = brute_force_oracle(exp)
+        lines = [r.getMessage() for r in caplog.records if r.name == "afpipe.allocator"]
+        assert lines[0].startswith("brute_force_oracle: 1 profile calls, 1 splits re-timed,"), seq
+        assert lines[1].endswith(", 1 timed"), seq
+        reference = _reference_profile(exp)
+        best = min(_expanded(exp), key=reference)  # the first of the minima
+        assert result == (best, reference(best)), seq
 
 
 def test_pruned_oracle_keeps_least_sort_key_on_equal_times():

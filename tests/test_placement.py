@@ -1,8 +1,14 @@
+import os
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afpipe.config import ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload
+from afpipe.allocator import default_allocation
+from afpipe.config import (
+    ClusterConfig, Experiment, ModelConfig, ScheduleKind, Workload, load_experiment,
+)
 from afpipe.placement import (
     ATTN,
     FFN,
@@ -14,7 +20,10 @@ from afpipe.placement import (
     oom_check,
     validate_partition,
 )
-from afpipe.taskgraph import build_task_graph
+from afpipe.sim import simulate
+from afpipe.taskgraph import TaskKind, build_task_graph
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 class _Alloc:
@@ -163,6 +172,34 @@ def test_memory_counts_the_schedules_credit_when_depth_does_not_divide_layers():
         est = memory_estimate(assign_layers(3, 2, component), exp.model, exp.workload,
                               _Alloc(2, 2, 2, 2))
         assert est.activation_bytes == 2 * hidden_bytes * in_flight
+
+
+@pytest.mark.parametrize("microbatches,peak,estimated", [(4, 56, 56), (32, 191, 448),
+                                                         (128, 496, 784)])
+def test_the_credits_two_readers_count_in_their_own_units(microbatches, peak, estimated):
+    # Deepseek afpipe at its default split: A0 (credit 56 forward visits, 14
+    # layers) peaks at `peak` forward visits in flight, as the scheduler
+    # counts them, forward compute starts minus backward ones in start order.
+    # The memory estimate holds min(micro-batches, credit) micro-batches, one
+    # activation per layer: `estimated` layer activations.
+    exp = load_experiment(os.path.join(CONFIGS, "deepseek_moe.yaml"))
+    exp = replace(exp, workload=replace(exp.workload, num_microbatches=microbatches))
+    alloc = default_allocation(exp)
+    graph = build_task_graph(exp, alloc)
+    assert graph.credits["A0"] == credit(exp.model.layers, 0, ATTN) == 56
+    step = {TaskKind.FWD_COMPUTE: 1, TaskKind.BWD_COMPUTE: -1}
+    in_flight = most = 0
+    for event in simulate(graph)[0].events:
+        if event.task.owner == "A0":
+            in_flight += step.get(event.task.kind, 0)
+            most = max(most, in_flight)
+    assert most == peak
+    plan = assign_layers(exp.model.layers, exp.pipeline_depth, ATTN)
+    hidden_bytes = (exp.model.bytes_per_element * exp.workload.micro_batch
+                    * exp.workload.seq_len * exp.model.hidden)
+    activation_bytes = memory_estimate(plan, exp.model, exp.workload, alloc).activation_bytes
+    assert activation_bytes == hidden_bytes * estimated
+    assert estimated == min(microbatches, 56) * plan.virtual_stages
 
 
 def test_oom_boundary_is_inclusive_fit():

@@ -307,6 +307,31 @@ def test_plan_chain_starts_a_pair_after_both_sides_deps():
 
 @pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
+def test_head_tail_bound_lies_between_the_chain_and_the_makespan(config, kind):
+    # Under the graph's table and random ones: chain <= head-tail <= makespan,
+    # with the chain's value at one copy and on a linked (serial) walk.
+    base = replace(load_experiment(str(CONFIGS / config)), schedule_kind=kind)
+    rng = random.Random(f"head-tail {config} {kind.value}")
+    raised = False
+    for microbatches in (1, 2, 3, 8):
+        exp = replace(base, workload=replace(base.workload, num_microbatches=microbatches))
+        graph = build_task_graph(exp, default_allocation(exp))
+        retimer = Retimer(graph.walk)
+        linked = retimer.plan.link is not None
+        assert linked == (kind is ScheduleKind.NAIVE_SEQUENTIAL and microbatches > 1)
+        for retimed in [graph, *_random_tables(rng, graph)]:
+            ns = retimer.ns(retimed.table)
+            chain, head_tail = retimer.chain_ns(ns), retimer.head_tail_ns(ns)
+            assert chain <= head_tail <= retimer.makespan_ns(ns), microbatches
+            if microbatches == 1 or linked:
+                assert head_tail == chain, microbatches
+            raised |= head_tail > chain
+    # Every family whose copies are not linked queues them: the bound bites.
+    assert raised == (kind is not ScheduleKind.NAIVE_SEQUENTIAL)
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("config", ["toy.yaml", "deepseek_moe.yaml"])
 def test_lane_bound_equals_task_level_lane_sums(config, kind):
     exp = replace(load_experiment(str(CONFIGS / config)), schedule_kind=kind)
     graph = build_task_graph(exp, default_allocation(exp))
