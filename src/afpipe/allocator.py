@@ -103,10 +103,6 @@ class Allocation:
     attn_nics: int
     ffn_nics: int
 
-    def sort_key(self) -> tuple[int, int]:
-        """Canonical order: one candidate per split, so the split decides it."""
-        return self.attn_gpus, self.attn_nics
-
 
 @dataclass(frozen=True)
 class AllocatorParams:
@@ -368,7 +364,7 @@ def brute_force_oracle(
     prices of a split: its lane bound, its dependency chain, its head-tail
     bound and, last, its time. One heap holds an entry per split, keyed
     (price, canonical index), the price being the largest read so far and
-    the index following Allocation.sort_key, as enumerate_feasible does.
+    the index following (attn_gpus, attn_nics), as enumerate_feasible does.
     The least entry is popped. If its price is the split's time, that split
     is the answer: every other split takes at least its own key, which is at
     least that time, and at an equal time its index is later. Otherwise the

@@ -232,7 +232,13 @@ def cmd_sweep(args) -> int:
     Each point is set up and runs its four schedules before the next is set
     up, so the first failing step in point order sets the exit code. Each
     family of _FAMILIES keeps its own Retimer across the points, so each
-    topology is planned once and at most one plan per family is alive.
+    topology is planned once and at most one plan per family is alive. The
+    analytic split (allocator phases 1 and 2) is searched once per model and
+    workload: once for a virtual_stages or ep_size sweep, once per point for
+    seq_len or topk, never for attn_gpu_share, which forces its split. What a
+    point recomputes is its tables, its runs unless they hit the memo, its
+    metrics (from the columns each plan keeps, sim.SchedulePlan) and its
+    FLOP share, exchange bytes and OOM flag.
     """
     exp = _load(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -240,8 +246,12 @@ def cmd_sweep(args) -> int:
         raise _CliError(EXIT_CONFIG, "no sweep values given")
 
     # No axis changes the cluster, so the points share one list of feasible
-    # splits, enumerated when the first point needs it.
+    # splits, enumerated when the first point needs it. Phases 1 and 2 read
+    # a point's model and workload besides the cluster, epsilon and
+    # --equal-nics, which the call fixes, so a point whose model and
+    # workload an earlier point had takes that point's split.
     candidates = functools.cache(lambda: alloc_mod.enumerate_feasible(exp.cluster, args.equal_nics))
+    splits: dict[tuple, alloc_mod.Allocation] = {}  # each point's split, by (model, workload)
     counts = Counter()
     retimers = _retimers(counts)
     rows = [("schedule", "axis", "value", "iteration_time_s", "bubble_fraction", "exposed_comm_s",
@@ -255,9 +265,12 @@ def cmd_sweep(args) -> int:
                     point.cluster, forced_gpus, point.cluster.total_nics // 2, args.equal_nics
                 )
             else:
-                _, band = alloc_mod.phase1_min_bottleneck(
-                    candidates(), point, AllocatorParams().epsilon)
-                alloc = alloc_mod.phase2_tiebreak(band, point)
+                key = (point.model, point.workload)
+                if key not in splits:
+                    _, band = alloc_mod.phase1_min_bottleneck(
+                        candidates(), point, AllocatorParams().epsilon)
+                    splits[key] = alloc_mod.phase2_tiebreak(band, point)
+                alloc = splits[key]
             c_a = float(attention_flops(point.model, point.workload))
             c_f = float(ffn_flops(point.model, point.workload))
             oom = estimate_oom(point, alloc, args.mem_cap)

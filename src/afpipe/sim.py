@@ -67,43 +67,47 @@ walk's credits. A walk is its template (Walk.template) repeated copies
 times: the walk numbers tasks micro-batch by micro-batch and the tie-break
 order is micro-batch-major. So a plan is its template's, checked task by
 task, run walk.copies times, the way a modulo schedule repeats one kernel
-over its iterations: task m * size + k is copy m of template task k, and unit
-m * units + u copy m of template unit u. A serial topology also makes each
-micro-batch's first unit wait for the last task of the one before: that
+over its iterations: task m * size + k is copy m of template task k, and
+unit m * units + u copy m of template unit u. A serial topology also makes
+each micro-batch's first unit wait for the last task of the one before: that
 task's dependent one copy on, the plan's link. A hand-built walk is its own
 template, one copy. No plan array grows with the copies, and no part of
 plan, run or metrics reads a Task or key beyond the template's: a built
-walk's tasks are walked only when graph.tasks is first read, and the
-metrics take the exposure inside task durations as the copies times the
-template keys' sum. The timeline order ranks each task by its plan lane,
-(owner, lane), and then its id, copy m of a template id's rank being
-m * size plus that rank, and the Retimer counts keys and lanes over the
-template. SchedulePlan.run takes each template task's duration, as
-durations_ns reads it from a table and every copy repeats, and returns
-each unit's start and the makespan; only the counts, ready times and
-starts it writes span every copy. SchedulePlan.chain_ns takes the same
-durations and returns the longest dependency chain over the units, a lower
-bound on run's makespan that ignores the lanes. It walks the template, in a
-topological order built by its first call and kept, and multiplies the
+walk's tasks are walked only when graph.tasks is first read, and the metrics
+take the exposure inside task durations as the copies times the template
+keys' sum. The timeline order ranks each task by its plan lane, (owner,
+lane), and then its id, copy m of a template id's rank being m * size plus
+that rank, and the Retimer counts keys and lanes over the template.
+SchedulePlan.run takes each template task's duration, as durations_ns reads
+it from a table and every copy repeats, and returns each unit's start and
+the makespan; only the counts, ready times and starts it writes span every
+copy. SchedulePlan._heads, its forward pass, takes the same durations and
+returns each unit's head and the longest dependency chain over the units, a
+lower bound on run's makespan that ignores the lanes. It walks the template,
+in a topological order built by its first call and kept, and multiplies the
 template's chain by the copies when the link chains them.
-SchedulePlan.head_tail_ns adds what the chain misses when the copies are
-not linked (Carlier's heads and tails): every copy of a template unit starts
-after the unit's head, the copies queue on the unit's lanes for its longest
-task each, and the last still has the unit's tail to run. So the largest
-head + (copies - 1) * side + tail over the template's units bounds the
-makespan too; at one copy, or when linked, it is the chain.
+SchedulePlan.head_tail_ns adds to that pass what the chain misses when the
+copies are not linked (Carlier's heads and tails): every copy of a template
+unit starts after the unit's head, the copies queue on the unit's lanes for
+its longest task each, and the last still has the unit's tail to run. So the
+largest head + (copies - 1) * side + tail over the template's units bounds
+the makespan too; at one copy, or when linked, it is the chain.
 
 Ownership runs one way: a plan keeps its walk, and a Retimer and the traces
 of its runs keep the plan, so each fact of a walk is kept in one place. A
 Retimer keeps one plan and runs it under the table of any graph of the
 plan's walk: the graphs of one topology (taskgraph.Topology), which differ
 only in table, total_flops and cluster numbers. A table reaches a run only
-through its durations over the walk's distinct keys, so runs are memoized
-on those. simulate is a new Retimer's one run under the graph's table, and
-its metrics come straight from the run: the units of a queue share their
-lanes, so per queue their starts and durations give each owner's first
-activity and compute time and the spans whose union sets the exposed
-communication, a send/recv pair being one span. exposed_comm, the one
+through its durations over the walk's distinct keys, so runs are memoized on
+those. simulate is a new Retimer's one run under the graph's table, and its
+metrics come straight from the run and from columns the plan builds once
+from its template (SchedulePlan._metric_columns): each compute task with its
+unit, each unit that communicates with its one or two communication tasks,
+and each owner's units and compute tasks. Each copy's row of unit starts
+gives its compute and communication spans, whose union sets the exposed
+communication, a send/recv pair being one span as long as its longer side;
+an owner's first activity is the least start of its units and its compute
+time the copies times its compute tasks' sum. exposed_comm, the one
 definition of exposed communication, takes those spans and the table's
 exposure inside task durations, and counts the time comm covers beyond
 compute as |comm ∪ compute| - |compute|. The trace it returns holds the
@@ -112,17 +116,18 @@ timeline (ScheduleTrace.timeline) is ordered once from the template and the
 run, and trace_io.write_trace and check_schedule read it and build no
 TraceEvent. Its events, one TraceEvent per task of the plan's walk, are a
 cache built from that timeline only when they are read, and reading them
-keeps the run. sweep and compare read neither. compare and sweep keep
-one Retimer per schedule family, sweep's across its points, so each
-topology is planned once and re-timed per point; the metrics, which read
-the point's table and total_flops, are computed per point. The Retimer's
-one index of the distinct keys also gives three lower bounds on a makespan
-under ns: chain_ns, the longest dependency chain; head_tail_ns, the chain
-with a unit's copies queued on its lanes; and lane_bound_ns, the largest
-summed duration of one (owner, lane). critical_path_ns, resource_bound_ns
-and check_schedule read them from a new Retimer. The allocator re-times
-one Retimer per experiment under each split's table, and its exact oracle
-goes best-first over the three bounds and the makespan.
+keeps the run. sweep and compare read neither. compare and sweep keep one
+Retimer per schedule family, sweep's across its points, so each topology is
+planned once and re-timed per point; the metrics, which read the point's
+table and total_flops, are computed per point from the kept plan's columns.
+The Retimer's one index of the distinct keys also gives three lower bounds
+on a makespan under ns: chain_ns, the longest dependency chain;
+head_tail_ns, the chain with a unit's copies queued on its lanes, which
+reads the heads of chain_ns's pass, one per distinct ns; and lane_bound_ns,
+the largest summed duration of one (owner, lane). critical_path_ns,
+resource_bound_ns and check_schedule read them from a new Retimer. The
+allocator re-times one Retimer per experiment under each split's table, and
+its exact oracle goes best-first over the three bounds and the makespan.
 
 check_schedule lists what a trace breaks of the scheduler's invariants.
 
@@ -359,13 +364,15 @@ class SchedulePlan:
     A unit's commit record holds, per task, the task index, lane and
     compute counter and its dependents, each as (unit, queue, whether the
     task is its one dependency in every copy), so a commit reads no other
-    array by task; chain_ns reads the dependents there too. None of these
-    reads a duration, so one plan schedules the walk under any durations
-    of its tasks: run() is the scheduler loop.
+    array by task; the bounds' passes read the dependents there too. None
+    of these reads a duration, so one plan schedules the walk under any
+    durations of its tasks: run() is the scheduler loop. The metric
+    columns (_metric_columns) are built from the template by the first
+    simulate that reports a run of the plan.
 
     SchedulePlan(walk) plans walk (taskgraph.Walk) and keeps it: it plans
     the walk's template task by task, checking its keys and each task's
-    deps and twin, under the walk's credits. run and chain_ns repeat the
+    deps and twin, under the walk's credits. run and the bounds repeat the
     template over walk.copies, the walk's micro-batch count; a hand-built
     walk is its own template, one copy. Every array is the template's, so
     none grows with the copies. link is None unless the walk's topology is
@@ -634,15 +641,61 @@ class SchedulePlan:
                         order.append(j)
         return order
 
+    @cached_property
+    def _metric_columns(self) -> tuple[list, ...]:
+        """What _metrics reads of the template; built by the first call and kept.
+
+        Seven columns, read off the queues, none of which reads a duration
+        or grows with the copies: each compute task's unit and its task
+        index; the units that hold communication, first those with one
+        communication task, then those with two (a send/recv pair); the task
+        of each of the former; the two sides of each of the latter; and per
+        owner, (owner, the units it takes part in, its compute tasks).
+        """
+        compute_units, compute_tasks, lone_units, lone_tasks = [], [], [], []
+        pair_units, sides, twins = [], [], []
+        owned: dict[str, tuple[list[int], list[int]]] = {}
+        # Per lane, its owner's units and compute tasks.
+        of_lane = [owned.setdefault(owner, ([], [])) for owner, _ in self.lanes]
+        for q in self.queues:
+            comm = []
+            for side, lane, counter in zip(q.sides, q.lanes, q.counters):
+                units, tasks = of_lane[lane]
+                units += q.units  # twice for a pair whose sides are one owner's
+                if counter >= 0:  # a compute side
+                    compute_units += q.units
+                    compute_tasks += side
+                    tasks += side
+                else:
+                    comm.append(side)
+            if len(comm) == 1:
+                lone_units += q.units
+                lone_tasks += comm[0]
+            elif comm:
+                pair_units += q.units
+                sides += comm[0]
+                twins += comm[1]
+        owners = [(owner, units, tasks) for owner, (units, tasks) in owned.items()]
+        return (compute_units, compute_tasks, lone_units + pair_units, lone_tasks,
+                sides, twins, owners)
+
     def _heads(self, durations: list[int]) -> tuple[list[int], int]:
-        """Each template unit's head, and the template's longest chain, when
-        tasks take durations (ns, as run's).
+        """The forward pass when tasks take durations (ns, as run's): each
+        template unit's head and the longest dependency chain.
 
         A unit's head is the longest dependency chain ending at its start, the
         latest end among its dependencies; the list also holds a serial
-        link's unit, one copy on. It walks the template in a topological
-        order built by the first call and kept. Raises CycleDetected when
-        some unit lies on a cycle.
+        link's unit, one copy on. The chain ignores lanes, so it is a lower
+        bound on run's makespan. A send/recv pair is one unit that starts
+        after the union of its two sides' dependencies, as run starts it; so
+        when the twins' deps differ the chain can exceed a task-by-task
+        longest path. The pass walks the template, in a topological order
+        built by the first call and kept: the copies share no dependency
+        unless the link chains each behind the one before, and a serial
+        template is one chain from its first unit to its last task, so the
+        chain is the template's, times copies when they are linked.
+        Retimer.chain_ns reads the chain, and head_tail_ns the heads of the
+        same pass. Raises CycleDetected when some unit lies on a cycle.
         """
         records = self.records
         order = self._topological_order
@@ -659,43 +712,28 @@ class SchedulePlan:
                 for j, _, _ in targets:
                     if end > ready[j]:
                         ready[j] = end
-        return ready, longest
+        return ready, longest if self.link is None else longest * self.walk.copies
 
-    def chain_ns(self, durations: list[int]) -> int:
-        """The longest dependency chain when tasks take durations (ns, as run's).
-
-        Lanes are ignored, so it is a lower bound on run's makespan. A
-        send/recv pair is one unit that starts after the union of its two
-        sides' dependencies, as run starts it; so when the twins' deps differ
-        the chain can exceed a task-by-task longest path. It walks the
-        template (_heads): the copies share no dependency unless the link
-        chains each behind the one before, and a serial template is one
-        chain from its first unit to its last task, so the chain is the
-        template's, times copies when they are linked. Raises CycleDetected
-        when some unit lies on a cycle.
-        """
-        longest = self._heads(durations)[1]
-        return longest if self.link is None else longest * self.walk.copies
-
-    def head_tail_ns(self, durations: list[int]) -> int:
+    def head_tail_ns(self, durations: list[int], forward: tuple[list[int], int]) -> int:
         """A lower bound on run's makespan that sees a unit's copies queue on its lanes.
 
-        For template unit u, head(u) is the longest chain ending at its start
-        (_heads, chain_ns's forward pass), tail(u) the longest chain from its
-        start to the end, u's longest side included (one reverse pass), and
-        side(u) its longest task. The bound is the largest
+        forward is _heads(durations), the forward pass whose chain
+        Retimer.chain_ns reads. For template unit u, head(u) is the longest
+        chain ending at its start (forward's heads), tail(u) the longest
+        chain from its start to the end, u's longest side included (one
+        reverse pass), and side(u) its longest task. The bound is the largest
         head(u) + (copies - 1) * side(u) + tail(u). Each copy of u starts
         after head(u); the copies occupy the same lanes, each at least
         side(u) on its longest task's lane, and cannot overlap there; so the
         last of them starts (copies - 1) * side(u) later at the earliest,
-        and it still has tail(u) to run. At one copy it equals chain_ns.
-        A linked (serial) plan returns chain_ns, which already chains every
-        copy. Raises CycleDetected when some unit lies on a cycle.
+        and it still has tail(u) to run. At one copy it equals the chain.
+        A linked (serial) plan returns the chain, which already chains every
+        copy.
         """
+        heads, chain = forward
         if self.link is not None:
-            return self.chain_ns(durations)
+            return chain
         copies = self.walk.copies
-        heads = self._heads(durations)[0]
         records = self.records
         tails = [0] * len(records)
         bound = 0
@@ -762,7 +800,7 @@ class Retimer:
         self.keys = tuple(column)
         self.runs: dict[tuple[int, ...], tuple[list[int | None], int]] = {}  # simulate's last two
         self.makespans: dict[tuple[int, ...], int] = {}
-        self.chains: dict[tuple[int, ...], int] = {}
+        self.forwards: dict[tuple[int, ...], tuple[list[int], int]] = {}  # SchedulePlan._heads
         self.head_tails: dict[tuple[int, ...], int] = {}
         self._lane_rows: list[list[int]] | None = None  # per lane, its tasks of each key
         self.counts["plans"] += 1
@@ -786,16 +824,24 @@ class Retimer:
             self.counts["retimed"] += 1
         return self.makespans[ns]
 
+    def _forward(self, ns: tuple[int, ...]) -> tuple[list[int], int]:
+        """The plan's forward pass under ns (SchedulePlan._heads), memoized on ns.
+
+        chain_ns and head_tail_ns both read it, so they walk the template
+        once per distinct ns between them.
+        """
+        if ns not in self.forwards:
+            self.forwards[ns] = self.plan._heads(self.durations(ns))
+        return self.forwards[ns]
+
     def chain_ns(self, ns: tuple[int, ...]) -> int:
-        """The longest dependency chain under ns (SchedulePlan.chain_ns), memoized on ns."""
-        if ns not in self.chains:
-            self.chains[ns] = self.plan.chain_ns(self.durations(ns))
-        return self.chains[ns]
+        """The longest dependency chain under ns (SchedulePlan._heads), memoized on ns."""
+        return self._forward(ns)[1]
 
     def head_tail_ns(self, ns: tuple[int, ...]) -> int:
         """The head-tail bound under ns (SchedulePlan.head_tail_ns), memoized on ns."""
         if ns not in self.head_tails:
-            self.head_tails[ns] = self.plan.head_tail_ns(self.durations(ns))
+            self.head_tails[ns] = self.plan.head_tail_ns(self.durations(ns), self._forward(ns))
         return self.head_tails[ns]
 
     def lane_bound_ns(self, ns: tuple[int, ...]) -> int:
@@ -891,41 +937,39 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
              durations: list[int], makespan: int) -> SimResult:
     """The run metrics of plan's run: unit starts and makespan under durations.
 
-    Units of one queue share their lanes, so each queue's first start,
-    compute time and spans come from its units' starts, copy by copy, and
-    its template tasks' durations at once. A send/recv pair is one
-    communication span. exposed_comm unites the spans and adds the table's
-    exposure inside task durations: walk.copies times the template keys'
-    sum.
+    They read the plan's metric columns (SchedulePlan._metric_columns),
+    which are the template's: each copy's compute and communication spans
+    come from its row of unit starts and the columns' durations, which
+    every copy repeats, a send/recv pair being one span as long as its
+    longer side. An owner's first activity is the least start of its
+    units over the copies, and its busy time the copies times its compute
+    tasks' summed durations. exposed_comm unites the spans and adds the
+    table's exposure inside task durations: walk.copies times the template
+    keys' sum.
     """
     iteration = seconds(makespan)
     if not plan.unit_tasks:
         return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, {})
 
-    lanes, units, walk = plan.lanes, len(plan.unit_tasks), plan.walk
+    units, walk = len(plan.unit_tasks), plan.walk
+    compute_units, compute_tasks, comm_units, lone_tasks, sides, twins, owners = (
+        plan._metric_columns)
+    take = durations.__getitem__
+    compute_ns = list(map(take, compute_tasks))
+    comm_ns = list(map(take, lone_tasks))
+    comm_ns += map(max, map(take, sides), map(take, twins))
     # Each copy's unit starts: copy m's template unit u starts at row m's entry u.
     rows = [starts[i:i + units] for i in range(0, len(starts), units)]
-    first_activity: dict[str, int] = {}
-    busy: dict[str, int] = {}
     comm_spans: list[tuple[int, int]] = []
     compute_spans: list[tuple[int, int]] = []
-    for q in plan.queues:
-        begins = list(chain.from_iterable(map(row.__getitem__, q.units) for row in rows))
-        first = min(begins)
-        # Per task of the units: its durations, in begins order.
-        sides = [list(map(durations.__getitem__, side)) * walk.copies for side in q.sides]
-        comm_sides = []
-        for lane, counter, side in zip(q.lanes, q.counters, sides):
-            owner = lanes[lane][0]
-            first_activity[owner] = min(first, first_activity.get(owner, first))
-            if counter >= 0:
-                busy[owner] = busy.get(owner, 0) + sum(side)
-                compute_spans += zip(begins, map(operator.add, begins, side))
-            else:
-                comm_sides.append(side)
-        if comm_sides:
-            longest = comm_sides[0] if len(comm_sides) == 1 else map(max, *comm_sides)
-            comm_spans += zip(begins, map(operator.add, begins, longest))
+    for row in rows:
+        begins = list(map(row.__getitem__, compute_units))
+        compute_spans += zip(begins, map(operator.add, begins, compute_ns))
+        begins = list(map(row.__getitem__, comm_units))
+        comm_spans += zip(begins, map(operator.add, begins, comm_ns))
+    first = list(map(min, zip(*rows)))  # each template unit's least start over the copies
+    first_activity = {owner: min(map(first.__getitem__, of)) for owner, of, _ in owners}
+    busy = {owner: walk.copies * sum(map(take, tasks)) for owner, _, tasks in owners}
     # Exposure inside task durations, each copy repeating the template's keys;
     # no afpipe or naive table has any, so a table of zeros skips the sum.
     embedded = {key: exposed_ns for key, (_, exposed_ns) in graph.table.items()}
@@ -935,7 +979,7 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
     # Warmup bubble: the longest any group waits before its first activity.
     bubble_warmup = max(first_activity.values()) / 1e9
 
-    compute_owners = [o for o in first_activity if busy.get(o, 0) > 0]
+    compute_owners = [o for o in first_activity if busy[o] > 0]
     if compute_owners and makespan > 0:
         fraction = 1.0 - sum(busy[o] for o in compute_owners) / (len(compute_owners) * makespan)
         fraction = min(max(fraction, 0.0), 1.0)
@@ -955,7 +999,7 @@ def _metrics(graph: TaskGraph, plan: SchedulePlan, starts: list[int],
         # bench/tracing.py times exposed communication by patching it.
         exposed_comm=exposed_comm(comm_spans, compute_spans, embedded_ns),
         mfu=mfu,
-        per_group_busy={o: busy.get(o, 0) / 1e9 for o in sorted(first_activity)},
+        per_group_busy={o: busy[o] / 1e9 for o in sorted(first_activity)},
     )
 
 

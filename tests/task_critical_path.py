@@ -4,7 +4,7 @@ Each task starts after its own dependencies only, so a send/recv pair's two
 sides may start apart; the plan's chain starts a pair as one unit after the
 union of both sides' deps. The two agree whenever twins share their deps, as
 on every built graph. It reads durations straight from the table and lives
-here only as the gate that SchedulePlan.chain_ns must match.
+here only as the gate that the plan's chain (Retimer.chain_ns) must match.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ def test_enumerate_matches_independent_count():
 
 def test_enumerate_canonical_order():
     cands = enumerate_feasible(_cluster(6, 4, 4))
-    keys = [c.sort_key() for c in cands]
+    keys = [(c.attn_gpus, c.attn_nics) for c in cands]
     assert keys == sorted(keys)
 
 
@@ -150,7 +150,7 @@ def test_canonical_allocation_enforces_the_equal_nic_rule():
 def test_phase3_candidates_stay_in_the_enumerated_splits(equal_nics):
     exp = _experiment(W=6, nics=4)
     splits = set(enumerate_feasible(exp.cluster, equal_nics))
-    seed = min(splits, key=Allocation.sort_key)
+    seed = min(splits, key=lambda c: (c.attn_gpus, c.attn_nics))
     params = AllocatorParams(trials=60, radius=5, rng_seed=2)
     *_, trace = phase3_refine(seed, params, af_iteration_profile(exp), exp.cluster, equal_nics)
     assert {cand for cand, _ in trace} <= splits

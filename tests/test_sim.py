@@ -10,7 +10,7 @@ from task_critical_path import critical_path_tasks
 from task_lane_bound import lane_bound_tasks
 from task_timeline import timeline_of, timeline_tasks
 from hand_built import hand_built
-from scan_scheduler import exposed_ns
+from scan_scheduler import exposed_ns, simulate_scan
 from test_scheduler_reference import _assert_same_schedule, _random_graph, _random_tables
 from timed_graph import UNIFORM, timed_graph
 
@@ -215,6 +215,44 @@ def test_exposed_comm_edge_cases_equal_the_hand_value_and_the_reference_sweep(ca
     assert exposed_ns(make(comm), make(compute)) == exposed
 
 
+@pytest.mark.parametrize("microbatches", [1, 4])
+@pytest.mark.parametrize("stages", [1, 2, 14, 28])
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
+def test_run_metrics_equal_the_scan_reference_at_every_depth(kind, stages, microbatches):
+    # The metrics read the plan's columns; the reference aggregates the
+    # scan's events one by one. Depth 28 puts one unit per copy in a queue.
+    base = load_experiment(str(CONFIGS / "deepseek_moe.yaml"))
+    exp = replace(base, schedule_kind=kind, virtual_stages=stages,
+                  pipeline_depth=base.model.layers // stages,
+                  workload=replace(base.workload, num_microbatches=microbatches))
+    graph = build_task_graph(exp, default_allocation(exp))
+    result, reference = simulate(graph)[1], simulate_scan(graph)[1]
+    assert result == reference
+    assert repr(result) == repr(reference)
+
+
+def test_run_metrics_of_longer_send_sides_and_a_lone_transfer_equal_the_scan_reference():
+    # A0 sends F0 two pairs of one queue, each send side the longer, so a
+    # pair's span is its send side's; F1's lone send, with no twin, is a
+    # queue of its own and a span of its own duration.
+    tasks = [
+        _compute(0, "A0", 1_000), _compute(1, "A0", 1_500, mb=1),
+        *_transfer_pair(10, "A0", "F0", 5_000, deps=(0,), recv_ns=2_000),
+        *_transfer_pair(12, "A0", "F0", 4_000, deps=(1,), recv_ns=1_000, mb=1),
+        _compute(20, "F0", 3_000, deps=(11,)), _compute(21, "F0", 2_000, deps=(13,), mb=1),
+        (Task(id=30, kind=TaskKind.M2N_SEND, owner="F1", lane=SEND_LANE, deps=(20,),
+              microbatch=0, twin=None), 2_500),
+        _compute(31, "F1", 500),
+    ]
+    graph = hand_built(tasks)
+    plan = SchedulePlan(graph.walk)
+    shapes = sorted((len(q.lanes), len(q.units)) for q in plan.queues if q.counters[0] < 0)
+    assert shapes == [(1, 1), (2, 2)]  # the lone send's queue, and the two pairs'
+    result, reference = simulate(graph)[1], simulate_scan(graph)[1]
+    assert result == reference and result.exposed_comm > 0
+    assert repr(result) == repr(reference)
+
+
 def test_every_simulate_counts_exposed_communication_through_sim_exposed_comm(monkeypatch):
     # One definition: each simulate's metrics call sim.exposed_comm once, a
     # memo hit too, through the module attribute that can be patched.
@@ -280,12 +318,12 @@ def test_plan_chain_is_at_most_the_makespan_under_random_tables(microbatches):
         g = _build(kind, layers=4, depth=2, stages=2, microbatches=microbatches)
         plan = SchedulePlan(g.walk)
         plan.run(durations_ns(g.keys, g.table))
-        assert "_topological_order" not in vars(plan)  # only chain_ns builds it
+        assert "_topological_order" not in vars(plan)  # only the bounds' pass builds it
         for _ in range(10):
             table = {key: (rng.randrange(10_000), 0) for key in g.table}
             durations = durations_ns(g.keys, table)
             makespan = plan.run(durations)[1]
-            chain = plan.chain_ns(durations)
+            chain = plan._heads(durations)[1]
             assert chain <= makespan, kind
             assert chain == critical_path_tasks(replace(g, table=table)), kind
 
@@ -413,6 +451,29 @@ def test_check_schedule_builds_one_plan(monkeypatch):
     monkeypatch.setattr("afpipe.sim.SchedulePlan", CountedPlan)
     assert check_schedule(g, trace) == []
     assert plans == [g.walk]
+
+
+def test_check_schedule_walks_the_forward_pass_once(monkeypatch):
+    # The chain and the head-tail bound read one pass of the unlinked
+    # template under the graph's durations.
+    exp = load_experiment(str(CONFIGS / "deepseek_moe.yaml"))
+    graph = build_task_graph(exp, default_allocation(exp))
+    trace, _ = simulate(graph)
+    passes = []
+    heads = SchedulePlan._heads
+
+    def counted(plan, durations):
+        passes.append(durations)
+        return heads(plan, durations)
+
+    monkeypatch.setattr(SchedulePlan, "_heads", counted)
+    assert check_schedule(graph, trace) == []
+    assert len(passes) == 1
+    retimer = Retimer(graph.walk)
+    assert retimer.plan.link is None and graph.walk.copies > 1
+    ns = retimer.ns(graph.table)
+    assert retimer.head_tail_ns(ns) > retimer.chain_ns(ns)  # the bound bites here
+    assert len(passes) == 2
 
 
 def test_determinism_byte_identical_traces():

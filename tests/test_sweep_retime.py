@@ -6,7 +6,8 @@ axis moves its topology, so sweep keeps one Retimer per schedule family
 runs its four schedules on the same families. These tests hold the CSV to
 fresh per-point simulations, pin how many plans and runs a sweep or compare
 does, which Retimer each of compare's schedules runs on and how many plans
-are alive, and pin that sweep runs its points in order, so the first failing
+are alive, that sweep searches the analytic split once per model and
+workload, and that sweep runs its points in order, so the first failing
 step sets the exit code.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import replace
 import pytest
 
 from afpipe import allocator, cli, report
-from afpipe.allocator import default_allocation, enumerate_feasible
+from afpipe.allocator import canonical_allocation, default_allocation, enumerate_feasible
 from afpipe.config import ScheduleKind, load_experiment
 from afpipe.costs import BACKWARD_MULTIPLIER, layer_costs
 from afpipe.report import run_schedule
@@ -260,6 +261,44 @@ def test_one_sweep_enumerates_the_candidates_once(axis, per_sweep, monkeypatch):
     for sweeps in (1, 2):
         assert _sweep(*argv)[0] == 0
         assert len(enumerated) == sweeps * per_sweep
+
+
+@pytest.mark.parametrize("equal_nics", [False, True], ids=["any-nics", "equal-nics"])
+@pytest.mark.parametrize("config,axis", CASES,
+                         ids=[f"{os.path.basename(c)[:-5]}-{a}" for c, a in CASES])
+def test_a_sweep_searches_the_split_once_per_model_and_workload(config, axis, equal_nics,
+                                                                 monkeypatch):
+    searched, ran = [], []
+    phase1 = allocator.phase1_min_bottleneck
+
+    def search(*args):
+        searched.append(args)
+        return phase1(*args)
+
+    def run(exp, kind, alloc, retimer=None):
+        ran.append((exp, alloc))
+        return run_schedule(exp, kind, alloc, retimer)
+
+    monkeypatch.setattr(allocator, "phase1_min_bottleneck", search)
+    monkeypatch.setattr(cli, "run_schedule", run)
+    values = AXIS_VALUES[config][axis]
+    argv = ["--config", config, "--axis", axis, "--values", values]
+    assert _sweep(*argv, *["--equal-nics"] * equal_nics)[0] == 0
+    # The split reads a point's model and workload, which virtual_stages and
+    # ep_size keep and seq_len and topk move; attn_gpu_share forces its split.
+    points = values.split(",")
+    assert len(searched) == {"virtual_stages": 1, "ep_size": 1,
+                             "attn_gpu_share": 0}.get(axis, len(points))
+    # Each point's four schedules run on the split a fresh search gives it.
+    assert len(ran) == 4 * len(points)
+    for (point, alloc), raw in zip(ran, [raw for raw in points for _ in range(4)]):
+        if axis == "attn_gpu_share":
+            cluster = point.cluster
+            expected = canonical_allocation(cluster, round(cluster.total_gpus * float(raw)),
+                                            cluster.total_nics // 2, equal_nics)
+        else:
+            expected = default_allocation(point, equal_nics)
+        assert alloc == expected, raw
 
 
 def test_each_point_runs_its_schedules_before_the_next_is_set_up(monkeypatch):
